@@ -1,0 +1,110 @@
+"""Every command's report is pinned by the SHA-256 of its stdout.
+
+The digests in ``pinned_reports.json`` were recorded from the dense
+``Fraction`` linear-algebra core.  Any later change to the matrix
+representation, the elimination or the caching must reproduce every
+report byte for byte, in text and ``--tsv`` form, on the built-in
+examples, a 40-gon and a tensored surface.
+
+To record the digests again (only when a report is meant to change):
+
+    PYTHONPATH=src python tests/test_pinned_reports.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+PINNED = Path(__file__).with_name("pinned_reports.json")
+
+COMMANDS = (
+    ("validate",),
+    ("dim-theorem",),
+    ("check", "A1"),
+    ("check", "A2"),
+    ("check", "B1FF"),
+    ("check", "B2FF"),
+    ("check", "CFF"),
+    ("complex",),
+    ("quasi-iso",),
+)
+
+EXAMPLES = (
+    ("zeta-fqt",),
+    ("ngon",),
+    ("smooth-ec",),
+    ("ngon", "n=40"),
+)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    from degen.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _surface_bundle(path: Path) -> None:
+    from degen.bundle import Bundle, Params, save
+
+    from fixtures import simplex_surface, tensored
+
+    fibre = tensored(simplex_surface(), 3)
+    save(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": fibre}), path)
+
+
+def report_digests(workdir: Path) -> dict[str, dict]:
+    """Exit code and stdout digest of every command on every pinned input."""
+    out: dict[str, dict] = {}
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        files = []
+        for example in EXAMPLES:
+            name = "-".join(example)
+            target = f"{name}.json"
+            label = " ".join(("example", *example, "-o", target))
+            code, text = _run(["example", *example, "-o", target])
+            out[label] = {"exit": code, "stdout": _sha(text)}
+            out[label + " (file)"] = {"exit": code, "stdout": _sha(Path(target).read_text())}
+            files.append(target)
+        _surface_bundle(workdir / "surface-c3.json")
+        files.append("surface-c3.json")
+        for target in files:
+            for cmd in COMMANDS:
+                for tsv in ((), ("--tsv",)):
+                    argv = [*tsv, *cmd, target]
+                    code, text = _run(argv)
+                    out[" ".join(argv)] = {"exit": code, "stdout": _sha(text)}
+    finally:
+        os.chdir(old)
+    return out
+
+
+def test_reports_match_pinned_digests(tmp_path):
+    pinned = json.loads(PINNED.read_text())
+    got = report_digests(tmp_path)
+    assert sorted(got) == sorted(pinned)
+    changed = [label for label in pinned if got[label] != pinned[label]]
+    assert not changed, f"reports differ from the pinned digests: {changed}"
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).parent))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = report_digests(Path(tmp))
+    PINNED.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {PINNED}")
