@@ -7,6 +7,10 @@ t = q^{-s}, and optionally an integral regulator presentation.  All
 rational numbers travel as strings ("p/q" or "n") so files are exact and
 serialization is byte-stable.
 
+A decimal exponent in a rational string ("1e5") may not exceed
+MAX_DECIMAL_EXPONENT in magnitude: "1e99999999" would otherwise make the
+parser build a number with hundreds of millions of digits.
+
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
 unknown keys anywhere in the file are rejected, which catches typos like
@@ -16,6 +20,7 @@ unknown keys anywhere in the file are rejected, which catches typos like
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +41,13 @@ __all__ = [
     "loads",
     "save",
     "dumps",
+    "MAX_DECIMAL_EXPONENT",
 ]
+
+# Largest |e| accepted in a decimal exponent such as "1e5" or "2.5E-3".
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class BundleError(ValueError):
@@ -81,17 +92,47 @@ def _coerce(value, kind, where: str):
     raise AssertionError(kind)
 
 
-def _fraction(value, where: str) -> Fraction:
+def _number(value, where: str) -> int | Fraction:
+    """A rational from JSON: an int when the text is an integer, else a Fraction."""
     if isinstance(value, bool):
         raise BundleError(f"{where}: booleans are not numbers")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            try:
+                too_big = abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT
+            except ValueError:  # more digits than int() converts
+                too_big = True
+            if too_big:
+                raise BundleError(
+                    f"{where}: decimal exponent in {value[:40]!r} exceeds "
+                    f"{MAX_DECIMAL_EXPONENT} in magnitude"
+                )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleError(f"{where}: bad rational {value!r}") from exc
     raise BundleError(f"{where}: expected a rational as string or integer")
+
+
+def _fraction(value, where: str) -> Fraction:
+    return Fraction(_number(value, where))
+
+
+def _is_power(value: int, base: int, exponent: int) -> bool:
+    """value == base**exponent for base >= 2, without building the power:
+    divide by base while it divides, at most log2(value) times."""
+    k = 0
+    while value > 1 and value % base == 0:
+        value //= base
+        k += 1
+    return value == 1 and k == exponent
 
 
 def _mat_from_json(obj, where: str, strict: bool) -> Mat:
@@ -103,11 +144,12 @@ def _mat_from_json(obj, where: str, strict: bool) -> Mat:
         raise BundleError(
             f"{where}: {len(entries)} entries for a {rows}x{cols} matrix"
         )
-    grid = [
-        [_fraction(entries[r * cols + c], f"{where}.entries[{r * cols + c}]") for c in range(cols)]
-        for r in range(rows)
-    ]
-    return Mat.from_rows(grid, cols=cols)
+    nonzero = {}
+    for k, x in enumerate(entries):
+        x = _number(x, f"{where}.entries[{k}]")
+        if x:
+            nonzero[divmod(k, cols)] = x
+    return Mat.sparse(rows, cols, nonzero)
 
 
 def _mat_to_json(m: Mat) -> dict:
@@ -358,7 +400,7 @@ def loads(text: str, strict: bool = True) -> Bundle:
                 if not isinstance(row, list) or len(row) != n:
                     raise BundleError(f"places.{name}.frob: expected a square matrix")
                 grid.append(
-                    [_fraction(x, f"places.{name}.frob[{i}][{j}]") for j, x in enumerate(row)]
+                    [_number(x, f"places.{name}.frob[{i}][{j}]") for j, x in enumerate(row)]
                 )
             places[name] = Place(deg_v=e["deg_v"], frob=Mat.from_rows(grid, cols=n))
         if set(places) != set(fibres):
@@ -367,10 +409,10 @@ def loads(text: str, strict: bool = True) -> Bundle:
                 f"(fibres: {sorted(fibres)}, places: {sorted(places)})"
             )
         for name, place in places.items():
-            expected = params.field_q**place.deg_v
-            if fibres[name].q_v != expected:
+            if not _is_power(fibres[name].q_v, params.field_q, place.deg_v):
                 raise BundleError(
-                    f"fibres.{name}.q_v: {fibres[name].q_v} != field_q^deg_v = {expected}"
+                    f"fibres.{name}.q_v: {fibres[name].q_v} != field_q^deg_v = "
+                    f"{params.field_q}^{place.deg_v} (places.{name}.deg_v)"
                 )
 
     motivic = {}

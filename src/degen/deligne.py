@@ -19,7 +19,7 @@ The cycle-class side: a datum (xi, tau) is mapped into the quotient by
 first reducing xi to its canonical representative modulo the image of
 the one-step-lower i^*i_* (this makes the outcome independent of the
 chosen representative), then applying tau, then taking canonical quotient
-coordinates.  Everything is plain Fraction linear algebra.
+coordinates.  Everything is exact linear algebra over Q.
 """
 
 from __future__ import annotations
@@ -134,14 +134,9 @@ def residue_reduction(modulo: Mat) -> Mat:
     eliminated, so equivalent vectors get equal outputs."""
     n = modulo.rows
     r, pivots = rref(modulo.transpose())
-    correction = [[r.entries[i][m] for i in range(len(pivots))] for m in range(n)]
-    out = []
-    for m in range(n):
-        row = list(Mat.identity(n).entries[m])
-        for i, p in enumerate(pivots):
-            row[p] -= correction[m][i]
-        out.append(row)
-    return Mat.from_rows(out, cols=n)
+    # v - sum_i v[p_i] * (echelon row i): subtract row i at column p_i
+    correction = {(m, pivots[i]): x for (i, m), x in r.nonzeros().items()}
+    return Mat.identity(n) - Mat.sparse(n, n, correction)
 
 
 def z_map(f: Fibre, a: int, cyc: CycleDatum) -> Mat:

@@ -1,10 +1,25 @@
 """Exact linear algebra over Q and Z.
 
-Rational matrices are immutable ``Mat`` values with Fraction entries.
-Rank uses fraction-free (Bareiss) elimination on an integer-scaled copy;
-kernels, solving and quotient projections use reduced row echelon form so
-that every basis and every coordinate system is canonical: the same input
-always yields the identical output object.
+A rational matrix ``Mat`` holds integer numerators over one positive
+common denominator (the layout of FLINT's ``fmpq_mat``), and keeps the
+numerators sparse: each row is a tuple of ``(column, numerator)`` pairs
+in increasing column order, with zeros left out.  The form is reduced:
+the denominator shares no factor with all numerators together, and it is
+1 for a zero matrix.  Equal matrices therefore have equal fields, and
+``==`` and ``hash`` compare them directly.  Products, sums, scaling,
+transposes, stacking and zero tests cost time in proportion to the
+nonzero entries and use integer arithmetic only; ``entries`` is a dense
+``Fraction`` view, built on demand.
+
+Rank, reduced row echelon form, kernels, solving and quotient
+projections all go through one fraction-free sparse elimination
+(``_eliminate``).  Columns are taken left to right.  The pivot is the
+sparsest remaining row with a nonzero in the column, only rows with a
+nonzero there are updated, and every updated row is divided by its
+content (the gcd of its entries), so coefficients stay as small as the
+row space allows.  The reduced row echelon form of a matrix is unique,
+so every basis and every coordinate system read off it is canonical:
+the same input always yields the identical output object.
 
 Integer matrices (plain nested lists/tuples of int) get a Smith normal
 form with unimodular transforms, and on top of that finitely presented
@@ -15,10 +30,10 @@ group has positive rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 __all__ = [
     "Mat",
@@ -36,6 +51,9 @@ __all__ = [
     "cokernel_order",
 ]
 
+# One sparse row: (column, numerator) pairs, columns increasing, no zeros.
+Row = tuple[tuple[int, int], ...]
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -47,45 +65,153 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-@dataclass(frozen=True)
+def _scalar(x) -> int | Fraction:
+    """An exact scalar as an int when it is integral, else a Fraction."""
+    if isinstance(x, int):
+        return int(x)
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _from_scalars(rows: int, cols: int, items: list[list[tuple[int, int | Fraction]]]) -> "Mat":
+    """Mat from sorted nonzero (column, scalar) rows.
+
+    The denominator is the lcm of the entries' reduced denominators, so
+    the result is reduced without a gcd pass.
+    """
+    den = 1
+    for row in items:
+        for _, x in row:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+    if den == 1:
+        data = tuple(tuple(row) for row in items)
+    else:
+        data = tuple(
+            tuple(
+                (j, x * den if type(x) is int else x.numerator * (den // x.denominator))
+                for j, x in row
+            )
+            for row in items
+        )
+    return Mat(rows, cols, den, data)
+
+
+def _reduced(rows: int, cols: int, den: int, data: tuple[Row, ...]) -> "Mat":
+    """Mat from integer rows over ``den`` > 0, dividing out a common factor."""
+    if den != 1:
+        g = den
+        for row in data:
+            if row:
+                g = gcd(g, *[x for _, x in row])
+                if g == 1:
+                    break
+        if g != 1:
+            den //= g
+            data = tuple(tuple((j, x // g) for j, x in row) for row in data)
+    return Mat(rows, cols, den, data)
+
+
+def _stack(cols: int, bands: list[tuple[int, list["Mat"]]]) -> "Mat":
+    """Assemble bands of side-by-side blocks, given top to bottom as
+    (height, blocks left to right), over the lcm of their denominators.
+
+    Each block is reduced and a zero block has denominator 1, so the
+    result is reduced as well.
+    """
+    den = 1
+    for _, blocks in bands:
+        for b in blocks:
+            den = lcm(den, b._den)
+    data: list[Row] = []
+    for height, blocks in bands:
+        if len(blocks) == 1 and blocks[0]._den == den:
+            data.extend(blocks[0]._data)
+            continue
+        for i in range(height):
+            row: list[tuple[int, int]] = []
+            c0 = 0
+            for b in blocks:
+                f = den // b._den
+                row.extend((c0 + j, x * f) for j, x in b._data[i])
+                c0 += b.cols
+            data.append(tuple(row))
+    return Mat(sum(h for h, _ in bands), cols, den, tuple(data))
+
+
+def _combine(a: "Mat", b: "Mat", sign: int) -> "Mat":
+    """a + sign * b for equal shapes."""
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    data = []
+    for ra, rb in zip(a._data, b._data):
+        if not rb:
+            row = ra if fa == 1 else tuple((j, x * fa) for j, x in ra)
+        elif not ra:
+            row = tuple((j, x * fb) for j, x in rb)
+        else:
+            acc = {j: x * fa for j, x in ra}
+            for j, x in rb:
+                acc[j] = acc.get(j, 0) + x * fb
+            row = tuple(sorted((j, x) for j, x in acc.items() if x))
+        data.append(row)
+    return _reduced(a.rows, a.cols, den, tuple(data))
+
+
+@dataclass(frozen=True, slots=True)
 class Mat:
-    """Immutable rational matrix; ``entries`` is a tuple of row tuples."""
+    """Immutable rational matrix: sparse integer rows over one denominator.
+
+    Build one with the static constructors; ``_den`` and ``_data`` are
+    the canonical form described in the module docstring.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError(
-                f"entry grid does not match declared shape {self.rows}x{self.cols}"
-            )
+    _den: int = field(repr=False)
+    _data: tuple[Row, ...] = field(repr=False)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
         """Build from an iterable of rows; ``cols`` disambiguates 0-row shapes."""
-        ent = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if ent:
-            width = len(ent[0])
-        else:
+        items = []
+        width = None
+        for row in rows:
+            vals = [_scalar(x) for x in row]
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
+                raise ValueError(f"ragged rows: widths {width} and {len(vals)}")
+            items.append([(j, x) for j, x in enumerate(vals) if x])
+        if width is None:
             width = 0 if cols is None else cols
-        return Mat(len(ent), width, ent)
+        return _from_scalars(len(items), width, items)
+
+    @staticmethod
+    def sparse(rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Mat":
+        """Build from a mapping (row, column) -> scalar; absent entries are zero."""
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimension")
+        items: list[list] = [[] for _ in range(rows)]
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            x = _scalar(x)
+            if x:
+                items[i].append((j, x))
+        for row in items:
+            row.sort(key=lambda e: e[0])
+        return _from_scalars(rows, cols, items)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, tuple((Fraction(0),) * cols for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimension")
+        return Mat(rows, cols, 1, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(
-            n,
-            n,
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            ),
-        )
+        return Mat(n, n, 1, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def column(values: Sequence) -> "Mat":
@@ -99,10 +225,7 @@ class Mat:
         r = blocks[0].rows
         if any(b.rows != r for b in blocks):
             raise ValueError("hstack: row counts differ")
-        ent = tuple(
-            tuple(x for b in blocks for x in b.entries[i]) for i in range(r)
-        )
-        return Mat(r, sum(b.cols for b in blocks), ent)
+        return _stack(sum(b.cols for b in blocks), [(r, blocks)])
 
     @staticmethod
     def vstack(blocks: Sequence["Mat"]) -> "Mat":
@@ -112,14 +235,14 @@ class Mat:
         c = blocks[0].cols
         if any(b.cols != c for b in blocks):
             raise ValueError("vstack: column counts differ")
-        return Mat(sum(b.rows for b in blocks), c, tuple(r for b in blocks for r in b.entries))
+        return _stack(c, [(b.rows, [b]) for b in blocks])
 
     @staticmethod
     def block(grid: Sequence[Sequence["Mat | None"]], row_dims: Sequence[int], col_dims: Sequence[int]) -> "Mat":
         """Assemble from a grid of optional blocks; ``None`` means a zero block."""
-        rows = []
+        bands = []
         for bi, rdim in enumerate(row_dims):
-            row_blocks = []
+            blocks = []
             for bj, cdim in enumerate(col_dims):
                 blk = grid[bi][bj]
                 if blk is None:
@@ -129,78 +252,112 @@ class Mat:
                         f"block ({bi},{bj}) has shape {blk.rows}x{blk.cols}, "
                         f"expected {rdim}x{cdim}"
                     )
-                row_blocks.append(blk)
-            if row_blocks:
-                rows.append(Mat.hstack(row_blocks) if len(row_blocks) > 1 else row_blocks[0])
-            else:
-                rows.append(Mat.zero(rdim, 0))
-        if not rows:
-            return Mat.zero(0, sum(col_dims))
-        return Mat.vstack(rows) if len(rows) > 1 else rows[0]
+                blocks.append(blk)
+            bands.append((rdim, blocks))
+        return _stack(sum(col_dims), bands)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view: a tuple of row tuples of Fractions, built on each call."""
+        zero = Fraction(0)
+        den = self._den
+        out = []
+        for row in self._data:
+            dense = [zero] * self.cols
+            for j, x in row:
+                dense[j] = Fraction(x, den)
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def nonzeros(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries as a mapping (row, column) -> value."""
+        den = self._den
+        return {(i, j): Fraction(x, den) for i, row in enumerate(self._data) for j, x in row}
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Mat(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in addition")
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "Mat":
-        return self.scale(-1)
+        return Mat(
+            self.rows, self.cols, self._den,
+            tuple(tuple((j, -x) for j, x in row) for row in self._data),
+        )
 
     def scale(self, c) -> "Mat":
         c = _frac(c)
-        return Mat(
-            self.rows,
-            self.cols,
-            tuple(tuple(c * x for x in row) for row in self.entries),
+        if c == 0:
+            return Mat.zero(self.rows, self.cols)
+        p = c.numerator
+        data = self._data if p == 1 else tuple(
+            tuple((j, x * p) for j, x in row) for row in self._data
         )
+        return _reduced(self.rows, self.cols, self._den * c.denominator, data)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in product: {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ot = other.transpose().entries
-        return Mat(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            ),
-        )
+        brows = other._data
+        data = []
+        for row in self._data:
+            if len(row) == 1:
+                k, a = row[0]
+                data.append(brows[k] if a == 1 else tuple((j, a * b) for j, b in brows[k]))
+                continue
+            acc: dict[int, int] = {}
+            for k, a in row:
+                for j, b in brows[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            data.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+        return _reduced(self.rows, other.cols, self._den * other._den, tuple(data))
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Mat(self.cols, self.rows, self._den, tuple(map(tuple, cols)))
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+        out = [Fraction(0)] * self.rows
+        for i, row in enumerate(self._data):
+            for k, x in row:
+                if k >= j:
+                    if k == j:
+                        out[i] = Fraction(x, self._den)
+                    break
+        return tuple(out)
 
     def columns(self) -> list["Mat"]:
-        return [Mat.column(self.col(j)) for j in range(self.cols)]
+        out = []
+        for col in self.transpose()._data:
+            data: list[Row] = [()] * self.rows
+            for i, x in col:
+                data[i] = ((0, x),)
+            out.append(_reduced(self.rows, 1, self._den, tuple(data)))
+        return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self._data)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Multiply onto a plain vector, returning a plain tuple."""
         v = [_frac(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(
+            Fraction(sum(x * v[j] for j, x in row), self._den) for row in self._data
+        )
 
     def __repr__(self) -> str:  # compact, for test failure messages
         if self.rows == 0 or self.cols == 0:
@@ -209,67 +366,100 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _int_rows(m: Mat) -> list[list[int]]:
-    # Clear denominators row by row; rank is unchanged.
-    out = []
-    for row in m.entries:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+# ---------------------------------------------------------------------------
+# The one elimination behind rank, rref, kernels, solving and quotients.
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero integer row by its content, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> None:
+    """row := (p * row - row[c] * prow) / content, in place; clears column c."""
+    a = row.pop(c)
+    g = gcd(p, a)
+    mp, ma = p // g, a // g
+    if mp != 1:
+        for j in row:
+            row[j] *= mp
+    for j, x in prow.items():
+        if j != c:
+            y = row.get(j, 0) - ma * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+    if row:
+        _primitive(row)
+
+
+def _eliminate(
+    m: Mat, reduce: bool, limit: int | None = None
+) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """Fraction-free sparse elimination on the integer rows of ``m``.
+
+    Columns before ``limit`` (default: all) are taken left to right.  The
+    pivot of a column is the sparsest remaining row with a nonzero there,
+    earliest on ties; every other remaining row with a nonzero there, and
+    with ``reduce`` every earlier pivot row too, is combined with it to
+    clear the column and divided by its content.  Returns the pivot
+    columns, the pivot rows (primitive integer rows as column -> value
+    dicts; with ``reduce`` each is zero at every other pivot column, so
+    it is its reduced echelon row times its pivot entry), and the
+    remaining nonzero rows, which live at or past ``limit``.
+    """
+    active = [_primitive(dict(row)) for row in m._data if row]
+    pivots: list[int] = []
+    done: list[dict[int, int]] = []
+    for c in range(m.cols if limit is None else limit):
+        if not active:
+            break
+        hits = [i for i, row in enumerate(active) if c in row]
+        if not hits:
+            continue
+        k = min(hits, key=lambda i: len(active[i]))
+        prow = active[k]
+        p = prow[c]
+        touched = [active[i] for i in hits if i != k]
+        if reduce:
+            touched += [row for row in done if c in row]
+        for row in touched:
+            _cancel(row, prow, c, p)
+        active = [row for i, row in enumerate(active) if i != k and row]
+        pivots.append(c)
+        done.append(prow)
+    return pivots, done, active
+
+
+def _over_pivots(done: list[dict[int, int]], pivots: list[int]) -> tuple[int, list[dict[int, int]]]:
+    """A common denominator for the rows divided by their pivot entries,
+    and the numerators over it: each returned row holds the denominator
+    at its pivot."""
+    den = 1
+    for row, p in zip(done, pivots):
+        den = lcm(den, row[p])
+    return den, [
+        {j: x * (den // row[p]) for j, x in row.items()} for row, p in zip(done, pivots)
+    ]
 
 
 def rank(m: Mat) -> int:
-    """Rank over Q by fraction-free Bareiss elimination."""
-    a = _int_rows(m)
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank over Q."""
+    return len(_eliminate(m, reduce=False)[0])
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Mat(nr, nc, tuple(tuple(row) for row in a)), tuple(pivots)
+    pivots, done, _ = _eliminate(m, reduce=True)
+    den, rows = _over_pivots(done, pivots)
+    data = [tuple(sorted(row.items())) for row in rows]
+    data += [()] * (m.rows - len(data))
+    return _reduced(m.rows, m.cols, den, tuple(data)), tuple(pivots)
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -278,57 +468,46 @@ def kernel_basis(m: Mat) -> Mat:
     The basis vector for free column f has entry 1 at f and the negated
     reduced column above the pivots, the standard echelon-form kernel.
     """
-    r, pivots = rref(m)
+    pivots, done, _ = _eliminate(m, reduce=True)
+    den, rows = _over_pivots(done, pivots)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r.entries[i][f]
-        cols.append(v)
-    if not cols:
-        return Mat.zero(m.cols, 0)
-    return Mat(m.cols, len(cols), tuple(zip(*cols)))
+    free = {f: k for k, f in enumerate(j for j in range(m.cols) if j not in pivset)}
+    data: list[Row] = [()] * m.cols
+    for f, k in free.items():
+        data[f] = ((k, den),)
+    for p, row in zip(pivots, rows):
+        data[p] = tuple((free[j], -x) for j, x in sorted(row.items()) if j != p)
+    return _reduced(m.cols, len(free), den, tuple(data))
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
-    """One rational solution of a X = b (columnwise), or None if inconsistent."""
+    """One rational solution of a X = b (columnwise), or None if inconsistent.
+
+    Free variables are set to zero, so the solution is canonical.
+    """
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
-    aug = Mat.hstack([a, b])
-    r, pivots = rref(aug)
-    if any(p >= a.cols for p in pivots):
+    n = a.cols
+    pivots, done, rest = _eliminate(Mat.hstack([a, b]), reduce=True, limit=n)
+    if rest:
         return None
-    sol_rows = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        sol_rows[p] = list(r.entries[i][a.cols:])
-    return Mat.from_rows(sol_rows, cols=b.cols)
+    den, rows = _over_pivots(done, pivots)
+    data: list[Row] = [()] * n
+    for p, row in zip(pivots, rows):
+        data[p] = tuple((j - n, x) for j, x in sorted(row.items()) if j >= n)
+    return _reduced(n, b.cols, den, tuple(data))
 
 
 def quotient_projection(modulo: Mat) -> Mat:
     """Canonical projection of the ambient space onto coordinates for
     ``Q^n / span(columns of modulo)``.
 
-    Returns a (n - rank) x n matrix whose kernel is exactly the span.
-    Coordinates are the non-pivot positions after reducing against the
-    echelon rows of the subspace, so the projection is canonical.
+    Returns a (n - rank) x n matrix whose kernel is exactly the span: the
+    row for each non-pivot position f of the echelon form of the span is
+    e_f minus the reduced column at f placed on the pivots, so the
+    projection is the transposed kernel basis of ``modulo^T``.
     """
-    n = modulo.rows
-    r, pivots = rref(modulo.transpose())
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    # v maps to its residue after killing pivot coordinates, read off at free ones:
-    # residue_f = v_f - sum_i r[i][f] * v_{pivot_i}
-    rows = []
-    for f in free:
-        row = [Fraction(0)] * n
-        row[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            row[p] = -r.entries[i][f]
-        rows.append(row)
-    return Mat.from_rows(rows, cols=n)
+    return kernel_basis(modulo.transpose()).transpose()
 
 
 def quotient_dim(vectors: Mat, modulo: Mat | None = None) -> int:

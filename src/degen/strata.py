@@ -17,12 +17,16 @@ gamma = 0 wherever both composites avoid level 0.
 A stratum may be disconnected (several double points sharing the same
 index set); its Chow space then just has higher dimension, which is how
 the 2-gon carries two nodes on the single stratum (1, 2).
+
+Everything derived from a fibre (strata by level, the graded spaces with
+their offsets, gamma, rho and i^*i_*) is computed once, on first use, and
+kept in a private index on the fibre.  A fibre is therefore not edited
+once any of its maps has been built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .qlinalg import Mat
@@ -83,24 +87,23 @@ class GradedSpace:
     codim: int
     j: int
     pieces: tuple[tuple[Stratum, int], ...]
+    _at: dict[Stratum, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def total(self) -> int:
-        return sum(d for _, d in self.pieces)
-
-    def offset(self, stratum: Stratum) -> int:
+    def __post_init__(self):
+        at = {}
         off = 0
         for s, d in self.pieces:
-            if s == stratum:
-                return off
+            at[s] = (off, d)
             off += d
-        raise KeyError(stratum)
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "total", off)
+
+    def offset(self, stratum: Stratum) -> int:
+        return self._at[stratum][0]
 
     def dim_of(self, stratum: Stratum) -> int:
-        for s, d in self.pieces:
-            if s == stratum:
-                return d
-        return 0
+        return self._at.get(stratum, (0, 0))[1]
 
 
 @dataclass
@@ -116,6 +119,7 @@ class Fibre:
     pullback: dict[tuple[Stratum, int, int, int], Mat]
     ii_matrices: dict[tuple[int, int], Mat] = field(default_factory=dict)
     higher_chow: dict[tuple[int, int], int] = field(default_factory=dict)
+    _index: "_FibreIndex | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.components < 1:
@@ -180,7 +184,7 @@ class Fibre:
         return self.chow.get((tuple(stratum), p, j), 0)
 
     def level_strata(self, r: int) -> tuple[Stratum, ...]:
-        return tuple(s for s in self.strata if len(s) == r)
+        return _index(self).levels.get(r, ())
 
     @property
     def max_level(self) -> int:
@@ -188,6 +192,24 @@ class Fibre:
 
     def observed_js(self) -> tuple[int, ...]:
         return tuple(sorted({j for (_, _, j) in self.chow}))
+
+
+class _FibreIndex:
+    """What a fibre's maps are built from, filled in on first use."""
+
+    def __init__(self, f: Fibre):
+        levels: dict[int, list[Stratum]] = {}
+        for s in f.strata:
+            levels.setdefault(len(s), []).append(s)
+        self.levels = {r: tuple(ss) for r, ss in levels.items()}
+        self.spaces: dict[tuple[int, int, int], GradedSpace] = {}
+        self.maps: dict[tuple[str, int, int, int], Mat] = {}
+
+
+def _index(f: Fibre) -> _FibreIndex:
+    if f._index is None:
+        f._index = _FibreIndex(f)
+    return f._index
 
 
 def _removed(s: Stratum, u: int) -> Stratum:
@@ -198,28 +220,44 @@ def _removed(s: Stratum, u: int) -> Stratum:
 
 def build_level(f: Fibre, r: int, p: int, j: int = 0) -> GradedSpace:
     """CH^p(Y^{(r)}, j) as an ordered direct sum over |I| = r (lex order)."""
-    if r < 1:
-        return GradedSpace(r, p, j, ())
-    pieces = tuple((s, f.chow_dim(s, p, j)) for s in f.level_strata(r))
-    return GradedSpace(r, p, j, tuple((s, d) for s, d in pieces if d > 0))
+    spaces = _index(f).spaces
+    key = (r, p, j)
+    space = spaces.get(key)
+    if space is None:
+        pieces = ()
+        if r >= 1:
+            dims = ((s, f.chow_dim(s, p, j)) for s in f.level_strata(r))
+            pieces = tuple((s, d) for s, d in dims if d > 0)
+        space = spaces[key] = GradedSpace(r, p, j, pieces)
+    return space
 
 
 def gamma(f: Fibre, r: int, p: int, j: int = 0) -> Mat:
     """Signed Gysin map CH^p(Y^{(r)}, j) -> CH^{p+1}(Y^{(r-1)}, j)."""
-    src = build_level(f, r, p, j)
-    tgt = build_level(f, r - 1, p + 1, j)
-    return _assemble(f, src, tgt, mode="push")
+    return _assemble(f, r, p, j, mode="push")
 
 
 def rho(f: Fibre, r: int, p: int, j: int = 0) -> Mat:
     """Signed restriction map CH^p(Y^{(r)}, j) -> CH^p(Y^{(r+1)}, j)."""
-    src = build_level(f, r, p, j)
-    tgt = build_level(f, r + 1, p, j)
-    return _assemble(f, src, tgt, mode="pull")
+    return _assemble(f, r, p, j, mode="pull")
 
 
-def _assemble(f: Fibre, src: GradedSpace, tgt: GradedSpace, mode: str) -> Mat:
-    rows = [[Fraction(0)] * src.total for _ in range(tgt.total)]
+def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
+    """The signed block map out of CH^p(Y^{(r)}, j), built once per fibre."""
+    maps = _index(f).maps
+    key = (mode, r, p, j)
+    if key not in maps:
+        src = build_level(f, r, p, j)
+        if mode == "push":
+            tgt = build_level(f, r - 1, p + 1, j)
+        else:
+            tgt = build_level(f, r + 1, p, j)
+        maps[key] = _assemble_blocks(f, src, tgt, mode)
+    return maps[key]
+
+
+def _assemble_blocks(f: Fibre, src: GradedSpace, tgt: GradedSpace, mode: str) -> Mat:
+    entries: dict[tuple[int, int], object] = {}
     if mode == "push":
         # iterate source strata I, remove position u to land in the target
         for stratum, sdim in src.pieces:
@@ -234,7 +272,7 @@ def _assemble(f: Fibre, src: GradedSpace, tgt: GradedSpace, mode: str) -> Mat:
                         f"missing pushforward block for stratum {stratum}, "
                         f"position {u}, codim {src.codim}, j {src.j}"
                     )
-                _add_block(rows, tgt.offset(other), src.offset(stratum), block, (-1) ** (u - 1))
+                _add_block(entries, tgt.offset(other), src.offset(stratum), block, (-1) ** (u - 1))
     elif mode == "pull":
         # iterate target strata I, remove position u to find the source
         for stratum, tdim in tgt.pieces:
@@ -249,16 +287,16 @@ def _assemble(f: Fibre, src: GradedSpace, tgt: GradedSpace, mode: str) -> Mat:
                         f"missing pullback block for stratum {stratum}, "
                         f"position {u}, codim {src.codim}, j {src.j}"
                     )
-                _add_block(rows, tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1))
+                _add_block(entries, tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1))
     else:  # pragma: no cover
         raise AssertionError(mode)
-    return Mat.from_rows(rows, cols=src.total)
+    return Mat.sparse(tgt.total, src.total, entries)
 
 
-def _add_block(rows, r0: int, c0: int, block: Mat, sign: int):
-    for i in range(block.rows):
-        for k in range(block.cols):
-            rows[r0 + i][c0 + k] += sign * block.entries[i][k]
+def _add_block(entries: dict, r0: int, c0: int, block: Mat, sign: int):
+    for (i, k), x in block.nonzeros().items():
+        key = (r0 + i, c0 + k)
+        entries[key] = entries.get(key, 0) + sign * x
 
 
 def compose_ii(f: Fibre, p: int, j: int = 0) -> Mat:
@@ -273,17 +311,22 @@ def compose_ii(f: Fibre, p: int, j: int = 0) -> Mat:
 
 def ii_map(f: Fibre, p: int, j: int = 0) -> Mat:
     """i^* i_*: CH^p(Y^{(1)}, j) -> CH^{p+1}(Y^{(1)}, j), explicit or composed."""
-    explicit = f.ii_matrices.get((p, j))
-    if explicit is not None:
-        src = build_level(f, 1, p, j)
-        tgt = build_level(f, 1, p + 1, j)
-        if (explicit.rows, explicit.cols) != (tgt.total, src.total):
-            raise DescriptorError(
-                f"ii matrix at codim {p}, j {j} has shape "
-                f"{explicit.rows}x{explicit.cols}, expected {tgt.total}x{src.total}"
-            )
-        return explicit
-    return compose_ii(f, p, j)
+    maps = _index(f).maps
+    key = ("ii", 1, p, j)
+    if key not in maps:
+        explicit = f.ii_matrices.get((p, j))
+        if explicit is not None:
+            src = build_level(f, 1, p, j)
+            tgt = build_level(f, 1, p + 1, j)
+            if (explicit.rows, explicit.cols) != (tgt.total, src.total):
+                raise DescriptorError(
+                    f"ii matrix at codim {p}, j {j} has shape "
+                    f"{explicit.rows}x{explicit.cols}, expected {tgt.total}x{src.total}"
+                )
+            maps[key] = explicit
+        else:
+            maps[key] = compose_ii(f, p, j)
+    return maps[key]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here is deliberately written along different lines than the
-implementation: group orders by coset enumeration, Laurent leading terms
+implementation: dense Fraction grids for matrix arithmetic and
+elimination, group orders by coset enumeration, Laurent leading terms
 by truncated power series in u = L*(s - a), cochain complexes with known
 cohomology by conjugating direct sums of elementary pieces.
 """
@@ -21,6 +22,130 @@ from degen.qlinalg import (
     smith_normal_form,
     solve,
 )
+
+
+# ---------------------------------------------------------------------------
+# Dense Fraction linear algebra: the grid-of-Fractions routines that the
+# sparse integer core in ``degen.qlinalg`` replaced, kept as the reference
+# it is compared against.  A matrix here is a tuple of row tuples of
+# Fractions, the shape of ``Mat.entries``.
+
+Grid = tuple[tuple[Fraction, ...], ...]
+
+
+def dense_add(a: Grid, b: Grid) -> Grid:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_scale(a: Grid, c) -> Grid:
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def dense_transpose(a: Grid, cols: int) -> Grid:
+    return tuple(tuple(row[j] for row in a) for j in range(cols))
+
+
+def dense_mul(a: Grid, b: Grid, inner: int, cols: int) -> Grid:
+    bt = dense_transpose(b, cols)
+    assert all(len(row) == inner for row in a)
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
+        for row in a
+    )
+
+
+def dense_rank(a: Grid, cols: int) -> int:
+    """Bareiss elimination on an integer-scaled copy, first nonzero pivot."""
+    rows = []
+    for row in a:
+        mult = 1
+        for x in row:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        rows.append([int(x * mult) for x in row])
+    nr = len(rows)
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, nr):
+            for j in range(c + 1, cols):
+                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
+            rows[i][c] = 0
+        prev = rows[r][c]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def dense_rref(a: Grid, cols: int) -> tuple[Grid, tuple[int, ...]]:
+    """Gauss-Jordan over Fractions: reduced row echelon form and pivots."""
+    rows = [list(row) for row in a]
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def dense_kernel_basis(a: Grid, cols: int) -> Grid:
+    """Columns e_f - sum_i R[i][f] e_{p_i}, one per free column f."""
+    r, pivots = dense_rref(a, cols)
+    free = [j for j in range(cols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return dense_transpose(tuple(tuple(v) for v in basis), cols)
+
+
+def dense_solve(a: Grid, b: Grid, a_cols: int, b_cols: int) -> Grid | None:
+    aug = tuple(ra + rb for ra, rb in zip(a, b))
+    r, pivots = dense_rref(aug, a_cols + b_cols)
+    if any(p >= a_cols for p in pivots):
+        return None
+    sol = [[Fraction(0)] * b_cols for _ in range(a_cols)]
+    for i, p in enumerate(pivots):
+        sol[p] = list(r[i][a_cols:])
+    return tuple(tuple(row) for row in sol)
+
+
+def dense_quotient_projection(modulo: Grid, rows: int, cols: int) -> Grid:
+    r, pivots = dense_rref(dense_transpose(modulo, cols), rows)
+    out = []
+    for f in (j for j in range(rows) if j not in pivots):
+        row = [Fraction(0)] * rows
+        row[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            row[p] = -r[i][f]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_quotient_dim(vectors: Grid, modulo: Grid, v_cols: int, m_cols: int) -> int:
+    stacked = tuple(rm + rv for rm, rv in zip(modulo, vectors))
+    return dense_rank(stacked, m_cols + v_cols) - dense_rank(modulo, m_cols)
 
 
 def det_int(m: list[list[int]]) -> int:

@@ -1,6 +1,7 @@
 """Round trips and rejection paths for the JSON instance format."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -192,3 +193,19 @@ def test_integer_entries_accepted_on_load():
         int(x) for x in entry["matrix"]["entries"]
     ]
     loads(json.dumps(data))
+
+
+def test_decimal_exponents_up_to_the_limit():
+    from degen.bundle import MAX_DECIMAL_EXPONENT
+
+    data = as_data()
+    entries = data["fibres"]["v0"]["pushforward"][0]["matrix"]["entries"]
+    entries[0] = "25e-2"
+    b = loads(json.dumps(data))
+    block = b.fibres["v0"].pushforward[((1, 2), 1, 0, 0)]
+    assert block.entries[0][0] == Fraction(1, 4)
+    entries[0] = f"1e{MAX_DECIMAL_EXPONENT}"
+    loads(json.dumps(data))
+    entries[0] = f"1E-{MAX_DECIMAL_EXPONENT + 1}"
+    with pytest.raises(BundleError, match=r"entries\[0\]: decimal exponent"):
+        loads(json.dumps(data))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from degen.bundle import Bundle, Params, dumps
@@ -68,6 +69,37 @@ def test_exit_three_on_input_errors(tmp_path, capsys):
     assert main(["example", "ngon", "sides=4"]) == 3
     assert main(["check", "D9", str(junk)]) == 3
     capsys.readouterr()
+
+
+def _bounded_rejection(tmp_path, data, argv, field):
+    """Exit 3 naming ``field``, first in a child process that a hang cannot
+    outlast, then in-process well under a second."""
+    path = tmp_path / "adversarial.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "degen", *argv, str(path)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3
+    assert field in proc.stderr and "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert main([*argv, str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_deg_v_is_rejected_without_building_the_power(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "ngon").read_text())
+    data["places"]["v0"]["deg_v"] = 2**70
+    _bounded_rejection(tmp_path, data, ["dim-theorem"], "places.v0.deg_v")
+    assert "places.v0.deg_v" in capsys.readouterr().err
+
+
+def test_huge_decimal_exponent_is_rejected(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "ngon").read_text())
+    data["fibres"]["v0"]["pushforward"][0]["matrix"]["entries"][0] = "1e99999999"
+    field = "fibres.v0.pushforward[0].matrix.entries[0]"
+    _bounded_rejection(tmp_path, data, ["check", "A2"], field)
+    assert "exceeds 1000" in capsys.readouterr().err
 
 
 def test_tsv_is_four_tab_separated_fields(tmp_path, capsys):

@@ -22,6 +22,16 @@ from degen.qlinalg import (
 from oracles import (
     brute_cokernel_order,
     brute_kernel_order,
+    dense_add,
+    dense_kernel_basis,
+    dense_mul,
+    dense_quotient_dim,
+    dense_quotient_projection,
+    dense_rank,
+    dense_rref,
+    dense_scale,
+    dense_solve,
+    dense_transpose,
     det_int,
     random_finite_group,
     random_group_map,
@@ -227,3 +237,107 @@ class TestGroupOrders:
             f = random_group_map(rng, a, b)
             assert kernel_order(f) == brute_kernel_order(f)
             assert cokernel_order(f) == brute_cokernel_order(f)
+
+
+# ---------------------------------------------------------------------------
+# The sparse integer core against the dense Fraction routines it replaced.
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def incidence(draw, r, c):
+    """Sparse signed incidence pattern: at most two entries +-1 per column."""
+    grid = [[0] * c for _ in range(r)]
+    for j in range(c):
+        if r:
+            for i in draw(st.lists(st.integers(0, r - 1), max_size=2, unique=True)):
+                grid[i][j] = draw(st.sampled_from([-1, 1]))
+    return Mat.from_rows(grid, cols=c)
+
+
+@st.composite
+def unit_triangular_product(draw, n):
+    """A dense invertible rational matrix: unit lower times unit upper."""
+    def tri(lower):
+        return tuple(
+            tuple(
+                F(1) if i == j else (draw(small_fractions) if (j < i) == lower else F(0))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+
+    return dense_mul(tri(True), tri(False), n, n)
+
+
+@st.composite
+def conjugated_dense(draw, r, c):
+    """An incidence pattern seen through random rational changes of basis
+    on both sides, multiplied out densely by the oracle."""
+    s = draw(incidence(r, c)).entries
+    left = draw(unit_triangular_product(r))
+    right = draw(unit_triangular_product(c))
+    return Mat.from_rows(dense_mul(dense_mul(left, s, r, c), right, c, c), cols=c)
+
+
+def shaped(r, c):
+    return st.one_of(incidence(r, c), conjugated_dense(r, c))
+
+
+def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
+    """a is r x k, b is k x c, a2 is r x k; every operation agrees with the oracle."""
+    (r, k), c = (a.rows, a.cols), b.cols
+    ga, gb, ga2 = a.entries, b.entries, a2.entries
+    assert len(ga) == r and all(len(row) == k for row in ga)
+    assert (a * b).entries == dense_mul(ga, gb, k, c)
+    assert (a + a2).entries == dense_add(ga, ga2)
+    assert (a - a2).entries == dense_add(ga, dense_scale(ga2, -1))
+    assert (-a).entries == dense_scale(ga, -1)
+    assert a.scale(s).entries == dense_scale(ga, s)
+    assert a.transpose().entries == dense_transpose(ga, k)
+    assert a.is_zero() == all(x == 0 for row in ga for x in row)
+    # equality and hashing are structural on the canonical form
+    for again in (Mat.from_rows(ga, cols=k), Mat.sparse(r, k, a.nonzeros()), a.scale(3).scale(F(1, 3))):
+        assert again == a and hash(again) == hash(a)
+    assert (a == a2) == (ga == ga2)
+    assert rank(a) == dense_rank(ga, k)
+    red, pivots = rref(a)
+    assert (red.entries, pivots) == dense_rref(ga, k)
+    assert kernel_basis(a).entries == dense_kernel_basis(ga, k)
+    assert quotient_projection(a).entries == dense_quotient_projection(ga, r, k)
+    assert quotient_dim(a2, a) == dense_quotient_dim(ga2, ga, k, k)
+    for rhs in (a2, a * b):  # a2 may be inconsistent, a * b never is
+        x = solve(a, rhs)
+        want = dense_solve(ga, rhs.entries, k, rhs.cols)
+        assert (x.entries if x is not None else None) == want
+    assert solve(a, a * b) is not None
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_operations_match(self, data):
+        r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a = data.draw(shaped(r, k))
+        b = data.draw(shaped(k, c))
+        a2 = data.draw(st.one_of(shaped(r, k), st.just(a)))
+        assert_matches_dense_oracle(a, b, a2, data.draw(small_fractions))
+
+    @pytest.mark.parametrize("r,k,c", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (4, 4, 4)])
+    def test_empty_and_square_shapes(self, r, k, c):
+        rng = random.Random(r * 100 + k * 10 + c)
+
+        def rand(rows, cols):
+            return Mat.from_rows(
+                [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+
+        assert_matches_dense_oracle(rand(r, k), rand(k, c), rand(r, k), F(-2, 3))
+
+    def test_ngon_incidence_matches(self):
+        # the Gysin matrix of a 9-gon and its Laplacian-like square
+        n = 9
+        g = Mat.sparse(n, n, {**{(i, i): -1 for i in range(n)}, **{((i + 1) % n, i): 1 for i in range(n)}})
+        assert_matches_dense_oracle(g, g.transpose(), g.transpose(), F(5, 7))
