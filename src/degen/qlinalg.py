@@ -140,7 +140,9 @@ def _stack(cols: int, bands: list[tuple[int, list["Mat"]]]) -> "Mat":
 
 
 def _combine(a: "Mat", b: "Mat", sign: int) -> "Mat":
-    """a + sign * b for equal shapes."""
+    """a + sign * b."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch in addition")
     den = lcm(a._den, b._den)
     fa, fb = den // a._den, sign * (den // b._den)
     data = []
@@ -275,13 +277,9 @@ class Mat:
         return {(i, j): Fraction(x, den) for i, row in enumerate(self._data) for j, x in row}
 
     def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
         return _combine(self, other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
         return _combine(self, other, -1)
 
     def __neg__(self) -> "Mat":

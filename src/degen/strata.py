@@ -188,7 +188,7 @@ class Fibre:
 
     @property
     def max_level(self) -> int:
-        return max((len(s) for s in self.strata), default=0)
+        return max(_index(self).levels, default=0)
 
     def observed_js(self) -> tuple[int, ...]:
         return tuple(sorted({j for (_, _, j) in self.chow}))
@@ -246,17 +246,10 @@ def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
     """The signed block map out of CH^p(Y^{(r)}, j), built once per fibre."""
     maps = _index(f).maps
     key = (mode, r, p, j)
-    if key not in maps:
-        src = build_level(f, r, p, j)
-        if mode == "push":
-            tgt = build_level(f, r - 1, p + 1, j)
-        else:
-            tgt = build_level(f, r + 1, p, j)
-        maps[key] = _assemble_blocks(f, src, tgt, mode)
-    return maps[key]
-
-
-def _assemble_blocks(f: Fibre, src: GradedSpace, tgt: GradedSpace, mode: str) -> Mat:
+    if key in maps:
+        return maps[key]
+    src = build_level(f, r, p, j)
+    tgt = build_level(f, r - 1, p + 1, j) if mode == "push" else build_level(f, r + 1, p, j)
     entries: dict[tuple[int, int], object] = {}
     if mode == "push":
         # iterate source strata I, remove position u to land in the target
@@ -290,7 +283,8 @@ def _assemble_blocks(f: Fibre, src: GradedSpace, tgt: GradedSpace, mode: str) ->
                 _add_block(entries, tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1))
     else:  # pragma: no cover
         raise AssertionError(mode)
-    return Mat.sparse(tgt.total, src.total, entries)
+    maps[key] = Mat.sparse(tgt.total, src.total, entries)
+    return maps[key]
 
 
 def _add_block(entries: dict, r0: int, c0: int, block: Mat, sign: int):

@@ -297,6 +297,11 @@ def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
     assert a.scale(s).entries == dense_scale(ga, s)
     assert a.transpose().entries == dense_transpose(ga, k)
     assert a.is_zero() == all(x == 0 for row in ga for x in row)
+    columns = dense_transpose(ga, k)
+    assert [m.entries for m in a.columns()] == [tuple((x,) for x in col) for col in columns]
+    assert all(a.col(j) == columns[j] for j in range(k))
+    vec = [s * (j - 1) for j in range(k)]
+    assert a.apply(vec) == tuple(dense_mul(ga, tuple((x,) for x in vec), k, 1)[i][0] for i in range(r))
     # equality and hashing are structural on the canonical form
     for again in (Mat.from_rows(ga, cols=k), Mat.sparse(r, k, a.nonzeros()), a.scale(3).scale(F(1, 3))):
         assert again == a and hash(again) == hash(a)
