@@ -10,6 +10,11 @@ and triple-point pushes of weight 2, which satisfy all identities exactly.
 Randomizers produce new valid descriptors from valid ones: tensoring all
 Chow data with an identity of size c and conjugating every Chow space by
 a random invertible matrix both preserve the identities on the nose.
+
+``multi_place_bundle`` is a whole bundle with several places, each with
+an elliptic Euler factor, a global L-function and a scrambled integral
+regulator, so that ``check B2FF``/``check CFF`` strip many places and
+take the orders of a large integral map.
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from degen.qlinalg import Mat, solve
-from degen.strata import Fibre
+from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, Place, RegulatorDatum
+from degen.deligne import CycleDatum
+from degen.lfun import RatFunc
+from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat, solve
+from degen.strata import Fibre, generator_smooth
 from oracles import random_invertible
 
 F = Fraction
@@ -180,4 +188,77 @@ def with_flipped_sign(f: Fibre, key, kind: str = "push") -> Fibre:
         pullback=pull,
         ii_matrices=dict(f.ii_matrices),
         higher_chow=dict(f.higher_chow),
+    )
+
+
+def _unimodular(rng: random.Random, n: int, steps: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A random unimodular integer matrix and its inverse (row additions)."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for step in range(steps):
+        i = step % n
+        j = rng.choice([x for x in range(n) if x != i])
+        f = rng.choice((-1, 1))
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= f * row[i]
+    return u, inv
+
+
+def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def multi_place_bundle(places: int, k: int, q: int = 13, seed: int = 0) -> Bundle:
+    """Boundary-twist bundle (q_coh=1, a=0) with ``places`` smooth places.
+
+    Place v has Frobenius I_m + C(a_v), conjugated at random (C the
+    companion block of 1 - a_v t + q t^2, m = 1 or 2), and
+    Z = 1/((1-t)(1-qt) prod_v (1 - a_v t + q t^2)).  The integral regulator
+    is Z/(q-1) + Z^k -> Z^k, zero on the torsion and the identity on the
+    free part, in random unimodular bases: kernel q-1, cokernel 1.
+    """
+    rng = random.Random(seed)
+    bound = 2 * int(q**0.5)
+    fibres, place_data, motivic = {}, {}, {}
+    z = RatFunc.make([1], [1, -(1 + q), q])
+    for idx in range(places):
+        name = f"v{idx:02d}"
+        m = 1 + idx % 2
+        a_v = (5 * idx) % (2 * bound + 1) - bound
+        frob = [[F(int(i == j)) for j in range(m + 2)] for i in range(m + 2)]
+        frob[m][m], frob[m][m + 1] = F(0), F(-q)
+        frob[m + 1][m], frob[m + 1][m + 1] = F(1), F(a_v)
+        t = random_invertible(rng, m + 2)
+        conj = t * Mat.from_rows(frob) * solve(t, Mat.identity(m + 2))
+        place_data[name] = Place(deg_v=1, frob=conj)
+        fibres[name] = generator_smooth({(0, 0): m}, 0, q)
+        basis = random_invertible(rng, m)
+        if idx == 0:  # regulator and cycle class together span CH^0
+            reg = Mat.from_rows([row[: m - 1] for row in basis.entries], cols=m - 1)
+            xi = Mat.from_rows([[row[m - 1]] for row in basis.entries], cols=1)
+        else:
+            reg = basis
+            xi = Mat.from_rows([[rng.randint(-3, 3)] for _ in range(m)], cols=1)
+        motivic[name] = MotivicDatum(
+            regulator=RegulatorDatum(motivic_rank=reg.cols, matrix=reg),
+            cycle_class=CycleDatum(b_rank=1, xi=xi),
+        )
+        z = z * RatFunc.make([1], [1, -a_v, q])
+    u, u_inv = _unimodular(rng, k + 1, 3 * k)
+    v, _ = _unimodular(rng, k, 3 * k)
+    proj = [[int(j == i + 1) for j in range(k + 1)] for i in range(k)]
+    integral = AbGroupMap.make(
+        FPAbelianGroup.make(k + 1, [[row[0] * (q - 1)] for row in u]),
+        FPAbelianGroup.make(k, [[] for _ in range(k)]),
+        _int_mul(_int_mul(v, proj), u_inv),
+    )
+    return Bundle(
+        params=Params(q_coh=1, a=0, field_q=q),
+        fibres=fibres,
+        places=place_data,
+        motivic=motivic,
+        global_l=GlobalL(z=z, weight_w=1),
+        integral=integral,
     )

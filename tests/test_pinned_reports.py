@@ -4,7 +4,11 @@ The digests in ``pinned_reports.json`` were recorded from the dense
 ``Fraction`` linear-algebra core.  Any later change to the matrix
 representation, the elimination or the caching must reproduce every
 report byte for byte, in text and ``--tsv`` form, on the built-in
-examples, a 40-gon and a tensored surface.
+examples, a 40-gon and a tensored surface.  The L-function reports
+(``dim-theorem``, ``check B2FF``, ``check CFF``) are also pinned on an
+eight-place bundle with a global L-function and an integral regulator;
+its digests were recorded from the ``Fraction`` polynomial arithmetic
+and the two-Smith-form ``integral_orders``.
 
 To record the digests again (only when a report is meant to change):
 
@@ -34,6 +38,12 @@ COMMANDS = (
     ("check", "CFF"),
     ("complex",),
     ("quasi-iso",),
+)
+
+MULTI_PLACE_COMMANDS = (
+    ("dim-theorem",),
+    ("check", "B2FF"),
+    ("check", "CFF"),
 )
 
 EXAMPLES = (
@@ -66,6 +76,19 @@ def _surface_bundle(path: Path) -> None:
     save(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": fibre}), path)
 
 
+def _multi_place_bundle(path: Path) -> None:
+    from degen.bundle import save
+
+    from fixtures import multi_place_bundle
+
+    save(multi_place_bundle(8, 24), path)
+
+
+def _record(out: dict, argv: list[str]) -> None:
+    code, text = _run(argv)
+    out[" ".join(argv)] = {"exit": code, "stdout": _sha(text)}
+
+
 def report_digests(workdir: Path) -> dict[str, dict]:
     """Exit code and stdout digest of every command on every pinned input."""
     out: dict[str, dict] = {}
@@ -86,9 +109,11 @@ def report_digests(workdir: Path) -> dict[str, dict]:
         for target in files:
             for cmd in COMMANDS:
                 for tsv in ((), ("--tsv",)):
-                    argv = [*tsv, *cmd, target]
-                    code, text = _run(argv)
-                    out[" ".join(argv)] = {"exit": code, "stdout": _sha(text)}
+                    _record(out, [*tsv, *cmd, target])
+        _multi_place_bundle(workdir / "multi-place-p8.json")
+        for cmd in MULTI_PLACE_COMMANDS:
+            for tsv in ((), ("--tsv",)):
+                _record(out, [*tsv, *cmd, "multi-place-p8.json"])
     finally:
         os.chdir(old)
     return out
