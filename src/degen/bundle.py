@@ -9,7 +9,10 @@ serialization is byte-stable.
 
 A decimal exponent in a rational string ("1e5") may not exceed
 MAX_DECIMAL_EXPONENT in magnitude: "1e99999999" would otherwise make the
-parser build a number with hundreds of millions of digits.
+parser build a number with hundreds of millions of digits.  For the same
+reason the twist params.a and the degree params.q_coh, which become
+exponents of q, may not exceed MAX_TWIST in magnitude, and field sizes
+(params.field_q, each q_v) may not exceed strata.MAX_PRIME_POWER.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -27,7 +30,7 @@ from fractions import Fraction
 from .deligne import CycleDatum
 from .lfun import RatFunc
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat
-from .strata import DescriptorError, Fibre, is_prime_power
+from .strata import MAX_PRIME_POWER, DescriptorError, Fibre, is_prime_power
 
 __all__ = [
     "BundleError",
@@ -42,10 +45,15 @@ __all__ = [
     "save",
     "dumps",
     "MAX_DECIMAL_EXPONENT",
+    "MAX_TWIST",
 ]
 
 # Largest |e| accepted in a decimal exponent such as "1e5" or "2.5E-3".
 MAX_DECIMAL_EXPONENT = 1000
+
+# Largest |params.a| and |params.q_coh|: t0 = q^{-a} and the twists built
+# from them are exact numbers whose size grows with these exponents.
+MAX_TWIST = 1000
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -371,6 +379,11 @@ def loads(text: str, strict: bool = True) -> Bundle:
         "params",
         strict,
     )
+    for key in ("q_coh", "a"):
+        if abs(p[key]) > MAX_TWIST:
+            raise BundleError(f"params.{key}: exceeds {MAX_TWIST} in magnitude")
+    if p["field_q"] > MAX_PRIME_POWER:
+        raise BundleError("params.field_q: exceeds the largest field size 2^64")
     if not is_prime_power(p["field_q"]):
         raise BundleError(f"params.field_q: {p['field_q']} is not a prime power")
     params = Params(q_coh=p["q_coh"], a=p["a"], field_q=p["field_q"])

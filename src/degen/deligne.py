@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from .qlinalg import (
     AbGroupMap,
     Mat,
-    cokernel_order,
     kernel_basis,
-    kernel_order,
+    kernel_cokernel_orders,
     quotient_dim,
     quotient_projection,
     rank,
@@ -223,4 +222,4 @@ def conjecture_A_check(
 
 def integral_orders(f_map: AbGroupMap) -> tuple[int | None, int | None]:
     """(kernel order, cokernel order) of an integral regulator; None = infinite."""
-    return kernel_order(f_map), cokernel_order(f_map)
+    return kernel_cokernel_orders(f_map)

@@ -1,7 +1,7 @@
 """Exact L-function arithmetic over function fields.
 
 An L-function here is a rational function of t = q^{-s} with Fraction
-coefficients.  Local Euler factors come from Frobenius matrices via the
+coefficients; the arithmetic on it runs on integer polynomials.  Local Euler factors come from Frobenius matrices via the
 Faddeev-LeVerrier characteristic polynomial, so no factorization or
 floating point is involved anywhere.  Vanishing orders and leading Taylor
 coefficients at integer points s = a are exact: since
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .qlinalg import Mat
@@ -29,70 +30,117 @@ __all__ = [
     "local_factor",
     "ord_at",
     "leading_laurent",
-    "product_over_places",
     "strip_S",
     "functional_equation",
-    "zeta_rational_function_field",
 ]
 
 Poly = tuple[Fraction, ...]  # ascending coefficients
 
-
-def _trim(p: Sequence[Fraction]) -> Poly:
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out) if out else (Fraction(0),)
-
-
-def _is_zero(p: Poly) -> bool:
-    return all(c == 0 for c in p)
+# Arithmetic runs on integer polynomials: lists of ascending int
+# coefficients without trailing zeros, [] being zero.  A polynomial with
+# Fraction coefficients is a Fraction scalar times a primitive one (content
+# 1, positive leading coefficient).  By Gauss's lemma products of
+# primitive polynomials are primitive, and a quotient of integer
+# polynomials by a primitive divisor is again integral, so every division
+# below is exact integer division.
+IPoly = list[int]
 
 
-def _mul(a: Poly, b: Poly) -> Poly:
-    if _is_zero(a) or _is_zero(b):
-        return (Fraction(0),)
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _primitive(p: Sequence[int]) -> tuple[int, IPoly]:
+    """(c, p / c) with p / c primitive; c carries the sign of the lead."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return 0, []
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return c, [x // c for x in p]
+
+
+def _split(p: Sequence) -> tuple[Fraction, IPoly]:
+    """Rational coefficients as (scalar, primitive integer polynomial)."""
+    fs = [Fraction(x) for x in p]
+    den = lcm(*(x.denominator for x in fs)) if fs else 1
+    c, ints = _primitive([x.numerator * (den // x.denominator) for x in fs])
+    return Fraction(c, den), ints
+
+
+def _mul(a: IPoly, b: IPoly) -> IPoly:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if _is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(_trim(a))
-    b = _trim(b)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while not _is_zero(tuple(a)) and len(a) >= len(b):
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a = list(_trim(a))
-        if len(a) == 1 and a[0] == 0:
-            break
-    return _trim(q), _trim(a)
-
-
-def _gcd(a: Poly, b: Poly) -> Poly:
-    a, b = _trim(a), _trim(b)
-    while not _is_zero(b):
-        a, b = b, _divmod(a, b)[1]
-    if _is_zero(a):
-        return (Fraction(0),)
-    return tuple(c / a[-1] for c in a)  # monic
-
-
-def _eval(p: Poly, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
+
+
+def _prem(a: IPoly, b: IPoly) -> IPoly:
+    """A nonzero integer multiple of a mod b (b nonzero)."""
+    a = list(a)
+    lb = b[-1]
+    while len(a) >= len(b):
+        c = a[-1]
+        g = gcd(c, lb)
+        fa, fb = lb // g, c // g
+        k = len(a) - len(b)
+        a = [x * fa for x in a]
+        for i, y in enumerate(b):
+            a[k + i] -= fb * y
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _gcd(a: IPoly, b: IPoly) -> IPoly:
+    """Primitive gcd of two primitive polynomials (primitive remainder sequence)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))[1]
+    return a
+
+
+def _quo(a: IPoly, b: IPoly) -> IPoly:
+    """a / b for a primitive b that divides a exactly."""
+    a = list(a)
+    lb, nb = b[-1], len(b)
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + nb - 1] // lb
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q
+
+
+def _eval(p: IPoly, r: int, s: int) -> Fraction:
+    """p(r/s) for s > 0, by Horner on the homogenised polynomial."""
+    acc, spow = 0, 1
+    for c in reversed(p):
+        acc = acc * r + c * spow
+        spow *= s
+    return Fraction(acc, spow // s) if p else Fraction(0)
+
+
+def _reduced(scale: Fraction, num: Sequence[int], den: Sequence[int]) -> "RatFunc":
+    """scale * num / den as a RatFunc: one gcd, exact cofactors, monic den."""
+    cn, n = _primitive(num)
+    cd, d = _primitive(den)
+    if not d:
+        raise ZeroDivisionError("zero denominator")
+    if not n:
+        return RatFunc((Fraction(0),), (Fraction(1),))
+    g = _gcd(n, d)
+    if len(g) > 1:
+        n, d = _quo(n, g), _quo(d, g)
+    lead = d[-1]
+    scale = scale * cn / (cd * lead)
+    return RatFunc(tuple(scale * c for c in n), tuple(Fraction(c, lead) for c in d))
 
 
 @dataclass(frozen=True)
@@ -104,20 +152,11 @@ class RatFunc:
 
     @staticmethod
     def make(num: Sequence, den: Sequence) -> "RatFunc":
-        n = _trim(tuple(Fraction(x) for x in num))
-        d = _trim(tuple(Fraction(x) for x in den))
-        if _is_zero(d):
+        sn, n = _split(num)
+        sd, d = _split(den)
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if _is_zero(n):
-            return RatFunc((Fraction(0),), (Fraction(1),))
-        g = _gcd(n, d)
-        if len(g) > 1:
-            n = _divmod(n, g)[0]
-            d = _divmod(d, g)[0]
-        lead = d[-1]
-        n = tuple(c / lead for c in n)
-        d = tuple(c / lead for c in d)
-        return RatFunc(n, d)
+        return _reduced(sn / sd, n, d)
 
     @staticmethod
     def one() -> "RatFunc":
@@ -127,25 +166,37 @@ class RatFunc:
     def from_poly(p: Sequence) -> "RatFunc":
         return RatFunc.make(p, [1])
 
+    def _parts(self) -> tuple[Fraction, IPoly, IPoly]:
+        """(c, n, d) with self = c * n / d, n and d primitive."""
+        sn, n = _split(self.num)
+        sd, d = _split(self.den)
+        return sn / sd, n, d
+
     def is_zero(self) -> bool:
-        return _is_zero(self.num)
+        return not any(self.num)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(_mul(self.num, other.num), _mul(self.den, other.den))
+        c1, n1, d1 = self._parts()
+        c2, n2, d2 = other._parts()
+        return _reduced(c1 * c2, _mul(n1, n2), _mul(d1, d2))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RatFunc.make(_mul(self.num, other.den), _mul(self.den, other.num))
+        c1, n1, d1 = self._parts()
+        c2, n2, d2 = other._parts()
+        return _reduced(c1 / c2, _mul(n1, d2), _mul(d1, n2))
 
     def inverse(self) -> "RatFunc":
         return RatFunc.one() / self
 
     def eval(self, x: Fraction) -> Fraction:
-        d = _eval(self.den, x)
-        if d == 0:
+        x = Fraction(x)
+        c, n, d = self._parts()
+        dv = _eval(d, x.numerator, x.denominator)
+        if dv == 0:
             raise ZeroDivisionError(f"pole at t = {x}")
-        return _eval(self.num, x) / d
+        return c * _eval(n, x.numerator, x.denominator) / dv
 
     def __repr__(self) -> str:
         def side(p):
@@ -177,7 +228,7 @@ class FunctionalEquation:
     beta: int
 
 
-def _char_poly_det(frob: Mat) -> Poly:
+def _char_poly_det(frob: Mat) -> list[Fraction]:
     """Coefficients of det(I - frob * u), ascending in u (Faddeev-LeVerrier)."""
     n = frob.rows
     if frob.cols != n:
@@ -189,7 +240,7 @@ def _char_poly_det(frob: Mat) -> Poly:
         m = frob * (m + Mat.identity(n).scale(c))
         c = -Fraction(sum(m.entries[i][i] for i in range(n)), k)
         coeffs.append(c)
-    return _trim(coeffs)
+    return coeffs
 
 
 def local_factor(frob: Mat, deg_v: int) -> RatFunc:
@@ -203,61 +254,80 @@ def local_factor(frob: Mat, deg_v: int) -> RatFunc:
     return RatFunc.make([1], spread)
 
 
-def _multiplicity(p: Poly, t0: Fraction) -> int:
-    count = 0
-    cur = _trim(p)
-    while not _is_zero(cur) and _eval(cur, t0) == 0:
-        cur = _divmod(cur, (-t0, Fraction(1)))[0]
-        count += 1
-    return count
+def _root(q: int, a: int) -> tuple[int, int]:
+    """t0 = q^{-a} as (r, s) with t0 = r / s; s*t - r is the linear factor."""
+    return (1, q**a) if a >= 0 else (q ** (-a), 1)
+
+
+def _strip_root(p: IPoly, r: int, s: int) -> tuple[int, IPoly]:
+    """(m, p / (s t - r)^m) for the largest m; p is a nonzero integer polynomial.
+
+    Synthetic division from the top: p_i = s q_{i-1} - r q_i.  Since
+    s t - r is primitive, it divides p exactly iff every step divides
+    exactly and the constant term closes.
+    """
+    m = 0
+    while len(p) > 1:
+        quo = [0] * (len(p) - 1)
+        carry = 0
+        for i in range(len(p) - 1, 0, -1):
+            carry, rem = divmod(p[i] + r * carry, s)
+            if rem:
+                return m, p
+            quo[i - 1] = carry
+        if p[0] + r * carry:
+            return m, p
+        p = quo
+        m += 1
+    return m, p
 
 
 def ord_at(f: RatFunc, q: int, a: int) -> int:
     """Order of vanishing at s = a, i.e. at t = q^{-a} (poles negative)."""
     if f.is_zero():
         raise ValueError("order of the zero function is undefined")
-    t0 = Fraction(q) ** (-a)
-    return _multiplicity(f.num, t0) - _multiplicity(f.den, t0)
+    r, s = _root(q, a)
+    _, n, d = f._parts()
+    return _strip_root(n, r, s)[0] - _strip_root(d, r, s)[0]
 
 
 def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
-    """Exact leading term of f at s = a as coeff * log(q)^d * (s-a)^d."""
+    """Exact leading term of f at s = a as coeff * log(q)^d * (s-a)^d.
+
+    With f = c (s t - r)^d * n/m, n(t0) m(t0) != 0 and t0 = r/s, the
+    leading term in t - t0 is c s^d n(t0)/m(t0), so coeff, which is that
+    times (-t0)^d, equals c (-r)^d n(t0)/m(t0).
+    """
     if f.is_zero():
         raise ValueError("leading term of the zero function is undefined")
-    t0 = Fraction(q) ** (-a)
-    d = ord_at(f, q, a)
-    lin = (-t0, Fraction(1))
-    num, den = f.num, f.den
-    if d >= 0:
-        for _ in range(d):
-            num = _divmod(num, lin)[0]
-    else:
-        for _ in range(-d):
-            den = _divmod(den, lin)[0]
-    value = _eval(num, t0) / _eval(den, t0)
-    coeff = value * (-t0) ** d
-    return LeadingValue(order=d, coeff=coeff, logpow=d)
-
-
-def product_over_places(factors: Iterable[RatFunc]) -> RatFunc:
-    out = RatFunc.one()
-    for f in factors:
-        out = out * f
-    return out
+    r, s = _root(q, a)
+    c, n, d = f._parts()
+    mn, n = _strip_root(n, r, s)
+    md, d = _strip_root(d, r, s)
+    order = mn - md
+    coeff = c * Fraction(-r) ** order * _eval(n, r, s) / _eval(d, r, s)
+    return LeadingValue(order=order, coeff=coeff, logpow=order)
 
 
 def strip_S(global_l: RatFunc, local_factors: Iterable[RatFunc]) -> RatFunc:
-    """Remove the Euler factors at the bad places from a complete L-function."""
-    out = global_l
+    """Remove the Euler factors at the bad places from a complete L-function.
+
+    All factors are multiplied in first and the result is reduced once.
+    """
+    c, num, den = global_l._parts()
     for f in local_factors:
-        out = out / f
-    return out
+        if f.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        cf, n, d = f._parts()
+        c, num, den = c / cf, _mul(num, d), _mul(den, n)
+    return _reduced(c, num, den)
 
 
-def _reverse_scaled(p: Poly, c: Fraction) -> Poly:
-    # P(1/(c t)) = (c t)^{-deg} * sum_k p_k c^{deg-k} t^{deg-k}
+def _reverse_scaled(p: IPoly, cr: int, cs: int) -> IPoly:
+    # cs^deg * p(1/(c t)) * (c t)^deg with c = cr/cs: coefficient i is
+    # p_{deg-i} cr^i cs^{deg-i}
     deg = len(p) - 1
-    return _trim(tuple(p[deg - i] * c ** i for i in range(deg + 1)))
+    return [p[deg - i] * cr**i * cs ** (deg - i) for i in range(deg + 1)]
 
 
 def functional_equation(lam: RatFunc, q: int, weight_w: int) -> FunctionalEquation | None:
@@ -268,21 +338,20 @@ def functional_equation(lam: RatFunc, q: int, weight_w: int) -> FunctionalEquati
     if lam.is_zero():
         return None
     c = Fraction(q) ** weight_w
-    deg_n = len(lam.num) - 1
-    deg_d = len(lam.den) - 1
-    num2 = _reverse_scaled(lam.num, c)
-    den2 = _reverse_scaled(lam.den, c)
-    # lam(1/(ct)) = (ct)^{deg_d - deg_n} * num2/den2
-    shift = deg_d - deg_n
-    rat_num = _mul(num2, lam.den)
-    rat_den = _mul(den2, lam.num)
+    cr, cs = c.numerator, c.denominator
+    _, n, d = lam._parts()
+    # lam(1/(ct)) / lam(t) = (ct)^shift * rev(n) d / (rev(d) n) * cs^shift,
+    # shift = deg d - deg n; the scalars of lam cancel and c^shift cs^shift
+    # is cr^shift
+    shift = len(d) - len(n)
+    mono = [0] * abs(shift) + [1]
+    rat_num = _mul(_reverse_scaled(n, cr, cs), d)
+    rat_den = _mul(_reverse_scaled(d, cr, cs), n)
     if shift >= 0:
-        mono = [Fraction(0)] * shift + [c ** shift]
-        rat_num = _mul(rat_num, tuple(mono))
+        rat_num = _mul(rat_num, mono)
     else:
-        mono = [Fraction(0)] * (-shift) + [c ** (-shift)]
-        rat_den = _mul(rat_den, tuple(mono))
-    ratio = RatFunc.make(rat_num, rat_den)
+        rat_den = _mul(rat_den, mono)
+    ratio = _reduced(Fraction(cr) ** shift, rat_num, rat_den)
     num_terms = [(k, co) for k, co in enumerate(ratio.num) if co != 0]
     den_terms = [(k, co) for k, co in enumerate(ratio.den) if co != 0]
     if len(num_terms) != 1 or len(den_terms) != 1:
@@ -307,8 +376,3 @@ def functional_equation(lam: RatFunc, q: int, weight_w: int) -> FunctionalEquati
     if r != 1:
         return None
     return FunctionalEquation(sign=sign, alpha=alpha, beta=beta)
-
-
-def zeta_rational_function_field(q: int) -> RatFunc:
-    """Complete zeta of the rational function field: 1/((1-t)(1-qt))."""
-    return RatFunc.make([1], _mul((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-q))))

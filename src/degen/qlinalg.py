@@ -49,6 +49,7 @@ __all__ = [
     "AbGroupMap",
     "kernel_order",
     "cokernel_order",
+    "kernel_cokernel_orders",
 ]
 
 # One sparse row: (column, numerator) pairs, columns increasing, no zeros.
@@ -534,7 +535,10 @@ def _as_int_matrix(m, rows: int | None = None, cols: int | None = None) -> list[
 
 @dataclass(frozen=True)
 class SmithForm:
-    """d = u @ a @ v with u, v unimodular and d diagonal, d_1 | d_2 | ..."""
+    """d = u @ a @ v with u, v unimodular and d diagonal, d_1 | d_2 | ...
+
+    A transform the caller did not ask for is the empty tuple.
+    """
 
     u: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
@@ -557,40 +561,46 @@ def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def smith_normal_form(a) -> SmithForm:
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(a, *, _keep: str = "uv") -> SmithForm:
     """Smith normal form by elementary row/column operations.
 
     Deterministic: the pivot is the smallest-magnitude nonzero entry of
     the remaining block, earliest position on ties.  The divisibility
     chain is enforced inside the main loop: a pivot is only accepted once
     it divides every entry of the remaining block.
+
+    ``_keep`` names the transforms to accumulate ("u", "v", both or
+    neither); callers in this module ask only for what they read, since
+    the transforms' entries grow far beyond those of d.
     """
     m = _as_int_matrix(a)
     nr = len(m)
     nc = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    u = _identity_rows(nr) if "u" in _keep else None
+    v = _identity_rows(nc) if "v" in _keep else None
 
     def row_op(i, j, f):  # row i -= f * row j
         m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
+        if u is not None:
+            u[i] = [x - f * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, f):  # col i -= f * col j
-        for row in m:
-            row[i] -= f * row[j]
-        for row in v:
+        for row in m if v is None else m + v:
             row[i] -= f * row[j]
 
     def swap_rows(i, j):
         if i != j:
             m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
+            if u is not None:
+                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
+            for row in m if v is None else m + v:
                 row[i], row[j] = row[j], row[i]
 
     t = 0
@@ -635,15 +645,13 @@ def smith_normal_form(a) -> SmithForm:
 
     for i in range(min(nr, nc)):
         if m[i][i] < 0:
-            for row in m:
-                row[i] = -row[i]
-            for row in v:
+            for row in m if v is None else m + v:
                 row[i] = -row[i]
 
     return SmithForm(
-        tuple(tuple(r) for r in u),
+        tuple(tuple(r) for r in u or ()),
         tuple(tuple(r) for r in m),
-        tuple(tuple(r) for r in v),
+        tuple(tuple(r) for r in v or ()),
     )
 
 
@@ -671,7 +679,7 @@ class FPAbelianGroup:
         """Group order, or None when the rank is positive."""
         if self.generators == 0:
             return 1
-        sf = smith_normal_form(self.relations)
+        sf = smith_normal_form(self.relations, _keep="")
         if sf.rank < self.generators:
             return None
         out = 1
@@ -684,7 +692,7 @@ def _lattice_basis(gens: list[list[int]]) -> list[list[int]]:
     """Columns forming a Z-basis of the column lattice of ``gens``."""
     if not gens:
         return []
-    sf = smith_normal_form(gens)
+    sf = smith_normal_form(gens, _keep="v")
     # gens @ v has columns u_inv @ d; nonzero ones are independent
     gv = _imat_mul(gens, [list(r) for r in sf.v])
     cols = []
@@ -712,7 +720,7 @@ def _quotient_order_of_lattices(big: list[list[int]], small: list[list[int]]) ->
     coeff_int = [[int(x) if x.denominator == 1 else None for x in row] for row in coeff.entries]
     if any(x is None for row in coeff_int for x in row):
         raise ValueError("small lattice not contained in big lattice")
-    sf = smith_normal_form(coeff_int)
+    sf = smith_normal_form(coeff_int, _keep="")
     if sf.rank < nb:
         return None
     out = 1
@@ -754,7 +762,7 @@ def _column_in_lattice(col: list[list[int]], rel: list[list[int]], n: int) -> bo
         return True
     if not rel or not rel[0]:
         return all(c[0] == 0 for c in col)
-    sf = smith_normal_form(rel)
+    sf = smith_normal_form(rel, _keep="u")
     uc = _imat_mul([list(r) for r in sf.u], col)
     diag = sf.diag
     for i in range(n):
@@ -768,6 +776,51 @@ def _column_in_lattice(col: list[list[int]], rel: list[list[int]], n: int) -> bo
     return True
 
 
+def _target_smith(f: AbGroupMap, keep: str) -> SmithForm | None:
+    """Smith form of [M | R_target], or None when the target has no generators.
+
+    Its columns span im(f) + target relations, and its integer kernel
+    projects onto the preimage of the target relations.
+    """
+    if f.target.generators == 0:
+        return None
+    rb = [list(r) for r in f.target.relations]
+    stacked = [list(row) + (rb[i] if rb else []) for i, row in enumerate(f.matrix)]
+    return smith_normal_form(stacked, _keep=keep)
+
+
+def _kernel_order(f: AbGroupMap, sf: SmithForm | None) -> int | None:
+    """ker(f) = K / source relations, K read off the v of ``_target_smith``."""
+    ga = f.source.generators
+    if ga == 0:
+        return 1
+    if sf is None:  # everything maps to 0; K is all of Z^ga
+        kgens = _identity_rows(ga)
+    else:
+        width = len(sf.v)
+        diag = sf.diag
+        kcols = [
+            [row[j] for row in sf.v]
+            for j in range(width)
+            if j >= len(diag) or diag[j] == 0
+        ]
+        kgens = [[c[i] for c in kcols] for i in range(ga)]
+    return _quotient_order_of_lattices(kgens, [list(r) for r in f.source.relations])
+
+
+def _cokernel_order(f: AbGroupMap, sf: SmithForm | None) -> int | None:
+    """coker(f) = target / (image + target relations), from the diagonal."""
+    gb = f.target.generators
+    if sf is None:
+        return 1
+    if sf.rank < gb:
+        return None
+    out = 1
+    for x in sf.diag[:gb]:
+        out *= x
+    return out
+
+
 def kernel_order(f: AbGroupMap) -> int | None:
     """Exact order of ker(f), or None when the kernel has positive rank.
 
@@ -775,45 +828,17 @@ def kernel_order(f: AbGroupMap) -> int | None:
     is the x-projection of the integer kernel of [M | R_target]; the kernel
     of f is K modulo the source relation lattice.
     """
-    ga = f.source.generators
-    if ga == 0:
+    if f.source.generators == 0:
         return 1
-    m = [list(r) for r in f.matrix]
-    rb = [list(r) for r in f.target.relations]
-    stacked = [m[i] + (rb[i] if rb else []) for i in range(f.target.generators)]
-    width = ga + (len(rb[0]) if rb and rb[0] else 0)
-    if f.target.generators == 0:
-        # everything maps to 0; K is all of Z^ga
-        kgens = [[1 if i == j else 0 for j in range(ga)] for i in range(ga)]
-    else:
-        sf = smith_normal_form(stacked)
-        v = [list(r) for r in sf.v]
-        diag = sf.diag
-        kcols = []
-        for j in range(width):
-            if j >= len(diag) or diag[j] == 0:
-                kcols.append([v[i][j] for i in range(width)])
-        kgens = (
-            [[c[i] for c in kcols] for i in range(ga)]
-            if kcols
-            else [[] for _ in range(ga)]
-        )
-    ra = [list(r) for r in f.source.relations]
-    return _quotient_order_of_lattices(kgens, ra)
+    return _kernel_order(f, _target_smith(f, "v"))
 
 
 def cokernel_order(f: AbGroupMap) -> int | None:
     """Exact order of coker(f) = target / (image + target relations)."""
-    gb = f.target.generators
-    if gb == 0:
-        return 1
-    m = [list(r) for r in f.matrix]
-    rb = [list(r) for r in f.target.relations]
-    stacked = [m[i] + (rb[i] if rb else []) for i in range(gb)]
-    sf = smith_normal_form(stacked)
-    if sf.rank < gb:
-        return None
-    out = 1
-    for x in sf.diag[:gb]:
-        out *= x
-    return out
+    return _cokernel_order(f, _target_smith(f, ""))
+
+
+def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
+    """(kernel_order(f), cokernel_order(f)) from one Smith form."""
+    sf = _target_smith(f, "v")
+    return _kernel_order(f, sf), _cokernel_order(f, sf)

@@ -46,6 +46,7 @@ __all__ = [
     "generator_ngon",
     "generator_smooth",
     "is_prime_power",
+    "MAX_PRIME_POWER",
 ]
 
 Stratum = tuple[int, ...]
@@ -55,17 +56,65 @@ class DescriptorError(ValueError):
     """A fibre descriptor violates a structural rule."""
 
 
+# Miller-Rabin with these twelve bases is deterministic for n < 2^64
+# (Jaeschke 1993; Sorenson and Webster 2015 extend it to 3.18e23), so field
+# sizes q and q_v are accepted up to this bound and no further.
+MAX_PRIME_POWER = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _WITNESSES, for odd n > 37 below MAX_PRIME_POWER."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def is_prime_power(n: int) -> bool:
+    """n = p^k for a prime p and k >= 1; n may not exceed MAX_PRIME_POWER.
+
+    A prime factor p <= 37 is found by division (n is then a power of p);
+    otherwise every prime factor exceeds 37, so n = r^k needs 41^k <= n,
+    and each exact integer k-th root r is tested with Miller-Rabin.
+    """
+    if n > MAX_PRIME_POWER:
+        raise ValueError(f"{n} exceeds the largest field size {MAX_PRIME_POWER} = 2^64")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _WITNESSES:
         if n % p == 0:
             while n % p == 0:
                 n //= p
             return n == 1
-        p += 1
-    return True  # n itself is prime
+    k = 1
+    while 41**k <= n:
+        r = _iroot(n, k)
+        if r**k == n and _is_prime(r):
+            return True
+        k += 1
+    return False
 
 
 def _check_stratum(s: Sequence[int], components: int) -> Stratum:
@@ -126,6 +175,8 @@ class Fibre:
             raise DescriptorError("fibre needs at least one component")
         if self.dim_y < 0:
             raise DescriptorError("negative fibre dimension")
+        if self.q_v > MAX_PRIME_POWER:
+            raise DescriptorError("q_v exceeds the largest field size 2^64")
         if not is_prime_power(self.q_v):
             raise DescriptorError(f"q_v = {self.q_v} is not a prime power")
         seen = set()

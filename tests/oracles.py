@@ -2,9 +2,10 @@
 
 Everything here is deliberately written along different lines than the
 implementation: dense Fraction grids for matrix arithmetic and
-elimination, group orders by coset enumeration, Laurent leading terms
-by truncated power series in u = L*(s - a), cochain complexes with known
-cohomology by conjugating direct sums of elementary pieces.
+elimination, Euclid over Fraction polynomials for rational functions,
+group orders by coset enumeration, Laurent leading terms by truncated
+power series in u = L*(s - a), cochain complexes with known cohomology by
+conjugating direct sums of elementary pieces.
 """
 
 from __future__ import annotations
@@ -253,6 +254,161 @@ def random_group_map(rng: random.Random, a: FPAbelianGroup, b: FPAbelianGroup) -
     m = ub_inv * Mat.from_rows(h, cols=a.generators) * ua
     entries = [[int(x) for x in row] for row in m.entries]
     return AbGroupMap.make(a, b, entries)
+
+
+def trial_prime_power(n: int) -> bool:
+    """n = p^k (p prime, k >= 1) by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+        p += 1
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Fraction polynomial arithmetic: the Euclid-over-Q routines that the
+# integer polynomial arithmetic in ``degen.lfun`` replaced, kept as the
+# reference it is compared against.  A polynomial is a tuple of Fraction
+# coefficients in ascending order; a rational function is a (num, den)
+# pair, reduced with a monic denominator as ``RatFunc`` stores it.
+
+FPoly = tuple[Fraction, ...]
+
+
+def frac_trim(p) -> FPoly:
+    out = [Fraction(x) for x in p]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out) if out else (Fraction(0),)
+
+
+def _fis_zero(p: FPoly) -> bool:
+    return all(c == 0 for c in p)
+
+
+def frac_mul(a: FPoly, b: FPoly) -> FPoly:
+    if _fis_zero(a) or _fis_zero(b):
+        return (Fraction(0),)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_trim(out)
+
+
+def frac_divmod(a: FPoly, b: FPoly) -> tuple[FPoly, FPoly]:
+    if _fis_zero(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(frac_trim(a))
+    b = frac_trim(b)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    while not _fis_zero(tuple(a)) and len(a) >= len(b):
+        f = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        a = list(frac_trim(a))
+    return frac_trim(q), frac_trim(a)
+
+
+def frac_gcd(a: FPoly, b: FPoly) -> FPoly:
+    """Monic gcd by Euclid over Q; (0,) when both are zero."""
+    a, b = frac_trim(a), frac_trim(b)
+    while not _fis_zero(b):
+        a, b = b, frac_divmod(a, b)[1]
+    if _fis_zero(a):
+        return (Fraction(0),)
+    return tuple(c / a[-1] for c in a)
+
+
+def frac_eval(p: FPoly, x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def frac_make(num, den) -> tuple[FPoly, FPoly]:
+    """num/den reduced, with a monic denominator."""
+    n, d = frac_trim(num), frac_trim(den)
+    if _fis_zero(d):
+        raise ZeroDivisionError("zero denominator")
+    if _fis_zero(n):
+        return (Fraction(0),), (Fraction(1),)
+    g = frac_gcd(n, d)
+    n, d = frac_divmod(n, g)[0], frac_divmod(d, g)[0]
+    lead = d[-1]
+    return tuple(c / lead for c in n), tuple(c / lead for c in d)
+
+
+def frac_strip_S(f: tuple[FPoly, FPoly], factors) -> tuple[FPoly, FPoly]:
+    """f divided by each factor in turn, reducing after every division."""
+    num, den = f
+    for fn, fd in factors:
+        num, den = frac_make(frac_mul(num, fd), frac_mul(den, fn))
+    return num, den
+
+
+def _frac_multiplicity(p: FPoly, t0: Fraction) -> tuple[int, FPoly]:
+    count = 0
+    while not _fis_zero(p) and frac_eval(p, t0) == 0:
+        p = frac_divmod(p, (-t0, Fraction(1)))[0]
+        count += 1
+    return count, p
+
+
+def frac_leading(f: tuple[FPoly, FPoly], q: int, a: int) -> tuple[int, Fraction]:
+    """(order, leading coefficient) at s = a; the log power equals the order."""
+    t0 = Fraction(q) ** (-a)
+    mn, num = _frac_multiplicity(f[0], t0)
+    md, den = _frac_multiplicity(f[1], t0)
+    d = mn - md
+    return d, frac_eval(num, t0) / frac_eval(den, t0) * (-t0) ** d
+
+
+def frac_functional_equation(f: tuple[FPoly, FPoly], q: int, w: int):
+    """(sign, alpha, beta) with f(1/(q^w t)) = sign q^alpha t^beta f(t), or None."""
+    num, den = f
+    if _fis_zero(num):
+        return None
+    c = Fraction(q) ** w
+
+    def reverse_scaled(p):
+        deg = len(p) - 1
+        return frac_trim(p[deg - i] * c**i for i in range(deg + 1))
+
+    shift = (len(den) - 1) - (len(num) - 1)
+    rat_num = frac_mul(reverse_scaled(num), den)
+    rat_den = frac_mul(reverse_scaled(den), num)
+    mono = (Fraction(0),) * abs(shift) + (c ** abs(shift),)
+    if shift >= 0:
+        rat_num = frac_mul(rat_num, mono)
+    else:
+        rat_den = frac_mul(rat_den, mono)
+    rn, rd = frac_make(rat_num, rat_den)
+    nt = [(k, x) for k, x in enumerate(rn) if x != 0]
+    dt = [(k, x) for k, x in enumerate(rd) if x != 0]
+    if len(nt) != 1 or len(dt) != 1:
+        return None
+    r = nt[0][1] / dt[0][1]
+    sign = 1 if r > 0 else -1
+    r = abs(r)
+    alpha = 0
+    while r.numerator % q == 0:
+        r /= q
+        alpha += 1
+    while r.denominator % q == 0:
+        r *= q
+        alpha -= 1
+    if r != 1:
+        return None
+    return sign, alpha, nt[0][0] - dt[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from math import isqrt
 from degen.bundle import dumps, loads
 from degen.lfun import (
     FunctionalEquation,
+    RatFunc,
     functional_equation,
     leading_laurent,
-    zeta_rational_function_field,
 )
 from degen.monodromy import (
     build_K,
@@ -174,7 +174,8 @@ def test_criterion_08_leading_laurent_oracle():
 
 def test_criterion_09_functional_equation_of_zeta():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
-        fe = functional_equation(zeta_rational_function_field(q), q, 1)
+        zeta = RatFunc.make([1], [1, -(1 + q), q])  # 1/((1-t)(1-qt))
+        fe = functional_equation(zeta, q, 1)
         assert fe == FunctionalEquation(sign=1, alpha=1, beta=2), q
 
 

@@ -102,6 +102,40 @@ def test_huge_decimal_exponent_is_rejected(tmp_path, capsys):
     assert "exceeds 1000" in capsys.readouterr().err
 
 
+def test_huge_twist_is_rejected(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    data["params"]["a"] = -10**7
+    _bounded_rejection(tmp_path, data, ["check", "CFF"], "params.a")
+    data["params"]["a"] = 0
+    data["params"]["q_coh"] = 10**7
+    _bounded_rejection(tmp_path, data, ["check", "CFF"], "params.q_coh")
+    assert "exceeds 1000" in capsys.readouterr().err
+
+
+def test_large_prime_field_is_decided_quickly(tmp_path, capsys):
+    q = 2**61 - 1
+    path = tmp_path / "big-field.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "degen", "example", "zeta-fqt", f"q={q}", "-o", str(path)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+def test_field_size_past_the_limit_is_rejected(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    data["params"]["field_q"] = 2**89 - 1  # a prime
+    _bounded_rejection(tmp_path, data, ["validate"], "params.field_q")
+    data["params"]["field_q"] = 2
+    data["fibres"]["infty"]["q_v"] = 2**89 - 1
+    _bounded_rejection(tmp_path, data, ["validate"], "fibres.infty")
+    assert "2^64" in capsys.readouterr().err
+
+
 def test_tsv_is_four_tab_separated_fields(tmp_path, capsys):
     f = write_example(tmp_path, "zeta-fqt", "q=2")
     capsys.readouterr()

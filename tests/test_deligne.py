@@ -1,5 +1,6 @@
 """Deligne-group presentations, cycle classes, and the A-type rank checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,24 @@ from degen.deligne import (
     residue_reduction,
     z_map,
 )
-from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat, rank, solve
+from degen.qlinalg import (
+    AbGroupMap,
+    FPAbelianGroup,
+    Mat,
+    cokernel_order,
+    kernel_order,
+    rank,
+    solve,
+)
 from degen.strata import DescriptorError, gamma, generator_ngon, generator_smooth, ii_map
 
 from fixtures import simplex_surface
+from oracles import (
+    brute_cokernel_order,
+    brute_kernel_order,
+    random_finite_group,
+    random_group_map,
+)
 
 
 def F(x):
@@ -212,3 +227,17 @@ def test_integral_orders_infinite_flagged():
     target = FPAbelianGroup.make(1, [[]])
     zero = AbGroupMap.make(source, target, [[0]])
     assert integral_orders(zero) == (None, None)
+
+
+def test_integral_orders_agree_with_enumeration():
+    # one Smith form of [M | R_target] gives both orders
+    rng = random.Random(4)
+    for _ in range(60):
+        f = random_group_map(rng, random_finite_group(rng), random_finite_group(rng))
+        want = (brute_kernel_order(f), brute_cokernel_order(f))
+        assert integral_orders(f) == want
+        assert (kernel_order(f), cokernel_order(f)) == want
+    z = FPAbelianGroup.make(1, [[]])
+    trivial = FPAbelianGroup.make(0, [])
+    assert integral_orders(AbGroupMap.make(z, trivial, [])) == (None, 1)
+    assert integral_orders(AbGroupMap.make(trivial, z, [[]])) == (1, None)

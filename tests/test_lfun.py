@@ -13,14 +13,18 @@ from degen.lfun import (
     leading_laurent,
     local_factor,
     ord_at,
-    product_over_places,
     strip_S,
-    zeta_rational_function_field,
 )
 from degen.qlinalg import Mat
+import oracles
 from oracles import random_marked_ratfunc, series_leading
 
 F = Fraction
+
+
+def zeta(q: int) -> RatFunc:
+    """Complete zeta of the rational function field: 1/((1-t)(1-qt))."""
+    return RatFunc.make([1], [1, -(1 + q), q])
 
 
 class TestLocalFactor:
@@ -46,14 +50,14 @@ class TestLocalFactor:
 class TestOrdAndLeading:
     def test_zeta_at_zero(self):
         for q in (2, 3, 4, 5, 7, 8, 9):
-            z = zeta_rational_function_field(q)
+            z = zeta(q)
             assert ord_at(z, q, 0) == -1
             lead = leading_laurent(z, q, 0)
             assert lead == LeadingValue(order=-1, coeff=F(-1, q - 1), logpow=-1)
 
     def test_zeta_at_one(self):
         q = 3
-        z = zeta_rational_function_field(q)
+        z = zeta(q)
         assert ord_at(z, q, 1) == -1
 
     def test_good_reduction_no_zero_at_zero(self):
@@ -74,7 +78,7 @@ class TestOrdAndLeading:
         q = 3
         cases = [
             (RatFunc.make([-1, 1], [1, -q]), 0),           # (t-1)/(1-qt)
-            (zeta_rational_function_field(q), 1),
+            (zeta(q), 1),
             (RatFunc.make([1], [F(1, q) * -1, 1]), 1),     # 1/(t - 1/q)
             (RatFunc.make([-q, 1], [1]), -1),              # t - q at t0 = q
         ]
@@ -105,7 +109,8 @@ class TestProducts:
         q = 5
         f1 = local_factor(Mat.from_rows([[q]]), 1)
         f2 = local_factor(Mat.from_rows([[0, -q], [1, 1]]), 2)
-        total = product_over_places([f1, f2])
+        total = strip_S(RatFunc.one(), [f1, f2]).inverse()
+        assert total == f1 * f2
         assert strip_S(total, [f1, f2]) == RatFunc.one()
         assert strip_S(total, [f2]) == f1
 
@@ -134,7 +139,7 @@ class TestProducts:
 class TestFunctionalEquation:
     def test_zeta_reflection(self):
         for q in (2, 3, 4, 5, 7, 8, 9):
-            z = zeta_rational_function_field(q)
+            z = zeta(q)
             fe = functional_equation(z, q, weight_w=1)
             assert fe == FunctionalEquation(sign=1, alpha=1, beta=2)
 
@@ -154,3 +159,168 @@ class TestFunctionalEquation:
         f = RatFunc.make([0, 1], [1])
         fe = functional_equation(f, 3, 1)
         assert fe == FunctionalEquation(sign=1, alpha=-1, beta=-2)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer polynomial arithmetic against the Fraction
+# Euclid it replaced (tests/oracles.py), on zero and constant polynomials,
+# shared factors, non-monic inputs, negative twists and denominators as
+# large as those of a many-place global L-function.
+
+# 13^24 is the size of the coefficients of prod_v (1 - a_v t + 13 t^2) over
+# 24 places; 2^61 - 1 is a large prime field.
+DENOMINATORS = (1, 2, 3, 12, 13**24, 2**61 - 1)
+coeffs = st.builds(
+    Fraction,
+    st.integers(min_value=-50, max_value=50) | st.integers(min_value=-(13**24), max_value=13**24),
+    st.sampled_from(DENOMINATORS),
+)
+polys = st.lists(coeffs, min_size=0, max_size=5)
+nonzero_polys = polys.filter(lambda p: any(p))
+
+
+def _pair(f: RatFunc):
+    return (f.num, f.den)
+
+
+@st.composite
+def ratfuncs(draw):
+    """num/den sharing a random common factor, as given (not yet reduced)."""
+    common = draw(nonzero_polys)
+    num = oracles.frac_mul(oracles.frac_trim(draw(polys)), oracles.frac_trim(common))
+    den = oracles.frac_mul(oracles.frac_trim(draw(nonzero_polys)), oracles.frac_trim(common))
+    return num, den
+
+
+def _marked(draw, q: int) -> RatFunc:
+    """A function with zeros or poles of chosen order at t = q^{-a}, a in -2..2."""
+    f = RatFunc.make(*draw(ratfuncs()))
+    for a in range(-2, 3):
+        e = draw(st.integers(min_value=-2, max_value=2))
+        lin = RatFunc.make([-Fraction(q) ** (-a), 1], [1])
+        for _ in range(abs(e)):
+            f = f * lin if e > 0 else f / lin
+    return f
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ratfuncs())
+    def test_make(self, nd):
+        num, den = nd
+        f = RatFunc.make(num, den)
+        assert _pair(f) == oracles.frac_make(num, den)
+        assert all(type(c) is Fraction for c in f.num + f.den)
+
+    def test_make_edge_cases(self):
+        for num, den in [([], [1]), ([0, 0], [5]), ([3], [6]), ([F(1, 2)], [F(-4, 3), 0])]:
+            assert _pair(RatFunc.make(num, den)) == oracles.frac_make(num, den)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.make([1], [0, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ratfuncs(), ratfuncs())
+    def test_mul_and_div(self, a, b):
+        f, g = RatFunc.make(*a), RatFunc.make(*b)
+        fo, go = oracles.frac_make(*a), oracles.frac_make(*b)
+        assert _pair(f * g) == oracles.frac_make(
+            oracles.frac_mul(fo[0], go[0]), oracles.frac_mul(fo[1], go[1])
+        )
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f / g
+        else:
+            assert _pair(f / g) == oracles.frac_make(
+                oracles.frac_mul(fo[0], go[1]), oracles.frac_mul(fo[1], go[0])
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratfuncs(), coeffs)
+    def test_eval(self, nd, x):
+        f = RatFunc.make(*nd)
+        num, den = oracles.frac_make(*nd)
+        if oracles.frac_eval(den, x) == 0:
+            with pytest.raises(ZeroDivisionError):
+                f.eval(x)
+        else:
+            assert f.eval(x) == oracles.frac_eval(num, x) / oracles.frac_eval(den, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratfuncs(), st.lists(ratfuncs(), max_size=4))
+    def test_strip_S(self, g, factors):
+        fs = [RatFunc.make(*x) for x in factors]
+        if any(f.is_zero() for f in fs):
+            with pytest.raises(ZeroDivisionError):
+                strip_S(RatFunc.make(*g), fs)
+            return
+        want = oracles.frac_strip_S(oracles.frac_make(*g), [_pair(f) for f in fs])
+        assert _pair(strip_S(RatFunc.make(*g), fs)) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3, 4, 13]))
+    def test_ord_and_leading(self, data, q):
+        f = _marked(data.draw, q)
+        if f.is_zero():
+            return
+        for a in range(-3, 4):
+            order, coeff = oracles.frac_leading(_pair(f), q, a)
+            assert ord_at(f, q, a) == order
+            assert leading_laurent(f, q, a) == LeadingValue(order, coeff, order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ratfuncs(), st.sampled_from([2, 3, 5, 13]), st.integers(min_value=-2, max_value=3))
+    def test_functional_equation(self, nd, q, w):
+        f = RatFunc.make(*nd)
+        got = functional_equation(f, q, w)
+        want = oracles.frac_functional_equation(_pair(f), q, w)
+        assert (got and (got.sign, got.alpha, got.beta)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 13]),
+        st.lists(st.integers(min_value=-4, max_value=4), max_size=6),
+        st.integers(min_value=-2, max_value=2),
+    )
+    def test_functional_equation_of_self_dual_products(self, q, a_vs, shift):
+        # zeta times elliptic factors 1/(1 - a t + q t^2), times t^shift
+        f = zeta(q) * RatFunc.make([0] * max(shift, 0) + [1], [0] * max(-shift, 0) + [1])
+        for a_v in a_vs:
+            f = f * RatFunc.make([1], [1, -a_v, q])
+        got = functional_equation(f, q, 1)
+        assert got is not None
+        assert (got.sign, got.alpha, got.beta) == oracles.frac_functional_equation(
+            _pair(f), q, 1
+        )
+
+    def test_many_places_like_the_benchmark(self):
+        # 24 elliptic places over F_13 stripped from the complete zeta
+        q, a_vs = 13, [(3 * i) % 15 - 7 for i in range(24)]
+        locals_ = [RatFunc.make([1], [1, -a_v, q]) for a_v in a_vs]
+        z = zeta(q)
+        for f in locals_:
+            z = z * f
+        lam = strip_S(z, locals_)
+        assert lam == zeta(q)
+        assert _pair(lam) == oracles.frac_strip_S(_pair(z), [_pair(f) for f in locals_])
+        assert functional_equation(z, q, 1) == FunctionalEquation(1, 25, 50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs())
+def test_make_agrees_with_sympy_cancel(nd):
+    sympy = pytest.importorskip("sympy")
+    num, den = nd
+    t = sympy.Symbol("t")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(p))
+
+    cancelled = sympy.cancel(expr(num) / expr(den))
+    n_expr, d_expr = sympy.fraction(cancelled)
+    n_poly, d_poly = sympy.Poly(n_expr, t), sympy.Poly(d_expr, t)
+    lead = d_poly.LC()
+    n_coeffs = [sympy.Rational(c) / lead for c in reversed(n_poly.all_coeffs())]
+    d_coeffs = [sympy.Rational(c) / lead for c in reversed(d_poly.all_coeffs())]
+    f = RatFunc.make(num, den)
+    assert [Fraction(int(c.p), int(c.q)) for c in n_coeffs] == list(f.num)
+    assert [Fraction(int(c.p), int(c.q)) for c in d_coeffs] == list(f.den)

@@ -173,6 +173,12 @@ class TestSmith:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
+        # a transform left out is not built; the rest is the same
+        for keep in ("", "u", "v"):
+            part = smith_normal_form(rows, _keep=keep)
+            assert part.d == sf.d
+            assert part.u == (sf.u if "u" in keep else ())
+            assert part.v == (sf.v if "v" in keep else ())
 
 
 def _mm(a, b):

@@ -5,6 +5,7 @@ import pytest
 
 from degen.qlinalg import Mat, kernel_basis, rank
 from degen.strata import (
+    MAX_PRIME_POWER,
     DescriptorError,
     Fibre,
     build_level,
@@ -18,6 +19,7 @@ from degen.strata import (
     validate,
 )
 from fixtures import conjugated, simplex_surface, tensored, with_flipped_sign
+from oracles import trial_prime_power
 
 F = Fraction
 
@@ -26,6 +28,19 @@ def test_prime_power():
     assert [n for n in range(1, 20) if is_prime_power(n)] == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,
     ]
+
+
+def test_prime_power_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime_power(n) != trial_prime_power(n)] == []
+
+
+def test_prime_power_near_the_limit():
+    p, r = 2**61 - 1, 4294967291  # primes
+    assert is_prime_power(p) and is_prime_power(r**2) and is_prime_power(2**64)
+    assert not is_prime_power(r * 4294967279) and not is_prime_power(p * 7)
+    assert not is_prime_power(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(ValueError, match="2\\^64"):
+        is_prime_power(MAX_PRIME_POWER + 1)
 
 
 class TestNgon:
