@@ -1,9 +1,10 @@
 """Exact L-function arithmetic over function fields.
 
 An L-function here is a rational function of t = q^{-s} with Fraction
-coefficients; the arithmetic on it runs on integer polynomials.  Local Euler factors come from Frobenius matrices via the
-Faddeev-LeVerrier characteristic polynomial, so no factorization or
-floating point is involved anywhere.  Vanishing orders and leading Taylor
+coefficients; the arithmetic on it runs on integer polynomials.  Local
+Euler factors come from Frobenius matrices via the Faddeev-LeVerrier
+characteristic polynomial, so no factorization or floating point is
+involved anywhere.  Vanishing orders and leading Taylor
 coefficients at integer points s = a are exact: since
 t - q^{-a} = q^{-a}(e^{-u} - 1) with u = log(q)(s - a), a zero of order d
 in t contributes a leading term
@@ -40,9 +41,9 @@ Poly = tuple[Fraction, ...]  # ascending coefficients
 # coefficients without trailing zeros, [] being zero.  A polynomial with
 # Fraction coefficients is a Fraction scalar times a primitive one (content
 # 1, positive leading coefficient).  By Gauss's lemma products of
-# primitive polynomials are primitive, and a quotient of integer
-# polynomials by a primitive divisor is again integral, so every division
-# below is exact integer division.
+# primitive polynomials are primitive, and when a primitive polynomial
+# divides an integer one over Q the quotient is integral, so every
+# division below is exact integer division.
 IPoly = list[int]
 
 
@@ -127,20 +128,13 @@ def _eval(p: IPoly, r: int, s: int) -> Fraction:
     return Fraction(acc, spow // s) if p else Fraction(0)
 
 
-def _reduced(scale: Fraction, num: Sequence[int], den: Sequence[int]) -> "RatFunc":
-    """scale * num / den as a RatFunc: one gcd, exact cofactors, monic den."""
-    cn, n = _primitive(num)
-    cd, d = _primitive(den)
-    if not d:
-        raise ZeroDivisionError("zero denominator")
-    if not n:
-        return RatFunc((Fraction(0),), (Fraction(1),))
-    g = _gcd(n, d)
-    if len(g) > 1:
-        n, d = _quo(n, g), _quo(d, g)
-    lead = d[-1]
-    scale = scale * cn / (cd * lead)
-    return RatFunc(tuple(scale * c for c in n), tuple(Fraction(c, lead) for c in d))
+def _product(polys: Iterable[Sequence]) -> list[Fraction]:
+    """Product of rational polynomials, multiplied as integer ones."""
+    scale, out = Fraction(1), [1]
+    for p in polys:
+        c, ints = _split(p)
+        scale, out = scale * c, _mul(out, ints)
+    return [scale * x for x in out]
 
 
 @dataclass(frozen=True)
@@ -152,11 +146,19 @@ class RatFunc:
 
     @staticmethod
     def make(num: Sequence, den: Sequence) -> "RatFunc":
+        """num/den reduced: one gcd, cofactors by exact division, monic den."""
         sn, n = _split(num)
         sd, d = _split(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        return _reduced(sn / sd, n, d)
+        if not n:
+            return RatFunc((Fraction(0),), (Fraction(1),))
+        g = _gcd(n, d)
+        if len(g) > 1:
+            n, d = _quo(n, g), _quo(d, g)
+        lead = d[-1]
+        scale = sn / (sd * lead)
+        return RatFunc(tuple(scale * c for c in n), tuple(Fraction(c, lead) for c in d))
 
     @staticmethod
     def one() -> "RatFunc":
@@ -166,37 +168,31 @@ class RatFunc:
     def from_poly(p: Sequence) -> "RatFunc":
         return RatFunc.make(p, [1])
 
-    def _parts(self) -> tuple[Fraction, IPoly, IPoly]:
-        """(c, n, d) with self = c * n / d, n and d primitive."""
-        sn, n = _split(self.num)
-        sd, d = _split(self.den)
-        return sn / sd, n, d
-
     def is_zero(self) -> bool:
         return not any(self.num)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        c1, n1, d1 = self._parts()
-        c2, n2, d2 = other._parts()
-        return _reduced(c1 * c2, _mul(n1, n2), _mul(d1, d2))
+        return RatFunc.make(
+            _product([self.num, other.num]), _product([self.den, other.den])
+        )
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        c1, n1, d1 = self._parts()
-        c2, n2, d2 = other._parts()
-        return _reduced(c1 / c2, _mul(n1, d2), _mul(d1, n2))
+        return RatFunc.make(
+            _product([self.num, other.den]), _product([self.den, other.num])
+        )
 
     def inverse(self) -> "RatFunc":
         return RatFunc.one() / self
 
     def eval(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        c, n, d = self._parts()
+        (cn, n), (cd, d) = _split(self.num), _split(self.den)
         dv = _eval(d, x.numerator, x.denominator)
         if dv == 0:
             raise ZeroDivisionError(f"pole at t = {x}")
-        return c * _eval(n, x.numerator, x.denominator) / dv
+        return cn * _eval(n, x.numerator, x.denominator) / (cd * dv)
 
     def __repr__(self) -> str:
         def side(p):
@@ -287,7 +283,7 @@ def ord_at(f: RatFunc, q: int, a: int) -> int:
     if f.is_zero():
         raise ValueError("order of the zero function is undefined")
     r, s = _root(q, a)
-    _, n, d = f._parts()
+    n, d = _split(f.num)[1], _split(f.den)[1]
     return _strip_root(n, r, s)[0] - _strip_root(d, r, s)[0]
 
 
@@ -301,11 +297,11 @@ def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
     if f.is_zero():
         raise ValueError("leading term of the zero function is undefined")
     r, s = _root(q, a)
-    c, n, d = f._parts()
+    (cn, n), (cd, d) = _split(f.num), _split(f.den)
     mn, n = _strip_root(n, r, s)
     md, d = _strip_root(d, r, s)
     order = mn - md
-    coeff = c * Fraction(-r) ** order * _eval(n, r, s) / _eval(d, r, s)
+    coeff = cn / cd * Fraction(-r) ** order * _eval(n, r, s) / _eval(d, r, s)
     return LeadingValue(order=order, coeff=coeff, logpow=order)
 
 
@@ -314,13 +310,13 @@ def strip_S(global_l: RatFunc, local_factors: Iterable[RatFunc]) -> RatFunc:
 
     All factors are multiplied in first and the result is reduced once.
     """
-    c, num, den = global_l._parts()
-    for f in local_factors:
-        if f.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        cf, n, d = f._parts()
-        c, num, den = c / cf, _mul(num, d), _mul(den, n)
-    return _reduced(c, num, den)
+    factors = list(local_factors)
+    if any(f.is_zero() for f in factors):
+        raise ZeroDivisionError("division by the zero function")
+    return RatFunc.make(
+        _product([global_l.num, *(f.den for f in factors)]),
+        _product([global_l.den, *(f.num for f in factors)]),
+    )
 
 
 def _reverse_scaled(p: IPoly, cr: int, cs: int) -> IPoly:
@@ -339,7 +335,7 @@ def functional_equation(lam: RatFunc, q: int, weight_w: int) -> FunctionalEquati
         return None
     c = Fraction(q) ** weight_w
     cr, cs = c.numerator, c.denominator
-    _, n, d = lam._parts()
+    n, d = _split(lam.num)[1], _split(lam.den)[1]
     # lam(1/(ct)) / lam(t) = (ct)^shift * rev(n) d / (rev(d) n) * cs^shift,
     # shift = deg d - deg n; the scalars of lam cancel and c^shift cs^shift
     # is cr^shift
@@ -351,7 +347,8 @@ def functional_equation(lam: RatFunc, q: int, weight_w: int) -> FunctionalEquati
         rat_num = _mul(rat_num, mono)
     else:
         rat_den = _mul(rat_den, mono)
-    ratio = _reduced(Fraction(cr) ** shift, rat_num, rat_den)
+    scale = Fraction(cr) ** shift
+    ratio = RatFunc.make([scale * x for x in rat_num], rat_den)
     num_terms = [(k, co) for k, co in enumerate(ratio.num) if co != 0]
     den_terms = [(k, co) for k, co in enumerate(ratio.den) if co != 0]
     if len(num_terms) != 1 or len(den_terms) != 1:
