@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bundle import BundleError, load, save
+from .bundle import MAX_TWIST, BundleError, load, save
 from .monodromy import ComplexError
 from .strata import DescriptorError
 from .workbench import (
@@ -34,6 +34,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _twist(text: str) -> int:
+    """An integer no larger than MAX_TWIST in magnitude, as params.a/q_coh."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) > MAX_TWIST:
+        raise argparse.ArgumentTypeError(f"exceeds {MAX_TWIST} in magnitude")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -63,8 +74,8 @@ def _build_parser() -> _Parser:
         help="compare group dimensions with local L-factor vanishing orders",
     )
     p.add_argument("file")
-    p.add_argument("--q", type=int, default=None, help="cohomological degree")
-    p.add_argument("--a", type=int, default=None, help="twist")
+    p.add_argument("--q", type=_twist, default=None, help="cohomological degree")
+    p.add_argument("--a", type=_twist, default=None, help="twist")
 
     p = sub.add_parser("check", help="run one of the conjecture checks")
     p.add_argument("conjecture", choices=CONJECTURES)

@@ -112,6 +112,12 @@ def test_huge_twist_is_rejected(tmp_path, capsys):
     assert "exceeds 1000" in capsys.readouterr().err
 
 
+def test_huge_twist_override_is_rejected(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    _bounded_rejection(tmp_path, data, ["dim-theorem", "--a", "-10000000"], "--a")
+    assert "exceeds 1000" in capsys.readouterr().err
+
+
 def test_large_prime_field_is_decided_quickly(tmp_path, capsys):
     q = 2**61 - 1
     path = tmp_path / "big-field.json"
