@@ -256,6 +256,11 @@ def random_group_map(rng: random.Random, a: FPAbelianGroup, b: FPAbelianGroup) -
     return AbGroupMap.make(a, b, entries)
 
 
+# ---------------------------------------------------------------------------
+# Prime powers by trial division, the check that ``strata.is_prime_power``
+# (integer roots plus Miller-Rabin) replaced.
+
+
 def trial_prime_power(n: int) -> bool:
     """n = p^k (p prime, k >= 1) by trial division up to sqrt(n)."""
     if n < 2:
