@@ -80,7 +80,7 @@ def _mul(a: IPoly, b: IPoly) -> IPoly:
 
 
 def _prem(a: IPoly, b: IPoly) -> IPoly:
-    """A nonzero integer multiple of a mod b (b nonzero)."""
+    """The remainder of c*a by b for some nonzero integer c (b nonzero)."""
     a = list(a)
     lb = b[-1]
     while len(a) >= len(b):
