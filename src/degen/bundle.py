@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .deligne import CycleDatum
 from .lfun import RatFunc
-from .qlinalg import AbGroupMap, FPAbelianGroup, Mat
+from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _Record, _set
 from .strata import MAX_PRIME_POWER, DescriptorError, Fibre, is_prime_power
 
 __all__ = [
@@ -192,33 +191,42 @@ def _poly_from_json(value, where: str) -> tuple[Fraction, ...]:
 # Sections.
 
 
-@dataclass(frozen=True)
-class Params:
-    q_coh: int
-    a: int
-    field_q: int
+class Params(_Record):
+    __slots__ = _fields = ("q_coh", "a", "field_q")
+
+    def __init__(self, q_coh: int, a: int, field_q: int):
+        _set(self, "q_coh", q_coh)
+        _set(self, "a", a)
+        _set(self, "field_q", field_q)
 
 
-@dataclass(frozen=True)
-class Place:
-    deg_v: int
-    frob: Mat
+class Place(_Record):
+    __slots__ = _fields = ("deg_v", "frob")
+
+    def __init__(self, deg_v: int, frob: Mat):
+        _set(self, "deg_v", deg_v)
+        _set(self, "frob", frob)
 
 
-@dataclass(frozen=True)
-class RegulatorDatum:
-    motivic_rank: int
-    matrix: Mat
+class RegulatorDatum(_Record):
+    __slots__ = _fields = ("motivic_rank", "matrix")
+
+    def __init__(self, motivic_rank: int, matrix: Mat):
+        _set(self, "motivic_rank", motivic_rank)
+        _set(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class MotivicDatum:
-    regulator: RegulatorDatum | None = None
-    cycle_class: CycleDatum | None = None
+class MotivicDatum(_Record):
+    __slots__ = _fields = ("regulator", "cycle_class")
+
+    def __init__(
+        self, regulator: RegulatorDatum | None = None, cycle_class: CycleDatum | None = None
+    ):
+        _set(self, "regulator", regulator)
+        _set(self, "cycle_class", cycle_class)
 
 
-@dataclass(frozen=True)
-class GlobalL:
+class GlobalL(_Record):
     """Global L-function plus the data its analysis needs.
 
     conductor = (alpha, beta) means the completed function is
@@ -226,19 +234,34 @@ class GlobalL:
     the q-power only ever scales leading coefficients.
     """
 
-    z: RatFunc
-    weight_w: int
-    conductor: tuple[Fraction, int] | None = None
+    __slots__ = _fields = ("z", "weight_w", "conductor")
+
+    def __init__(self, z: RatFunc, weight_w: int, conductor: tuple[Fraction, int] | None = None):
+        _set(self, "z", z)
+        _set(self, "weight_w", weight_w)
+        _set(self, "conductor", conductor)
 
 
-@dataclass(frozen=True)
-class Bundle:
-    params: Params
-    fibres: dict[str, Fibre]
-    places: dict[str, Place] = field(default_factory=dict)
-    motivic: dict[str, MotivicDatum] = field(default_factory=dict)
-    global_l: GlobalL | None = None
-    integral: AbGroupMap | None = None
+class Bundle(_Record):
+    """A parsed bundle; ``places`` and ``motivic`` default to empty dicts."""
+
+    __slots__ = _fields = ("params", "fibres", "places", "motivic", "global_l", "integral")
+
+    def __init__(
+        self,
+        params: Params,
+        fibres: dict[str, Fibre],
+        places: dict[str, Place] | None = None,
+        motivic: dict[str, MotivicDatum] | None = None,
+        global_l: GlobalL | None = None,
+        integral: AbGroupMap | None = None,
+    ):
+        _set(self, "params", params)
+        _set(self, "fibres", fibres)
+        _set(self, "places", {} if places is None else places)
+        _set(self, "motivic", {} if motivic is None else motivic)
+        _set(self, "global_l", global_l)
+        _set(self, "integral", integral)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ coordinates.  Everything is exact linear algebra over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qlinalg import (
     AbGroupMap,
     Mat,
+    _Record,
+    _set,
     kernel_basis,
     kernel_cokernel_orders,
     quotient_dim,
@@ -42,7 +42,6 @@ from .strata import DescriptorError, Fibre, build_level, gamma, ii_map
 __all__ = [
     "DeligneGroup",
     "deligne_group",
-    "boundary_in_kernel",
     "CycleDatum",
     "z_map",
     "residue_reduction",
@@ -52,17 +51,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeligneGroup:
-    """One v-adic Deligne cohomology group with its exact presentation."""
+class DeligneGroup(_Record):
+    """One v-adic Deligne cohomology group with its exact presentation.
 
-    q: int
-    a: int
-    kind: str  # "higher" or "boundary"
-    dim: int
-    ambient_dim: int
-    kernel: Mat | None  # columns: canonical basis of ker(i^*i_*)
-    modulo: Mat | None  # columns: generators of im(gamma)
+    ``kind`` is "higher" or "boundary".  In the boundary regime the
+    columns of ``kernel`` are the canonical basis of ker(i^*i_*) and those
+    of ``modulo`` generate im(gamma); both are None in the higher regime.
+    """
+
+    __slots__ = _fields = ("q", "a", "kind", "dim", "ambient_dim", "kernel", "modulo")
+
+    def __init__(
+        self, q: int, a: int, kind: str, dim: int, ambient_dim: int,
+        kernel: Mat | None, modulo: Mat | None,
+    ):
+        _set(self, "q", q)
+        _set(self, "a", a)
+        _set(self, "kind", kind)
+        _set(self, "dim", dim)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "kernel", kernel)
+        _set(self, "modulo", modulo)
 
     def coords_in_quotient(self, vectors: Mat) -> Mat | None:
         """Canonical quotient coordinates of ambient vectors, or None if
@@ -109,22 +118,15 @@ def deligne_group(
     )
 
 
-def boundary_in_kernel(f: Fibre, a: int) -> bool:
-    """Does im(gamma) lie in ker(i^*i_*) at codim a?  True for valid data."""
-    ii = ii_map(f, a)
-    if a < 1:
-        return True
-    g = gamma(f, 2, a - 1)
-    return (ii * g).is_zero()
-
-
-@dataclass(frozen=True)
-class CycleDatum:
+class CycleDatum(_Record):
     """Cycle-class input: xi columns in CH^a(Y^{(1)}) plus optional tau."""
 
-    b_rank: int
-    xi: Mat
-    tau: Mat | None = None
+    __slots__ = _fields = ("b_rank", "xi", "tau")
+
+    def __init__(self, b_rank: int, xi: Mat, tau: Mat | None = None):
+        _set(self, "b_rank", b_rank)
+        _set(self, "xi", xi)
+        _set(self, "tau", tau)
 
 
 def residue_reduction(modulo: Mat) -> Mat:
@@ -158,13 +160,18 @@ def z_map(f: Fibre, a: int, cyc: CycleDatum) -> Mat:
     return tau * reduced
 
 
-@dataclass(frozen=True)
-class ConjectureAResult:
-    kind: str
-    dim: int
-    expected_sources: int
-    achieved_rank: int
-    in_kernel: bool
+class ConjectureAResult(_Record):
+    __slots__ = _fields = ("kind", "dim", "expected_sources", "achieved_rank", "in_kernel")
+
+    def __init__(
+        self, kind: str, dim: int, expected_sources: int, achieved_rank: int,
+        in_kernel: bool,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "dim", dim)
+        _set(self, "expected_sources", expected_sources)
+        _set(self, "achieved_rank", achieved_rank)
+        _set(self, "in_kernel", in_kernel)
 
     @property
     def ok(self) -> bool:

@@ -17,12 +17,11 @@ pair (exact rational, power of log q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
-from .qlinalg import Mat
+from .qlinalg import Mat, _Record, _set
 
 __all__ = [
     "RatFunc",
@@ -33,6 +32,7 @@ __all__ = [
     "leading_laurent",
     "strip_S",
     "functional_equation",
+    "MAX_RENDERED_BITS",
 ]
 
 Poly = tuple[Fraction, ...]  # ascending coefficients
@@ -137,12 +137,14 @@ def _product(polys: Iterable[Sequence]) -> list[Fraction]:
     return [scale * x for x in out]
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(_Record):
     """Reduced rational function of t; gcd(num, den) = 1 and den is monic."""
 
-    num: Poly
-    den: Poly
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def make(num: Sequence, den: Sequence) -> "RatFunc":
@@ -163,10 +165,6 @@ class RatFunc:
     @staticmethod
     def one() -> "RatFunc":
         return RatFunc.make([1], [1])
-
-    @staticmethod
-    def from_poly(p: Sequence) -> "RatFunc":
-        return RatFunc.make(p, [1])
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -203,25 +201,45 @@ class RatFunc:
         return f"RatFunc({side(self.num)})/({side(self.den)})"
 
 
-@dataclass(frozen=True)
-class LeadingValue:
+# A rendered coefficient has at most this many bits in its numerator and
+# in its denominator, so at most 4215 decimal digits each: below the 4300
+# digits past which Python refuses to convert an int to a string.
+MAX_RENDERED_BITS = 14_000
+
+
+class LeadingValue(_Record):
     """Leading term coeff * log(q)^logpow * (s - a)^order of an expansion."""
 
-    order: int
-    coeff: Fraction
-    logpow: int
+    __slots__ = _fields = ("order", "coeff", "logpow")
 
-    def render(self) -> str:
-        return f"{self.coeff}*log(q)^{self.logpow}"
+    def __init__(self, order: int, coeff: Fraction, logpow: int):
+        _set(self, "order", order)
+        _set(self, "coeff", coeff)
+        _set(self, "logpow", logpow)
+
+    def render(self, line: str) -> str:
+        """``coeff*log(q)^logpow``; ``line`` names the report line that
+        shows it in the error raised when the coefficient is too large."""
+        c = self.coeff
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        if bits > MAX_RENDERED_BITS:
+            raise ValueError(
+                f"{line}: the leading coefficient at s = params.a has {bits}-bit "
+                f"terms, past the {MAX_RENDERED_BITS}-bit limit on a printed value; "
+                "lower |params.a|"
+            )
+        return f"{c}*log(q)^{self.logpow}"
 
 
-@dataclass(frozen=True)
-class FunctionalEquation:
+class FunctionalEquation(_Record):
     """Lambda(1/(q^w t)) = sign * q^alpha * t^beta * Lambda(t)."""
 
-    sign: int
-    alpha: int
-    beta: int
+    __slots__ = _fields = ("sign", "alpha", "beta")
+
+    def __init__(self, sign: int, alpha: int, beta: int):
+        _set(self, "sign", sign)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
 
 def _char_poly_det(frob: Mat) -> list[Fraction]:

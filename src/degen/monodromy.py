@@ -19,9 +19,7 @@ it agrees with a short explicit complex built from gamma, i^*i_* and rho
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .qlinalg import Mat, rank
+from .qlinalg import Mat, _Record, _set, rank
 from .strata import Fibre, build_level, gamma, ii_map, rho
 
 __all__ = [
@@ -48,12 +46,17 @@ class ComplexError(ValueError):
     """A differential fails to square to zero or a chain map fails to chain."""
 
 
-@dataclass(frozen=True)
-class CochainComplex:
-    """Finitely supported cochain complex; absent degrees are zero."""
+class CochainComplex(_Record):
+    """Finitely supported cochain complex; absent degrees are zero.
 
-    dims: dict[int, int]
-    diffs: dict[int, Mat]  # diffs[q]: degree q -> q+1
+    ``diffs[q]`` maps degree q to degree q + 1.
+    """
+
+    __slots__ = _fields = ("dims", "diffs")
+
+    def __init__(self, dims: dict[int, int], diffs: dict[int, Mat]):
+        _set(self, "dims", dims)
+        _set(self, "diffs", diffs)
 
     def dim(self, q: int) -> int:
         return self.dims.get(q, 0)
@@ -131,10 +134,12 @@ def mapping_cone(
 # The triple-indexed complex itself.
 
 
-@dataclass(frozen=True)
-class KComplex:
-    fibre: Fibre
-    bound: int
+class KComplex(_Record):
+    __slots__ = _fields = ("fibre", "bound")
+
+    def __init__(self, fibre: Fibre, bound: int):
+        _set(self, "fibre", fibre)
+        _set(self, "bound", bound)
 
     def codim_level(self, i: int, j: int, k: int) -> tuple[int, int] | None:
         """(codim, level) of K^{i,j,k}, or None when the piece is zero."""
@@ -208,13 +213,21 @@ def n_op(kc: KComplex, at: tuple[int, int, int]) -> Mat:
 # Total rows along (i, j) = (q - 2 star, q - n) and the cone of N.
 
 
-@dataclass(frozen=True)
-class TwistRow:
-    """One twist's diagonal row of the double complex, totalized over k."""
+class TwistRow(_Record):
+    """One twist's diagonal row of the double complex, totalized over k.
 
-    star: int
-    summands: dict[int, tuple[tuple[int, int], ...]]  # q -> ((level, dim), ...)
-    complex: CochainComplex
+    ``summands`` maps each degree q to its ((level, dim), ...).
+    """
+
+    __slots__ = _fields = ("star", "summands", "complex")
+
+    def __init__(
+        self, star: int, summands: dict[int, tuple[tuple[int, int], ...]],
+        complex: CochainComplex,
+    ):
+        _set(self, "star", star)
+        _set(self, "summands", summands)
+        _set(self, "complex", complex)
 
     def levels_at(self, q: int) -> tuple[tuple[int, int], ...]:
         return self.summands.get(q, ())
@@ -304,16 +317,14 @@ def cone_of_N(source_row: TwistRow, target_row: TwistRow) -> CochainComplex:
 # The short explicit complex quasi-isomorphic to the cone.
 
 
-def build_C(f: Fibre, q: int, star: int) -> CochainComplex:
+def build_C(f: Fibre, star: int) -> CochainComplex:
     """Explicit small complex matching Cone(N) for this twist.
 
     Degrees m in [star, 2 star - 1] carry CH^{m-star}(Y^{(2 star - m)})
     with differential -gamma; from degree 2 star on it is CH^{star} of
     increasing levels with differential rho; the hinge between the two
-    branches is -i^*i_* on the first level.  The parameter q is only the
-    report's focus degree, the complex itself depends on star alone.
+    branches is -i^*i_* on the first level.
     """
-    del q  # focus degree does not affect the construction
     n = f.dim_y
     dims = {}
     spaces = {}
@@ -349,12 +360,17 @@ def build_C(f: Fibre, q: int, star: int) -> CochainComplex:
     return cx
 
 
-@dataclass(frozen=True)
-class QuasiIsoResult:
-    star: int
-    focus_q: int
-    cone_cohomology: dict[int, int]
-    small_cohomology: dict[int, int]
+class QuasiIsoResult(_Record):
+    __slots__ = _fields = ("star", "focus_q", "cone_cohomology", "small_cohomology")
+
+    def __init__(
+        self, star: int, focus_q: int, cone_cohomology: dict[int, int],
+        small_cohomology: dict[int, int],
+    ):
+        _set(self, "star", star)
+        _set(self, "focus_q", focus_q)
+        _set(self, "cone_cohomology", cone_cohomology)
+        _set(self, "small_cohomology", small_cohomology)
 
     @property
     def ok(self) -> bool:
@@ -365,7 +381,7 @@ def check_quasi_iso(f: Fibre, q: int, star: int, bound: int | None = None) -> Qu
     """Compare cohomology of Cone(N) with the explicit small complex."""
     kc = build_K(f, bound)
     cone = cone_of_N(total_rows(kc, star), total_rows(kc, star - 1))
-    small = build_C(f, q, star)
+    small = build_C(f, star)
     return QuasiIsoResult(
         star=star,
         focus_q=q,

@@ -30,10 +30,9 @@ group has positive rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
 
 __all__ = [
     "Mat",
@@ -54,6 +53,48 @@ __all__ = [
 
 # One sparse row: (column, numerator) pairs, columns increasing, no zeros.
 Row = tuple[tuple[int, int], ...]
+
+# Sets a field of a record from its __init__, past the frozen __setattr__.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass stores its fields in ``__slots__``, names the ones that
+    make up its value in ``_fields`` (in constructor order), and sets
+    them in its own ``__init__`` with ``_set``.  ``==`` compares those
+    fields, between instances of one class only; ``hash`` and ``repr``
+    are those of the field tuple and ``Class(field=value, ...)``, and
+    assigning or deleting any attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 def _frac(x) -> Fraction:
@@ -161,18 +202,20 @@ def _combine(a: "Mat", b: "Mat", sign: int) -> "Mat":
     return _reduced(a.rows, a.cols, den, tuple(data))
 
 
-@dataclass(frozen=True, slots=True)
-class Mat:
+class Mat(_Record):
     """Immutable rational matrix: sparse integer rows over one denominator.
 
     Build one with the static constructors; ``_den`` and ``_data`` are
     the canonical form described in the module docstring.
     """
 
-    rows: int
-    cols: int
-    _den: int = field(repr=False)
-    _data: tuple[Row, ...] = field(repr=False)
+    __slots__ = _fields = ("rows", "cols", "_den", "_data")
+
+    def __init__(self, rows: int, cols: int, _den: int, _data: tuple[Row, ...]):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_den", _den)
+        _set(self, "_data", _data)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
@@ -533,16 +576,21 @@ def _as_int_matrix(m, rows: int | None = None, cols: int | None = None) -> list[
     return out
 
 
-@dataclass(frozen=True)
-class SmithForm:
+IntRows = tuple[tuple[int, ...], ...]
+
+
+class SmithForm(_Record):
     """d = u @ a @ v with u, v unimodular and d diagonal, d_1 | d_2 | ...
 
     A transform the caller did not ask for is the empty tuple.
     """
 
-    u: tuple[tuple[int, ...], ...]
-    d: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("u", "d", "v")
+
+    def __init__(self, u: IntRows, d: IntRows, v: IntRows):
+        _set(self, "u", u)
+        _set(self, "d", d)
+        _set(self, "v", v)
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -655,12 +703,15 @@ def smith_normal_form(a, *, _keep: str = "uv") -> SmithForm:
     )
 
 
-@dataclass(frozen=True)
-class FPAbelianGroup:
-    """Z^generators modulo the column span of ``relations``."""
+class FPAbelianGroup(_Record):
+    """Z^generators modulo the column span of ``relations``
+    (generators x number of relations)."""
 
-    generators: int
-    relations: tuple[tuple[int, ...], ...]  # generators x num_relations
+    __slots__ = _fields = ("generators", "relations")
+
+    def __init__(self, generators: int, relations: IntRows):
+        _set(self, "generators", generators)
+        _set(self, "relations", relations)
 
     @staticmethod
     def make(generators: int, relations) -> "FPAbelianGroup":
@@ -729,13 +780,16 @@ def _quotient_order_of_lattices(big: list[list[int]], small: list[list[int]]) ->
     return out
 
 
-@dataclass(frozen=True)
-class AbGroupMap:
-    """Map between finitely presented abelian groups, given on generators."""
+class AbGroupMap(_Record):
+    """Map between finitely presented abelian groups, given on generators
+    (``matrix`` is target.generators x source.generators)."""
 
-    source: FPAbelianGroup
-    target: FPAbelianGroup
-    matrix: tuple[tuple[int, ...], ...]  # target.generators x source.generators
+    __slots__ = _fields = ("source", "target", "matrix")
+
+    def __init__(self, source: FPAbelianGroup, target: FPAbelianGroup, matrix: IntRows):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
 
     @staticmethod
     def make(source: FPAbelianGroup, target: FPAbelianGroup, matrix) -> "AbGroupMap":

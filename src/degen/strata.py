@@ -26,10 +26,9 @@ once any of its maps has been built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .qlinalg import Mat
+from .qlinalg import Mat, _Record, _set
 
 __all__ = [
     "DescriptorError",
@@ -128,25 +127,28 @@ def _check_stratum(s: Sequence[int], components: int) -> Stratum:
     return t
 
 
-@dataclass(frozen=True)
-class GradedSpace:
-    """Q-vector space attached to one level: ordered strata with dimensions."""
+class GradedSpace(_Record):
+    """Q-vector space attached to one level: ordered strata with dimensions.
 
-    level: int
-    codim: int
-    j: int
-    pieces: tuple[tuple[Stratum, int], ...]
-    _at: dict[Stratum, tuple[int, int]] = field(init=False, repr=False, compare=False)
-    total: int = field(init=False, repr=False, compare=False)
+    ``total`` and the offsets are derived from ``pieces`` and take no part
+    in ``==``, ``hash`` or ``repr``.
+    """
 
-    def __post_init__(self):
+    _fields = ("level", "codim", "j", "pieces")
+    __slots__ = (*_fields, "_at", "total")
+
+    def __init__(self, level: int, codim: int, j: int, pieces: tuple[tuple[Stratum, int], ...]):
+        _set(self, "level", level)
+        _set(self, "codim", codim)
+        _set(self, "j", j)
+        _set(self, "pieces", pieces)
         at = {}
         off = 0
-        for s, d in self.pieces:
+        for s, d in pieces:
             at[s] = (off, d)
             off += d
-        object.__setattr__(self, "_at", at)
-        object.__setattr__(self, "total", off)
+        _set(self, "_at", at)
+        _set(self, "total", off)
 
     def offset(self, stratum: Stratum) -> int:
         return self._at[stratum][0]
@@ -155,22 +157,44 @@ class GradedSpace:
         return self._at.get(stratum, (0, 0))[1]
 
 
-@dataclass
-class Fibre:
-    """Combinatorial model of one semistable special fibre."""
+class Fibre(_Record):
+    """Combinatorial model of one semistable special fibre.
 
-    components: int
-    dim_y: int
-    q_v: int
-    strata: tuple[Stratum, ...]
-    chow: dict[tuple[Stratum, int, int], int]
-    pushforward: dict[tuple[Stratum, int, int, int], Mat]
-    pullback: dict[tuple[Stratum, int, int, int], Mat]
-    ii_matrices: dict[tuple[int, int], Mat] = field(default_factory=dict)
-    higher_chow: dict[tuple[int, int], int] = field(default_factory=dict)
-    _index: "_FibreIndex | None" = field(default=None, init=False, repr=False, compare=False)
+    Unlike the other records a fibre is mutable and unhashable; its private
+    index of derived maps takes no part in ``==`` or ``repr``.
+    """
 
-    def __post_init__(self):
+    _fields = (
+        "components", "dim_y", "q_v", "strata", "chow", "pushforward", "pullback",
+        "ii_matrices", "higher_chow",
+    )
+    __slots__ = (*_fields, "_index")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        components: int,
+        dim_y: int,
+        q_v: int,
+        strata: tuple[Stratum, ...],
+        chow: dict[tuple[Stratum, int, int], int],
+        pushforward: dict[tuple[Stratum, int, int, int], Mat],
+        pullback: dict[tuple[Stratum, int, int, int], Mat],
+        ii_matrices: dict[tuple[int, int], Mat] | None = None,
+        higher_chow: dict[tuple[int, int], int] | None = None,
+    ):
+        self.components = components
+        self.dim_y = dim_y
+        self.q_v = q_v
+        self.strata = strata
+        self.chow = chow
+        self.pushforward = pushforward
+        self.pullback = pullback
+        self.ii_matrices = {} if ii_matrices is None else ii_matrices
+        self.higher_chow = {} if higher_chow is None else higher_chow
+        self._index = None  # a _FibreIndex once a map is built
         if self.components < 1:
             raise DescriptorError("fibre needs at least one component")
         if self.dim_y < 0:
@@ -374,10 +398,14 @@ def ii_map(f: Fibre, p: int, j: int = 0) -> Mat:
     return maps[key]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    failures: tuple[tuple[str, int, int, int], ...]  # (identity, r, p, j)
-    checked: int
+class ValidationReport(_Record):
+    """``failures`` lists (identity, r, p, j) for each identity that fails."""
+
+    __slots__ = _fields = ("failures", "checked")
+
+    def __init__(self, failures: tuple[tuple[str, int, int, int], ...], checked: int):
+        _set(self, "failures", failures)
+        _set(self, "checked", checked)
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ over the same file produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import Bundle, GlobalL, MotivicDatum, Place
@@ -31,7 +30,7 @@ from .lfun import (
     strip_S,
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
-from .qlinalg import Mat, rank
+from .qlinalg import Mat, _Record, _set, rank
 from .strata import Fibre, validate
 
 __all__ = [
@@ -56,17 +55,21 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CONJECTURES = ("A1", "A2", "B1FF", "B2FF", "CFF")
 
 
-@dataclass(frozen=True)
-class ReportLine:
-    check: str
-    place: str
-    verdict: str
-    value: str
+class ReportLine(_Record):
+    __slots__ = _fields = ("check", "place", "verdict", "value")
+
+    def __init__(self, check: str, place: str, verdict: str, value: str):
+        _set(self, "check", check)
+        _set(self, "place", place)
+        _set(self, "verdict", verdict)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    lines: tuple[ReportLine, ...]
+class CheckReport(_Record):
+    __slots__ = _fields = ("lines",)
+
+    def __init__(self, lines: tuple[ReportLine, ...]):
+        _set(self, "lines", lines)
 
     @property
     def exit_code(self) -> int:
@@ -297,7 +300,7 @@ def _run_B1(b: Bundle) -> CheckReport:
         )
     else:
         leading_line = ReportLine(
-            "B1FF.leading", "-", _verdict(lead.logpow == order), lead.render()
+            "B1FF.leading", "-", _verdict(lead.logpow == order), lead.render("B1FF.leading")
         )
     lines = [
         ReportLine(
@@ -418,7 +421,7 @@ def _run_B2(b: Bundle) -> CheckReport:
         )
     else:
         leading_line = ReportLine(
-            "B2FF.leading", "-", _verdict(lead.logpow == order_a), lead.render()
+            "B2FF.leading", "-", _verdict(lead.logpow == order_a), lead.render("B2FF.leading")
         )
     lines = [
         ReportLine(
@@ -492,7 +495,8 @@ def _run_C(b: Bundle) -> CheckReport:
         lines.append(
             ReportLine(
                 "CFF.leading", "-", INCONCLUSIVE,
-                lead.render() if lead is not None else "conductor q-power is irrational",
+                lead.render("CFF.leading") if lead is not None
+                else "conductor q-power is irrational",
             )
         )
     else:
@@ -511,7 +515,7 @@ def _run_C(b: Bundle) -> CheckReport:
             lines.append(
                 ReportLine(
                     "CFF.leading", "-", _verdict(ok),
-                    f"{lead.render()} vs cokernel/kernel={expected}",
+                    f"{lead.render('CFF.leading')} vs cokernel/kernel={expected}",
                 )
             )
     z_eff, z_alpha = _effective_global(b.global_l)
@@ -521,7 +525,7 @@ def _run_C(b: Bundle) -> CheckReport:
             ReportLine("Z.leading", "-", INCONCLUSIVE, "conductor q-power is irrational")
         )
     else:
-        lines.append(ReportLine("Z.leading", "-", PASS, zl.render()))
+        lines.append(ReportLine("Z.leading", "-", PASS, zl.render("Z.leading")))
     return CheckReport(tuple(lines))
 
 
@@ -546,7 +550,7 @@ def run_complex(b: Bundle, q: int | None = None, star: int | None = None) -> Che
     star = b.params.a if star is None else star
     lines = []
     for name in sorted(b.fibres):
-        cx = build_C(b.fibres[name], q, star)
+        cx = build_C(b.fibres[name], star)
         coh = cohomology_dims(cx)
         dims = ",".join(f"{m}:{cx.dims[m]}" for m in sorted(cx.dims)) or "-"
         value = f"star={star} dims[{dims}] h^{q}={coh.get(q, 0)}"

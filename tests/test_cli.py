@@ -9,7 +9,7 @@ from fractions import Fraction
 from degen.bundle import Bundle, Params, dumps
 from degen.cli import main
 
-from fixtures import simplex_surface
+from fixtures import multi_place_bundle, simplex_surface
 
 
 def run_cli(*argv):
@@ -110,6 +110,19 @@ def test_huge_twist_is_rejected(tmp_path, capsys):
     data["params"]["q_coh"] = 10**7
     _bounded_rejection(tmp_path, data, ["check", "CFF"], "params.q_coh")
     assert "exceeds 1000" in capsys.readouterr().err
+
+
+def test_oversized_leading_value_is_rejected(tmp_path, capsys):
+    # within the twist bound, a = -200 on 24 places makes the leading
+    # coefficient at s = a too large to print
+    b = multi_place_bundle(24, 56)
+    p = b.params
+    b = Bundle(Params(p.q_coh, -200, p.field_q), b.fibres, b.places, b.motivic, b.global_l, b.integral)
+    data = json.loads(dumps(b))
+    _bounded_rejection(tmp_path, data, ["check", "CFF"], "params.a")
+    assert "CFF.leading" in capsys.readouterr().err
+    _bounded_rejection(tmp_path, data, ["check", "B1FF"], "params.a")
+    assert "B1FF.leading" in capsys.readouterr().err
 
 
 def test_huge_twist_override_is_rejected(tmp_path, capsys):

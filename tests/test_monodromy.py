@@ -101,13 +101,13 @@ class TestRowsAndCone:
 class TestSmallComplex:
     def test_triangle_tate_small_complex(self):
         f = triangle()
-        c = build_C(f, 3, 1)
+        c = build_C(f, 1)
         assert c.dims == {1: 3, 2: 3}
         assert cohomology_dims(c) == {1: 1, 2: 1}
 
     def test_smooth_two_spots(self):
         f = generator_smooth({(0, 0): 1, (1, 0): 1}, dim_y=1, q_v=3)
-        c = build_C(f, 2, 1)
+        c = build_C(f, 1)
         assert c.dims == {1: 1, 2: 1}
         assert cohomology_dims(c) == {1: 1, 2: 1}
 

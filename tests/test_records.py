@@ -3,15 +3,20 @@
 Constructors, ``==``, ``hash``, ``repr`` and immutability of every record
 class, pinned against what the classes did when they were generated with
 ``dataclasses``: the expected strings and truth values below were recorded
-from that implementation.
+from that implementation.  Also checks that importing the command line
+pulls in neither ``dataclasses`` nor the modules it imports.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import degen
 from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, Place, RegulatorDatum
 from degen.deligne import ConjectureAResult, CycleDatum, DeligneGroup
 from degen.lfun import FunctionalEquation, LeadingValue, RatFunc
@@ -240,3 +245,16 @@ def test_copy_and_pickle_round_trip():
     for obj in (Mat.from_rows([[1, F(1, 2)]]), RatFunc.make([1, 2], [3, 1])):
         assert pickle.loads(pickle.dumps(obj)) == obj
 
+
+def test_cli_import_avoids_dataclasses_and_typing():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degen.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import degen.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'typing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=20
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""

@@ -1,10 +1,10 @@
 """Report semantics: verdict routing, conductor twists, rendering."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
 from degen.bundle import Bundle, GlobalL, Params, dumps, loads
+from degen.strata import Fibre
 from degen.workbench import (
     build_example,
     render_text,
@@ -20,7 +20,7 @@ from fixtures import simplex_surface, with_flipped_sign
 
 def with_conductor(b, alpha, beta):
     g = GlobalL(z=b.global_l.z, weight_w=b.global_l.weight_w, conductor=(alpha, beta))
-    return dataclasses.replace(b, global_l=g)
+    return Bundle(b.params, b.fibres, b.places, b.motivic, g, b.integral)
 
 
 def line(report, check):
@@ -88,7 +88,7 @@ def test_regime_routing_between_A_checks():
 
 def test_missing_motivic_entry_is_inconclusive():
     b = build_example("ngon")
-    stripped = dataclasses.replace(b, motivic={})
+    stripped = Bundle(b.params, b.fibres, b.places, {}, b.global_l, b.integral)
     rep = run_conjecture(stripped, "A2")
     assert rep.exit_code == 2
     assert "no motivic data" in rep.lines[0].value
@@ -136,7 +136,10 @@ def test_quasi_iso_runner_flags_disagreement():
     f = simplex_surface()
     good = ii_map(f, 0)
     assert not good.is_zero()
-    bad = dataclasses.replace(f, ii_matrices={(0, 0): Mat.zero(good.rows, good.cols)})
+    bad = Fibre(
+        f.components, f.dim_y, f.q_v, f.strata, f.chow, f.pushforward, f.pullback,
+        {(0, 0): Mat.zero(good.rows, good.cols)}, f.higher_chow,
+    )
     b = Bundle(params=Params(3, 1, 2), fibres={"v0": bad})
     rep = run_quasi_iso(b, star=1)
     assert rep.exit_code == 1
