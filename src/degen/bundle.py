@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .deligne import CycleDatum
 from .lfun import RatFunc
-from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _Record, _set
+from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _Record
 from .strata import MAX_PRIME_POWER, DescriptorError, Fibre, is_prime_power
 
 __all__ = [
@@ -195,25 +195,21 @@ class Params(_Record):
     __slots__ = _fields = ("q_coh", "a", "field_q")
 
     def __init__(self, q_coh: int, a: int, field_q: int):
-        _set(self, "q_coh", q_coh)
-        _set(self, "a", a)
-        _set(self, "field_q", field_q)
+        self._assign(q_coh, a, field_q)
 
 
 class Place(_Record):
     __slots__ = _fields = ("deg_v", "frob")
 
     def __init__(self, deg_v: int, frob: Mat):
-        _set(self, "deg_v", deg_v)
-        _set(self, "frob", frob)
+        self._assign(deg_v, frob)
 
 
 class RegulatorDatum(_Record):
     __slots__ = _fields = ("motivic_rank", "matrix")
 
     def __init__(self, motivic_rank: int, matrix: Mat):
-        _set(self, "motivic_rank", motivic_rank)
-        _set(self, "matrix", matrix)
+        self._assign(motivic_rank, matrix)
 
 
 class MotivicDatum(_Record):
@@ -222,8 +218,7 @@ class MotivicDatum(_Record):
     def __init__(
         self, regulator: RegulatorDatum | None = None, cycle_class: CycleDatum | None = None
     ):
-        _set(self, "regulator", regulator)
-        _set(self, "cycle_class", cycle_class)
+        self._assign(regulator, cycle_class)
 
 
 class GlobalL(_Record):
@@ -237,9 +232,7 @@ class GlobalL(_Record):
     __slots__ = _fields = ("z", "weight_w", "conductor")
 
     def __init__(self, z: RatFunc, weight_w: int, conductor: tuple[Fraction, int] | None = None):
-        _set(self, "z", z)
-        _set(self, "weight_w", weight_w)
-        _set(self, "conductor", conductor)
+        self._assign(z, weight_w, conductor)
 
 
 class Bundle(_Record):
@@ -256,12 +249,14 @@ class Bundle(_Record):
         global_l: GlobalL | None = None,
         integral: AbGroupMap | None = None,
     ):
-        _set(self, "params", params)
-        _set(self, "fibres", fibres)
-        _set(self, "places", {} if places is None else places)
-        _set(self, "motivic", {} if motivic is None else motivic)
-        _set(self, "global_l", global_l)
-        _set(self, "integral", integral)
+        self._assign(
+            params,
+            fibres,
+            {} if places is None else places,
+            {} if motivic is None else motivic,
+            global_l,
+            integral,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .qlinalg import (
     AbGroupMap,
     Mat,
     _Record,
-    _set,
     kernel_basis,
     kernel_cokernel_orders,
     quotient_dim,
@@ -65,13 +64,7 @@ class DeligneGroup(_Record):
         self, q: int, a: int, kind: str, dim: int, ambient_dim: int,
         kernel: Mat | None, modulo: Mat | None,
     ):
-        _set(self, "q", q)
-        _set(self, "a", a)
-        _set(self, "kind", kind)
-        _set(self, "dim", dim)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "kernel", kernel)
-        _set(self, "modulo", modulo)
+        self._assign(q, a, kind, dim, ambient_dim, kernel, modulo)
 
     def coords_in_quotient(self, vectors: Mat) -> Mat | None:
         """Canonical quotient coordinates of ambient vectors, or None if
@@ -124,9 +117,7 @@ class CycleDatum(_Record):
     __slots__ = _fields = ("b_rank", "xi", "tau")
 
     def __init__(self, b_rank: int, xi: Mat, tau: Mat | None = None):
-        _set(self, "b_rank", b_rank)
-        _set(self, "xi", xi)
-        _set(self, "tau", tau)
+        self._assign(b_rank, xi, tau)
 
 
 def residue_reduction(modulo: Mat) -> Mat:
@@ -167,11 +158,7 @@ class ConjectureAResult(_Record):
         self, kind: str, dim: int, expected_sources: int, achieved_rank: int,
         in_kernel: bool,
     ):
-        _set(self, "kind", kind)
-        _set(self, "dim", dim)
-        _set(self, "expected_sources", expected_sources)
-        _set(self, "achieved_rank", achieved_rank)
-        _set(self, "in_kernel", in_kernel)
+        self._assign(kind, dim, expected_sources, achieved_rank, in_kernel)
 
     @property
     def ok(self) -> bool:

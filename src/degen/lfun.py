@@ -213,9 +213,7 @@ class LeadingValue(_Record):
     __slots__ = _fields = ("order", "coeff", "logpow")
 
     def __init__(self, order: int, coeff: Fraction, logpow: int):
-        _set(self, "order", order)
-        _set(self, "coeff", coeff)
-        _set(self, "logpow", logpow)
+        self._assign(order, coeff, logpow)
 
     def render(self, line: str) -> str:
         """``coeff*log(q)^logpow``; ``line`` names the report line that
@@ -224,8 +222,8 @@ class LeadingValue(_Record):
         bits = max(c.numerator.bit_length(), c.denominator.bit_length())
         if bits > MAX_RENDERED_BITS:
             raise ValueError(
-                f"{line}: the leading coefficient at s = params.a has {bits}-bit "
-                f"terms, past the {MAX_RENDERED_BITS}-bit limit on a printed value; "
+                f"{line}: the leading coefficient at s = params.a needs {bits} bits, "
+                f"past the {MAX_RENDERED_BITS}-bit limit on a printed value; "
                 "lower |params.a|"
             )
         return f"{c}*log(q)^{self.logpow}"
@@ -237,9 +235,7 @@ class FunctionalEquation(_Record):
     __slots__ = _fields = ("sign", "alpha", "beta")
 
     def __init__(self, sign: int, alpha: int, beta: int):
-        _set(self, "sign", sign)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
+        self._assign(sign, alpha, beta)
 
 
 def _char_poly_det(frob: Mat) -> list[Fraction]:

@@ -19,7 +19,7 @@ it agrees with a short explicit complex built from gamma, i^*i_* and rho
 
 from __future__ import annotations
 
-from .qlinalg import Mat, _Record, _set, rank
+from .qlinalg import Mat, _Record, rank
 from .strata import Fibre, build_level, gamma, ii_map, rho
 
 __all__ = [
@@ -55,8 +55,7 @@ class CochainComplex(_Record):
     __slots__ = _fields = ("dims", "diffs")
 
     def __init__(self, dims: dict[int, int], diffs: dict[int, Mat]):
-        _set(self, "dims", dims)
-        _set(self, "diffs", diffs)
+        self._assign(dims, diffs)
 
     def dim(self, q: int) -> int:
         return self.dims.get(q, 0)
@@ -138,8 +137,7 @@ class KComplex(_Record):
     __slots__ = _fields = ("fibre", "bound")
 
     def __init__(self, fibre: Fibre, bound: int):
-        _set(self, "fibre", fibre)
-        _set(self, "bound", bound)
+        self._assign(fibre, bound)
 
     def codim_level(self, i: int, j: int, k: int) -> tuple[int, int] | None:
         """(codim, level) of K^{i,j,k}, or None when the piece is zero."""
@@ -225,9 +223,7 @@ class TwistRow(_Record):
         self, star: int, summands: dict[int, tuple[tuple[int, int], ...]],
         complex: CochainComplex,
     ):
-        _set(self, "star", star)
-        _set(self, "summands", summands)
-        _set(self, "complex", complex)
+        self._assign(star, summands, complex)
 
     def levels_at(self, q: int) -> tuple[tuple[int, int], ...]:
         return self.summands.get(q, ())
@@ -367,10 +363,7 @@ class QuasiIsoResult(_Record):
         self, star: int, focus_q: int, cone_cohomology: dict[int, int],
         small_cohomology: dict[int, int],
     ):
-        _set(self, "star", star)
-        _set(self, "focus_q", focus_q)
-        _set(self, "cone_cohomology", cone_cohomology)
-        _set(self, "small_cohomology", small_cohomology)
+        self._assign(star, focus_q, cone_cohomology, small_cohomology)
 
     @property
     def ok(self) -> bool:

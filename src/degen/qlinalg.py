@@ -54,7 +54,7 @@ __all__ = [
 # One sparse row: (column, numerator) pairs, columns increasing, no zeros.
 Row = tuple[tuple[int, int], ...]
 
-# Sets a field of a record from its __init__, past the frozen __setattr__.
+# Sets an attribute of a record past its frozen __setattr__.
 _set = object.__setattr__
 
 
@@ -63,14 +63,19 @@ class _Record:
 
     A subclass stores its fields in ``__slots__``, names the ones that
     make up its value in ``_fields`` (in constructor order), and sets
-    them in its own ``__init__`` with ``_set``.  ``==`` compares those
-    fields, between instances of one class only; ``hash`` and ``repr``
-    are those of the field tuple and ``Class(field=value, ...)``, and
-    assigning or deleting any attribute raises ``AttributeError``.
+    them in its own ``__init__``, with ``_assign`` or, where construction
+    is hot, ``_set``.  ``==`` compares those fields, between instances of
+    one class only; ``hash`` and ``repr`` are those of the field tuple and
+    ``Class(field=value, ...)``, and assigning or deleting any attribute
+    raises ``AttributeError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -588,9 +593,7 @@ class SmithForm(_Record):
     __slots__ = _fields = ("u", "d", "v")
 
     def __init__(self, u: IntRows, d: IntRows, v: IntRows):
-        _set(self, "u", u)
-        _set(self, "d", d)
-        _set(self, "v", v)
+        self._assign(u, d, v)
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -710,8 +713,7 @@ class FPAbelianGroup(_Record):
     __slots__ = _fields = ("generators", "relations")
 
     def __init__(self, generators: int, relations: IntRows):
-        _set(self, "generators", generators)
-        _set(self, "relations", relations)
+        self._assign(generators, relations)
 
     @staticmethod
     def make(generators: int, relations) -> "FPAbelianGroup":
@@ -787,9 +789,7 @@ class AbGroupMap(_Record):
     __slots__ = _fields = ("source", "target", "matrix")
 
     def __init__(self, source: FPAbelianGroup, target: FPAbelianGroup, matrix: IntRows):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "matrix", matrix)
+        self._assign(source, target, matrix)
 
     @staticmethod
     def make(source: FPAbelianGroup, target: FPAbelianGroup, matrix) -> "AbGroupMap":

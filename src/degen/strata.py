@@ -138,10 +138,7 @@ class GradedSpace(_Record):
     __slots__ = (*_fields, "_at", "total")
 
     def __init__(self, level: int, codim: int, j: int, pieces: tuple[tuple[Stratum, int], ...]):
-        _set(self, "level", level)
-        _set(self, "codim", codim)
-        _set(self, "j", j)
-        _set(self, "pieces", pieces)
+        self._assign(level, codim, j, pieces)
         at = {}
         off = 0
         for s, d in pieces:
@@ -404,8 +401,7 @@ class ValidationReport(_Record):
     __slots__ = _fields = ("failures", "checked")
 
     def __init__(self, failures: tuple[tuple[str, int, int, int], ...], checked: int):
-        _set(self, "failures", failures)
-        _set(self, "checked", checked)
+        self._assign(failures, checked)
 
     @property
     def ok(self) -> bool:

@@ -30,7 +30,7 @@ from .lfun import (
     strip_S,
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
-from .qlinalg import Mat, _Record, _set, rank
+from .qlinalg import Mat, _Record, rank
 from .strata import Fibre, validate
 
 __all__ = [
@@ -59,17 +59,14 @@ class ReportLine(_Record):
     __slots__ = _fields = ("check", "place", "verdict", "value")
 
     def __init__(self, check: str, place: str, verdict: str, value: str):
-        _set(self, "check", check)
-        _set(self, "place", place)
-        _set(self, "verdict", verdict)
-        _set(self, "value", value)
+        self._assign(check, place, verdict, value)
 
 
 class CheckReport(_Record):
     __slots__ = _fields = ("lines",)
 
     def __init__(self, lines: tuple[ReportLine, ...]):
-        _set(self, "lines", lines)
+        self._assign(lines)
 
     @property
     def exit_code(self) -> int:

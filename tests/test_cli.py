@@ -117,7 +117,9 @@ def test_oversized_leading_value_is_rejected(tmp_path, capsys):
     # coefficient at s = a too large to print
     b = multi_place_bundle(24, 56)
     p = b.params
-    b = Bundle(Params(p.q_coh, -200, p.field_q), b.fibres, b.places, b.motivic, b.global_l, b.integral)
+    b = Bundle(
+        Params(p.q_coh, -200, p.field_q), b.fibres, b.places, b.motivic, b.global_l, b.integral
+    )
     data = json.loads(dumps(b))
     _bounded_rejection(tmp_path, data, ["check", "CFF"], "params.a")
     assert "CFF.leading" in capsys.readouterr().err
