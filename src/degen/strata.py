@@ -182,15 +182,11 @@ class Fibre(_Record):
         ii_matrices: dict[tuple[int, int], Mat] | None = None,
         higher_chow: dict[tuple[int, int], int] | None = None,
     ):
-        self.components = components
-        self.dim_y = dim_y
-        self.q_v = q_v
-        self.strata = strata
-        self.chow = chow
-        self.pushforward = pushforward
-        self.pullback = pullback
-        self.ii_matrices = {} if ii_matrices is None else ii_matrices
-        self.higher_chow = {} if higher_chow is None else higher_chow
+        self._assign(
+            components, dim_y, q_v, strata, chow, pushforward, pullback,
+            {} if ii_matrices is None else ii_matrices,
+            {} if higher_chow is None else higher_chow,
+        )
         self._index = None  # a _FibreIndex once a map is built
         if self.components < 1:
             raise DescriptorError("fibre needs at least one component")
