@@ -8,7 +8,10 @@ examples, a 40-gon and a tensored surface.  The L-function reports
 (``dim-theorem``, ``check B2FF``, ``check CFF``) are also pinned on an
 eight-place bundle with a global L-function and an integral regulator;
 its digests were recorded from the ``Fraction`` polynomial arithmetic
-and the two-Smith-form ``integral_orders``.
+and the two-Smith-form ``integral_orders``.  ``check B1FF``, ``check B2FF``
+and ``check CFF`` are further pinned on bundles that reach each branch of
+their runners (see ``branch_bundles``), recorded from the runners that
+built every line by hand.
 
 To record the digests again (only when a report is meant to change):
 
@@ -42,6 +45,12 @@ COMMANDS = (
 
 MULTI_PLACE_COMMANDS = (
     ("dim-theorem",),
+    ("check", "B2FF"),
+    ("check", "CFF"),
+)
+
+BRANCH_COMMANDS = (
+    ("check", "B1FF"),
     ("check", "B2FF"),
     ("check", "CFF"),
 )
@@ -84,6 +93,57 @@ def _multi_place_bundle(path: Path) -> None:
     save(multi_place_bundle(8, 24), path)
 
 
+def branch_bundles() -> dict:
+    """Bundles that reach the branches of the B1FF, B2FF and CFF runners."""
+    from fractions import Fraction
+
+    from degen.bundle import Bundle, GlobalL, MotivicDatum, Params
+    from degen.qlinalg import AbGroupMap, FPAbelianGroup
+    from degen.workbench import build_example
+
+    from fixtures import multi_place_bundle
+
+    def replace(b, **fields):
+        old = dict(
+            params=b.params, fibres=b.fibres, places=b.places, motivic=b.motivic,
+            global_l=b.global_l, integral=b.integral,
+        )
+        return Bundle(**{**old, **fields})
+
+    def half_conductor(b, beta):
+        g = b.global_l
+        return replace(b, global_l=GlobalL(g.z, g.weight_w, (Fraction(1, 2), beta)))
+
+    def to_z(generators, relations, matrix):
+        source = FPAbelianGroup.make(generators, relations)
+        return AbGroupMap.make(source, FPAbelianGroup.make(1, [[]]), matrix)
+
+    multi = multi_place_bundle(4, 8)
+    away = replace(multi, params=Params(1, -1, 13))  # q - 2a = 3: B1FF runs in full
+    zeta = build_example("zeta-fqt", {"q": 3})
+    free_kernel = replace(zeta, integral=to_z(2, [[], []], [[0, 1]]))
+    ngon = build_example("ngon")
+    return {
+        "away": away,
+        "away-half": half_conductor(away, 1),
+        "zeta-half": half_conductor(zeta, 0),
+        "b-rank-differs": replace(
+            multi, motivic={**multi.motivic, "v01": MotivicDatum(multi.motivic["v01"].regulator)}
+        ),
+        "no-cycles": replace(
+            multi, motivic={n: MotivicDatum(m.regulator) for n, m in multi.motivic.items()}
+        ),
+        # at a = 0 the cycle class e_0 of the triangle misses ker(i^*i_*)
+        "outside-kernel": replace(
+            ngon, params=Params(1, 0, 2), global_l=zeta.global_l, integral=zeta.integral
+        ),
+        "infinite-kernel": free_kernel,
+        "infinite-cokernel": replace(zeta, integral=to_z(1, [[2]], [[0]])),
+        "infinite-half": half_conductor(free_kernel, 0),
+        "wrong-orders": replace(zeta, integral=to_z(2, [[5], [0]], [[0, 1]])),
+    }
+
+
 def _record(out: dict, argv: list[str]) -> None:
     code, text = _run(argv)
     out[" ".join(argv)] = {"exit": code, "stdout": _sha(text)}
@@ -114,6 +174,14 @@ def report_digests(workdir: Path) -> dict[str, dict]:
         for cmd in MULTI_PLACE_COMMANDS:
             for tsv in ((), ("--tsv",)):
                 _record(out, [*tsv, *cmd, "multi-place-p8.json"])
+        from degen.bundle import save
+
+        for name, bundle in branch_bundles().items():
+            target = f"branch-{name}.json"
+            save(bundle, workdir / target)
+            for cmd in BRANCH_COMMANDS:
+                for tsv in ((), ("--tsv",)):
+                    _record(out, [*tsv, *cmd, target])
     finally:
         os.chdir(old)
     return out
