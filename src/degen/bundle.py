@@ -12,7 +12,9 @@ MAX_DECIMAL_EXPONENT in magnitude: "1e99999999" would otherwise make the
 parser build a number with hundreds of millions of digits.  For the same
 reason the twist params.a and the degree params.q_coh, which become
 exponents of q, may not exceed MAX_TWIST in magnitude, and field sizes
-(params.field_q, each q_v) may not exceed strata.MAX_PRIME_POWER.
+(params.field_q, each q_v) may not exceed strata.MAX_PRIME_POWER.  A
+JSON integer literal may not have more digits than Python converts to an
+int (4300 by default); such a literal is named by its path in the file.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .deligne import CycleDatum
@@ -126,6 +129,37 @@ def _number(value, where: str) -> int | Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleError(f"{where}: bad rational {value!r}") from exc
     raise BundleError(f"{where}: expected a rational as string or integer")
+
+
+class _Digits(int):
+    """Digit count standing in for an integer literal too long for int()."""
+
+
+def _long_literal_error(text: str) -> BundleError:
+    """Name the integer literal that made json.loads give up: parse again,
+    keeping each literal int() refuses as its digit count, and report the
+    first one in document order by its path."""
+
+    def keep(literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:
+            return _Digits(len(literal.lstrip("-")))
+
+    try:
+        stack = [("", json.loads(text, parse_int=keep))]
+    except json.JSONDecodeError as exc:  # malformed past the long literal
+        return BundleError(f"not valid JSON: {exc}")
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, _Digits):
+            limit = sys.get_int_max_str_digits()
+            return BundleError(f"{where}: integer literal has {node} digits, past the {limit}-digit limit")
+        if isinstance(node, dict):
+            stack += reversed([(f"{where}.{k}" if where else k, v) for k, v in node.items()])
+        elif isinstance(node, list):
+            stack += reversed([(f"{where}[{i}]", v) for i, v in enumerate(node)])
+    return BundleError("not valid JSON: an integer literal could not be converted")
 
 
 def _fraction(value, where: str) -> Fraction:
@@ -381,6 +415,8 @@ def loads(text: str, strict: bool = True) -> Bundle:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleError(f"not valid JSON: {exc}") from exc
+    except ValueError:  # an integer literal longer than int() converts
+        raise _long_literal_error(text) from None
 
     top = _expect(
         data,

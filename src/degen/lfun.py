@@ -181,17 +181,6 @@ class RatFunc(_Record):
             _product([self.num, other.den]), _product([self.den, other.num])
         )
 
-    def inverse(self) -> "RatFunc":
-        return RatFunc.one() / self
-
-    def eval(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        (cn, n), (cd, d) = _split(self.num), _split(self.den)
-        dv = _eval(d, x.numerator, x.denominator)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at t = {x}")
-        return cn * _eval(n, x.numerator, x.denominator) / (cd * dv)
-
     def __repr__(self) -> str:
         def side(p):
             return "+".join(

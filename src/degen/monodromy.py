@@ -8,6 +8,9 @@ otherwise.  Three maps act on it:
     d'' = -gamma:    (i, j, k) -> (i+1, j+1, k)     Gysin, level down
     N = identity:    (i, j, k) -> (i+2, j, k+1)     same level, shifted twist
 
+The sign rule of d' + d'' lives in ``_total_block`` (rho one level up,
+-gamma one level down); ``total_rows`` and ``build_C`` take blocks from it.
+
 For a fixed twist index "star", the degree-q slice along the diagonal
 (i, j) = (q - 2*star, q - dim_y) is a cochain complex under d' + d'' (the
 "total row"); N is a degree-zero chain map from the row at star to the row
@@ -30,9 +33,6 @@ __all__ = [
     "mapping_cone",
     "KComplex",
     "build_K",
-    "d_prime",
-    "d_doubleprime",
-    "n_op",
     "TwistRow",
     "total_rows",
     "cone_of_N",
@@ -156,13 +156,6 @@ class KComplex(_Record):
             return None
         return p, r
 
-    def piece_dim(self, i: int, j: int, k: int) -> int:
-        pl = self.codim_level(i, j, k)
-        if pl is None:
-            return 0
-        p, r = pl
-        return build_level(self.fibre, r, p).total
-
 
 def build_K(f: Fibre, bound: int | None = None) -> KComplex:
     """Bounded window of the double complex; default bound is dim_y + 2."""
@@ -173,38 +166,14 @@ def build_K(f: Fibre, bound: int | None = None) -> KComplex:
     return KComplex(f, bound)
 
 
-def _structure_map(kc: KComplex, at: tuple[int, int, int], shift: tuple[int, int, int], kind: str) -> Mat:
-    i, j, k = at
-    ti, tj, tk = i + shift[0], j + shift[1], k + shift[2]
-    src = kc.codim_level(i, j, k)
-    tgt = kc.codim_level(ti, tj, tk)
-    src_dim = kc.piece_dim(i, j, k)
-    tgt_dim = kc.piece_dim(ti, tj, tk)
-    if src is None or tgt is None or src_dim == 0 or tgt_dim == 0:
-        return Mat.zero(tgt_dim, src_dim)
-    p, r = src
-    if kind == "rho":
-        return rho(kc.fibre, r, p)
-    if kind == "gamma":
-        return gamma(kc.fibre, r, p).scale(-1)
-    if kind == "n":
-        return Mat.identity(src_dim)
-    raise AssertionError(kind)  # pragma: no cover
-
-
-def d_prime(kc: KComplex, at: tuple[int, int, int]) -> Mat:
-    """d' = rho: K^{i,j,k} -> K^{i+1,j+1,k+1}."""
-    return _structure_map(kc, at, (1, 1, 1), "rho")
-
-
-def d_doubleprime(kc: KComplex, at: tuple[int, int, int]) -> Mat:
-    """d'' = -gamma: K^{i,j,k} -> K^{i+1,j+1,k}."""
-    return _structure_map(kc, at, (1, 1, 0), "gamma")
-
-
-def n_op(kc: KComplex, at: tuple[int, int, int]) -> Mat:
-    """N = identity blocks: K^{i,j,k} -> K^{i+2,j,k+1}."""
-    return _structure_map(kc, at, (2, 0, 1), "n")
+def _total_block(f: Fibre, r: int, t: int, p: int) -> Mat | None:
+    """Block of d' + d'' from CH^p at level r to level t: rho one level up,
+    -gamma one level down, None (a zero block) otherwise."""
+    if t == r + 1:
+        return rho(f, r, p)
+    if t == r - 1:
+        return gamma(f, r, p).scale(-1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +235,9 @@ def total_rows(kc: KComplex, star: int) -> TwistRow:
         tgt = summands.get(q + 1, ())
         if not tgt:
             continue
-        grid = []
-        for tr, _ in tgt:
-            row = []
-            for sr, _ in src:
-                p = (q + 1 - sr) // 2
-                if tr == sr + 1:
-                    row.append(rho(f, sr, p))
-                elif tr == sr - 1:
-                    row.append(gamma(f, sr, p).scale(-1))
-                else:
-                    row.append(None)
-            grid.append(row)
+        grid = [
+            [_total_block(f, sr, tr, (q + 1 - sr) // 2) for sr, _ in src] for tr, _ in tgt
+        ]
         diffs[q] = Mat.block(
             grid, [d for _, d in tgt], [d for _, d in src]
         )
@@ -319,38 +279,28 @@ def build_C(f: Fibre, star: int) -> CochainComplex:
     Degrees m in [star, 2 star - 1] carry CH^{m-star}(Y^{(2 star - m)})
     with differential -gamma; from degree 2 star on it is CH^{star} of
     increasing levels with differential rho; the hinge between the two
-    branches is -i^*i_* on the first level.
+    branches is -i^*i_* on the first level.  Only levels 1..max_level
+    can be nonzero, so those are the ones visited, whatever star is.
     """
-    n = f.dim_y
+    top = f.max_level
+    # (degree, codim, level) in increasing degree: the -gamma branch walks
+    # the level down to 1 at degree 2 star - 1, the rho branch back up
+    spaces = [(2 * star - r, star - r, r) for r in range(min(star, top), 0, -1)]
+    if star >= 0:
+        spaces += [(2 * star + r - 1, star, r) for r in range(1, top + 1)]
     dims = {}
-    spaces = {}
-    lo = star
-    hi = 2 * star + n + 1
-    for m in range(lo, hi + 1):
-        if m <= 2 * star - 1:
-            p, r = m - star, 2 * star - m
-        else:
-            p, r = star, m - 2 * star + 1
-        if p < 0 or r < 1:
-            continue
+    for m, p, r in spaces:
         d = build_level(f, r, p).total
         if d:
             dims[m] = d
-        spaces[m] = (p, r, d)
     diffs = {}
-    for m in range(lo, hi):
-        if m not in spaces or (m + 1) not in spaces:
+    for (m, p, r), (_, _, t) in zip(spaces, spaces[1:]):
+        if m not in dims and m + 1 not in dims:
             continue
-        p, r, d = spaces[m]
-        _, _, d2 = spaces[m + 1]
-        if d == 0 and d2 == 0:
-            continue
-        if m <= 2 * star - 2:
-            diffs[m] = gamma(f, r, p).scale(-1)
-        elif m == 2 * star - 1:
+        if m == 2 * star - 1:
             diffs[m] = ii_map(f, star - 1).scale(-1)
         else:
-            diffs[m] = rho(f, r, p)
+            diffs[m] = _total_block(f, r, t, p)
     cx = CochainComplex(dims, diffs)
     cx.check()
     return cx
@@ -370,9 +320,9 @@ class QuasiIsoResult(_Record):
         return self.cone_cohomology == self.small_cohomology
 
 
-def check_quasi_iso(f: Fibre, q: int, star: int, bound: int | None = None) -> QuasiIsoResult:
+def check_quasi_iso(f: Fibre, q: int, star: int) -> QuasiIsoResult:
     """Compare cohomology of Cone(N) with the explicit small complex."""
-    kc = build_K(f, bound)
+    kc = build_K(f)
     cone = cone_of_N(total_rows(kc, star), total_rows(kc, star - 1))
     small = build_C(f, star)
     return QuasiIsoResult(

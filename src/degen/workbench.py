@@ -111,6 +111,11 @@ def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
+def _inconclusive(check: str, why: str) -> CheckReport:
+    """One-line report: the bundle cannot decide ``check``."""
+    return CheckReport((ReportLine(check, "-", INCONCLUSIVE, why),))
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -164,22 +169,16 @@ def _gap(b: Bundle) -> int:
     return b.params.q_coh - 2 * b.params.a
 
 
-def _reg_matrix(m: MotivicDatum | None) -> Mat | None:
-    if m is None or m.regulator is None:
-        return None
-    return m.regulator.matrix
+def _reg_matrix(m: MotivicDatum) -> Mat | None:
+    return m.regulator.matrix if m.regulator is not None else None
 
 
 def _run_A(b: Bundle, which: str) -> CheckReport:
     boundary = _gap(b) == 1
     if which == "A1" and boundary:
-        return CheckReport(
-            (ReportLine("A1", "-", INCONCLUSIVE, "boundary twist, statement is A2"),)
-        )
+        return _inconclusive("A1", "boundary twist, statement is A2")
     if which == "A2" and not boundary:
-        return CheckReport(
-            (ReportLine("A2", "-", INCONCLUSIVE, "non-boundary twist, statement is A1"),)
-        )
+        return _inconclusive("A2", "non-boundary twist, statement is A1")
     lines = []
     for name in sorted(b.fibres):
         f = b.fibres[name]
@@ -220,17 +219,57 @@ def _effective_global(g: GlobalL) -> tuple[RatFunc, Fraction]:
     return z, alpha
 
 
-def _scaled_leading(lead: LeadingValue, alpha: Fraction, field_q: int) -> LeadingValue | None:
-    """Multiply the coefficient by q^alpha; None when that leaves the rationals."""
+def _scaled_leading(b: Bundle, f: RatFunc, alpha: Fraction) -> LeadingValue | None:
+    """Leading value of f at s = params.a times q^alpha; None when that
+    leaves the rationals."""
+    qf = b.params.field_q
+    lead = leading_laurent(f, qf, b.params.a)
     if alpha == 0:
         return lead
     if alpha.denominator != 1:
         return None
     return LeadingValue(
         order=lead.order,
-        coeff=lead.coeff * Fraction(field_q) ** int(alpha),
+        coeff=lead.coeff * Fraction(qf) ** int(alpha),
         logpow=lead.logpow,
     )
+
+
+def _leading_line(check: str, lead: LeadingValue | None, verdict: str, note: str = "") -> ReportLine:
+    """The ``check`` line of a leading value; ``verdict`` applies only when
+    the value is rational."""
+    if lead is None:
+        return ReportLine(check, "-", INCONCLUSIVE, "conductor q-power is irrational")
+    return ReportLine(check, "-", verdict, lead.render(check) + note)
+
+
+def _motivic_rank(b: Bundle) -> int:
+    """Regulator columns summed over the marked places."""
+    return sum(m.regulator.matrix.cols for m in b.motivic.values() if m.regulator is not None)
+
+
+def _order_line(check: str, order: int, motivic_rank: int) -> ReportLine:
+    return ReportLine(
+        check, "-", _verdict(order == motivic_rank), f"ord={order} motivic_rank={motivic_rank}"
+    )
+
+
+def _pole_line(check: str, b: Bundle, lam: RatFunc, b_rank: int | None) -> ReportLine:
+    """The order of lam at the twist a + 1 against -b_rank."""
+    a1 = b.params.a + 1
+    order = ord_at(lam, b.params.field_q, a1)
+    return ReportLine(
+        check, "-", _verdict(b_rank is not None and order == -b_rank),
+        f"ord={order} at twist {a1}, b_rank={b_rank}",
+    )
+
+
+def _b_ranks(b: Bundle) -> list[int]:
+    """Distinct cycle-class ranks over the places, 0 for a place without one."""
+    return sorted({
+        m.cycle_class.b_rank if m.cycle_class is not None else 0
+        for m in b.motivic.values()
+    })
 
 
 def _fe_line(check: str, g: GlobalL, field_q: int) -> ReportLine:
@@ -253,7 +292,7 @@ def _stripped(b: Bundle) -> tuple[RatFunc, Fraction]:
     return strip_S(z, factors), alpha
 
 
-def _need_global(b: Bundle, check: str) -> list[ReportLine] | None:
+def _need_global(b: Bundle, check: str) -> CheckReport | None:
     missing = []
     if b.global_l is None:
         missing.append("global L-function")
@@ -262,54 +301,34 @@ def _need_global(b: Bundle, check: str) -> list[ReportLine] | None:
     if set(b.motivic) != set(b.fibres):
         missing.append("motivic data at every marked place")
     if missing:
-        return [ReportLine(check, "-", INCONCLUSIVE, "missing " + ", ".join(missing))]
+        return _inconclusive(check, "missing " + ", ".join(missing))
     return None
 
 
 def _run_B1(b: Bundle) -> CheckReport:
     if _gap(b) == 1:
-        return CheckReport(
-            (ReportLine("B1FF", "-", INCONCLUSIVE, "boundary twist, statement is B2FF"),)
-        )
+        return _inconclusive("B1FF", "boundary twist, statement is B2FF")
     short = _need_global(b, "B1FF")
     if short is not None:
-        return CheckReport(tuple(short))
+        return short
     assert b.global_l is not None
     a = b.params.a
     lam, alpha = _stripped(b)
-    names = sorted(b.fibres)
-    dims = {}
-    regs = {}
-    for name in names:
-        dims[name] = deligne_group(b.fibres[name], b.params.q_coh, a).dim
-        m = _reg_matrix(b.motivic[name])
-        regs[name] = m if m is not None else Mat.zero(dims[name], 0)
-    total_rank = sum(r.cols for r in regs.values())
-    total_dim = sum(dims.values())
-    order = ord_at(lam, b.params.field_q, a)
-    achieved = sum(rank(r) for r in regs.values())
-    lead = _scaled_leading(
-        leading_laurent(lam, b.params.field_q, a), alpha, b.params.field_q
+    total_dim = sum(
+        deligne_group(b.fibres[name], b.params.q_coh, a).dim for name in sorted(b.fibres)
     )
-    if lead is None:
-        leading_line = ReportLine(
-            "B1FF.leading", "-", INCONCLUSIVE, "conductor q-power is irrational"
-        )
-    else:
-        leading_line = ReportLine(
-            "B1FF.leading", "-", _verdict(lead.logpow == order), lead.render("B1FF.leading")
-        )
+    total_rank = _motivic_rank(b)
+    order = ord_at(lam, b.params.field_q, a)
+    achieved = sum(rank(m.regulator.matrix) for m in b.motivic.values() if m.regulator is not None)
+    lead = _scaled_leading(b, lam, alpha)
     lines = [
-        ReportLine(
-            "B1FF.order", "-", _verdict(order == total_rank),
-            f"ord={order} motivic_rank={total_rank}",
-        ),
+        _order_line("B1FF.order", order, total_rank),
         ReportLine(
             "B1FF.regulator", "-",
             _verdict(total_rank == total_dim and achieved == total_dim),
             f"rank={achieved} of {total_dim}x{total_rank}",
         ),
-        leading_line,
+        _leading_line("B1FF.leading", lead, _verdict(lead is not None and lead.logpow == order)),
         _fe_line("B1FF", b.global_l, b.params.field_q),
     ]
     return CheckReport(tuple(lines))
@@ -317,12 +336,10 @@ def _run_B1(b: Bundle) -> CheckReport:
 
 def _run_B2(b: Bundle) -> CheckReport:
     if _gap(b) != 1:
-        return CheckReport(
-            (ReportLine("B2FF", "-", INCONCLUSIVE, "non-boundary twist, statement is B1FF"),)
-        )
+        return _inconclusive("B2FF", "non-boundary twist, statement is B1FF")
     short = _need_global(b, "B2FF")
     if short is not None:
-        return CheckReport(tuple(short))
+        return short
     assert b.global_l is not None
     a = b.params.a
     lam, alpha = _stripped(b)
@@ -330,23 +347,17 @@ def _run_B2(b: Bundle) -> CheckReport:
 
     groups: dict[str, DeligneGroup] = {}
     regs: dict[str, Mat] = {}
-    zs: dict[str, Mat | None] = {}
-    b_ranks = []
+    ambient: dict[str, Mat] = {}  # regulator columns, then cycle-class columns
     for name in names:
         f = b.fibres[name]
-        g = deligne_group(f, b.params.q_coh, a)
-        groups[name] = g
+        g = groups[name] = deligne_group(f, b.params.q_coh, a)
         m = b.motivic[name]
         reg = _reg_matrix(m)
         regs[name] = reg if reg is not None else Mat.zero(g.ambient_dim, 0)
-        if m.cycle_class is not None:
-            zs[name] = z_map(f, a, m.cycle_class)
-            b_ranks.append(m.cycle_class.b_rank)
-        else:
-            zs[name] = None
-            b_ranks.append(0)
+        cycles = [z_map(f, a, m.cycle_class)] if m.cycle_class is not None else []
+        ambient[name] = Mat.hstack([regs[name], *cycles])
 
-    shared = sorted(set(b_ranks))
+    shared = _b_ranks(b)
     cycles_line = ReportLine(
         "B2FF.cycles", "-", _verdict(len(shared) == 1),
         f"b_rank={shared[0]}" if len(shared) == 1 else f"b_rank differs: {shared}",
@@ -354,26 +365,14 @@ def _run_B2(b: Bundle) -> CheckReport:
     b_rank = shared[0] if len(shared) == 1 else None
 
     order_a = ord_at(lam, b.params.field_q, a)
-    total_rank = sum(r.cols for r in regs.values())
-    order_pole = ord_at(lam, b.params.field_q, a + 1)
 
-    # quotient coordinates per place, then assemble the block matrix
-    total_dim = sum(g.dim for g in groups.values())
-    rows = []
-    in_kernel = True
+    coords: dict[str, list[Mat]] = {}  # quotient coordinates of each column
     for name in names:
-        g = groups[name]
-        blocks = [regs[name]]
-        if zs[name] is not None:
-            blocks.append(zs[name])
-        ambient = Mat.hstack(blocks)
-        coords = g.coords_in_quotient(ambient)
-        if coords is None:
-            in_kernel = False
+        c = groups[name].coords_in_quotient(ambient[name])
+        if c is None:
             break
-        reg_part = coords.columns()[: regs[name].cols]
-        z_part = coords.columns()[regs[name].cols:]
-        rows.append((reg_part, z_part))
+        coords[name] = c.columns()
+    in_kernel = len(coords) == len(names)
 
     if not in_kernel or b_rank is None:
         map_line = ReportLine(
@@ -385,54 +384,32 @@ def _run_B2(b: Bundle) -> CheckReport:
         # block-diagonal regulator columns, then the stacked cycle columns
         grid = []
         for i, name in enumerate(names):
-            reg_part, z_part = rows[i]
-            row_blocks = []
-            for k, other in enumerate(names):
-                width = regs[other].cols
-                if k == i:
-                    row_blocks.append(
-                        Mat.hstack(reg_part)
-                        if reg_part
-                        else Mat.zero(groups[name].dim, 0)
-                    )
-                else:
-                    row_blocks.append(Mat.zero(groups[name].dim, width))
-            row_blocks.append(
-                Mat.hstack(z_part) if z_part else Mat.zero(groups[name].dim, b_rank)
-            )
-            grid.append(Mat.hstack(row_blocks))
-        combined = Mat.vstack(grid)
-        square = combined.cols == total_dim
-        full = rank(combined) == total_dim
+            width = regs[name].cols
+            row: list[Mat | None] = [None] * (len(names) + 1)
+            if width:
+                row[i] = Mat.hstack(coords[name][:width])
+            if coords[name][width:]:
+                row[-1] = Mat.hstack(coords[name][width:])
+            grid.append(row)
+        combined = Mat.block(
+            grid,
+            [groups[name].dim for name in names],
+            [regs[name].cols for name in names] + [b_rank],
+        )
+        total_dim = sum(g.dim for g in groups.values())
+        achieved = rank(combined)
         map_line = ReportLine(
-            "B2FF.map", "-", _verdict(square and full),
-            f"rank={rank(combined)} of {combined.rows}x{combined.cols}",
+            "B2FF.map", "-", _verdict(combined.cols == total_dim and achieved == total_dim),
+            f"rank={achieved} of {combined.rows}x{combined.cols}",
         )
 
-    lead = _scaled_leading(
-        leading_laurent(lam, b.params.field_q, a), alpha, b.params.field_q
-    )
-    if lead is None:
-        leading_line = ReportLine(
-            "B2FF.leading", "-", INCONCLUSIVE, "conductor q-power is irrational"
-        )
-    else:
-        leading_line = ReportLine(
-            "B2FF.leading", "-", _verdict(lead.logpow == order_a), lead.render("B2FF.leading")
-        )
+    lead = _scaled_leading(b, lam, alpha)
     lines = [
-        ReportLine(
-            "B2FF.order_a", "-", _verdict(order_a == total_rank),
-            f"ord={order_a} motivic_rank={total_rank}",
-        ),
-        ReportLine(
-            "B2FF.order_pole", "-",
-            _verdict(b_rank is not None and order_pole == -b_rank),
-            f"ord={order_pole} at twist {a + 1}, b_rank={b_rank}",
-        ),
+        _order_line("B2FF.order_a", order_a, _motivic_rank(b)),
+        _pole_line("B2FF.order_pole", b, lam, b_rank),
         cycles_line,
         map_line,
-        leading_line,
+        _leading_line("B2FF.leading", lead, _verdict(lead is not None and lead.logpow == order_a)),
         _fe_line("B2FF", b.global_l, b.params.field_q),
     ]
     return CheckReport(tuple(lines))
@@ -441,46 +418,25 @@ def _run_B2(b: Bundle) -> CheckReport:
 def _run_C(b: Bundle) -> CheckReport:
     short = _need_global(b, "CFF")
     if short is not None:
-        return CheckReport(tuple(short))
+        return short
     if b.integral is None:
-        return CheckReport(
-            (ReportLine("CFF", "-", INCONCLUSIVE, "missing integral regulator"),)
-        )
+        return _inconclusive("CFF", "missing integral regulator")
     assert b.global_l is not None
     a = b.params.a
     qf = b.params.field_q
     lam, alpha = _stripped(b)
-    total_rank = sum(
-        (m.regulator.motivic_rank if m.regulator is not None else 0)
-        for m in b.motivic.values()
-    )
     order = ord_at(lam, qf, a)
-    lead = _scaled_leading(leading_laurent(lam, qf, a), alpha, qf)
+    lead = _scaled_leading(b, lam, alpha)
     ker, coker = integral_orders(b.integral)
 
-    lines = [
-        ReportLine(
-            "CFF.order", "-", _verdict(order == total_rank),
-            f"ord={order} motivic_rank={total_rank}",
-        )
-    ]
+    lines = [_order_line("CFF.order", order, _motivic_rank(b))]
     if _gap(b) == 1:
-        b_ranks = {
-            (m.cycle_class.b_rank if m.cycle_class is not None else 0)
-            for m in b.motivic.values()
-        }
+        b_ranks = _b_ranks(b)
         if len(b_ranks) == 1:
-            b_rank = b_ranks.pop()
-            order_pole = ord_at(lam, qf, a + 1)
-            lines.append(
-                ReportLine(
-                    "CFF.order_pole", "-", _verdict(order_pole == -b_rank),
-                    f"ord={order_pole} at twist {a + 1}, b_rank={b_rank}",
-                )
-            )
+            lines.append(_pole_line("CFF.order_pole", b, lam, b_ranks[0]))
         else:
             lines.append(
-                ReportLine("CFF.order_pole", "-", FAIL, f"b_rank differs: {sorted(b_ranks)}")
+                ReportLine("CFF.order_pole", "-", FAIL, f"b_rank differs: {b_ranks}")
             )
     if ker is None or coker is None:
         lines.append(
@@ -489,40 +445,18 @@ def _run_C(b: Bundle) -> CheckReport:
                 "integral kernel or cokernel is infinite",
             )
         )
-        lines.append(
-            ReportLine(
-                "CFF.leading", "-", INCONCLUSIVE,
-                lead.render("CFF.leading") if lead is not None
-                else "conductor q-power is irrational",
-            )
-        )
+        lines.append(_leading_line("CFF.leading", lead, INCONCLUSIVE))
     else:
         lines.append(
             ReportLine("CFF.orders", "-", PASS, f"kernel={ker} cokernel={coker}")
         )
         expected = Fraction(coker, ker)
-        if lead is None:
-            lines.append(
-                ReportLine(
-                    "CFF.leading", "-", INCONCLUSIVE, "conductor q-power is irrational"
-                )
-            )
-        else:
-            ok = abs(lead.coeff) == expected and lead.logpow == order
-            lines.append(
-                ReportLine(
-                    "CFF.leading", "-", _verdict(ok),
-                    f"{lead.render('CFF.leading')} vs cokernel/kernel={expected}",
-                )
-            )
-    z_eff, z_alpha = _effective_global(b.global_l)
-    zl = _scaled_leading(leading_laurent(z_eff, qf, a), z_alpha, qf)
-    if zl is None:
+        ok = lead is not None and abs(lead.coeff) == expected and lead.logpow == order
         lines.append(
-            ReportLine("Z.leading", "-", INCONCLUSIVE, "conductor q-power is irrational")
+            _leading_line("CFF.leading", lead, _verdict(ok), f" vs cokernel/kernel={expected}")
         )
-    else:
-        lines.append(ReportLine("Z.leading", "-", PASS, zl.render("Z.leading")))
+    z_eff, z_alpha = _effective_global(b.global_l)
+    lines.append(_leading_line("Z.leading", _scaled_leading(b, z_eff, z_alpha), PASS))
     return CheckReport(tuple(lines))
 
 

@@ -564,3 +564,49 @@ def random_known_complex(
     for k in degrees[:-1]:
         out_diffs[k] = ps[k + 1] * diffs[k] * p_invs[k]
     return dims, out_diffs, coh
+
+
+# ---------------------------------------------------------------------------
+# The small complex of ``monodromy.build_C`` built degree by degree: every
+# degree m in [star, 2 star + dim_y + 1] is visited, whatever the fibre's
+# levels.  ``build_C`` now walks the fibre's levels instead; this is the
+# reference it is compared against.
+
+
+def degree_walk_build_C(f, star: int):
+    from degen.monodromy import CochainComplex
+    from degen.strata import build_level, gamma, ii_map, rho
+
+    n = f.dim_y
+    dims = {}
+    spaces = {}
+    lo = star
+    hi = 2 * star + n + 1
+    for m in range(lo, hi + 1):
+        if m <= 2 * star - 1:
+            p, r = m - star, 2 * star - m
+        else:
+            p, r = star, m - 2 * star + 1
+        if p < 0 or r < 1:
+            continue
+        d = build_level(f, r, p).total
+        if d:
+            dims[m] = d
+        spaces[m] = (p, r, d)
+    diffs = {}
+    for m in range(lo, hi):
+        if m not in spaces or (m + 1) not in spaces:
+            continue
+        p, r, d = spaces[m]
+        _, _, d2 = spaces[m + 1]
+        if d == 0 and d2 == 0:
+            continue
+        if m <= 2 * star - 2:
+            diffs[m] = gamma(f, r, p).scale(-1)
+        elif m == 2 * star - 1:
+            diffs[m] = ii_map(f, star - 1).scale(-1)
+        else:
+            diffs[m] = rho(f, r, p)
+    cx = CochainComplex(dims, diffs)
+    cx.check()
+    return cx

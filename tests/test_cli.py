@@ -73,9 +73,10 @@ def test_exit_three_on_input_errors(tmp_path, capsys):
 
 def _bounded_rejection(tmp_path, data, argv, field):
     """Exit 3 naming ``field``, first in a child process that a hang cannot
-    outlast, then in-process well under a second."""
+    outlast, then in-process well under a second.  ``data`` is a bundle
+    object or the text of one."""
     path = tmp_path / "adversarial.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     proc = subprocess.run(
         [sys.executable, "-m", "degen", *argv, str(path)],
         capture_output=True, text=True, timeout=20,
@@ -127,6 +128,26 @@ def test_oversized_leading_value_is_rejected(tmp_path, capsys):
     assert "B1FF.leading" in capsys.readouterr().err
 
 
+def test_integer_literal_too_long_to_convert_is_named(tmp_path, capsys):
+    # json.dumps cannot write such an integer either, so splice it in as text
+    big = "1" + "0" * 4400
+    sites = (
+        (("params", "field_q"), "params.field_q"),
+        (("motivic", "infty", "cycle_class", "xi", "entries", 0),
+         "motivic.infty.cycle_class.xi.entries[0]"),
+        (("integral", "source", "relations", 0, 0), "integral.source.relations[0][0]"),
+    )
+    for keys, field in sites:
+        data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "@BIG@"
+        text = json.dumps(data).replace('"@BIG@"', big)
+        _bounded_rejection(tmp_path, text, ["validate"], field)
+        assert "4401 digits" in capsys.readouterr().err
+
+
 def test_huge_twist_override_is_rejected(tmp_path, capsys):
     data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
     _bounded_rejection(tmp_path, data, ["dim-theorem", "--a", "-10000000"], "--a")
@@ -155,6 +176,21 @@ def test_field_size_past_the_limit_is_rejected(tmp_path, capsys):
     data["fibres"]["infty"]["q_v"] = 2**89 - 1
     _bounded_rejection(tmp_path, data, ["validate"], "fibres.infty")
     assert "2^64" in capsys.readouterr().err
+
+
+def test_star_far_from_the_levels_is_quick(tmp_path, capsys):
+    # the complexes are empty there; their cost must not grow with |star|
+    f = write_example(tmp_path, "ngon")
+    for command in ("complex", "quasi-iso"):
+        argv = [command, str(f), "--star", "10000000000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "degen", *argv], capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
 
 
 def test_tsv_is_four_tab_separated_fields(tmp_path, capsys):

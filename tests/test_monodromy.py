@@ -10,58 +10,126 @@ from degen.monodromy import (
     check_quasi_iso,
     cohomology_dims,
     cone_of_N,
-    d_doubleprime,
-    d_prime,
     euler_characteristic,
     mapping_cone,
-    n_op,
     total_rows,
 )
 from degen.qlinalg import Mat
-from degen.strata import gamma, generator_ngon, generator_smooth, rho
-from fixtures import simplex_surface
-from oracles import random_known_complex
+from degen.strata import build_level, gamma, generator_ngon, generator_smooth, rho
+from fixtures import conjugated, simplex_surface, tensored
+from oracles import degree_walk_build_C, random_known_complex
 
 
 def triangle():
     return generator_ngon(3, 5)
 
 
+def fixture_fibres():
+    """n-gons, the surface fixture with tensored and conjugated copies,
+    and smooth fibres."""
+    rng = random.Random(5)
+    return [
+        *(generator_ngon(n, 3) for n in range(2, 7)),
+        simplex_surface(),
+        tensored(simplex_surface(), 2),
+        conjugated(simplex_surface(), rng),
+        conjugated(tensored(generator_ngon(4, 2), 2), rng),
+        generator_smooth({(0, 0): 1, (1, 0): 1}, dim_y=1, q_v=3),
+        generator_smooth({(0, 0): 1, (1, 0): 2, (2, 0): 1}, dim_y=2, q_v=4),
+    ]
+
+
+def piece_dim(kc, i, j, k):
+    """dim K^{i,j,k}: CH^p at level r for (p, r) = codim_level, else 0."""
+    pl = kc.codim_level(i, j, k)
+    if pl is None:
+        return 0
+    p, r = pl
+    return build_level(kc.fibre, r, p).total
+
+
+def sub_block(m, r0, rows, c0, cols):
+    return Mat.from_rows(
+        [row[c0 : c0 + cols] for row in m.entries[r0 : r0 + rows]], cols=cols
+    )
+
+
+def row_blocks(f, star):
+    """(source level, target level, codim, block) for every level block of
+    every differential of the total row at star."""
+    row = total_rows(build_K(f), star)
+    for q, d in sorted(row.complex.diffs.items()):
+        r0 = 0
+        for tr, td in row.levels_at(q + 1):
+            c0 = 0
+            for sr, sd in row.levels_at(q):
+                yield sr, tr, (q + 1 - sr) // 2, sub_block(d, r0, td, c0, sd)
+                c0 += sd
+            r0 += td
+
+
 class TestKPieces:
     def test_piece_dims(self):
         kc = build_K(triangle())
-        assert kc.piece_dim(-1, 0, 0) == 3  # CH^0 of the three nodes
-        assert kc.piece_dim(0, 1, 0) == 3   # CH^1 of the three components
-        assert kc.piece_dim(0, -1, 0) == 3  # CH^0 of the three components
-        assert kc.piece_dim(2, 1, 1) == 0   # killed by the side condition
-        assert kc.piece_dim(-1, -1, 0) == 0  # parity fails
+        assert piece_dim(kc, -1, 0, 0) == 3  # CH^0 of the three nodes
+        assert piece_dim(kc, 0, 1, 0) == 3   # CH^1 of the three components
+        assert piece_dim(kc, 0, -1, 0) == 3  # CH^0 of the three components
+        assert kc.codim_level(-1, 0, 0) == (0, 2)
+        assert kc.codim_level(0, 1, 0) == (1, 1)
+        assert kc.codim_level(2, 1, 1) is None   # killed by the side condition
+        assert kc.codim_level(-1, -1, 0) is None  # parity fails
 
     def test_side_condition_shapes(self):
         kc = build_K(triangle())
-        # source CH^0(Y^(2)) is alive, target is cut off: zero-row matrix
-        d2 = d_doubleprime(kc, (1, 0, 1))
-        assert (d2.rows, d2.cols) == (0, 3)
+        # the source CH^0(Y^(2)) of d'' at (1, 0, 1) is alive, its target
+        # (2, 1, 1) is cut off by k >= i
+        assert kc.codim_level(1, 0, 1) == (0, 2)
+        assert piece_dim(kc, 1, 0, 1) == 3
+        assert kc.codim_level(2, 1, 1) is None
 
     def test_d_doubleprime_is_minus_gamma(self):
-        f = triangle()
-        kc = build_K(f)
-        d2 = d_doubleprime(kc, (-1, 0, 0))
-        assert d2 == gamma(f, 2, 0).scale(-1)
+        seen = 0
+        for f in fixture_fibres():
+            for star in range(-1, f.dim_y + 3):
+                for sr, tr, p, blk in row_blocks(f, star):
+                    if tr == sr - 1:
+                        assert blk == gamma(f, sr, p).scale(-1), (star, sr, p)
+                        seen += not blk.is_zero()
+        assert seen
 
     def test_d_prime_is_rho(self):
-        f = triangle()
-        kc = build_K(f)
-        d1 = d_prime(kc, (0, -1, 0))
-        assert d1 == rho(f, 1, 0)
+        seen = 0
+        for f in fixture_fibres():
+            for star in range(-1, f.dim_y + 3):
+                for sr, tr, p, blk in row_blocks(f, star):
+                    if tr == sr + 1:
+                        assert blk == rho(f, sr, p), (star, sr, p)
+                        seen += not blk.is_zero()
+                    elif tr != sr - 1:
+                        assert blk.is_zero(), (star, sr, tr, p)
+        assert seen
+
+    def test_total_rows_square_to_zero(self):
+        for f in fixture_fibres():
+            for star in range(-2, f.dim_y + 4):
+                cx = total_rows(build_K(f), star).complex
+                for q in cx.support():
+                    assert (cx.diff(q + 1) * cx.diff(q)).is_zero(), (star, q)
 
     def test_n_is_identity_block(self):
         kc = build_K(triangle())
-        n = n_op(kc, (-1, 0, 0))
-        assert n == Mat.identity(3)
+        cone = cone_of_N(total_rows(kc, 1), total_rows(kc, 0))
+        # Cone^1 = A^1 + B^0 -> Cone^2 = A^2 + B^1; N: A^1 -> B^1 is the
+        # lower-left block, the identity on CH^0 of the three nodes
+        d = cone.diff(1)
+        assert (d.rows, d.cols) == (6, 6)
+        assert sub_block(d, 3, 3, 0, 3) == Mat.identity(3)
 
     def test_bound_clips(self):
+        assert build_K(triangle()).codim_level(-1, 0, 0) is not None
         kc = build_K(triangle(), bound=0)
-        assert kc.piece_dim(-1, 0, 0) == 0
+        assert kc.codim_level(-1, 0, 0) is None
+        assert piece_dim(kc, -1, 0, 0) == 0
 
 
 class TestRowsAndCone:
@@ -99,6 +167,15 @@ class TestRowsAndCone:
 
 
 class TestSmallComplex:
+    def test_build_C_matches_degree_walk(self):
+        for f in fixture_fibres():
+            for star in range(-4, 9):
+                got, want = build_C(f, star), degree_walk_build_C(f, star)
+                assert got.dims == want.dims, star
+                assert cohomology_dims(got) == cohomology_dims(want), star
+                nonempty = {q: d for q, d in want.diffs.items() if d.rows and d.cols}
+                assert {q: d for q, d in got.diffs.items() if d.rows and d.cols} == nonempty
+
     def test_triangle_tate_small_complex(self):
         f = triangle()
         c = build_C(f, 1)
