@@ -15,6 +15,9 @@ exponents of q, may not exceed MAX_TWIST in magnitude, and field sizes
 (params.field_q, each q_v) may not exceed strata.MAX_PRIME_POWER.  A
 JSON integer literal may not have more digits than Python converts to an
 int (4300 by default); such a literal is named by its path in the file.
+The generator count of each group of the integral regulator may not
+exceed MAX_GENERATORS, checked before any row is built, and a file nested
+past Python's recursion limit is rejected as too deeply nested.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -47,6 +50,7 @@ __all__ = [
     "save",
     "dumps",
     "MAX_DECIMAL_EXPONENT",
+    "MAX_GENERATORS",
     "MAX_TWIST",
 ]
 
@@ -56,6 +60,10 @@ MAX_DECIMAL_EXPONENT = 1000
 # Largest |params.a| and |params.q_coh|: t0 = q^{-a} and the twists built
 # from them are exact numbers whose size grows with these exponents.
 MAX_TWIST = 1000
+
+# Largest generator count of a group in the integral regulator: with empty
+# relations the parser builds one row per generator.
+MAX_GENERATORS = 10_000
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -131,6 +139,9 @@ def _number(value, where: str) -> int | Fraction:
     raise BundleError(f"{where}: expected a rational as string or integer")
 
 
+_TOO_DEEP = "not valid JSON: nested too deeply"
+
+
 class _Digits(int):
     """Digit count standing in for an integer literal too long for int()."""
 
@@ -150,6 +161,8 @@ def _long_literal_error(text: str) -> BundleError:
         stack = [("", json.loads(text, parse_int=keep))]
     except json.JSONDecodeError as exc:  # malformed past the long literal
         return BundleError(f"not valid JSON: {exc}")
+    except RecursionError:
+        return BundleError(_TOO_DEEP)
     while stack:
         where, node = stack.pop()
         if isinstance(node, _Digits):
@@ -404,6 +417,8 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
 
 def _parse_group(obj, where: str, strict: bool) -> FPAbelianGroup:
     got = _expect(obj, {"generators": "int", "relations": "list"}, {}, where, strict)
+    if not 0 <= got["generators"] <= MAX_GENERATORS:
+        raise BundleError(f"{where}.generators: must be between 0 and {MAX_GENERATORS}")
     rows = _int_rows(got["relations"], f"{where}.relations")
     if not rows:
         rows = [[] for _ in range(got["generators"])]
@@ -417,6 +432,8 @@ def loads(text: str, strict: bool = True) -> Bundle:
         raise BundleError(f"not valid JSON: {exc}") from exc
     except ValueError:  # an integer literal longer than int() converts
         raise _long_literal_error(text) from None
+    except RecursionError:
+        raise BundleError(_TOO_DEEP) from None
 
     top = _expect(
         data,

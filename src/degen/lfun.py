@@ -228,17 +228,32 @@ class FunctionalEquation(_Record):
 
 
 def _char_poly_det(frob: Mat) -> list[Fraction]:
-    """Coefficients of det(I - frob * u), ascending in u (Faddeev-LeVerrier)."""
+    """Coefficients of det(I - frob * u), ascending in u (Faddeev-LeVerrier).
+
+    With frob = N / den for the integer numerator N, the k-th coefficient
+    is c_k(N) / den^k.  Faddeev-LeVerrier on N stays in the integers:
+    M_k = N (M_{k-1} + c_{k-1} I) and c_k = -tr(M_k) / k, a division that is
+    exact because N's characteristic polynomial has integer coefficients.
+    """
     n = frob.rows
     if frob.cols != n:
         raise ValueError("Frobenius matrix must be square")
     coeffs = [Fraction(1)]
-    m = Mat.zero(n, n)
-    c = Fraction(1)
+    m = [[0] * n for _ in range(n)]
+    c = scale = 1
     for k in range(1, n + 1):
-        m = frob * (m + Mat.identity(n).scale(c))
-        c = -Fraction(sum(m.entries[i][i] for i in range(n)), k)
-        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+        prod = []
+        for row in frob._data:
+            acc = [0] * n
+            for j, x in row:
+                acc = [a + x * y for a, y in zip(acc, m[j])]
+            prod.append(acc)
+        m = prod
+        c = -sum(m[i][i] for i in range(n)) // k
+        scale *= frob._den
+        coeffs.append(Fraction(c, scale))
     return coeffs
 
 

@@ -21,11 +21,13 @@ row space allows.  The reduced row echelon form of a matrix is unique,
 so every basis and every coordinate system read off it is canonical:
 the same input always yields the identical output object.
 
-Integer matrices (plain nested lists/tuples of int) get a Smith normal
-form with unimodular transforms, and on top of that finitely presented
-abelian groups with exact kernel and cokernel orders for maps between
-them.  Orders are returned as ``int`` when finite and ``None`` when the
-group has positive rank.
+Integer matrices (plain nested lists/tuples of int) get the diagonal of
+their Smith normal form, from one Bareiss elimination and, unless its
+modulus is 1, one diagonalisation modulo a minor; no unimodular transform
+is built.  On top of that sit finitely presented abelian groups with exact
+kernel and cokernel orders for maps between them, read off elementary
+divisors alone.  Orders are returned as ``int`` when finite and ``None``
+when the group has positive rank.
 """
 
 from __future__ import annotations
@@ -265,10 +267,6 @@ class Mat(_Record):
         return Mat(n, n, 1, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
-    def column(values: Sequence) -> "Mat":
-        return Mat.from_rows([[v] for v in values], cols=1)
-
-    @staticmethod
     def hstack(blocks: Sequence["Mat"]) -> "Mat":
         blocks = list(blocks)
         if not blocks:
@@ -373,18 +371,6 @@ class Mat(_Record):
                 cols[j].append((i, x))
         return Mat(self.cols, self.rows, self._den, tuple(map(tuple, cols)))
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
-        out = [Fraction(0)] * self.rows
-        for i, row in enumerate(self._data):
-            for k, x in row:
-                if k >= j:
-                    if k == j:
-                        out[i] = Fraction(x, self._den)
-                    break
-        return tuple(out)
-
     def columns(self) -> list["Mat"]:
         out = []
         for col in self.transpose()._data:
@@ -396,15 +382,6 @@ class Mat(_Record):
 
     def is_zero(self) -> bool:
         return not any(self._data)
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        """Multiply onto a plain vector, returning a plain tuple."""
-        v = [_frac(x) for x in vec]
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            Fraction(sum(x * v[j] for j, x in row), self._den) for row in self._data
-        )
 
     def __repr__(self) -> str:  # compact, for test failure messages
         if self.rows == 0 or self.cols == 0:
@@ -587,7 +564,7 @@ IntRows = tuple[tuple[int, ...], ...]
 class SmithForm(_Record):
     """d = u @ a @ v with u, v unimodular and d diagonal, d_1 | d_2 | ...
 
-    A transform the caller did not ask for is the empty tuple.
+    ``smith_normal_form`` computes d alone; its u and v are the empty tuple.
     """
 
     __slots__ = _fields = ("u", "d", "v")
@@ -605,105 +582,231 @@ class SmithForm(_Record):
         return sum(1 for x in self.diag if x != 0)
 
 
-def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _bareiss(m: list[list[int]], cols: int) -> tuple[int, list[int], list[int]]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Columns are taken left to right, and a column's pivot is its entry of
+    least magnitude among the remaining rows.  After k pivots, remaining
+    entry (i, j) is the (k+1)-minor on the pivot rows and row i and on the
+    pivot columns and column j.  Returns (modulus, pivot rows, pivot
+    columns); the rank r is the number of pivots.  The modulus is the gcd of
+    the last pivot row, whose entries are r-minors (the last pivot among
+    them), so it is nonzero and d_1 * ... * d_r of the Smith form divides
+    it.  It is 1 when r = 0.
+    """
+    rows = [(i, row) for i, row in enumerate(m) if any(row)]
+    prev = modulus = 1
+    prows: list[int] = []
+    pcols: list[int] = []
+    for c in range(cols):
+        # each remaining row holds its columns from c on; earlier ones are zero
+        if not rows:
+            break
+        hits = [k for k, (_, row) in enumerate(rows) if row[0]]
+        if not hits:
+            rows = [(i, row[1:]) for i, row in rows]
+            continue
+        i0, top = rows.pop(min(hits, key=lambda k: abs(rows[k][1][0])))
+        p, tail = top[0], top[1:]
+        modulus = gcd(*top)
+        step = []
+        for i, row in rows:
+            x = row[0]
+            if x:
+                new = [(p * y - x * z) // prev for y, z in zip(row[1:], tail)]
+            elif p == prev:
+                new = row[1:]
+            else:
+                new = [p * y // prev for y in row[1:]]
+            if any(new):
+                step.append((i, new))
+        rows, prev = step, p
+        prows.append(i0)
+        pcols.append(c)
+    return modulus, prows, pcols
 
 
-def smith_normal_form(a, *, _keep: str = "uv") -> SmithForm:
-    """Smith normal form by elementary row/column operations.
+def _diagonal_mod(m: list[list[int]], mod: int) -> list[int]:
+    """gcd(e, mod) for the entries e of a diagonal form of m over Z/mod,
+    leaving out those that are 0 mod ``mod``.
 
-    Deterministic: the pivot is the smallest-magnitude nonzero entry of
-    the remaining block, earliest position on ties.  The divisibility
-    chain is enforced inside the main loop: a pivot is only accepted once
-    it divides every entry of the remaining block.
+    Every entry is kept reduced mod ``mod``.  A column's pivot is its entry
+    sharing the least factor with mod; a unit pivot is scaled to 1 and
+    clears its column by row subtractions alone.  Otherwise extended-gcd
+    steps on two rows, or on two columns, replace the pivot by a proper
+    divisor until it divides its row and its column.
+    """
+    out = []
+    rows = [r for r in ([x % mod for x in row] for row in m) if any(r)]
+    while rows:
+        # each remaining row holds the columns from the current one on
+        hits = [i for i, row in enumerate(rows) if row[0]]
+        if not hits:
+            rows = [row[1:] for row in rows]
+            continue
+        top = rows.pop(min(hits, key=lambda i: gcd(rows[i][0], mod)))
+        if gcd(top[0], mod) == 1:
+            inv = pow(top[0], -1, mod)
+            top = [x * inv % mod for x in top]
+        while True:
+            p = top[0]
+            for i, row in enumerate(rows):
+                x = row[0]
+                if not x:
+                    continue
+                if x % p == 0:
+                    f = x // p
+                    rows[i] = [(y - f * z) % mod for y, z in zip(row, top)]
+                else:
+                    g, s, t = _xgcd(p, x)
+                    pg, xg = p // g, x // g
+                    rows[i] = [(pg * y - xg * z) % mod for y, z in zip(row, top)]
+                    top = [(s * z + t * y) % mod for y, z in zip(row, top)]
+                    p = g
+            j = next((j for j, x in enumerate(top) if x % p), None)
+            if j is None:
+                break
+            # columns 0 and j: put gcd(p, top[j]) at the pivot, 0 at top[j]
+            x = top[j]
+            g, s, t = _xgcd(p, x)
+            pg, xg = p // g, x // g
+            for row in (top, *rows):
+                y, z = row[0], row[j]
+                row[0], row[j] = (s * y + t * z) % mod, (pg * z - xg * y) % mod
+        out.append(gcd(p, mod))
+        rows = [row[1:] for row in rows if any(row)]
+    return out
 
-    ``_keep`` names the transforms to accumulate ("u", "v", both or
-    neither); callers in this module ask only for what they read, since
-    the transforms' entries grow far beyond those of d.
+
+def _divisor_chain(xs: list[int]) -> list[int]:
+    """The diagonal d_1 | d_2 | ... of the Smith form of diag(xs), xs > 0."""
+    ones = [x for x in xs if x == 1]
+    rest = [x for x in xs if x != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return ones + rest
+
+
+def smith_normal_form(a) -> SmithForm:
+    """Smith normal form of an integer matrix, without the transforms.
+
+    One Bareiss elimination gives the rank r and a nonzero modulus D that
+    d_1 * ... * d_r divides.  When D = 1 every d_i is 1.  Otherwise the
+    matrix is diagonalised over Z/D; there the invariant factors are
+    gcd(d_i, D), which is d_i for i <= r because d_i | d_r | D, so the
+    divisor chain of the diagonal's gcds with D gives d_1, ..., d_r
+    (Domich, Kannan and Trotter, "Hermite normal form computation using
+    modulo determinant arithmetic", 1987).
     """
     m = _as_int_matrix(a)
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    u = _identity_rows(nr) if "u" in _keep else None
-    v = _identity_rows(nc) if "v" in _keep else None
+    nr, nc = len(m), len(m[0]) if m else 0
+    modulus, prows, _ = _bareiss(m, nc)
+    r = len(prows)
+    if modulus == 1:
+        divisors = [1] * r
+    else:
+        found = _diagonal_mod(m, modulus)
+        divisors = _divisor_chain(found + [modulus] * (r - len(found)))[:r]
+    d = [[0] * nc for _ in range(nr)]
+    for i, x in enumerate(divisors):
+        d[i][i] = x
+    return SmithForm((), tuple(map(tuple, d)), ())
 
-    def row_op(i, j, f):  # row i -= f * row j
-        m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-        if u is not None:
-            u[i] = [x - f * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, f):  # col i -= f * col j
-        for row in m if v is None else m + v:
-            row[i] -= f * row[j]
+def _rank_and_index(m) -> tuple[int, int]:
+    """Rank of an integer matrix and the product of its nonzero elementary
+    divisors, which is the index of its column lattice in the saturation."""
+    diag = smith_normal_form(m).diag
+    index = 1
+    for x in diag:
+        if x:
+            index *= x
+    return sum(1 for x in diag if x), index
 
-    def swap_rows(i, j):
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            if u is not None:
-                u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in m if v is None else m + v:
-                row[i], row[j] = row[j], row[i]
+def _hermite_mod(gens: list[list[int]], e: int, mod: int) -> list[list[int]]:
+    """A lower triangular basis, as columns, of the lattice in Z^e spanned
+    by ``gens``, which must contain mod * Z^e.
 
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = abs(m[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        dirty = False
-        for i in range(t + 1, nr):
-            if m[i][t]:
-                row_op(i, t, m[i][t] // m[t][t])
-                if m[i][t]:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if m[t][j]:
-                col_op(j, t, m[t][j] // m[t][t])
-                if m[t][j]:
-                    dirty = True
-        if dirty:
-            continue  # nonzero remainders are smaller than the pivot; re-pick
-        # pivot must divide the rest of the block for the divisor chain
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row in and redo
-            continue
-        t += 1
+    Hermite normal form modulo the determinant (Domich, Kannan and
+    Trotter 1987; Cohen, "A Course in Computational Algebraic Number
+    Theory", Algorithm 2.4.8), row by row from the top: extended-gcd steps
+    gather row i of the generators into one column, whose gcd g with the
+    running modulus R is the diagonal entry.  The lattice's part below row
+    i then contains (R/g) Z^(e-i-1), so R becomes R/g and every entry stays
+    reduced modulo it.
+    """
+    basis = []
+    work = [c for c in ([x % mod for x in g] for g in gens) if any(c)]
+    for i in range(e):
+        piv = None
+        rest = []
+        for col in work:
+            if not col[i]:
+                rest.append(col)
+            elif piv is None:
+                piv = col
+            else:
+                a, b = piv[i], col[i]
+                g, s, t = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                other = [(ag * y - bg * x) % mod for x, y in zip(piv, col)]
+                piv = [(s * x + t * y) % mod for x, y in zip(piv, col)]
+                if any(other):
+                    rest.append(other)
+        g, s, _ = _xgcd(piv[i] if piv else 0, mod)
+        h = [s * x % mod for x in piv] if piv else [0] * e
+        h[i] = g
+        basis.append(h)
+        mod //= g
+        work = [c for c in ([x % mod for x in col] for col in rest) if any(c)]
+    return basis
 
-    for i in range(min(nr, nc)):
-        if m[i][i] < 0:
-            for row in m if v is None else m + v:
-                row[i] = -row[i]
 
-    return SmithForm(
-        tuple(tuple(r) for r in u or ()),
-        tuple(tuple(r) for r in m),
-        tuple(tuple(r) for r in v or ()),
-    )
+def _int_rows(m: Mat) -> list[list[int]]:
+    """Dense integer rows of a Mat with integer entries."""
+    if m._den != 1:
+        raise ValueError("not an integer matrix")
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for row, data in zip(out, m._data):
+        for j, x in data:
+            row[j] = x
+    return out
+
+
+def _relation_basis(rel: list[list[int]], cols: int) -> list[list[int]]:
+    """A matrix whose columns are a Z-basis of the lattice spanned by the
+    ``cols`` columns of ``rel``: ``rel`` itself when they are independent.
+
+    Otherwise take the Hermite basis, modulo the ``_bareiss`` modulus, of
+    the lattice on the pivot rows I, where the projection is injective, and
+    lift it back through rel[:, P] rel[I, P]^-1 (P the pivot columns).
+    """
+    modulus, prows, pcols = _bareiss(rel, cols)
+    e = len(pcols)
+    if e == cols:
+        return rel
+    prows.sort()
+    h = _hermite_mod([list(c) for c in zip(*(rel[i] for i in prows))], e, modulus)
+    hrows = [list(r) for r in zip(*h)]
+    if e == len(rel):
+        return hrows
+    square = Mat.from_rows([[rel[i][j] for j in pcols] for i in prows], cols=e)
+    coords = solve(square, Mat.from_rows(hrows, cols=e))
+    return _int_rows(Mat.from_rows([[row[j] for j in pcols] for row in rel], cols=e) * coords)
 
 
 class FPAbelianGroup(_Record):
@@ -730,56 +833,8 @@ class FPAbelianGroup(_Record):
 
     def order(self) -> int | None:
         """Group order, or None when the rank is positive."""
-        if self.generators == 0:
-            return 1
-        sf = smith_normal_form(self.relations, _keep="")
-        if sf.rank < self.generators:
-            return None
-        out = 1
-        for x in sf.diag[: self.generators]:
-            out *= x
-        return out
-
-
-def _lattice_basis(gens: list[list[int]]) -> list[list[int]]:
-    """Columns forming a Z-basis of the column lattice of ``gens``."""
-    if not gens:
-        return []
-    sf = smith_normal_form(gens, _keep="v")
-    # gens @ v has columns u_inv @ d; nonzero ones are independent
-    gv = _imat_mul(gens, [list(r) for r in sf.v])
-    cols = []
-    for j in range(len(gv[0]) if gv else 0):
-        col = [gv[i][j] for i in range(len(gv))]
-        if any(col):
-            cols.append(col)
-    return [list(r) for r in zip(*cols)] if cols else [[] for _ in gens]
-
-
-def _quotient_order_of_lattices(big: list[list[int]], small: list[list[int]]) -> int | None:
-    """Order of (lattice spanned by big) / (lattice spanned by small).
-
-    Assumes the small lattice is contained in the big one.
-    """
-    basis = _lattice_basis(big)
-    nb = len(basis[0]) if basis and basis[0] else 0
-    if nb == 0:
-        return 1
-    bmat = Mat.from_rows(basis, cols=nb)
-    smat = Mat.from_rows(small, cols=len(small[0]) if small else 0)
-    coeff = solve(bmat, smat)
-    if coeff is None:
-        raise ValueError("small lattice not contained in big lattice")
-    coeff_int = [[int(x) if x.denominator == 1 else None for x in row] for row in coeff.entries]
-    if any(x is None for row in coeff_int for x in row):
-        raise ValueError("small lattice not contained in big lattice")
-    sf = smith_normal_form(coeff_int, _keep="")
-    if sf.rank < nb:
-        return None
-    out = 1
-    for x in sf.diag[:nb]:
-        out *= x
-    return out
+        r, index = _rank_and_index(self.relations)
+        return index if r == self.generators else None
 
 
 class AbGroupMap(_Record):
@@ -799,100 +854,54 @@ class AbGroupMap(_Record):
             raise ValueError("matrix does not send source relations into target relations")
         return f
 
+    def _image_of_relations(self) -> list[list[int]]:
+        """M R_source, as integer rows."""
+        cols = list(zip(*self.source.relations))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.matrix]
+
     def _compatible(self) -> bool:
+        """The lattice of the target relations contains M R_source exactly
+        when adding those columns changes neither its rank nor its index."""
         if self.source.relation_count == 0:
             return True
-        img = _imat_mul([list(r) for r in self.matrix], [list(r) for r in self.source.relations])
-        tg = self.target
-        for j in range(len(img[0]) if img else 0):
-            col = [[img[i][j]] for i in range(len(img))]
-            if not _column_in_lattice(col, [list(r) for r in tg.relations], tg.generators):
-                return False
-        return True
-
-
-def _column_in_lattice(col: list[list[int]], rel: list[list[int]], n: int) -> bool:
-    if n == 0:
-        return True
-    if not rel or not rel[0]:
-        return all(c[0] == 0 for c in col)
-    sf = smith_normal_form(rel, _keep="u")
-    uc = _imat_mul([list(r) for r in sf.u], col)
-    diag = sf.diag
-    for i in range(n):
-        x = uc[i][0]
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if x != 0:
-                return False
-        elif x % d != 0:
-            return False
-    return True
-
-
-def _target_smith(f: AbGroupMap, keep: str) -> SmithForm | None:
-    """Smith form of [M | R_target], or None when the target has no generators.
-
-    Its columns span im(f) + target relations, and its integer kernel
-    projects onto the preimage of the target relations.
-    """
-    if f.target.generators == 0:
-        return None
-    rb = [list(r) for r in f.target.relations]
-    stacked = [list(row) + (rb[i] if rb else []) for i, row in enumerate(f.matrix)]
-    return smith_normal_form(stacked, _keep=keep)
-
-
-def _kernel_order(f: AbGroupMap, sf: SmithForm | None) -> int | None:
-    """ker(f) = K / source relations, K read off the v of ``_target_smith``."""
-    ga = f.source.generators
-    if ga == 0:
-        return 1
-    if sf is None:  # everything maps to 0; K is all of Z^ga
-        kgens = _identity_rows(ga)
-    else:
-        width = len(sf.v)
-        diag = sf.diag
-        kcols = [
-            [row[j] for row in sf.v]
-            for j in range(width)
-            if j >= len(diag) or diag[j] == 0
-        ]
-        kgens = [[c[i] for c in kcols] for i in range(ga)]
-    return _quotient_order_of_lattices(kgens, [list(r) for r in f.source.relations])
-
-
-def _cokernel_order(f: AbGroupMap, sf: SmithForm | None) -> int | None:
-    """coker(f) = target / (image + target relations), from the diagonal."""
-    gb = f.target.generators
-    if sf is None:
-        return 1
-    if sf.rank < gb:
-        return None
-    out = 1
-    for x in sf.diag[:gb]:
-        out *= x
-    return out
+        rel = [list(r) for r in self.target.relations]
+        image = self._image_of_relations()
+        return _rank_and_index(rel) == _rank_and_index([r + i for r, i in zip(rel, image)])
 
 
 def kernel_order(f: AbGroupMap) -> int | None:
-    """Exact order of ker(f), or None when the kernel has positive rank.
-
-    The preimage lattice K = { x : M x lies in the target relation lattice }
-    is the x-projection of the integer kernel of [M | R_target]; the kernel
-    of f is K modulo the source relation lattice.
-    """
-    if f.source.generators == 0:
-        return 1
-    return _kernel_order(f, _target_smith(f, "v"))
+    """Exact order of ker(f), or None when the kernel has positive rank."""
+    return kernel_cokernel_orders(f)[0]
 
 
 def cokernel_order(f: AbGroupMap) -> int | None:
-    """Exact order of coker(f) = target / (image + target relations)."""
-    return _cokernel_order(f, _target_smith(f, ""))
+    """Exact order of coker(f) = target / (image + target relations), or
+    None when it has positive rank."""
+    return kernel_cokernel_orders(f)[1]
 
 
 def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
-    """(kernel_order(f), cokernel_order(f)) from one Smith form."""
-    sf = _target_smith(f, "v")
-    return _kernel_order(f, sf), _cokernel_order(f, sf)
+    """(kernel_order(f), cokernel_order(f)) from the mapping cone of f.
+
+    Let R_s, R_t be the relation matrices, R_t' a Z-basis of the lattice
+    R_t spans (e columns), and N the integer solution of R_t' N = M R_s.
+    The cone of the presentations, a = [R_s; -N] followed by
+    b = [M | R_t'], has b a = 0 and first homology ker_Z(b) / im(a) = ker f.
+    ker_Z(b) is saturated of rank ga + e - rank b, so ker f is finite iff
+    rank a equals that, and then its order is the product of the nonzero
+    elementary divisors of a.  The columns of b span im f plus the target
+    relations, which gives the cokernel from b's divisors as well.
+    """
+    src, tgt = f.source, f.target
+    rt = _relation_basis([list(r) for r in tgt.relations], tgt.relation_count)
+    e = len(rt[0]) if rt else 0
+    rank_b, index_b = _rank_and_index([list(m) + r for m, r in zip(f.matrix, rt)])
+    coker = index_b if rank_b == tgt.generators else None
+    if src.generators == 0:
+        return 1, coker
+    n = solve(Mat.from_rows(rt, cols=e), Mat.from_rows(f._image_of_relations(), cols=src.relation_count))
+    if n is None or n._den != 1:
+        raise ValueError("matrix does not send source relations into target relations")
+    a = [list(r) for r in src.relations] + _int_rows(-n)
+    rank_a, index_a = _rank_and_index(a)
+    return (index_a if rank_a == src.generators + e - rank_b else None), coker

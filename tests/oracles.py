@@ -3,6 +3,7 @@
 Everything here is deliberately written along different lines than the
 implementation: dense Fraction grids for matrix arithmetic and
 elimination, Euclid over Fraction polynomials for rational functions,
+Smith forms with their unimodular transforms by elementary operations,
 group orders by coset enumeration, Laurent leading terms by truncated
 power series in u = L*(s - a), cochain complexes with known cohomology by
 conjugating direct sums of elementary pieces.
@@ -19,8 +20,8 @@ from degen.qlinalg import (
     AbGroupMap,
     FPAbelianGroup,
     Mat,
+    SmithForm,
     rank,
-    smith_normal_form,
     solve,
 )
 
@@ -165,6 +166,92 @@ def det_int(m: list[list[int]]) -> int:
     return total
 
 
+def column(values) -> Mat:
+    """A one-column Mat."""
+    return Mat.from_rows([[v] for v in values], cols=1)
+
+
+def apply(m: Mat, vec) -> tuple[Fraction, ...]:
+    """m times a plain vector, as a plain tuple of Fractions."""
+    return tuple(row[0] for row in (m * column(vec)).entries)
+
+
+def smith_with_transforms(a) -> SmithForm:
+    """Smith normal form d = u @ a @ v with both unimodular transforms, by
+    elementary row and column operations on the whole matrix.
+
+    Deterministic: the pivot is the smallest-magnitude nonzero entry of
+    the remaining block, earliest position on ties.  The divisibility
+    chain is enforced inside the main loop: a pivot is only accepted once
+    it divides every entry of the remaining block.
+    """
+    m = [list(map(int, row)) for row in a]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, f):  # row i -= f * row j
+        m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, f):  # col i -= f * col j
+        for row in m + v:
+            row[i] -= f * row[j]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m + v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = abs(m[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        swap_rows(t, bi)
+        swap_cols(t, bj)
+        dirty = False
+        for i in range(t + 1, nr):
+            if m[i][t]:
+                row_op(i, t, m[i][t] // m[t][t])
+                if m[i][t]:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if m[t][j]:
+                col_op(j, t, m[t][j] // m[t][t])
+                if m[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # nonzero remainders are smaller than the pivot; re-pick
+        offender = next(
+            (i for i in range(t + 1, nr) for j in range(t + 1, nc) if m[i][j] % m[t][t]),
+            None,
+        )
+        if offender is not None:
+            row_op(t, offender, -1)  # fold the offending row in and redo
+            continue
+        t += 1
+
+    for i in range(min(nr, nc)):
+        if m[i][i] < 0:
+            for row in m + v:
+                row[i] = -row[i]
+
+    return SmithForm(
+        tuple(tuple(r) for r in u), tuple(tuple(r) for r in m), tuple(tuple(r) for r in v)
+    )
+
+
 def _int_inverse(u: tuple[tuple[int, ...], ...]) -> Mat:
     n = len(u)
     inv = solve(Mat.from_rows(u, cols=n), Mat.identity(n))
@@ -177,35 +264,34 @@ def group_elements(g: FPAbelianGroup) -> list[tuple[int, ...]]:
     """Coset representatives of a finite group with square nonsingular relations."""
     if g.generators == 0:
         return [()]
-    sf = smith_normal_form([list(r) for r in g.relations])
+    sf = smith_with_transforms(g.relations)
     diag = sf.diag
     assert len(diag) == g.generators and all(d != 0 for d in diag)
     uinv = _int_inverse(sf.u)
-    reps = []
-    for coords in itertools.product(*(range(d) for d in diag)):
-        x = uinv.apply(coords)
-        reps.append(tuple(int(v) for v in x))
-    return reps
+    return [
+        tuple(int(v) for v in apply(uinv, coords))
+        for coords in itertools.product(*(range(d) for d in diag))
+    ]
 
 
-def _in_relation_lattice(g: FPAbelianGroup, vec: tuple[int, ...]) -> bool:
-    # relations are square and nonsingular here, so membership is just
-    # integrality of the unique rational solution
-    if g.generators == 0:
-        return True
-    sol = solve(
-        Mat.from_rows(g.relations, cols=g.generators),
-        Mat.column(vec),
+def in_relation_lattice(g: FPAbelianGroup, vec) -> bool:
+    """vec lies in the column lattice of g's relations: u vec is divisible
+    by the Smith diagonal, and zero where the diagonal is."""
+    sf = smith_with_transforms(g.relations)
+    diag = sf.diag
+    uv = apply(Mat.from_rows(sf.u, cols=g.generators), vec)
+    return all(
+        (x % diag[i] == 0) if i < len(diag) and diag[i] else x == 0
+        for i, x in enumerate(uv)
     )
-    return sol is not None and all(x.denominator == 1 for row in sol.entries for x in row)
 
 
 def brute_kernel_order(f: AbGroupMap) -> int:
     count = 0
     m = Mat.from_rows(f.matrix, cols=f.source.generators)
     for x in group_elements(f.source):
-        fx = tuple(int(v) for v in m.apply(x))
-        if _in_relation_lattice(f.target, fx):
+        fx = tuple(int(v) for v in apply(m, x))
+        if in_relation_lattice(f.target, fx):
             count += 1
     return count
 
@@ -214,20 +300,61 @@ def brute_cokernel_order(f: AbGroupMap) -> int:
     tgt = f.target
     if tgt.generators == 0:
         return 1
-    sf = smith_normal_form([list(r) for r in tgt.relations])
+    sf = smith_with_transforms(tgt.relations)
     diag = sf.diag
     u = Mat.from_rows(sf.u, cols=tgt.generators)
 
     def canon(vec):
-        y = u.apply(vec)
-        return tuple(int(v) % d for v, d in zip(y, diag))
+        return tuple(int(v) % d for v, d in zip(apply(u, vec), diag))
 
     m = Mat.from_rows(f.matrix, cols=f.source.generators)
-    image = {canon(tuple(int(v) for v in m.apply(x))) for x in group_elements(f.source)}
+    image = {canon(tuple(int(v) for v in apply(m, x))) for x in group_elements(f.source)}
     order = 1
     for d in diag:
         order *= d
     return order // len(image)
+
+
+def transform_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
+    """(kernel order, cokernel order) read off transform-carrying Smith forms.
+
+    The cokernel comes from the diagonal of [M | R_t].  The preimage
+    lattice K = {x : M x in L(R_t)} is the x-part of the columns of that
+    form's v over its zero diagonal; a Z-basis of K is the nonzero columns
+    of K v' for the v' of a second Smith form; ker f = K / L(R_s) is read
+    off a third form, of the coordinates of R_s in that basis.
+    """
+    ga, gb = f.source.generators, f.target.generators
+    if gb == 0:
+        coker, kgens = 1, [[int(i == j) for j in range(ga)] for i in range(ga)]
+    else:
+        sf = smith_with_transforms([list(m) + list(t) for m, t in zip(f.matrix, f.target.relations)])
+        diag = sf.diag
+        coker = None
+        if sf.rank == gb:
+            coker = 1
+            for x in diag[:gb]:
+                coker *= x
+        free = [j for j in range(len(sf.v)) if j >= len(diag) or diag[j] == 0]
+        kgens = [[sf.v[i][j] for j in free] for i in range(ga)]
+    if ga == 0:
+        return 1, coker
+    width = len(kgens[0])
+    if width == 0:
+        return 1, coker
+    vk = Mat.from_rows(kgens, cols=width) * Mat.from_rows(smith_with_transforms(kgens).v, cols=width)
+    basis = [c for c in vk.columns() if not c.is_zero()]
+    if not basis:
+        return 1, coker
+    coords = solve(Mat.hstack(basis), Mat.from_rows(f.source.relations, cols=f.source.relation_count))
+    assert coords is not None and all(x.denominator == 1 for row in coords.entries for x in row)
+    sf = smith_with_transforms([[int(x) for x in row] for row in coords.entries])
+    if sf.rank < len(basis):
+        return None, coker
+    out = 1
+    for x in sf.diag[: len(basis)]:
+        out *= x
+    return out, coker
 
 
 def random_finite_group(rng: random.Random, max_order: int = 64) -> FPAbelianGroup:
@@ -242,8 +369,8 @@ def random_finite_group(rng: random.Random, max_order: int = 64) -> FPAbelianGro
 
 def random_group_map(rng: random.Random, a: FPAbelianGroup, b: FPAbelianGroup) -> AbGroupMap:
     """A random homomorphism built in Smith coordinates, then pulled back."""
-    sfa = smith_normal_form([list(r) for r in a.relations])
-    sfb = smith_normal_form([list(r) for r in b.relations])
+    sfa = smith_with_transforms(a.relations)
+    sfb = smith_with_transforms(b.relations)
     da, db = sfa.diag, sfb.diag
     h = [
         [rng.randint(-2, 2) * (db[j] // gcd(db[j], da[i])) for i in range(a.generators)]
@@ -414,6 +541,21 @@ def frac_functional_equation(f: tuple[FPoly, FPoly], q: int, w: int):
     if r != 1:
         return None
     return sign, alpha, nt[0][0] - dt[0][0]
+
+
+def mat_char_poly_det(frob: Mat) -> list[Fraction]:
+    """det(I - frob * u) ascending in u, by Faddeev-LeVerrier on ``Mat``
+    products and the dense trace, the route ``lfun`` took before it ran
+    on integer numerator rows."""
+    n = frob.rows
+    coeffs = [Fraction(1)]
+    m = Mat.zero(n, n)
+    c = Fraction(1)
+    for k in range(1, n + 1):
+        m = frob * (m + Mat.identity(n).scale(c))
+        c = -Fraction(sum(m.entries[i][i] for i in range(n)), k)
+        coeffs.append(c)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

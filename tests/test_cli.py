@@ -1,6 +1,7 @@
 """Exit codes, output shape, and determinism of the command line."""
 
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -71,15 +72,24 @@ def test_exit_three_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Address space of the child in _bounded_rejection: an input that makes the
+# program allocate past it fails there instead of exhausting the host.
+CHILD_ADDRESS_SPACE = 3 * 2**29
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
 def _bounded_rejection(tmp_path, data, argv, field):
     """Exit 3 naming ``field``, first in a child process that a hang cannot
-    outlast, then in-process well under a second.  ``data`` is a bundle
-    object or the text of one."""
+    outlast nor an allocation exhaust, then in-process well under a second.
+    ``data`` is a bundle object or the text of one."""
     path = tmp_path / "adversarial.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     proc = subprocess.run(
         [sys.executable, "-m", "degen", *argv, str(path)],
-        capture_output=True, text=True, timeout=20,
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 3
     assert field in proc.stderr and "Traceback" not in proc.stderr
@@ -146,6 +156,22 @@ def test_integer_literal_too_long_to_convert_is_named(tmp_path, capsys):
         text = json.dumps(data).replace('"@BIG@"', big)
         _bounded_rejection(tmp_path, text, ["validate"], field)
         assert "4401 digits" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_rejected(tmp_path, capsys):
+    text = '{"params": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    _bounded_rejection(tmp_path, text, ["validate"], "nested too deeply")
+    capsys.readouterr()
+
+
+def test_generator_count_past_the_limit_is_rejected(tmp_path, capsys):
+    # with empty relations the parser would build one row per generator
+    for side in ("source", "target"):
+        for count in (10**9, -3):
+            data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+            data["integral"][side] = {"generators": count, "relations": []}
+            _bounded_rejection(tmp_path, data, ["check", "CFF"], f"integral.{side}.generators")
+    assert "between 0 and 10000" in capsys.readouterr().err
 
 
 def test_huge_twist_override_is_rejected(tmp_path, capsys):

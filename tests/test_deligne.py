@@ -1,6 +1,9 @@
 """Deligne-group presentations, cycle classes, and the A-type rank checks."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +34,7 @@ from fixtures import simplex_surface
 from oracles import (
     brute_cokernel_order,
     brute_kernel_order,
+    column,
     random_finite_group,
     random_group_map,
 )
@@ -117,22 +121,22 @@ def test_residue_reduction_is_idempotent_projection():
 
 def test_triangle_cycle_class_frozen():
     f = generator_ngon(3, 2)
-    xi = Mat.column([F(1), F(0), F(0)])
+    xi = column([F(1), F(0), F(0)])
     z = z_map(f, 1, CycleDatum(b_rank=1, xi=xi))
-    assert z == Mat.column([F(0), F(0), F(1)])
+    assert z == column([F(0), F(0), F(1)])
 
 
 def test_cycle_class_shape_errors():
     f = generator_ngon(3, 2)
     with pytest.raises(DescriptorError):
-        z_map(f, 1, CycleDatum(b_rank=1, xi=Mat.column([F(1), F(0)])))
+        z_map(f, 1, CycleDatum(b_rank=1, xi=column([F(1), F(0)])))
     with pytest.raises(DescriptorError):
         z_map(
             f,
             1,
             CycleDatum(
                 b_rank=1,
-                xi=Mat.column([F(1), F(0), F(0)]),
+                xi=column([F(1), F(0), F(0)]),
                 tau=Mat.identity(2),
             ),
         )
@@ -146,8 +150,8 @@ def test_cycle_class_shape_errors():
 def test_cycle_class_ignores_representative(n, shifts):
     f = generator_ngon(n, 2)
     lower = ii_map(f, 0)
-    xi = Mat.column([F(1)] + [F(0)] * (n - 1))
-    coeffs = Mat.column([F(s) for s in shifts[:n]])
+    xi = column([F(1)] + [F(0)] * (n - 1))
+    coeffs = column([F(s) for s in shifts[:n]])
     shifted = xi + lower * coeffs
     base = z_map(f, 1, CycleDatum(b_rank=1, xi=xi))
     moved = z_map(f, 1, CycleDatum(b_rank=1, xi=shifted))
@@ -158,7 +162,7 @@ def test_ngon_conjecture_A2_passes():
     for n in range(2, 7):
         f = generator_ngon(n, 3)
         g = deligne_group(f, 3, 1)
-        xi = Mat.column([F(1)] + [F(0)] * (n - 1))
+        xi = column([F(1)] + [F(0)] * (n - 1))
         z = z_map(f, 1, CycleDatum(b_rank=1, xi=xi))
         res = conjecture_A_check(g, reg=None, cycle_images=z)
         assert isinstance(res, ConjectureAResult)
@@ -170,7 +174,7 @@ def test_conjecture_A2_detects_rank_drop():
     f = generator_ngon(3, 2)
     g = deligne_group(f, 3, 1)
     # a class already inside im(gamma) projects to zero
-    dead = Mat.column(gamma(f, 2, 0).col(0))
+    dead = gamma(f, 2, 0).columns()[0]
     res = conjecture_A_check(g, reg=None, cycle_images=dead)
     assert res.in_kernel
     assert res.achieved_rank == 0
@@ -183,7 +187,7 @@ def test_conjecture_A2_detects_kernel_escape():
     ii = ii_map(f, 1)
     outside = None
     for c in range(ii.cols):
-        col = Mat.column(Mat.identity(ii.cols).col(c))
+        col = Mat.identity(ii.cols).columns()[c]
         if solve(g.kernel, col) is None:
             outside = col
             break
@@ -228,7 +232,6 @@ def test_integral_orders_infinite_flagged():
 
 
 def test_integral_orders_agree_with_enumeration():
-    # one Smith form of [M | R_target] gives both orders
     rng = random.Random(4)
     for _ in range(60):
         f = random_group_map(rng, random_finite_group(rng), random_finite_group(rng))
@@ -239,3 +242,20 @@ def test_integral_orders_agree_with_enumeration():
     trivial = FPAbelianGroup.make(0, [])
     assert integral_orders(AbGroupMap.make(z, trivial, [])) == (None, 1)
     assert integral_orders(AbGroupMap.make(trivial, z, [[]])) == (1, None)
+
+
+def test_integral_orders_at_scale():
+    # Z/12 + Z^200 -> Z^200 over 96 places: elementary divisors alone, in a
+    # child process that a slow Smith form cannot outlast
+    code = (
+        "from fixtures import multi_place_bundle\n"
+        "from degen.deligne import integral_orders\n"
+        "print(integral_orders(multi_place_bundle(96, 200).integral))\n"
+    )
+    path = os.pathsep.join([os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(12, 1)"

@@ -46,6 +46,13 @@ class TestLocalFactor:
         f = local_factor(Mat.zero(0, 0), 1)
         assert f == RatFunc.one()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_char_poly_matches_mat_oracle(self, n, data):
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=data.draw(st.sampled_from([1, 6, 97])))
+        frob = Mat.from_rows([[data.draw(entry) for _ in range(n)] for _ in range(n)], cols=n)
+        assert local_factor(frob, 1) == RatFunc.make([1], oracles.mat_char_poly_det(frob))
+
 
 class TestOrdAndLeading:
     def test_zeta_at_zero(self):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from degen.qlinalg import (
     AbGroupMap,
     FPAbelianGroup,
     Mat,
+    SmithForm,
     cokernel_order,
     kernel_basis,
+    kernel_cokernel_orders,
     kernel_order,
     quotient_dim,
     quotient_projection,
@@ -22,6 +25,7 @@ from degen.qlinalg import (
 from oracles import (
     brute_cokernel_order,
     brute_kernel_order,
+    column,
     dense_add,
     dense_kernel_basis,
     dense_mul,
@@ -33,8 +37,11 @@ from oracles import (
     dense_solve,
     dense_transpose,
     det_int,
+    in_relation_lattice,
     random_finite_group,
     random_group_map,
+    smith_with_transforms,
+    transform_orders,
 )
 
 F = Fraction
@@ -55,6 +62,62 @@ def matrices(draw, max_dim=4):
     c = draw(st.integers(min_value=0, max_value=max_dim))
     rows = [[draw(fractions_st) for _ in range(c)] for _ in range(r)]
     return Mat.from_rows(rows, cols=c)
+
+
+def _mm(a, b):
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(r, c)) for c in bt] for r in a]
+
+
+@st.composite
+def group_maps(draw):
+    """A homomorphism of finitely presented groups, often with free parts
+    and with dependent, zero or missing relation columns.
+
+    The target relations span the image of the source relations (each
+    column or a divisor of it, mixed with other columns) plus random and
+    dependent columns, so the map is well defined by construction.
+    """
+    small = st.integers(-4, 4)
+    ga, gb, ns = (draw(st.integers(0, 3)) for _ in range(3))
+    rs = [[draw(small) for _ in range(ns)] for _ in range(ga)]
+    m = [[draw(small) for _ in range(ga)] for _ in range(gb)]
+    image = [list(c) for c in zip(*_mm(m, rs))] if gb else []
+    extra = [[draw(small) for _ in range(gb)] for _ in range(draw(st.integers(0, 2)))]
+    cols = []
+    for col in image:
+        g = gcd(*col)
+        cols.append([x // g for x in col] if g > 1 and draw(st.booleans()) else col)
+    for x in extra:
+        if cols and draw(st.booleans()):
+            i, k = draw(st.integers(0, len(cols) - 1)), draw(small)
+            cols[i] = [a + k * b for a, b in zip(cols[i], x)]
+        cols.append(x)
+    for _ in range(draw(st.integers(0, 2))):
+        if cols:
+            i, j = draw(st.integers(0, len(cols) - 1)), draw(st.integers(0, len(cols) - 1))
+            k, l = draw(small), draw(small)
+            cols.append([k * a + l * b for a, b in zip(cols[i], cols[j])])
+    cols = [cols[i] for i in draw(st.permutations(range(len(cols))))]
+    rt = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(gb)]
+    return AbGroupMap.make(FPAbelianGroup.make(ga, rs), FPAbelianGroup.make(gb, rt), m)
+
+
+@st.composite
+def integer_matrices(draw, max_dim=6):
+    """Integer matrices of every shape up to max_dim, 0-sized ones included,
+    often rank-deficient: a product of two random factors through a
+    narrower middle dimension."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    k = draw(st.integers(0, max_dim))
+    small = st.integers(-5, 5)
+    left = [[draw(small) for _ in range(k)] for _ in range(r)]
+    right = [[draw(small) for _ in range(c)] for _ in range(k)]
+    scale = draw(st.sampled_from([1, 1, 2, 6, 12]))
+    return [[scale * x for x in row] for row in _mm(left, right)] if k else [[0] * c for _ in range(r)]
 
 
 class TestMat:
@@ -86,7 +149,7 @@ class TestRankKernel:
         assert rank(g) == 2
         k = kernel_basis(g)
         assert k.cols == 1
-        assert k.col(0) == (F(1), F(-1), F(1))
+        assert k == column([1, -1, 1])
 
     def test_rref_pivots(self):
         m = mat([[0, 2, 1], [0, 4, 2]])
@@ -96,12 +159,12 @@ class TestRankKernel:
 
     def test_solve_inconsistent(self):
         a = mat([[1, 0], [1, 0]])
-        b = Mat.column([1, 2])
+        b = column([1, 2])
         assert solve(a, b) is None
 
     def test_solve_underdetermined(self):
         a = mat([[1, 1]])
-        b = Mat.column([3])
+        b = column([3])
         x = solve(a, b)
         assert x is not None
         assert a * x == b
@@ -153,7 +216,9 @@ class TestSmith:
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
     def test_reconstruction_and_chain(self, rows):
-        sf = smith_normal_form(rows)
+        # the oracle's transforms rebuild its diagonal, which is a divisor
+        # chain, and the transform-free form has the same diagonal
+        sf = smith_with_transforms(rows)
         u = [list(r) for r in sf.u]
         v = [list(r) for r in sf.v]
         assert abs(det_int(u)) == 1
@@ -173,22 +238,87 @@ class TestSmith:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
-        # a transform left out is not built; the rest is the same
-        for keep in ("", "u", "v"):
-            part = smith_normal_form(rows, _keep=keep)
-            assert part.d == sf.d
-            assert part.u == (sf.u if "u" in keep else ())
-            assert part.v == (sf.v if "v" in keep else ())
+        assert smith_normal_form(rows) == SmithForm((), sf.d, ())
 
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    def test_diagonal_matches_oracle(self, rows):
+        assert smith_normal_form(rows).d == smith_with_transforms(rows).d
 
-def _mm(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(r, c)) for c in bt] for r in a]
+    @settings(max_examples=60, deadline=None)
+    @given(integer_matrices())
+    def test_diagonal_matches_sympy(self, rows):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import ZZ, Matrix
+
+        nc = len(rows[0]) if rows else 0
+        want = normalforms.invariant_factors(Matrix(len(rows), nc, [x for r in rows for x in r]), domain=ZZ)
+        assert smith_normal_form(rows).diag == tuple(abs(int(x)) for x in want)
+
+    def test_modulus_pass_on_a_large_block(self):
+        # a 12x12 matrix of determinant 432, which is its Bareiss modulus:
+        # the pass over Z/432 must find the divisor chain 1, ..., 1, 2, 6, 36
+        rng = random.Random(7)
+        n = 12
+        left, right = (
+            [[int(i == j) + (rng.randint(-2, 2) if j < i else 0) for j in range(n)] for i in range(n)],
+            [[int(i == j) + (rng.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)],
+        )
+        diag = [[0] * n for _ in range(n)]
+        for i, x in enumerate([1] * 9 + [2, 6, 36]):
+            diag[i][i] = x
+        rows = _mm(_mm(left, diag), right)
+        assert smith_normal_form(rows).diag == (1,) * 9 + (2, 6, 36) == smith_with_transforms(rows).diag
 
 
 class TestGroupOrders:
+    @settings(max_examples=200, deadline=None)
+    @given(group_maps())
+    def test_orders_match_transform_oracle(self, f):
+        want = transform_orders(f)
+        assert kernel_cokernel_orders(f) == want
+        assert (kernel_order(f), cokernel_order(f)) == want
+        sf = smith_with_transforms(f.source.relations)
+        assert f.source.order() == (prod(sf.diag) if sf.rank == f.source.generators else None)
+
+    def test_identity_and_zero_maps_on_dependent_relations(self):
+        # the kernel order needs a basis of the target relation lattice;
+        # a basis of a smaller lattice makes the identity fail to solve
+        rng = random.Random(11)
+        trivial = FPAbelianGroup.make(0, [])
+        for _ in range(300):
+            n, r = rng.randint(1, 4), rng.randint(1, 4)
+            k = rng.randint(n + 1, n + 4)
+            rel = _mm(
+                [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)],
+                [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)],
+            )
+            b = FPAbelianGroup.make(n, rel)
+            identity = AbGroupMap.make(b, b, [[int(i == j) for j in range(n)] for i in range(n)])
+            assert kernel_cokernel_orders(identity) == (1, 1)
+            into = AbGroupMap.make(trivial, b, [[] for _ in range(n)])
+            assert kernel_cokernel_orders(into) == (1, b.order())
+            assert kernel_cokernel_orders(AbGroupMap.make(b, trivial, [])) == (b.order(), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(group_maps(), st.data())
+    def test_compatibility_matches_lattice_membership(self, f, data):
+        # move one entry of the matrix; it stays a map iff every column of
+        # M R_s still lies in the target relation lattice
+        if not f.matrix or not f.matrix[0]:
+            return
+        i = data.draw(st.integers(0, len(f.matrix) - 1))
+        j = data.draw(st.integers(0, len(f.matrix[0]) - 1))
+        m = [list(r) for r in f.matrix]
+        m[i][j] += data.draw(st.integers(1, 3))
+        image = _mm(m, [list(r) for r in f.source.relations])
+        ok = all(in_relation_lattice(f.target, col) for col in zip(*image))
+        if ok:
+            AbGroupMap.make(f.source, f.target, m)
+        else:
+            with pytest.raises(ValueError):
+                AbGroupMap.make(f.source, f.target, m)
+
     def test_mod4_to_mod2(self):
         a = FPAbelianGroup.make(1, [[4]])
         b = FPAbelianGroup.make(1, [[2]])
@@ -305,9 +435,6 @@ def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
     assert a.is_zero() == all(x == 0 for row in ga for x in row)
     columns = dense_transpose(ga, k)
     assert [m.entries for m in a.columns()] == [tuple((x,) for x in col) for col in columns]
-    assert all(a.col(j) == columns[j] for j in range(k))
-    vec = [s * (j - 1) for j in range(k)]
-    assert a.apply(vec) == tuple(dense_mul(ga, tuple((x,) for x in vec), k, 1)[i][0] for i in range(r))
     # equality and hashing are structural on the canonical form
     for again in (Mat.from_rows(ga, cols=k), Mat.sparse(r, k, a.nonzeros()), a.scale(3).scale(F(1, 3))):
         assert again == a and hash(again) == hash(a)
