@@ -11,7 +11,10 @@ its digests were recorded from the ``Fraction`` polynomial arithmetic
 and the two-Smith-form ``integral_orders``.  ``check B1FF``, ``check B2FF``
 and ``check CFF`` are further pinned on bundles that reach each branch of
 their runners (see ``branch_bundles``), recorded from the runners that
-built every line by hand.
+built every line by hand.  A conjugated tensored surface, whose raw
+blocks have rational entries, pins every command (and ``complex --star 2``)
+on the rational parse and assembly path; its digests were recorded from
+the ``Fraction``-dict block assembly.
 
 To record the digests again (only when a report is meant to change):
 
@@ -49,6 +52,10 @@ MULTI_PLACE_COMMANDS = (
     ("check", "CFF"),
 )
 
+# The conjugated surface also reports the star at which its small complex
+# has cohomology in the reported degree.
+CONJUGATED_COMMANDS = (*COMMANDS, ("complex", "--star", "2"))
+
 BRANCH_COMMANDS = (
     ("check", "B1FF"),
     ("check", "B2FF"),
@@ -82,6 +89,17 @@ def _surface_bundle(path: Path) -> None:
     from fixtures import simplex_surface, tensored
 
     fibre = tensored(simplex_surface(), 3)
+    save(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": fibre}), path)
+
+
+def _conjugated_surface_bundle(path: Path) -> None:
+    import random
+
+    from degen.bundle import Bundle, Params, save
+
+    from fixtures import conjugated, simplex_surface, tensored
+
+    fibre = conjugated(tensored(simplex_surface(), 4), random.Random(4))
     save(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": fibre}), path)
 
 
@@ -170,6 +188,10 @@ def report_digests(workdir: Path) -> dict[str, dict]:
             for cmd in COMMANDS:
                 for tsv in ((), ("--tsv",)):
                     _record(out, [*tsv, *cmd, target])
+        _conjugated_surface_bundle(workdir / "surface-c4-conjugated.json")
+        for cmd in CONJUGATED_COMMANDS:
+            for tsv in ((), ("--tsv",)):
+                _record(out, [*tsv, *cmd, "surface-c4-conjugated.json"])
         _multi_place_bundle(workdir / "multi-place-p8.json")
         for cmd in MULTI_PLACE_COMMANDS:
             for tsv in ((), ("--tsv",)):
