@@ -34,8 +34,8 @@ from fractions import Fraction
 
 from .deligne import CycleDatum
 from .lfun import RatFunc
-from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _Record
-from .strata import MAX_PRIME_POWER, DescriptorError, Fibre, is_prime_power
+from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _from_scalars, _Record
+from .strata import MAX_PRIME_POWER, DescriptorError, Fibre, build_level, is_prime_power
 
 __all__ = [
     "BundleError",
@@ -66,6 +66,10 @@ MAX_TWIST = 1000
 MAX_GENERATORS = 10_000
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+# The form every non-integer entry takes in a saved bundle: ASCII digits
+# over ASCII digits, with an optional minus sign and nothing else.
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)\Z")
 
 
 class BundleError(ValueError):
@@ -112,15 +116,20 @@ def _coerce(value, kind, where: str):
 
 def _number(value, where: str) -> int | Fraction:
     """A rational from JSON: an int when the text is an integer, else a Fraction."""
-    if isinstance(value, bool):
-        raise BundleError(f"{where}: booleans are not numbers")
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
             pass
+        ratio = _RATIO.match(value)
+        if ratio is not None:
+            try:
+                num, den = int(ratio[1]), int(ratio[2])
+            except ValueError:  # more digits than int() converts
+                pass
+            else:
+                if den:
+                    return Fraction(num, den)
         exponent = _EXPONENT.search(value)
         if exponent is not None:
             try:
@@ -136,6 +145,10 @@ def _number(value, where: str) -> int | Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleError(f"{where}: bad rational {value!r}") from exc
+    if isinstance(value, bool):
+        raise BundleError(f"{where}: booleans are not numbers")
+    if isinstance(value, int):
+        return value
     raise BundleError(f"{where}: expected a rational as string or integer")
 
 
@@ -198,12 +211,20 @@ def _mat_from_json(obj, where: str, strict: bool) -> Mat:
         raise BundleError(
             f"{where}: {len(entries)} entries for a {rows}x{cols} matrix"
         )
-    nonzero = {}
-    for k, x in enumerate(entries):
-        x = _number(x, f"{where}.entries[{k}]")
-        if x:
-            nonzero[divmod(k, cols)] = x
-    return Mat.sparse(rows, cols, nonzero)
+    items = []
+    for i in range(rows):
+        base = i * cols
+        row = []
+        for j, x in enumerate(entries[base : base + cols]):
+            try:
+                x = _number(x, where)
+            except BundleError:  # again, naming the entry
+                _number(x, f"{where}.entries[{base + j}]")
+                raise
+            if x:
+                row.append((j, x))
+        items.append(row)
+    return _from_scalars(rows, cols, items)
 
 
 def _mat_to_json(m: Mat) -> dict:
@@ -212,6 +233,14 @@ def _mat_to_json(m: Mat) -> dict:
         "cols": m.cols,
         "entries": [str(x) for row in m.entries for x in row],
     }
+
+
+def _boundary_shape(m: Mat, rows: int | None, cols: int | None, where: str) -> None:
+    """At the boundary twist (``rows`` not None), m must be rows x cols."""
+    if rows is not None and (m.rows, m.cols) != (rows, cols):
+        raise BundleError(
+            f"{where}: has shape {m.rows}x{m.cols}, expected {rows}x{cols} at the boundary twist"
+        )
 
 
 def _int_rows(value, where: str) -> list[list[int]]:
@@ -511,6 +540,11 @@ def loads(text: str, strict: bool = True) -> Bundle:
                 f"motivic.{name}",
                 strict,
             )
+            # at the boundary twist the regulator and cycle-class columns are
+            # vectors of CH^a(Y^(1)), and tau acts on that space
+            ambient = None
+            if params.q_coh - 2 * params.a == 1:
+                ambient = build_level(fibres[name], 1, params.a).total
             regulator = None
             if e["regulator"] is not None:
                 r = _expect(
@@ -526,6 +560,7 @@ def loads(text: str, strict: bool = True) -> Bundle:
                         f"motivic.{name}.regulator: matrix has {matrix.cols} columns, "
                         f"declared rank {r['motivic_rank']}"
                     )
+                _boundary_shape(matrix, ambient, matrix.cols, f"motivic.{name}.regulator.matrix")
                 regulator = RegulatorDatum(motivic_rank=r["motivic_rank"], matrix=matrix)
             cycle_class = None
             if e["cycle_class"] is not None:
@@ -542,9 +577,11 @@ def loads(text: str, strict: bool = True) -> Bundle:
                         f"motivic.{name}.cycle_class: xi has {xi.cols} columns, "
                         f"declared rank {c['b_rank']}"
                     )
+                _boundary_shape(xi, ambient, xi.cols, f"motivic.{name}.cycle_class.xi")
                 tau = None
                 if c["tau"] is not None:
                     tau = _mat_from_json(c["tau"], f"motivic.{name}.cycle_class.tau", strict)
+                    _boundary_shape(tau, ambient, ambient, f"motivic.{name}.cycle_class.tau")
                 cycle_class = CycleDatum(b_rank=c["b_rank"], xi=xi, tau=tau)
             motivic[name] = MotivicDatum(regulator=regulator, cycle_class=cycle_class)
 

@@ -23,7 +23,7 @@ it agrees with a short explicit complex built from gamma, i^*i_* and rho
 from __future__ import annotations
 
 from .qlinalg import Mat, _Record, rank
-from .strata import Fibre, build_level, gamma, ii_map, rho
+from .strata import Fibre, _index, build_level, gamma, ii_map, rho
 
 __all__ = [
     "ComplexError",
@@ -83,10 +83,12 @@ class CochainComplex(_Record):
 
 
 def cohomology_dims(c: CochainComplex) -> dict[int, int]:
-    """Nonzero cohomology dimensions, assuming d.d = 0 holds."""
+    """Nonzero cohomology dimensions, assuming d.d = 0 holds; each
+    differential is ranked once."""
+    ranks = {q: rank(d) for q, d in c.diffs.items()}
     out = {}
     for q in c.support():
-        h = c.dim(q) - rank(c.diff(q)) - rank(c.diff(q - 1))
+        h = c.dim(q) - ranks.get(q, 0) - ranks.get(q - 1, 0)
         if h:
             out[q] = h
     return out
@@ -219,7 +221,17 @@ def _row_summands(kc: KComplex, star: int, q: int) -> tuple[tuple[int, int], ...
 
 
 def total_rows(kc: KComplex, star: int) -> TwistRow:
-    """Realize the star-th row as an explicit cochain complex."""
+    """Realize the star-th row as an explicit cochain complex, once per
+    fibre, bound and star; a row that fails its check is not kept."""
+    rows = _index(kc.fibre).rows
+    key = (kc.bound, star)
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = _build_row(kc, star)
+    return row
+
+
+def _build_row(kc: KComplex, star: int) -> TwistRow:
     f = kc.fibre
     lo = 2 * star - kc.bound - f.dim_y - 2
     hi = 2 * star + kc.bound + f.dim_y + 2

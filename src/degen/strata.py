@@ -19,16 +19,18 @@ index set); its Chow space then just has higher dimension, which is how
 the 2-gon carries two nodes on the single stratum (1, 2).
 
 Everything derived from a fibre (strata by level, the graded spaces with
-their offsets, gamma, rho and i^*i_*) is computed once, on first use, and
-kept in a private index on the fibre.  A fibre is therefore not edited
-once any of its maps has been built.
+their offsets, gamma, rho, i^*i_* and the twist rows of the monodromy
+complex) is computed once, on first use, and kept in a private index on
+the fibre.  A fibre is therefore not edited once any of its maps has been
+built.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from math import lcm
 
-from .qlinalg import Mat, _Record, _set
+from .qlinalg import Mat, _Record, _reduced, _set
 
 __all__ = [
     "DescriptorError",
@@ -272,6 +274,8 @@ class _FibreIndex:
         self.levels = {r: tuple(ss) for r, ss in levels.items()}
         self.spaces: dict[tuple[int, int, int], GradedSpace] = {}
         self.maps: dict[tuple[str, int, int, int], Mat] = {}
+        # monodromy.total_rows by (bound, star); only rows that passed their check
+        self.rows: dict[tuple[int, int], object] = {}
 
 
 def _index(f: Fibre) -> _FibreIndex:
@@ -311,54 +315,61 @@ def rho(f: Fibre, r: int, p: int, j: int = 0) -> Mat:
 
 
 def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
-    """The signed block map out of CH^p(Y^{(r)}, j), built once per fibre."""
+    """The signed block map out of CH^p(Y^{(r)}, j), built once per fibre.
+
+    Each raw block lands at the offsets of its (target, source) pair of
+    strata, scaled to the lcm of the blocks' denominators and signed;
+    distinct pairs occupy disjoint rectangles, so rows are only merged
+    and sorted, never summed, and the cost is that of the nonzeros.
+    """
     maps = _index(f).maps
     key = (mode, r, p, j)
     if key in maps:
         return maps[key]
     src = build_level(f, r, p, j)
-    tgt = build_level(f, r - 1, p + 1, j) if mode == "push" else build_level(f, r + 1, p, j)
-    entries: dict[tuple[int, int], object] = {}
+    placed: list[tuple[int, int, Mat, int]] = []  # (row offset, column offset, block, sign)
     if mode == "push":
+        tgt = build_level(f, r - 1, p + 1, j)
         # iterate source strata I, remove position u to land in the target
-        for stratum, sdim in src.pieces:
+        for stratum, _ in src.pieces:
             for u in range(1, len(stratum) + 1):
                 other = _removed(stratum, u)
-                tdim = tgt.dim_of(other)
-                if sdim == 0 or tdim == 0:
+                if not tgt.dim_of(other):
                     continue
-                block = f.pushforward.get((stratum, u, src.codim, src.j))
+                block = f.pushforward.get((stratum, u, p, j))
                 if block is None:
                     raise DescriptorError(
                         f"missing pushforward block for stratum {stratum}, "
-                        f"position {u}, codim {src.codim}, j {src.j}"
+                        f"position {u}, codim {p}, j {j}"
                     )
-                _add_block(entries, tgt.offset(other), src.offset(stratum), block, (-1) ** (u - 1))
+                placed.append((tgt.offset(other), src.offset(stratum), block, (-1) ** (u - 1)))
     elif mode == "pull":
+        tgt = build_level(f, r + 1, p, j)
         # iterate target strata I, remove position u to find the source
-        for stratum, tdim in tgt.pieces:
+        for stratum, _ in tgt.pieces:
             for u in range(1, len(stratum) + 1):
                 other = _removed(stratum, u)
-                sdim = src.dim_of(other)
-                if sdim == 0 or tdim == 0:
+                if not src.dim_of(other):
                     continue
-                block = f.pullback.get((stratum, u, src.codim, src.j))
+                block = f.pullback.get((stratum, u, p, j))
                 if block is None:
                     raise DescriptorError(
                         f"missing pullback block for stratum {stratum}, "
-                        f"position {u}, codim {src.codim}, j {src.j}"
+                        f"position {u}, codim {p}, j {j}"
                     )
-                _add_block(entries, tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1))
+                placed.append((tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1)))
     else:  # pragma: no cover
         raise AssertionError(mode)
-    maps[key] = Mat.sparse(tgt.total, src.total, entries)
+    den = lcm(*[block._den for _, _, block, _ in placed])
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(tgt.total)]
+    for r0, c0, block, sign in placed:
+        scale = sign * (den // block._den)
+        for i, brow in enumerate(block._data, r0):
+            if brow:
+                rows[i].extend([(c0 + k, scale * x) for k, x in brow])
+    data = tuple(tuple(sorted(row)) for row in rows)
+    maps[key] = _reduced(tgt.total, src.total, den, data)
     return maps[key]
-
-
-def _add_block(entries: dict, r0: int, c0: int, block: Mat, sign: int):
-    for (i, k), x in block.nonzeros().items():
-        key = (r0 + i, c0 + k)
-        entries[key] = entries.get(key, 0) + sign * x
 
 
 def compose_ii(f: Fibre, p: int, j: int = 0) -> Mat:

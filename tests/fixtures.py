@@ -26,7 +26,7 @@ from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, Place, Regulator
 from degen.deligne import CycleDatum
 from degen.lfun import RatFunc
 from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat, solve
-from degen.strata import Fibre, generator_smooth
+from degen.strata import Fibre, generator_ngon, generator_smooth
 from oracles import random_invertible
 
 F = Fraction
@@ -168,6 +168,21 @@ def conjugated(f: Fibre, rng: random.Random) -> Fibre:
         ii_matrices=ii,
         higher_chow=dict(f.higher_chow),
     )
+
+
+def fixture_fibres() -> list[Fibre]:
+    """n-gons, the surface fixture with tensored and conjugated copies,
+    and smooth fibres."""
+    rng = random.Random(5)
+    return [
+        *(generator_ngon(n, 3) for n in range(2, 7)),
+        simplex_surface(),
+        tensored(simplex_surface(), 2),
+        conjugated(simplex_surface(), rng),
+        conjugated(tensored(generator_ngon(4, 2), 2), rng),
+        generator_smooth({(0, 0): 1, (1, 0): 1}, dim_y=1, q_v=3),
+        generator_smooth({(0, 0): 1, (1, 0): 2, (2, 0): 1}, dim_y=2, q_v=4),
+    ]
 
 
 def with_flipped_sign(f: Fibre, key, kind: str = "push") -> Fibre:

@@ -752,3 +752,92 @@ def degree_walk_build_C(f, star: int):
     cx = CochainComplex(dims, diffs)
     cx.check()
     return cx
+
+
+# ---------------------------------------------------------------------------
+# The Fraction routes that the integer parse, the integer block assembly
+# and the rank-once cohomology replaced: ``_number`` decoding every
+# non-integer string with ``Fraction``, ``_assemble`` summing signed
+# blocks entry by entry in a dict of Fractions, and ``cohomology_dims``
+# ranking both differentials at every degree.
+
+
+def fraction_number(value, where: str):
+    """A rational from JSON: int() first, else Fraction(value), with the
+    decimal-exponent limit."""
+    from degen.bundle import _EXPONENT, MAX_DECIMAL_EXPONENT, BundleError
+
+    if isinstance(value, bool):
+        raise BundleError(f"{where}: booleans are not numbers")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            try:
+                too_big = abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT
+            except ValueError:
+                too_big = True
+            if too_big:
+                raise BundleError(
+                    f"{where}: decimal exponent in {value[:40]!r} exceeds "
+                    f"{MAX_DECIMAL_EXPONENT} in magnitude"
+                )
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BundleError(f"{where}: bad rational {value!r}") from exc
+    raise BundleError(f"{where}: expected a rational as string or integer")
+
+
+def fraction_assemble(f, r: int, p: int, j: int, mode: str) -> Mat:
+    """gamma ("push") or rho ("pull") out of CH^p(Y^{(r)}, j), summed entry
+    by entry as Fractions, without the fibre's map index."""
+    from degen.strata import build_level
+
+    src = build_level(f, r, p, j)
+    if mode == "push":
+        tgt = build_level(f, r - 1, p + 1, j)
+        blocks = f.pushforward
+        outer, inner = src, tgt
+    else:
+        tgt = build_level(f, r + 1, p, j)
+        blocks = f.pullback
+        outer, inner = tgt, src
+    entries: dict[tuple[int, int], Fraction] = {}
+    for stratum, _ in outer.pieces:
+        for u in range(1, len(stratum) + 1):
+            other = stratum[: u - 1] + stratum[u:]
+            if inner.dim_of(other) == 0:
+                continue
+            block = blocks[(stratum, u, p, j)]
+            if mode == "push":
+                r0, c0 = tgt.offset(other), src.offset(stratum)
+            else:
+                r0, c0 = tgt.offset(stratum), src.offset(other)
+            for (i, k), x in block.nonzeros().items():
+                key = (r0 + i, c0 + k)
+                entries[key] = entries.get(key, 0) + (-1) ** (u - 1) * x
+    return Mat.sparse(tgt.total, src.total, entries)
+
+
+def fraction_ii_map(f, p: int, j: int = 0) -> Mat:
+    """i^*i_* from the explicit matrix, else gamma . rho of fraction_assemble."""
+    explicit = f.ii_matrices.get((p, j))
+    if explicit is not None:
+        return explicit
+    return fraction_assemble(f, 2, p, j, "push") * fraction_assemble(f, 1, p, j, "pull")
+
+
+def two_rank_cohomology_dims(c) -> dict[int, int]:
+    """dim - rank(d^q) - rank(d^{q-1}) at every degree of the support."""
+    out = {}
+    for q in c.support():
+        h = c.dim(q) - rank(c.diff(q)) - rank(c.diff(q - 1))
+        if h:
+            out[q] = h
+    return out

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degen.bundle import BundleError, Bundle, Params, dumps, loads
 from degen.workbench import build_example
@@ -209,3 +211,43 @@ def test_decimal_exponents_up_to_the_limit():
     entries[0] = f"1E-{MAX_DECIMAL_EXPONENT + 1}"
     with pytest.raises(BundleError, match=r"entries\[0\]: decimal exponent"):
         loads(json.dumps(data))
+
+
+NEAR_MISSES = (
+    " 3/4", "3 /4", "3/ 4", "+3/4", "1_0/3", "1/0", "-0", "-0/7", "3/-4", "--3/4", "3//4",
+    "٣/4", "3/٤", "1e3", "2.5", "-2.5e-3", "3/4\n", "0x10", "", "/", "3/", "/4",
+    "9" * 4400 + "/3", "3/" + "9" * 4400, "12/18", "-12/18", "007/014",
+)
+
+
+def _same_number(value):
+    from degen.bundle import _number
+
+    from oracles import fraction_number
+
+    try:
+        want = fraction_number(value, "x")
+    except BundleError as exc:
+        with pytest.raises(BundleError) as got:
+            _number(value, "x")
+        assert str(got.value) == str(exc)
+    else:
+        got = _number(value, "x")
+        assert got == want and type(got) is type(want), (value, got, want)
+
+
+@pytest.mark.parametrize("value", NEAR_MISSES)
+def test_number_near_misses_match_the_fraction_parse(value):
+    _same_number(value)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.text(),
+    st.from_regex(r"-?[0-9]{1,40}/[0-9]{1,40}", fullmatch=True),
+    st.from_regex(r"[-+ ]?[0-9_]{0,6}[/.eE]?[-+ ]?[0-9_]{0,6}\s?", fullmatch=True),
+    st.integers(),
+    st.booleans(),
+))
+def test_number_matches_the_fraction_parse(value):
+    _same_number(value)

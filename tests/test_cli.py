@@ -174,6 +174,26 @@ def test_generator_count_past_the_limit_is_rejected(tmp_path, capsys):
     assert "between 0 and 10000" in capsys.readouterr().err
 
 
+def test_motivic_shapes_are_checked_at_load(tmp_path, capsys):
+    # zeta-fqt is at the boundary twist a = 0, where xi, tau and the
+    # regulator live on CH^0 of its one component, here of dimension 10^6
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    data["fibres"]["infty"]["chow"][0]["dim"] = 10**6
+    cycle = data["motivic"]["infty"]["cycle_class"]
+    regulator = data["motivic"]["infty"].pop("regulator")
+    for argv in (["validate"], ["check", "A2"], ["quasi-iso"]):
+        _bounded_rejection(tmp_path, data, argv, "motivic.infty.cycle_class.xi")
+    assert "has shape 1x1, expected 1000000x1" in capsys.readouterr().err
+    data["fibres"]["infty"]["chow"][0]["dim"] = 2
+    cycle["xi"] = {"rows": 2, "cols": 1, "entries": ["1", "0"]}
+    _bounded_rejection(tmp_path, data, ["check", "A2"], "motivic.infty.cycle_class.tau")
+    assert "expected 2x2" in capsys.readouterr().err
+    data["motivic"]["infty"]["regulator"] = regulator
+    del cycle["tau"]
+    _bounded_rejection(tmp_path, data, ["check", "B2FF"], "motivic.infty.regulator.matrix")
+    assert "has shape 1x0, expected 2x0" in capsys.readouterr().err
+
+
 def test_huge_twist_override_is_rejected(tmp_path, capsys):
     data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
     _bounded_rejection(tmp_path, data, ["dim-theorem", "--a", "-10000000"], "--a")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from degen import monodromy, workbench
+from degen.bundle import Bundle, Params
 from degen.monodromy import (
     CochainComplex,
     ComplexError,
@@ -16,27 +18,13 @@ from degen.monodromy import (
 )
 from degen.qlinalg import Mat
 from degen.strata import build_level, gamma, generator_ngon, generator_smooth, rho
-from fixtures import conjugated, simplex_surface, tensored
-from oracles import degree_walk_build_C, random_known_complex
+from degen.workbench import run_quasi_iso
+from fixtures import conjugated, fixture_fibres, simplex_surface, tensored, with_flipped_sign
+from oracles import degree_walk_build_C, random_known_complex, two_rank_cohomology_dims
 
 
 def triangle():
     return generator_ngon(3, 5)
-
-
-def fixture_fibres():
-    """n-gons, the surface fixture with tensored and conjugated copies,
-    and smooth fibres."""
-    rng = random.Random(5)
-    return [
-        *(generator_ngon(n, 3) for n in range(2, 7)),
-        simplex_surface(),
-        tensored(simplex_surface(), 2),
-        conjugated(simplex_surface(), rng),
-        conjugated(tensored(generator_ngon(4, 2), 2), rng),
-        generator_smooth({(0, 0): 1, (1, 0): 1}, dim_y=1, q_v=3),
-        generator_smooth({(0, 0): 1, (1, 0): 2, (2, 0): 1}, dim_y=2, q_v=4),
-    ]
 
 
 def piece_dim(kc, i, j, k):
@@ -272,3 +260,77 @@ class TestGenericComplexes:
         )
         with pytest.raises(ComplexError, match="d.d"):
             c.check()
+
+
+class TestOneRankOneRow:
+    """A quasi-iso sweep ranks each differential once and builds each twist
+    row once; the counts are exact, not timings."""
+
+    @staticmethod
+    def surface():
+        return conjugated(tensored(simplex_surface(), 2), random.Random(7))
+
+    def test_rank_once_matches_two_ranks_per_degree(self):
+        rng = random.Random(10)
+        complexes = []
+        for _ in range(20):
+            dims, diffs, _ = random_known_complex(rng)
+            complexes.append(CochainComplex({k: d for k, d in dims.items() if d}, diffs))
+        for f in fixture_fibres():
+            kc = build_K(f)
+            for star in range(-1, f.dim_y + 3):
+                complexes.append(build_C(f, star))
+                complexes.append(cone_of_N(total_rows(kc, star), total_rows(kc, star - 1)))
+        for c in complexes:
+            assert cohomology_dims(c) == two_rank_cohomology_dims(c)
+
+    def test_sweep_counts(self, monkeypatch):
+        ranked, rows, complexes = [], [], []
+        real_rank, real_dims, real_row = monodromy.rank, monodromy.cohomology_dims, monodromy.TwistRow
+
+        def counted_dims(c):
+            start = len(ranked)
+            complexes.append(c)
+            out = real_dims(c)
+            assert sorted(map(id, ranked[start:])) == sorted(map(id, c.diffs.values()))
+            return out
+
+        def counted_row(star, summands, complex):
+            rows.append(star)
+            return real_row(star, summands, complex)
+
+        monkeypatch.setattr(monodromy, "rank", lambda m: ranked.append(m) or real_rank(m))
+        monkeypatch.setattr(monodromy, "cohomology_dims", counted_dims)
+        monkeypatch.setattr(monodromy, "TwistRow", counted_row)
+        f = self.surface()
+        report = run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
+        assert report.exit_code == 0 and len(report.lines) == 5
+        assert rows == [0, -1, 1, 2, 3, 4]
+        assert len(complexes) == 10  # a cone and a small complex per star
+        assert len(ranked) == sum(len(c.diffs) for c in complexes)
+
+    # (kind, block, star at which the sweep stops, message), as at the
+    # parent of the row memo, where every star built both of its rows
+    FLIPS = (
+        ("pull", ((1, 2), 1, 0, 0), 0, "d.d != 0 out of degree 0"),
+        ("push", ((1, 2), 1, 0, 0), 1, "d.d != 0 out of degree 1"),
+        ("push", ((1, 2, 3), 1, 0, 0), 1, "d.d != 0 out of degree 1"),
+        ("push", ((1, 2), 1, 1, 0), 2, "d.d != 0 out of degree 2"),
+    )
+
+    @pytest.mark.parametrize("kind, key, star, message", FLIPS)
+    def test_flipped_sign_stops_the_sweep_at_the_same_star(
+        self, monkeypatch, kind, key, star, message
+    ):
+        stars = []
+        real = workbench.check_quasi_iso
+
+        def tracked(f, q, s):
+            stars.append(s)
+            return real(f, q, s)
+
+        monkeypatch.setattr(workbench, "check_quasi_iso", tracked)
+        f = with_flipped_sign(self.surface(), key, kind)
+        with pytest.raises(ComplexError) as exc:
+            run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
+        assert (stars[-1], str(exc.value)) == (star, message)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from degen.bundle import Bundle, Params, dumps, loads
 from degen.qlinalg import Mat, kernel_basis, rank
 from degen.strata import (
     MAX_PRIME_POWER,
@@ -18,8 +19,8 @@ from degen.strata import (
     rho,
     validate,
 )
-from fixtures import conjugated, simplex_surface, tensored, with_flipped_sign
-from oracles import trial_prime_power
+from fixtures import conjugated, fixture_fibres, simplex_surface, tensored, with_flipped_sign
+from oracles import fraction_assemble, fraction_ii_map, trial_prime_power
 
 F = Fraction
 
@@ -190,3 +191,43 @@ class TestDescriptorErrors:
         f.ii_matrices[(0, 0)] = Mat.from_rows([[1, 1]])
         with pytest.raises(DescriptorError, match="ii matrix"):
             ii_map(f, 0)
+
+
+class TestIntegerAssembly:
+    """gamma, rho and i^*i_* against the Fraction-dict block assembly."""
+
+    @staticmethod
+    def _maps(f):
+        for j in f.observed_js() or (0,):
+            for p in range(-1, f.dim_y + 2):
+                for r in range(0, f.max_level + 2):
+                    yield ("push", r, p, j), gamma(f, r, p, j)
+                    yield ("pull", r, p, j), rho(f, r, p, j)
+                yield ("ii", 1, p, j), ii_map(f, p, j)
+
+    def test_maps_match_the_fraction_assembly(self):
+        rng = random.Random(13)
+        fibres = [
+            *fixture_fibres(),
+            conjugated(tensored(simplex_surface(), 3), rng),
+            conjugated(generator_ngon(2, 3), rng),
+        ]
+        nonzero = 0
+        for f in fibres:
+            for (mode, r, p, j), got in self._maps(f):
+                if mode == "ii":
+                    want = fraction_ii_map(f, p, j)
+                else:
+                    want = fraction_assemble(f, r, p, j, mode)
+                assert got == want, (mode, r, p, j)
+                nonzero += not got.is_zero()
+        assert nonzero > 50
+
+    def test_loaded_fibres_assemble_alike(self):
+        # the integer parse of "p/q" entries feeds the same maps
+        rng = random.Random(14)
+        for f in [*fixture_fibres(), conjugated(tensored(simplex_surface(), 2), rng)]:
+            b = Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": f})
+            loaded = loads(dumps(b)).fibres["v0"]
+            assert loaded.pushforward == f.pushforward and loaded.pullback == f.pullback
+            assert dict(self._maps(loaded)) == dict(self._maps(f))
