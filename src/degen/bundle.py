@@ -17,7 +17,10 @@ JSON integer literal may not have more digits than Python converts to an
 int (4300 by default); such a literal is named by its path in the file.
 The generator count of each group of the integral regulator may not
 exceed MAX_GENERATORS, checked before any row is built, and a file nested
-past Python's recursion limit is rejected as too deeply nested.
+past Python's recursion limit is rejected as too deeply nested.  At the
+boundary twist (q_coh - 2a = 1) the regulator matrix, xi and tau of each
+place are checked against CH^a of the first level as they are read, so a
+bad height is named before any command builds a map on it.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -117,10 +120,11 @@ def _coerce(value, kind, where: str):
 def _number(value, where: str) -> int | Fraction:
     """A rational from JSON: an int when the text is an integer, else a Fraction."""
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+        if "/" not in value:  # else int() could only fail, at the cost of an exception
+            try:
+                return int(value)
+            except ValueError:
+                pass
         ratio = _RATIO.match(value)
         if ratio is not None:
             try:
