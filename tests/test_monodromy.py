@@ -309,8 +309,8 @@ class TestOneRankOneRow:
         assert len(complexes) == 10  # a cone and a small complex per star
         assert len(ranked) == sum(len(c.diffs) for c in complexes)
 
-    # (kind, block, star at which the sweep stops, message), as at the
-    # parent of the row memo, where every star built both of its rows
+    # (kind, block, star at which the sweep stops, message), recorded
+    # before twist rows were memoised, when every star built both its rows
     FLIPS = (
         ("pull", ((1, 2), 1, 0, 0), 0, "d.d != 0 out of degree 0"),
         ("push", ((1, 2), 1, 0, 0), 1, "d.d != 0 out of degree 1"),
