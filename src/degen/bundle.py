@@ -117,7 +117,11 @@ def _coerce(value, kind, where: str):
     raise AssertionError(kind)
 
 
-def _number(value, where: str) -> int | Fraction:
+class _NotANumber(Exception):
+    """What is wrong with a JSON rational, before the path to it is known."""
+
+
+def _rational(value) -> int | Fraction:
     """A rational from JSON: an int when the text is an integer, else a Fraction."""
     if isinstance(value, str):
         if "/" not in value:  # else int() could only fail, at the cost of an exception
@@ -141,19 +145,26 @@ def _number(value, where: str) -> int | Fraction:
             except ValueError:  # more digits than int() converts
                 too_big = True
             if too_big:
-                raise BundleError(
-                    f"{where}: decimal exponent in {value[:40]!r} exceeds "
+                raise _NotANumber(
+                    f"decimal exponent in {value[:40]!r} exceeds "
                     f"{MAX_DECIMAL_EXPONENT} in magnitude"
                 )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise BundleError(f"{where}: bad rational {value!r}") from exc
+            raise _NotANumber(f"bad rational {value!r}") from exc
     if isinstance(value, bool):
-        raise BundleError(f"{where}: booleans are not numbers")
+        raise _NotANumber("booleans are not numbers")
     if isinstance(value, int):
         return value
-    raise BundleError(f"{where}: expected a rational as string or integer")
+    raise _NotANumber("expected a rational as string or integer")
+
+
+def _number(value, where: str) -> int | Fraction:
+    try:
+        return _rational(value)
+    except _NotANumber as exc:
+        raise BundleError(f"{where}: {exc}") from exc.__cause__
 
 
 _TOO_DEEP = "not valid JSON: nested too deeply"
@@ -221,10 +232,9 @@ def _mat_from_json(obj, where: str, strict: bool) -> Mat:
         row = []
         for j, x in enumerate(entries[base : base + cols]):
             try:
-                x = _number(x, where)
-            except BundleError:  # again, naming the entry
-                _number(x, f"{where}.entries[{base + j}]")
-                raise
+                x = _rational(x)
+            except _NotANumber as exc:
+                raise BundleError(f"{where}.entries[{base + j}]: {exc}") from exc.__cause__
             if x:
                 row.append((j, x))
         items.append(row)

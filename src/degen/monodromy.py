@@ -136,6 +136,12 @@ def mapping_cone(
 
 
 class KComplex(_Record):
+    """The window of the double complex of ``fibre`` with |i|, |j|, |k| <= bound.
+
+    These two fields are the whole of it: ``total_rows`` keys its per-fibre
+    memo by (bound, star).
+    """
+
     __slots__ = _fields = ("fibre", "bound")
 
     def __init__(self, fibre: Fibre, bound: int):
@@ -223,7 +229,9 @@ def _row_summands(kc: KComplex, star: int, q: int) -> tuple[tuple[int, int], ...
 def total_rows(kc: KComplex, star: int) -> TwistRow:
     """Realize the star-th row as an explicit cochain complex, once per
     fibre, bound and star; a row that fails its check is not kept."""
-    rows = _index(kc.fibre).rows
+    # kept on the fibre's index, made here on first use; a KComplex is its
+    # fibre and bound alone, so (bound, star) is the complete key
+    rows: dict[tuple[int, int], TwistRow] = vars(_index(kc.fibre)).setdefault("twist_rows", {})
     key = (kc.bound, star)
     row = rows.get(key)
     if row is None:

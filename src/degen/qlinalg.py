@@ -126,14 +126,17 @@ def _from_scalars(rows: int, cols: int, items: list[list[tuple[int, int | Fracti
     """Mat from sorted nonzero (column, scalar) rows.
 
     The denominator is the lcm of the entries' reduced denominators, so
-    the result is reduced without a gcd pass.
+    the result is reduced without a gcd pass. A Fraction entry becomes
+    an integer even when the lcm is 1 (every Fraction integral).
     """
     den = 1
+    integral = True  # every entry an int
     for row in items:
         for _, x in row:
             if type(x) is not int:
+                integral = False
                 den = lcm(den, x.denominator)
-    if den == 1:
+    if integral:
         data = tuple(tuple(row) for row in items)
     else:
         data = tuple(
@@ -186,6 +189,27 @@ def _stack(cols: int, bands: list[tuple[int, list["Mat"]]]) -> "Mat":
                 c0 += b.cols
             data.append(tuple(row))
     return Mat(sum(h for h, _ in bands), cols, den, tuple(data))
+
+
+def _placed(rows: int, cols: int, blocks: list[tuple[int, int, "Mat", int]]) -> "Mat":
+    """The rows x cols sum of signed blocks, each given as (row offset,
+    column offset, block, sign), over the lcm of their denominators.
+
+    Entries where blocks overlap are summed; the cost follows the
+    nonzeros, not the number of (absent) zero blocks.
+    """
+    den = lcm(*[b._den for _, _, b, _ in blocks])
+    acc: list[dict[int, int]] = [{} for _ in range(rows)]
+    for r0, c0, b, sign in blocks:
+        f = sign * (den // b._den)
+        for i, brow in enumerate(b._data, r0):
+            if brow:
+                out = acc[i]
+                for j, x in brow:
+                    j += c0
+                    out[j] = out.get(j, 0) + f * x
+    data = tuple(tuple(sorted((j, x) for j, x in row.items() if x)) for row in acc)
+    return _reduced(rows, cols, den, data)
 
 
 def _combine(a: "Mat", b: "Mat", sign: int) -> "Mat":

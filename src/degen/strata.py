@@ -28,9 +28,8 @@ built.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from math import lcm
 
-from .qlinalg import Mat, _Record, _reduced, _set
+from .qlinalg import Mat, _placed, _Record, _set
 
 __all__ = [
     "DescriptorError",
@@ -274,8 +273,6 @@ class _FibreIndex:
         self.levels = {r: tuple(ss) for r, ss in levels.items()}
         self.spaces: dict[tuple[int, int, int], GradedSpace] = {}
         self.maps: dict[tuple[str, int, int, int], Mat] = {}
-        # monodromy.total_rows by (bound, star); only rows that passed their check
-        self.rows: dict[tuple[int, int], object] = {}
 
 
 def _index(f: Fibre) -> _FibreIndex:
@@ -317,10 +314,9 @@ def rho(f: Fibre, r: int, p: int, j: int = 0) -> Mat:
 def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
     """The signed block map out of CH^p(Y^{(r)}, j), built once per fibre.
 
-    Each raw block lands at the offsets of its (target, source) pair of
-    strata, scaled to the lcm of the blocks' denominators and signed;
-    distinct pairs occupy disjoint rectangles, so rows are only merged
-    and sorted, never summed, and the cost is that of the nonzeros.
+    Each raw block lands, signed, at the offsets of its (target, source)
+    pair of strata; ``qlinalg._placed`` sums them at a cost that follows
+    the nonzeros.
     """
     maps = _index(f).maps
     key = (mode, r, p, j)
@@ -360,15 +356,7 @@ def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
                 placed.append((tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1)))
     else:  # pragma: no cover
         raise AssertionError(mode)
-    den = lcm(*[block._den for _, _, block, _ in placed])
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(tgt.total)]
-    for r0, c0, block, sign in placed:
-        scale = sign * (den // block._den)
-        for i, brow in enumerate(block._data, r0):
-            if brow:
-                rows[i].extend([(c0 + k, scale * x) for k, x in brow])
-    data = tuple(tuple(sorted(row)) for row in rows)
-    maps[key] = _reduced(tgt.total, src.total, den, data)
+    maps[key] = _placed(tgt.total, src.total, placed)
     return maps[key]
 
 

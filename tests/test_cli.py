@@ -7,6 +7,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from degen.bundle import Bundle, Params, dumps
 from degen.cli import main
 
@@ -300,6 +302,46 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     tsv1 = run_cli("--tsv", "quasi-iso", str(f1))
     tsv2 = run_cli("--tsv", "quasi-iso", str(f1))
     assert tsv1.stdout == tsv2.stdout
+
+
+REPORT_COMMANDS = (
+    ("validate",), ("dim-theorem",), ("check", "A1"), ("check", "A2"), ("check", "B1FF"),
+    ("check", "B2FF"), ("check", "CFF"), ("complex",), ("complex", "--star", "2"), ("quasi-iso",),
+)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integral", "conjugated"])
+def test_integral_entries_in_rational_form_give_the_same_reports(tmp_path, capsys, rational):
+    """Entries written as "4/2", "2.0" or "1e0" denote integers: every
+    report on such a file matches the report on the file that writes them
+    as integers, also when every entry of a block is written so."""
+    import random
+
+    from fixtures import conjugated, tensored
+
+    fibre = tensored(simplex_surface(), 2)
+    if rational:
+        fibre = conjugated(fibre, random.Random(2))
+    data = json.loads(dumps(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": fibre})))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(data))
+    forms = (lambda n: f"{2 * n}/2", lambda n: f"{n}.0", lambda n: f"{n}e0", lambda n: f"{3 * n}/3")
+    k = 0
+    for kind in ("pushforward", "pullback"):
+        for block in data["fibres"]["v0"][kind]:
+            entries = block["matrix"]["entries"]
+            for i, x in enumerate(entries):
+                if "/" not in x:
+                    entries[i] = forms[k % len(forms)](int(x))
+                    k += 1
+    assert k
+    respelled = tmp_path / "respelled.json"
+    respelled.write_text(json.dumps(data))
+    for cmd in REPORT_COMMANDS:
+        for tsv in ((), ("--tsv",)):
+            want = main([*tsv, *cmd, str(plain)]), capsys.readouterr().out
+            got = main([*tsv, *cmd, str(respelled)]), capsys.readouterr().out
+            assert got == want, cmd
 
 
 def test_entry_point_runs_as_module(tmp_path):

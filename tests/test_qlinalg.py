@@ -479,3 +479,35 @@ class TestAgainstDenseOracle:
         n = 9
         g = Mat.sparse(n, n, {**{(i, i): -1 for i in range(n)}, **{((i + 1) % n, i): 1 for i in range(n)}})
         assert_matches_dense_oracle(g, g.transpose(), g.transpose(), F(5, 7))
+
+
+class TestInternalConstructors:
+    """The constructors that build a Mat's integer rows directly."""
+
+    def test_integral_fractions_become_integers(self):
+        from degen.qlinalg import _from_scalars
+
+        m = _from_scalars(2, 3, [[(0, F(4, 2)), (2, F(-3))], [(1, F(6, 3))]])
+        assert m == mat([[2, 0, -3], [0, 2, 0]])
+        assert all(type(x) is int for row in m._data for _, x in row)
+        assert rank(m) == 2 and rank(m.scale(F(1, 2)) - m) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_placed_blocks_sum_like_padded_matrices(self, data):
+        from degen.qlinalg import _placed
+
+        rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        blocks, want = [], Mat.zero(rows, cols)
+        for _ in range(data.draw(st.integers(1, 4))):  # blocks may overlap
+            br, bc = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+            b = Mat.from_rows([[data.draw(fractions_st) for _ in range(bc)] for _ in range(br)], cols=bc)
+            r0 = data.draw(st.integers(0, rows - b.rows))
+            c0 = data.draw(st.integers(0, cols - b.cols))
+            sign = data.draw(st.sampled_from((1, -1)))
+            blocks.append((r0, c0, b, sign))
+            padded = Mat.sparse(rows, cols, {(r0 + i, c0 + j): x for (i, j), x in b.nonzeros().items()})
+            want = want + padded.scale(sign)
+        got = _placed(rows, cols, blocks)
+        assert got == want
+        assert got._den == want._den and got._data == want._data
