@@ -492,6 +492,13 @@ class TestInternalConstructors:
         assert all(type(x) is int for row in m._data for _, x in row)
         assert rank(m) == 2 and rank(m.scale(F(1, 2)) - m) == 2
 
+    def test_placed_blocks_that_cancel_are_reduced(self):
+        from degen.qlinalg import _placed
+
+        a, b = mat([[F(1, 3), F(2, 3)]]), mat([[F(2, 3), F(1, 3)]])
+        m = _placed(2, 3, [(0, 0, a, 1), (0, 0, b, 1), (1, 1, a, 1), (1, 1, a, -1)])
+        assert m == mat([[1, 1, 0], [0, 0, 0]]) and m._den == 1
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_placed_blocks_sum_like_padded_matrices(self, data):
