@@ -16,7 +16,9 @@ exponents of q, may not exceed MAX_TWIST in magnitude, and field sizes
 JSON integer literal may not have more digits than Python converts to an
 int (4300 by default); such a literal is named by its path in the file.
 The generator count of each group of the integral regulator may not
-exceed MAX_GENERATORS, checked before any row is built, and a file nested
+exceed MAX_GENERATORS, and the rows and cols of each matrix, each
+higher_chow dim and the sum of each fibre's chow dims may not exceed
+MAX_DIMENSION; both are checked before any row is built.  A file nested
 past Python's recursion limit is rejected as too deeply nested.  At the
 boundary twist (q_coh - 2a = 1) the regulator matrix, xi and tau of each
 place are checked against CH^a of the first level as they are read, so a
@@ -53,6 +55,7 @@ __all__ = [
     "save",
     "dumps",
     "MAX_DECIMAL_EXPONENT",
+    "MAX_DIMENSION",
     "MAX_GENERATORS",
     "MAX_TWIST",
 ]
@@ -67,6 +70,12 @@ MAX_TWIST = 1000
 # Largest generator count of a group in the integral regulator: with empty
 # relations the parser builds one row per generator.
 MAX_GENERATORS = 10_000
+
+# Largest matrix height or width, higher Chow dimension and total Chow
+# dimension of a fibre: a matrix with no columns needs no entries in the
+# file whatever its height, and every space a command builds on a fibre
+# has at most the fibre's total Chow dimension.
+MAX_DIMENSION = 100_000
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -222,6 +231,9 @@ def _mat_from_json(obj, where: str, strict: bool) -> Mat:
     rows, cols, entries = got["rows"], got["cols"], got["entries"]
     if rows < 0 or cols < 0:
         raise BundleError(f"{where}: negative shape")
+    for key in ("rows", "cols"):
+        if got[key] > MAX_DIMENSION:
+            raise BundleError(f"{where}.{key}: exceeds {MAX_DIMENSION}")
     if len(entries) != rows * cols:
         raise BundleError(
             f"{where}: {len(entries)} entries for a {rows}x{cols} matrix"
@@ -378,6 +390,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
         strata.append(tuple(s))
 
     chow = {}
+    total = 0
     for i, entry in enumerate(got["chow"]):
         e = _expect(
             entry,
@@ -390,6 +403,11 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
         if key in chow:
             raise BundleError(f"{where}.chow[{i}]: duplicate entry for {key}")
         chow[key] = e["dim"]
+        total += e["dim"]
+        if total > MAX_DIMENSION:
+            raise BundleError(
+                f"{where}.chow[{i}].dim: the chow dims of the fibre sum past {MAX_DIMENSION}"
+            )
 
     def parse_blocks(name: str) -> dict:
         blocks = {}
@@ -440,6 +458,8 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
                 f"{where}.higher_chow[{i}]",
                 strict,
             )
+            if e["dim"] > MAX_DIMENSION:
+                raise BundleError(f"{where}.higher_chow[{i}].dim: exceeds {MAX_DIMENSION}")
             higher_chow[(e["codim"], e["j"])] = e["dim"]
 
     try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from .qlinalg import (
     AbGroupMap,
     Mat,
+    _placed,
     _Record,
     kernel_basis,
     kernel_cokernel_orders,
@@ -126,9 +127,10 @@ def residue_reduction(modulo: Mat) -> Mat:
     eliminated, so equivalent vectors get equal outputs."""
     n = modulo.rows
     r, pivots = rref(modulo.transpose())
-    # v - sum_i v[p_i] * (echelon row i): subtract row i at column p_i
-    correction = {(m, pivots[i]): x for (i, m), x in r.nonzeros().items()}
-    return Mat.identity(n) - Mat.sparse(n, n, correction)
+    # v - sum_i v[p_i] * (echelon row i); ``pick`` sends v to (v[p_i])_i
+    one = Mat.identity(1)
+    pick = _placed(r.rows, n, [(i, p, one, 1) for i, p in enumerate(pivots)])
+    return Mat.identity(n) - r.transpose() * pick
 
 
 def z_map(f: Fibre, a: int, cyc: CycleDatum) -> Mat:

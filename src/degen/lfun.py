@@ -162,10 +162,6 @@ class RatFunc(_Record):
         scale = sn / (sd * lead)
         return RatFunc(tuple(scale * c for c in n), tuple(Fraction(c, lead) for c in d))
 
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc.make([1], [1])
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

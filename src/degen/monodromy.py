@@ -29,7 +29,6 @@ __all__ = [
     "ComplexError",
     "CochainComplex",
     "cohomology_dims",
-    "euler_characteristic",
     "mapping_cone",
     "KComplex",
     "build_K",
@@ -94,10 +93,6 @@ def cohomology_dims(c: CochainComplex) -> dict[int, int]:
     return out
 
 
-def euler_characteristic(c: CochainComplex) -> int:
-    return sum((-1) ** q * d for q, d in c.dims.items())
-
-
 def mapping_cone(
     f_maps: dict[int, Mat], source: CochainComplex, target: CochainComplex
 ) -> CochainComplex:
@@ -125,9 +120,10 @@ def mapping_cone(
     for q in degrees:
         dims[q] = source.dim(q) + target.dim(q - 1)
     for q in degrees:
-        top = Mat.hstack([source.diff(q), Mat.zero(source.dim(q + 1), target.dim(q - 1))])
-        bottom = Mat.hstack([f_at(q), target.diff(q - 1).scale(-1)])
-        diffs[q] = Mat.vstack([top, bottom])
+        diffs[q] = Mat.block(
+            [[source.diff(q), None], [f_at(q), -target.diff(q - 1)]],
+            [source.dim(q + 1), target.dim(q)], [source.dim(q), target.dim(q - 1)],
+        )
     return CochainComplex({q: d for q, d in dims.items() if d}, diffs)
 
 
@@ -180,7 +176,7 @@ def _total_block(f: Fibre, r: int, t: int, p: int) -> Mat | None:
     if t == r + 1:
         return rho(f, r, p)
     if t == r - 1:
-        return gamma(f, r, p).scale(-1)
+        return -gamma(f, r, p)
     return None
 
 
@@ -284,9 +280,8 @@ def cone_of_N(source_row: TwistRow, target_row: TwistRow) -> CochainComplex:
                 row.append(Mat.identity(sd) if tr == sr else None)
             grid.append(row)
         n_maps[q] = Mat.block(grid, [d for _, d in tgt], [d for _, d in src])
-    cone = mapping_cone(n_maps, source_row.complex, target_row.complex)
-    cone.check()
-    return cone
+    # both rows passed check() and mapping_cone checked N d = d N, so D.D = 0
+    return mapping_cone(n_maps, source_row.complex, target_row.complex)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +313,7 @@ def build_C(f: Fibre, star: int) -> CochainComplex:
         if m not in dims and m + 1 not in dims:
             continue
         if m == 2 * star - 1:
-            diffs[m] = ii_map(f, star - 1).scale(-1)
+            diffs[m] = -ii_map(f, star - 1)
         else:
             diffs[m] = _total_block(f, r, t, p)
     cx = CochainComplex(dims, diffs)

@@ -11,6 +11,12 @@ transposes, stacking and zero tests cost time in proportion to the
 nonzero entries and use integer arithmetic only; ``entries`` is a dense
 ``Fraction`` view, built on demand.
 
+One assembler, ``_placed``, builds every matrix made of other matrices:
+``hstack``, ``vstack``, ``block``, ``+`` and ``-`` work out where their
+operands go and hand it signed blocks at offsets, which it sums over the
+lcm of their denominators.  Its cost follows the nonzeros of the blocks,
+not the size of the grid they sit in.
+
 Rank, reduced row echelon form, kernels, solving and quotient
 projections all go through one fraction-free sparse elimination
 (``_eliminate``).  Columns are taken left to right.  The pivot is the
@@ -32,8 +38,9 @@ when the group has positive rank.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 __all__ = [
@@ -164,39 +171,13 @@ def _reduced(rows: int, cols: int, den: int, data: tuple[Row, ...]) -> "Mat":
     return Mat(rows, cols, den, data)
 
 
-def _stack(cols: int, bands: list[tuple[int, list["Mat"]]]) -> "Mat":
-    """Assemble bands of side-by-side blocks, given top to bottom as
-    (height, blocks left to right), over the lcm of their denominators.
-
-    Each block is reduced and a zero block has denominator 1, so the
-    result is reduced as well.
-    """
-    den = 1
-    for _, blocks in bands:
-        for b in blocks:
-            den = lcm(den, b._den)
-    data: list[Row] = []
-    for height, blocks in bands:
-        if len(blocks) == 1 and blocks[0]._den == den:
-            data.extend(blocks[0]._data)
-            continue
-        for i in range(height):
-            row: list[tuple[int, int]] = []
-            c0 = 0
-            for b in blocks:
-                f = den // b._den
-                row.extend((c0 + j, x * f) for j, x in b._data[i])
-                c0 += b.cols
-            data.append(tuple(row))
-    return Mat(sum(h for h, _ in bands), cols, den, tuple(data))
-
-
 def _placed(rows: int, cols: int, blocks: list[tuple[int, int, "Mat", int]]) -> "Mat":
     """The rows x cols sum of signed blocks, each given as (row offset,
     column offset, block, sign), over the lcm of their denominators.
 
-    Entries where blocks overlap are summed; the cost follows the
-    nonzeros, not the number of (absent) zero blocks.
+    Every Mat built from other Mats comes from here.  Entries where blocks
+    overlap are summed; the cost follows the nonzeros, not the number of
+    (absent) zero blocks.
     """
     den = lcm(*[b._den for _, _, b, _ in blocks])
     acc: list[dict[int, int]] = [{} for _ in range(rows)]
@@ -210,27 +191,6 @@ def _placed(rows: int, cols: int, blocks: list[tuple[int, int, "Mat", int]]) -> 
                     out[j] = out.get(j, 0) + f * x
     data = tuple(tuple(sorted((j, x) for j, x in row.items() if x)) for row in acc)
     return _reduced(rows, cols, den, data)
-
-
-def _combine(a: "Mat", b: "Mat", sign: int) -> "Mat":
-    """a + sign * b."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch in addition")
-    den = lcm(a._den, b._den)
-    fa, fb = den // a._den, sign * (den // b._den)
-    data = []
-    for ra, rb in zip(a._data, b._data):
-        if not rb:
-            row = ra if fa == 1 else tuple((j, x * fa) for j, x in ra)
-        elif not ra:
-            row = tuple((j, x * fb) for j, x in rb)
-        else:
-            acc = {j: x * fa for j, x in ra}
-            for j, x in rb:
-                acc[j] = acc.get(j, 0) + x * fb
-            row = tuple(sorted((j, x) for j, x in acc.items() if x))
-        data.append(row)
-    return _reduced(a.rows, a.cols, den, tuple(data))
 
 
 class Mat(_Record):
@@ -265,22 +225,6 @@ class Mat(_Record):
         return _from_scalars(len(items), width, items)
 
     @staticmethod
-    def sparse(rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Mat":
-        """Build from a mapping (row, column) -> scalar; absent entries are zero."""
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimension")
-        items: list[list] = [[] for _ in range(rows)]
-        for (i, j), x in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            x = _scalar(x)
-            if x:
-                items[i].append((j, x))
-        for row in items:
-            row.sort(key=lambda e: e[0])
-        return _from_scalars(rows, cols, items)
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
@@ -298,7 +242,7 @@ class Mat(_Record):
         r = blocks[0].rows
         if any(b.rows != r for b in blocks):
             raise ValueError("hstack: row counts differ")
-        return _stack(sum(b.cols for b in blocks), [(r, blocks)])
+        return Mat.block([blocks], [r], [b.cols for b in blocks])
 
     @staticmethod
     def vstack(blocks: Sequence["Mat"]) -> "Mat":
@@ -308,26 +252,30 @@ class Mat(_Record):
         c = blocks[0].cols
         if any(b.cols != c for b in blocks):
             raise ValueError("vstack: column counts differ")
-        return _stack(c, [(b.rows, [b]) for b in blocks])
+        return Mat.block([[b] for b in blocks], [b.rows for b in blocks], [c])
 
     @staticmethod
     def block(grid: Sequence[Sequence["Mat | None"]], row_dims: Sequence[int], col_dims: Sequence[int]) -> "Mat":
-        """Assemble from a grid of optional blocks; ``None`` means a zero block."""
-        bands = []
-        for bi, rdim in enumerate(row_dims):
-            blocks = []
-            for bj, cdim in enumerate(col_dims):
+        """Assemble from a grid of optional blocks; ``None`` means a zero block.
+
+        The blocks go to ``_placed`` at their offsets, so the cost follows
+        their nonzeros, not the number of blocks in the grid.
+        """
+        r0s = list(accumulate(row_dims, initial=0))
+        c0s = list(accumulate(col_dims, initial=0))
+        placed = []
+        for bi, (r0, rdim) in enumerate(zip(r0s, row_dims)):
+            for bj, (c0, cdim) in enumerate(zip(c0s, col_dims)):
                 blk = grid[bi][bj]
                 if blk is None:
-                    blk = Mat.zero(rdim, cdim)
-                elif blk.rows != rdim or blk.cols != cdim:
+                    continue
+                if blk.rows != rdim or blk.cols != cdim:
                     raise ValueError(
                         f"block ({bi},{bj}) has shape {blk.rows}x{blk.cols}, "
                         f"expected {rdim}x{cdim}"
                     )
-                blocks.append(blk)
-            bands.append((rdim, blocks))
-        return _stack(sum(col_dims), bands)
+                placed.append((r0, c0, blk, 1))
+        return _placed(r0s[-1], c0s[-1], placed)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -342,16 +290,13 @@ class Mat(_Record):
             out.append(tuple(dense))
         return tuple(out)
 
-    def nonzeros(self) -> dict[tuple[int, int], Fraction]:
-        """The nonzero entries as a mapping (row, column) -> value."""
-        den = self._den
-        return {(i, j): Fraction(x, den) for i, row in enumerate(self._data) for j, x in row}
-
     def __add__(self, other: "Mat") -> "Mat":
-        return _combine(self, other, 1)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in addition")
+        return _placed(self.rows, self.cols, [(0, 0, self, 1), (0, 0, other, 1)])
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return _combine(self, other, -1)
+        return self + -other
 
     def __neg__(self) -> "Mat":
         return Mat(

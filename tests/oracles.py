@@ -808,7 +808,7 @@ def fraction_assemble(f, r: int, p: int, j: int, mode: str) -> Mat:
         tgt = build_level(f, r + 1, p, j)
         blocks = f.pullback
         outer, inner = tgt, src
-    entries: dict[tuple[int, int], Fraction] = {}
+    grid = [[Fraction(0)] * src.total for _ in range(tgt.total)]
     for stratum, _ in outer.pieces:
         for u in range(1, len(stratum) + 1):
             other = stratum[: u - 1] + stratum[u:]
@@ -819,10 +819,10 @@ def fraction_assemble(f, r: int, p: int, j: int, mode: str) -> Mat:
                 r0, c0 = tgt.offset(other), src.offset(stratum)
             else:
                 r0, c0 = tgt.offset(stratum), src.offset(other)
-            for (i, k), x in block.nonzeros().items():
-                key = (r0 + i, c0 + k)
-                entries[key] = entries.get(key, 0) + (-1) ** (u - 1) * x
-    return Mat.sparse(tgt.total, src.total, entries)
+            for i, row in enumerate(block.entries):
+                for k, x in enumerate(row):
+                    grid[r0 + i][c0 + k] += (-1) ** (u - 1) * x
+    return Mat.from_rows(grid, cols=src.total)
 
 
 def fraction_ii_map(f, p: int, j: int = 0) -> Mat:
@@ -841,3 +841,8 @@ def two_rank_cohomology_dims(c) -> dict[int, int]:
         if h:
             out[q] = h
     return out
+
+
+def euler_characteristic(c) -> int:
+    """Alternating sum of the dimensions of a cochain complex."""
+    return sum((-1) ** q * d for q, d in c.dims.items())

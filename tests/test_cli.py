@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from degen.bundle import Bundle, Params, dumps
+from degen.bundle import MAX_DIMENSION, Bundle, Params, dumps
 from degen.cli import main
 
 from fixtures import multi_place_bundle, simplex_surface
@@ -176,16 +176,46 @@ def test_generator_count_past_the_limit_is_rejected(tmp_path, capsys):
     assert "between 0 and 10000" in capsys.readouterr().err
 
 
+def test_matrix_shape_past_the_limit_is_rejected(tmp_path, capsys):
+    # a matrix with no columns needs no entries, whatever height it declares
+    for shape, key in (((10**9, 0), "rows"), ((0, 10**9), "cols")):
+        data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+        rows, cols = shape
+        data["motivic"]["infty"]["regulator"] = {
+            "motivic_rank": cols, "matrix": {"rows": rows, "cols": cols, "entries": []},
+        }
+        _bounded_rejection(tmp_path, data, ["validate"], f"motivic.infty.regulator.matrix.{key}")
+    assert f"exceeds {MAX_DIMENSION}" in capsys.readouterr().err
+
+
+def test_chow_dimensions_past_the_limit_are_rejected(tmp_path, capsys):
+    # without a motivic section nothing else bounds the spaces built on CH^0
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    del data["motivic"]
+    chow = data["fibres"]["infty"]["chow"]
+    chow[0]["dim"] = 10**7
+    _bounded_rejection(tmp_path, data, ["check", "A2"], "fibres.infty.chow[0].dim")
+    # the limit is on the fibre's sum
+    chow[0]["dim"] = MAX_DIMENSION
+    chow.append({"stratum": [1], "codim": 0, "j": 1, "dim": 1})
+    _bounded_rejection(tmp_path, data, ["check", "A2"], "fibres.infty.chow[1].dim")
+    del chow[1]
+    data["fibres"]["infty"]["higher_chow"] = [{"codim": 0, "j": 0, "dim": 10**9}]
+    _bounded_rejection(tmp_path, data, ["validate"], "fibres.infty.higher_chow[0].dim")
+    assert f"sum past {MAX_DIMENSION}" in capsys.readouterr().err
+
+
 def test_motivic_shapes_are_checked_at_load(tmp_path, capsys):
     # zeta-fqt is at the boundary twist a = 0, where xi, tau and the
-    # regulator live on CH^0 of its one component, here of dimension 10^6
+    # regulator live on CH^0 of its one component, here of the largest
+    # dimension a bundle may declare
     data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
-    data["fibres"]["infty"]["chow"][0]["dim"] = 10**6
+    data["fibres"]["infty"]["chow"][0]["dim"] = MAX_DIMENSION
     cycle = data["motivic"]["infty"]["cycle_class"]
     regulator = data["motivic"]["infty"].pop("regulator")
     for argv in (["validate"], ["check", "A2"], ["quasi-iso"]):
         _bounded_rejection(tmp_path, data, argv, "motivic.infty.cycle_class.xi")
-    assert "has shape 1x1, expected 1000000x1" in capsys.readouterr().err
+    assert f"has shape 1x1, expected {MAX_DIMENSION}x1" in capsys.readouterr().err
     data["fibres"]["infty"]["chow"][0]["dim"] = 2
     cycle["xi"] = {"rows": 2, "cols": 1, "entries": ["1", "0"]}
     _bounded_rejection(tmp_path, data, ["check", "A2"], "motivic.infty.cycle_class.tau")

@@ -12,7 +12,6 @@ from degen.monodromy import (
     check_quasi_iso,
     cohomology_dims,
     cone_of_N,
-    euler_characteristic,
     mapping_cone,
     total_rows,
 )
@@ -20,7 +19,12 @@ from degen.qlinalg import Mat
 from degen.strata import build_level, gamma, generator_ngon, generator_smooth, rho
 from degen.workbench import run_quasi_iso
 from fixtures import conjugated, fixture_fibres, simplex_surface, tensored, with_flipped_sign
-from oracles import degree_walk_build_C, random_known_complex, two_rank_cohomology_dims
+from oracles import (
+    degree_walk_build_C,
+    euler_characteristic,
+    random_known_complex,
+    two_rank_cohomology_dims,
+)
 
 
 def triangle():
@@ -308,6 +312,17 @@ class TestOneRankOneRow:
         assert rows == [0, -1, 1, 2, 3, 4]
         assert len(complexes) == 10  # a cone and a small complex per star
         assert len(ranked) == sum(len(c.diffs) for c in complexes)
+
+    def test_sweep_checks_each_row_and_small_complex_once(self, monkeypatch):
+        checked = []
+        real = CochainComplex.check
+        monkeypatch.setattr(CochainComplex, "check", lambda c: checked.append(c) or real(c))
+        f = self.surface()
+        report = run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
+        assert report.exit_code == 0 and len(report.lines) == 5
+        # 6 twist rows and 5 small complexes; a cone of checked rows along
+        # a checked chain map squares to zero, so it is not checked again
+        assert len(checked) == 11
 
     # (kind, block, star at which the sweep stops, message), recorded
     # before twist rows were memoised, when every star built both its rows

@@ -435,8 +435,16 @@ def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
     assert a.is_zero() == all(x == 0 for row in ga for x in row)
     columns = dense_transpose(ga, k)
     assert [m.entries for m in a.columns()] == [tuple((x,) for x in col) for col in columns]
+    # the assemblers lay blocks of unlike denominators out on dense grids
+    gab = dense_mul(ga, gb, k, c)
+    assert Mat.hstack([a, a2]).entries == tuple(x + y for x, y in zip(ga, ga2))
+    assert Mat.vstack([a, a2, Mat.zero(0, k)]).entries == ga + ga2
+    zeros = (F(0),) * k
+    assert Mat.block([[a, a * b], [None, b]], [r, k], [k, c]).entries == tuple(
+        x + y for x, y in zip(ga, gab)
+    ) + tuple(zeros + y for y in gb)
     # equality and hashing are structural on the canonical form
-    for again in (Mat.from_rows(ga, cols=k), Mat.sparse(r, k, a.nonzeros()), a.scale(3).scale(F(1, 3))):
+    for again in (Mat.from_rows(ga, cols=k), a - Mat.zero(r, k), a.scale(3).scale(F(1, 3))):
         assert again == a and hash(again) == hash(a)
     assert (a == a2) == (ga == ga2)
     assert rank(a) == dense_rank(ga, k)
@@ -477,7 +485,10 @@ class TestAgainstDenseOracle:
     def test_ngon_incidence_matches(self):
         # the Gysin matrix of a 9-gon and its Laplacian-like square
         n = 9
-        g = Mat.sparse(n, n, {**{(i, i): -1 for i in range(n)}, **{((i + 1) % n, i): 1 for i in range(n)}})
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            grid[i][i], grid[(i + 1) % n][i] = -1, 1
+        g = Mat.from_rows(grid)
         assert_matches_dense_oracle(g, g.transpose(), g.transpose(), F(5, 7))
 
 
@@ -505,7 +516,7 @@ class TestInternalConstructors:
         from degen.qlinalg import _placed
 
         rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-        blocks, want = [], Mat.zero(rows, cols)
+        blocks, grid = [], [[F(0)] * cols for _ in range(rows)]
         for _ in range(data.draw(st.integers(1, 4))):  # blocks may overlap
             br, bc = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
             b = Mat.from_rows([[data.draw(fractions_st) for _ in range(bc)] for _ in range(br)], cols=bc)
@@ -513,8 +524,10 @@ class TestInternalConstructors:
             c0 = data.draw(st.integers(0, cols - b.cols))
             sign = data.draw(st.sampled_from((1, -1)))
             blocks.append((r0, c0, b, sign))
-            padded = Mat.sparse(rows, cols, {(r0 + i, c0 + j): x for (i, j), x in b.nonzeros().items()})
-            want = want + padded.scale(sign)
+            for i, row in enumerate(b.entries):
+                for j, x in enumerate(row):
+                    grid[r0 + i][c0 + j] += sign * x
+        want = Mat.from_rows(grid, cols=cols)
         got = _placed(rows, cols, blocks)
         assert got == want
         assert got._den == want._den and got._data == want._data

@@ -43,7 +43,7 @@ def instances():
         "Place": Place(1, m),
         "RegulatorDatum": RegulatorDatum(1, m),
         "MotivicDatum": MotivicDatum(),
-        "GlobalL": GlobalL(RatFunc.one(), 1),
+        "GlobalL": GlobalL(RatFunc.make([1], [1]), 1),
         "Bundle": Bundle(Params(1, 0, 13), {}),
         "DeligneGroup": DeligneGroup(2, 1, "boundary", 1, 2, m, None),
         "CycleDatum": CycleDatum(1, m),
@@ -182,7 +182,7 @@ def test_frozen_records_reject_assignment():
     with pytest.raises(AttributeError):
         Mat.identity(2).rows = 3
     with pytest.raises(AttributeError):
-        RatFunc.one().num = (F(2),)
+        RatFunc.make([1], [1]).num = (F(2),)
     assert repr(inst["Params"]) == REPRS["Params"]
 
 
@@ -220,7 +220,7 @@ def test_keyword_and_default_construction():
     assert (md.regulator, md.cycle_class) == (None, None)
     reg = RegulatorDatum(motivic_rank=1, matrix=m)
     assert MotivicDatum(cycle_class=None, regulator=reg).regulator == reg
-    z = RatFunc.one()
+    z = RatFunc.make([1], [1])
     g = GlobalL(z=z, weight_w=1)
     assert g.conductor is None
     assert g == GlobalL(z, 1, None)
