@@ -40,7 +40,14 @@ from fractions import Fraction
 from .deligne import CycleDatum
 from .lfun import RatFunc
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _from_scalars, _Record
-from .strata import MAX_PRIME_POWER, DescriptorError, Fibre, build_level, is_prime_power
+from .strata import (
+    MAX_PRIME_POWER,
+    DescriptorError,
+    Fibre,
+    block_shape,
+    build_level,
+    is_prime_power,
+)
 
 __all__ = [
     "BundleError",
@@ -226,7 +233,9 @@ def _is_power(value: int, base: int, exponent: int) -> bool:
     return value == 1 and k == exponent
 
 
-def _mat_from_json(obj, where: str, strict: bool) -> Mat:
+def _mat_from_json(obj, where: str, strict: bool, shape: tuple[int, int] | None = None) -> Mat:
+    """The matrix ``obj`` describes; when ``shape`` is given, its declared
+    rows and cols must be that, and no row is built otherwise."""
     got = _expect(obj, {"rows": "int", "cols": "int", "entries": "list"}, {}, where, strict)
     rows, cols, entries = got["rows"], got["cols"], got["entries"]
     if rows < 0 or cols < 0:
@@ -234,6 +243,8 @@ def _mat_from_json(obj, where: str, strict: bool) -> Mat:
     for key in ("rows", "cols"):
         if got[key] > MAX_DIMENSION:
             raise BundleError(f"{where}.{key}: exceeds {MAX_DIMENSION}")
+    if shape is not None and (rows, cols) != shape:
+        raise BundleError(f"{where}: has shape {rows}x{cols}, expected {shape[0]}x{shape[1]}")
     if len(entries) != rows * cols:
         raise BundleError(
             f"{where}: {len(entries)} entries for a {rows}x{cols} matrix"
@@ -281,6 +292,14 @@ def _int_rows(value, where: str) -> list[list[int]]:
             cleaned.append(x)
         out.append(cleaned)
     return out
+
+
+def _stratum(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise BundleError(f"{where}: expected a list of integers")
+    return tuple(value)
 
 
 def _poly_from_json(value, where: str) -> tuple[Fraction, ...]:
@@ -381,13 +400,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
         where,
         strict,
     )
-    strata = []
-    for i, s in enumerate(got["strata"]):
-        if not isinstance(s, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in s
-        ):
-            raise BundleError(f"{where}.strata[{i}]: expected a list of integers")
-        strata.append(tuple(s))
+    strata = [_stratum(s, f"{where}.strata[{i}]") for i, s in enumerate(got["strata"])]
 
     chow = {}
     total = 0
@@ -399,7 +412,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
             f"{where}.chow[{i}]",
             strict,
         )
-        key = (tuple(e["stratum"]), e["codim"], e["j"])
+        key = (_stratum(e["stratum"], f"{where}.chow[{i}].stratum"), e["codim"], e["j"])
         if key in chow:
             raise BundleError(f"{where}.chow[{i}]: duplicate entry for {key}")
         chow[key] = e["dim"]
@@ -425,10 +438,15 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
                 f"{where}.{name}[{i}]",
                 strict,
             )
-            key = (tuple(e["stratum"]), e["position"], e["codim"], e["j"])
+            stratum = _stratum(e["stratum"], f"{where}.{name}[{i}].stratum")
+            key = (stratum, e["position"], e["codim"], e["j"])
             if key in blocks:
                 raise BundleError(f"{where}.{name}[{i}]: duplicate entry for {key}")
-            blocks[key] = _mat_from_json(e["matrix"], f"{where}.{name}[{i}].matrix", strict)
+            try:
+                shape = block_shape(chow, name, key)
+            except DescriptorError as exc:
+                raise BundleError(f"{where}.{name}[{i}]: {exc}") from exc
+            blocks[key] = _mat_from_json(e["matrix"], f"{where}.{name}[{i}].matrix", strict, shape)
         return blocks
 
     pushforward = parse_blocks("pushforward")

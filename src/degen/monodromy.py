@@ -2,7 +2,7 @@
 
 The triple-indexed space K^{i,j,k} is CH^{(i+j-2k+n)/2}(Y^{(2k-i+1)}) when
 k >= max(0, i), the parity works out and the level is positive, and zero
-otherwise.  Three maps act on it:
+otherwise (n = dim_y).  Three maps act on it:
 
     d' = rho:        (i, j, k) -> (i+1, j+1, k+1)   restriction, level up
     d'' = -gamma:    (i, j, k) -> (i+1, j+1, k)     Gysin, level down
@@ -12,12 +12,16 @@ The sign rule of d' + d'' lives in ``_total_block`` (rho one level up,
 -gamma one level down); ``total_rows`` and ``build_C`` take blocks from it.
 
 For a fixed twist index "star", the degree-q slice along the diagonal
-(i, j) = (q - 2*star, q - dim_y) is a cochain complex under d' + d'' (the
-"total row"); N is a degree-zero chain map from the row at star to the row
-at star - 1, given by identity blocks on the shared level summands.  The
-cohomology of Cone(N) computes the v-adic weight spectral bookkeeping, and
-it agrees with a short explicit complex built from gamma, i^*i_* and rho
-(check_quasi_iso verifies the agreement instance by instance).
+(i, j) = (q - 2*star, q - n) is a cochain complex under d' + d'' (the
+"total row").  Solving the side conditions for codim p and level r, the
+row at star holds CH^p(Y^{(r)}) in degree q = 2p + r - 1 for
+max(0, star - r + 1) <= p <= star and q <= 2n + 2, so ``total_rows``
+reads it straight off the levels 1..max_level.  N is a degree-zero chain map from the row at
+star to the row at star - 1, given by identity blocks on the shared level
+summands.  The cohomology of Cone(N) computes the v-adic weight spectral
+bookkeeping, and it agrees with a short explicit complex built from gamma,
+i^*i_* and rho (check_quasi_iso verifies the agreement instance by
+instance).
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ __all__ = [
     "CochainComplex",
     "cohomology_dims",
     "mapping_cone",
-    "KComplex",
-    "build_K",
     "TwistRow",
     "total_rows",
     "cone_of_N",
@@ -127,49 +129,6 @@ def mapping_cone(
     return CochainComplex({q: d for q, d in dims.items() if d}, diffs)
 
 
-# ---------------------------------------------------------------------------
-# The triple-indexed complex itself.
-
-
-class KComplex(_Record):
-    """The window of the double complex of ``fibre`` with |i|, |j|, |k| <= bound.
-
-    These two fields are the whole of it: ``total_rows`` keys its per-fibre
-    memo by (bound, star).
-    """
-
-    __slots__ = _fields = ("fibre", "bound")
-
-    def __init__(self, fibre: Fibre, bound: int):
-        self._assign(fibre, bound)
-
-    def codim_level(self, i: int, j: int, k: int) -> tuple[int, int] | None:
-        """(codim, level) of K^{i,j,k}, or None when the piece is zero."""
-        if max(abs(i), abs(j), abs(k)) > self.bound:
-            return None
-        if k < max(0, i):
-            return None
-        r = 2 * k - i + 1
-        if r < 1:
-            return None
-        num = i + j - 2 * k + self.fibre.dim_y
-        if num % 2 != 0:
-            return None
-        p = num // 2
-        if p < 0:
-            return None
-        return p, r
-
-
-def build_K(f: Fibre, bound: int | None = None) -> KComplex:
-    """Bounded window of the double complex; default bound is dim_y + 2."""
-    if bound is None:
-        bound = f.dim_y + 2
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return KComplex(f, bound)
-
-
 def _total_block(f: Fibre, r: int, t: int, p: int) -> Mat | None:
     """Block of d' + d'' from CH^p at level r to level t: rho one level up,
     -gamma one level down, None (a zero block) otherwise."""
@@ -202,52 +161,32 @@ class TwistRow(_Record):
         return self.summands.get(q, ())
 
 
-def _row_summands(kc: KComplex, star: int, q: int) -> tuple[tuple[int, int], ...]:
-    f = kc.fibre
-    out = []
-    r = abs(q - 2 * star) + 1
-    if (q + 1 - r) % 2 != 0:
-        r += 1
-    while r <= f.max_level:
-        p = (q + 1 - r) // 2
-        if p < 0:
-            break  # p only shrinks as r grows
-        i = q - 2 * star
-        k = (r + i - 1) // 2
-        if kc.codim_level(i, q - f.dim_y, k) is not None:
-            d = build_level(f, r, p).total
-            if d:
-                out.append((r, d))
-        r += 2
-    return tuple(out)
-
-
-def total_rows(kc: KComplex, star: int) -> TwistRow:
+def total_rows(f: Fibre, star: int) -> TwistRow:
     """Realize the star-th row as an explicit cochain complex, once per
-    fibre, bound and star; a row that fails its check is not kept."""
-    # kept on the fibre's index, made here on first use; a KComplex is its
-    # fibre and bound alone, so (bound, star) is the complete key
-    rows: dict[tuple[int, int], TwistRow] = vars(_index(kc.fibre)).setdefault("twist_rows", {})
-    key = (kc.bound, star)
-    row = rows.get(key)
+    fibre and star; a row that fails its check is not kept."""
+    # kept on the fibre's index, made here on first use
+    rows: dict[int, TwistRow] = vars(_index(f)).setdefault("twist_rows", {})
+    row = rows.get(star)
     if row is None:
-        row = rows[key] = _build_row(kc, star)
+        row = rows[star] = _build_row(f, star)
     return row
 
 
-def _build_row(kc: KComplex, star: int) -> TwistRow:
-    f = kc.fibre
-    lo = 2 * star - kc.bound - f.dim_y - 2
-    hi = 2 * star + kc.bound + f.dim_y + 2
-    summands = {}
-    for q in range(lo, hi + 1):
-        s = _row_summands(kc, star, q)
-        if s:
-            summands[q] = s
+def _build_row(f: Fibre, star: int) -> TwistRow:
+    # the window |i|, |j|, |k| <= n + 2 around K cuts only through j = q - n,
+    # as |i|, k < r <= n + 1 and q >= 0; the cut q <= 2n + 2 drops nothing
+    # but Chow codims past the dimension of their stratum
+    top = 2 * f.dim_y + 2
+    found: dict[int, list[tuple[int, int]]] = {}
+    for r in range(1, f.max_level + 1):
+        for p in range(max(0, star - r + 1), min(star, (top + 1 - r) // 2) + 1):
+            d = build_level(f, r, p).total
+            if d:
+                found.setdefault(2 * p + r - 1, []).append((r, d))
+    summands = {q: tuple(found[q]) for q in sorted(found)}
     dims = {q: sum(d for _, d in s) for q, s in summands.items()}
     diffs = {}
-    for q in sorted(summands):
-        src = summands[q]
+    for q, src in summands.items():
         tgt = summands.get(q + 1, ())
         if not tgt:
             continue
@@ -337,8 +276,7 @@ class QuasiIsoResult(_Record):
 
 def check_quasi_iso(f: Fibre, q: int, star: int) -> QuasiIsoResult:
     """Compare cohomology of Cone(N) with the explicit small complex."""
-    kc = build_K(f)
-    cone = cone_of_N(total_rows(kc, star), total_rows(kc, star - 1))
+    cone = cone_of_N(total_rows(f, star), total_rows(f, star - 1))
     small = build_C(f, star)
     return QuasiIsoResult(
         star=star,

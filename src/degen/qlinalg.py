@@ -55,8 +55,6 @@ __all__ = [
     "smith_normal_form",
     "FPAbelianGroup",
     "AbGroupMap",
-    "kernel_order",
-    "cokernel_order",
     "kernel_cokernel_orders",
 ]
 
@@ -800,11 +798,6 @@ class FPAbelianGroup(_Record):
     def relation_count(self) -> int:
         return len(self.relations[0]) if self.relations else 0
 
-    def order(self) -> int | None:
-        """Group order, or None when the rank is positive."""
-        r, index = _rank_and_index(self.relations)
-        return index if r == self.generators else None
-
 
 class AbGroupMap(_Record):
     """Map between finitely presented abelian groups, given on generators
@@ -819,58 +812,50 @@ class AbGroupMap(_Record):
     def make(source: FPAbelianGroup, target: FPAbelianGroup, matrix) -> "AbGroupMap":
         m = _as_int_matrix(matrix, rows=target.generators, cols=source.generators)
         f = AbGroupMap(source, target, tuple(tuple(r) for r in m))
-        if not f._compatible():
-            raise ValueError("matrix does not send source relations into target relations")
+        _relation_coords(f)
         return f
 
-    def _image_of_relations(self) -> list[list[int]]:
-        """M R_source, as integer rows."""
-        cols = list(zip(*self.source.relations))
-        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.matrix]
 
-    def _compatible(self) -> bool:
-        """The lattice of the target relations contains M R_source exactly
-        when adding those columns changes neither its rank nor its index."""
-        if self.source.relation_count == 0:
-            return True
-        rel = [list(r) for r in self.target.relations]
-        image = self._image_of_relations()
-        return _rank_and_index(rel) == _rank_and_index([r + i for r, i in zip(rel, image)])
+def _relation_coords(f: AbGroupMap) -> tuple[list[list[int]], Mat]:
+    """(R_t', N): a Z-basis R_t' of the lattice the target relations span,
+    as columns, and the integer N with R_t' N = M R_s.
 
-
-def kernel_order(f: AbGroupMap) -> int | None:
-    """Exact order of ker(f), or None when the kernel has positive rank."""
-    return kernel_cokernel_orders(f)[0]
-
-
-def cokernel_order(f: AbGroupMap) -> int | None:
-    """Exact order of coker(f) = target / (image + target relations), or
-    None when it has positive rank."""
-    return kernel_cokernel_orders(f)[1]
+    R_t' has independent columns, so N is unique when it exists, and it is
+    integral exactly when the lattice contains the image M R_s of the
+    source relations; otherwise ValueError.
+    """
+    src, tgt = f.source, f.target
+    rt = _relation_basis([list(r) for r in tgt.relations], tgt.relation_count)
+    cols = list(zip(*src.relations))
+    image = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in f.matrix]
+    n = solve(Mat.from_rows(rt, cols=len(rt[0]) if rt else 0), Mat.from_rows(image, cols=len(cols)))
+    if n is None or n._den != 1:
+        raise ValueError("matrix does not send source relations into target relations")
+    return rt, n
 
 
 def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
-    """(kernel_order(f), cokernel_order(f)) from the mapping cone of f.
+    """Exact orders of ker(f) and of coker(f) = target / (image + target
+    relations), each None when that group has positive rank, from the
+    mapping cone of f.
 
     Let R_s, R_t be the relation matrices, R_t' a Z-basis of the lattice
-    R_t spans (e columns), and N the integer solution of R_t' N = M R_s.
-    The cone of the presentations, a = [R_s; -N] followed by
-    b = [M | R_t'], has b a = 0 and first homology ker_Z(b) / im(a) = ker f.
+    R_t spans (e columns), and N the integer solution of R_t' N = M R_s
+    from ``_relation_coords``.  The cone of the presentations,
+    a = [R_s; -N] followed by b = [M | R_t'], has b a = 0 and first
+    homology ker_Z(b) / im(a) = ker f.
     ker_Z(b) is saturated of rank ga + e - rank b, so ker f is finite iff
     rank a equals that, and then its order is the product of the nonzero
     elementary divisors of a.  The columns of b span im f plus the target
     relations, which gives the cokernel from b's divisors as well.
     """
-    src, tgt = f.source, f.target
-    rt = _relation_basis([list(r) for r in tgt.relations], tgt.relation_count)
+    src = f.source
+    rt, n = _relation_coords(f)
     e = len(rt[0]) if rt else 0
     rank_b, index_b = _rank_and_index([list(m) + r for m, r in zip(f.matrix, rt)])
-    coker = index_b if rank_b == tgt.generators else None
+    coker = index_b if rank_b == f.target.generators else None
     if src.generators == 0:
         return 1, coker
-    n = solve(Mat.from_rows(rt, cols=e), Mat.from_rows(f._image_of_relations(), cols=src.relation_count))
-    if n is None or n._den != 1:
-        raise ValueError("matrix does not send source relations into target relations")
     a = [list(r) for r in src.relations] + _int_rows(-n)
     rank_a, index_a = _rank_and_index(a)
     return (index_a if rank_a == src.generators + e - rank_b else None), coker

@@ -36,6 +36,7 @@ __all__ = [
     "Stratum",
     "GradedSpace",
     "Fibre",
+    "block_shape",
     "build_level",
     "gamma",
     "rho",
@@ -225,29 +226,13 @@ class Fibre(_Record):
                 raise DescriptorError(f"chow entry references unknown stratum {s}")
             if p < 0 or d < 0:
                 raise DescriptorError(f"bad chow entry at {(s, p, j)}")
-        self._check_block_shapes()
-
-    def _check_block_shapes(self):
-        for key, m in self.pushforward.items():
-            s, u, p, j = key
-            tgt = _removed(s, u)
-            want_rows = self.chow_dim(tgt, p + 1, j)
-            want_cols = self.chow_dim(s, p, j)
-            if (m.rows, m.cols) != (want_rows, want_cols):
-                raise DescriptorError(
-                    f"pushforward block {key} has shape {m.rows}x{m.cols}, "
-                    f"expected {want_rows}x{want_cols}"
-                )
-        for key, m in self.pullback.items():
-            s, u, p, j = key
-            src = _removed(s, u)
-            want_rows = self.chow_dim(s, p, j)
-            want_cols = self.chow_dim(src, p, j)
-            if (m.rows, m.cols) != (want_rows, want_cols):
-                raise DescriptorError(
-                    f"pullback block {key} has shape {m.rows}x{m.cols}, "
-                    f"expected {want_rows}x{want_cols}"
-                )
+        for kind, blocks in (("pushforward", self.pushforward), ("pullback", self.pullback)):
+            for key, m in blocks.items():
+                rows, cols = block_shape(self.chow, kind, key)
+                if (m.rows, m.cols) != (rows, cols):
+                    raise DescriptorError(
+                        f"{kind} block {key} has shape {m.rows}x{m.cols}, expected {rows}x{cols}"
+                    )
 
     def chow_dim(self, stratum: Stratum, p: int, j: int = 0) -> int:
         return self.chow.get((tuple(stratum), p, j), 0)
@@ -285,6 +270,18 @@ def _removed(s: Stratum, u: int) -> Stratum:
     if not 1 <= u <= len(s):
         raise DescriptorError(f"position {u} out of range for stratum {s}")
     return s[: u - 1] + s[u:]
+
+
+def block_shape(chow: Mapping, kind: str, key: tuple[Stratum, int, int, int]) -> tuple[int, int]:
+    """(rows, cols) that the Chow table ``chow`` asks of the raw block
+    ``key`` = (I, u, p, j) of ``kind``: a "pushforward" block maps
+    CH^p(Y_I, j) to CH^{p+1}(Y_I', j), a "pullback" block CH^p(Y_I', j) to
+    CH^p(Y_I, j), where I' is I without its u-th index."""
+    s, u, p, j = key
+    other = _removed(s, u)
+    if kind == "pushforward":
+        return chow.get((other, p + 1, j), 0), chow.get((s, p, j), 0)
+    return chow.get((s, p, j), 0), chow.get((other, p, j), 0)
 
 
 def build_level(f: Fibre, r: int, p: int, j: int = 0) -> GradedSpace:

@@ -206,6 +206,30 @@ def with_flipped_sign(f: Fibre, key, kind: str = "push") -> Fibre:
     )
 
 
+def with_codims_past_dimension(f: Fibre, codims) -> Fibre:
+    """One more Chow dimension on every component at each of ``codims``.
+
+    Nothing above level 1 carries those codims, so rho out of them lands
+    in zero spaces and no new block is needed.
+    """
+    chow = dict(f.chow)
+    for s in f.strata:
+        if len(s) == 1:
+            for p in codims:
+                chow[(s, p, 0)] = chow.get((s, p, 0), 0) + 1
+    return Fibre(
+        components=f.components,
+        dim_y=f.dim_y,
+        q_v=f.q_v,
+        strata=f.strata,
+        chow=chow,
+        pushforward=dict(f.pushforward),
+        pullback=dict(f.pullback),
+        ii_matrices=dict(f.ii_matrices),
+        higher_chow=dict(f.higher_chow),
+    )
+
+
 def _unimodular(rng: random.Random, n: int, steps: int) -> tuple[list[list[int]], list[list[int]]]:
     """A random unimodular integer matrix and its inverse (row additions)."""
     u = [[int(i == j) for j in range(n)] for i in range(n)]

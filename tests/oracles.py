@@ -286,6 +286,17 @@ def in_relation_lattice(g: FPAbelianGroup, vec) -> bool:
     )
 
 
+def transform_group_order(g: FPAbelianGroup) -> int | None:
+    """Order of g from its Smith form with transforms, None when infinite."""
+    sf = smith_with_transforms(g.relations)
+    if sf.rank < g.generators:
+        return None
+    out = 1
+    for x in sf.diag:
+        out *= x
+    return out
+
+
 def brute_kernel_order(f: AbGroupMap) -> int:
     count = 0
     m = Mat.from_rows(f.matrix, cols=f.source.generators)
@@ -752,6 +763,47 @@ def degree_walk_build_C(f, star: int):
     cx = CochainComplex(dims, diffs)
     cx.check()
     return cx
+
+
+# ---------------------------------------------------------------------------
+# The twist rows of ``monodromy.total_rows`` read off the window
+# |i|, |j|, |k| <= bound of the triple-indexed complex K^{i,j,k}: each piece
+# from its indices, each row by probing every (q, k) the window holds.
+# ``total_rows`` reads the rows straight off the levels instead; this is
+# the reference it is compared against.
+
+
+def window_codim_level(f, bound: int, i: int, j: int, k: int):
+    """(codim, level) of K^{i,j,k} in the window, or None when the piece is
+    zero: outside the window, k < max(0, i), level below 1, odd parity or
+    negative codim."""
+    if max(abs(i), abs(j), abs(k)) > bound or k < max(0, i):
+        return None
+    r = 2 * k - i + 1
+    num = i + j - 2 * k + f.dim_y
+    if r < 1 or num % 2 or num < 0:
+        return None
+    return num // 2, r
+
+
+def windowed_row_summands(f, star: int, bound: int) -> dict:
+    """{q: ((level, dim), ...)} of the row at star: the nonzero pieces on
+    the diagonal (i, j) = (q - 2 star, q - dim_y), levels ascending."""
+    from degen.strata import build_level
+
+    out = {}
+    for q in range(f.dim_y - bound, f.dim_y + bound + 1):
+        found = []
+        for k in range(-bound, bound + 1):  # the level 2k - i + 1 ascends with k
+            pl = window_codim_level(f, bound, q - 2 * star, q - f.dim_y, k)
+            if pl is not None:
+                p, r = pl
+                d = build_level(f, r, p).total
+                if d:
+                    found.append((r, d))
+        if found:
+            out[q] = tuple(found)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Round trips and rejection paths for the JSON instance format."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degen import qlinalg
 from degen.bundle import BundleError, Bundle, Params, dumps, loads
 from degen.workbench import build_example
 
-from fixtures import simplex_surface
+from fixtures import multi_place_bundle, simplex_surface
 
 
 def roundtrip(b):
@@ -117,6 +119,31 @@ def test_matrix_entry_count_checked():
         loads(json.dumps(data))
 
 
+def test_block_shape_and_position_are_located():
+    data = as_data()
+    entry = data["fibres"]["v0"]["pushforward"][0]
+    entry["matrix"] = {"rows": 1, "cols": 2, "entries": ["1", "1"]}
+    with pytest.raises(BundleError, match=r"pushforward\[0\]\.matrix: has shape 1x2, expected 1x1"):
+        loads(json.dumps(data))
+    entry["position"] = 3
+    with pytest.raises(BundleError, match=r"pushforward\[0\]: position 3 out of range"):
+        loads(json.dumps(data))
+
+
+def test_stratum_entries_must_be_integers():
+    for section in ("strata", "chow", "pushforward", "pullback"):
+        data = as_data()
+        entries = data["fibres"]["v0"][section]
+        if section == "strata":
+            entries[0] = [[1]]
+            field = "fibres.v0.strata[0]"
+        else:
+            entries[0]["stratum"] = [[1], 2]
+            field = f"fibres.v0.{section}[0].stratum"
+        with pytest.raises(BundleError, match=re.escape(field) + ": expected a list of integers"):
+            loads(json.dumps(data))
+
+
 def test_bad_fraction_string():
     data = as_data()
     entry = data["fibres"]["v0"]["pushforward"][0]
@@ -156,8 +183,21 @@ def test_conductor_must_be_a_pair():
 def test_incompatible_integral_map_rejected():
     data = as_data("zeta-fqt")
     data["integral"]["matrix"] = [[1, 0]]
-    with pytest.raises(BundleError, match="integral"):
+    message = "integral: matrix does not send source relations into target relations"
+    with pytest.raises(BundleError, match=message):
         loads(json.dumps(data))
+
+
+def test_integral_load_takes_no_smith_form(monkeypatch):
+    # the load decides that the map respects the relations by one integer
+    # solve; the Smith forms of the orders wait for a command that reads them
+    calls = []
+    real = qlinalg.smith_normal_form
+    monkeypatch.setattr(qlinalg, "smith_normal_form", lambda a: calls.append(a) or real(a))
+    b = loads(dumps(multi_place_bundle(8, 24)))
+    assert calls == []
+    assert qlinalg.kernel_cokernel_orders(b.integral) == (12, 1)
+    assert calls
 
 
 def test_not_json():

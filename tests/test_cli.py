@@ -188,6 +188,21 @@ def test_matrix_shape_past_the_limit_is_rejected(tmp_path, capsys):
     assert f"exceeds {MAX_DIMENSION}" in capsys.readouterr().err
 
 
+def test_many_tall_empty_blocks_are_rejected_before_their_rows(tmp_path, capsys):
+    # a block with no columns needs no entries whatever height it declares;
+    # each is held to the shape the chow table asks before a row is built
+    data = json.loads(write_example(tmp_path, "ngon").read_text())
+    pullback = data["fibres"]["v0"]["pullback"]
+    first = len(pullback)
+    for i in range(40):
+        pullback.append({
+            "stratum": [1, 2], "position": 1, "codim": 5 + i, "j": 0,
+            "matrix": {"rows": 100_000, "cols": 0, "entries": []},
+        })
+    _bounded_rejection(tmp_path, data, ["validate"], f"fibres.v0.pullback[{first}].matrix")
+    assert "has shape 100000x0, expected 0x0" in capsys.readouterr().err
+
+
 def test_chow_dimensions_past_the_limit_are_rejected(tmp_path, capsys):
     # without a motivic section nothing else bounds the spaces built on CH^0
     data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
@@ -224,6 +239,16 @@ def test_motivic_shapes_are_checked_at_load(tmp_path, capsys):
     del cycle["tau"]
     _bounded_rejection(tmp_path, data, ["check", "B2FF"], "motivic.infty.regulator.matrix")
     assert "has shape 1x0, expected 2x0" in capsys.readouterr().err
+
+
+def test_incompatible_integral_map_exits_three(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    data["integral"]["matrix"] = [[1, 0]]
+    path = tmp_path / "bad-integral.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 3
+    message = "integral: matrix does not send source relations into target relations"
+    assert message in capsys.readouterr().err
 
 
 def test_huge_twist_override_is_rejected(tmp_path, capsys):

@@ -8,7 +8,6 @@ from degen.monodromy import (
     CochainComplex,
     ComplexError,
     build_C,
-    build_K,
     check_quasi_iso,
     cohomology_dims,
     cone_of_N,
@@ -18,12 +17,21 @@ from degen.monodromy import (
 from degen.qlinalg import Mat
 from degen.strata import build_level, gamma, generator_ngon, generator_smooth, rho
 from degen.workbench import run_quasi_iso
-from fixtures import conjugated, fixture_fibres, simplex_surface, tensored, with_flipped_sign
+from fixtures import (
+    conjugated,
+    fixture_fibres,
+    simplex_surface,
+    tensored,
+    with_codims_past_dimension,
+    with_flipped_sign,
+)
 from oracles import (
     degree_walk_build_C,
     euler_characteristic,
     random_known_complex,
     two_rank_cohomology_dims,
+    window_codim_level,
+    windowed_row_summands,
 )
 
 
@@ -31,13 +39,28 @@ def triangle():
     return generator_ngon(3, 5)
 
 
-def piece_dim(kc, i, j, k):
+def codim_level(f, i, j, k, bound=None):
+    """(codim, level) of K^{i,j,k} in the window the rows were read from."""
+    return window_codim_level(f, f.dim_y + 2 if bound is None else bound, i, j, k)
+
+
+def piece_dim(f, i, j, k, bound=None):
     """dim K^{i,j,k}: CH^p at level r for (p, r) = codim_level, else 0."""
-    pl = kc.codim_level(i, j, k)
+    pl = codim_level(f, i, j, k, bound)
     if pl is None:
         return 0
     p, r = pl
-    return build_level(kc.fibre, r, p).total
+    return build_level(f, r, p).total
+
+
+def past_dimension_fibres():
+    """Fibres with Chow codims 3..6 past their dimension, where the window
+    |j| <= dim_y + 2 cuts rows."""
+    return [
+        with_codims_past_dimension(generator_ngon(3, 2), range(3, 7)),
+        with_codims_past_dimension(simplex_surface(), range(3, 7)),
+        generator_smooth({(0, 0): 1, (4, 0): 2, (6, 0): 1}, dim_y=1, q_v=3),
+    ]
 
 
 def sub_block(m, r0, rows, c0, cols):
@@ -49,7 +72,7 @@ def sub_block(m, r0, rows, c0, cols):
 def row_blocks(f, star):
     """(source level, target level, codim, block) for every level block of
     every differential of the total row at star."""
-    row = total_rows(build_K(f), star)
+    row = total_rows(f, star)
     for q, d in sorted(row.complex.diffs.items()):
         r0 = 0
         for tr, td in row.levels_at(q + 1):
@@ -62,22 +85,37 @@ def row_blocks(f, star):
 
 class TestKPieces:
     def test_piece_dims(self):
-        kc = build_K(triangle())
-        assert piece_dim(kc, -1, 0, 0) == 3  # CH^0 of the three nodes
-        assert piece_dim(kc, 0, 1, 0) == 3   # CH^1 of the three components
-        assert piece_dim(kc, 0, -1, 0) == 3  # CH^0 of the three components
-        assert kc.codim_level(-1, 0, 0) == (0, 2)
-        assert kc.codim_level(0, 1, 0) == (1, 1)
-        assert kc.codim_level(2, 1, 1) is None   # killed by the side condition
-        assert kc.codim_level(-1, -1, 0) is None  # parity fails
+        f = triangle()
+        assert piece_dim(f, -1, 0, 0) == 3  # CH^0 of the three nodes
+        assert piece_dim(f, 0, 1, 0) == 3   # CH^1 of the three components
+        assert piece_dim(f, 0, -1, 0) == 3  # CH^0 of the three components
+        assert codim_level(f, -1, 0, 0) == (0, 2)
+        assert codim_level(f, 0, 1, 0) == (1, 1)
+        assert codim_level(f, 2, 1, 1) is None   # killed by the side condition
+        assert codim_level(f, -1, -1, 0) is None  # parity fails
 
     def test_side_condition_shapes(self):
-        kc = build_K(triangle())
+        f = triangle()
         # the source CH^0(Y^(2)) of d'' at (1, 0, 1) is alive, its target
         # (2, 1, 1) is cut off by k >= i
-        assert kc.codim_level(1, 0, 1) == (0, 2)
-        assert piece_dim(kc, 1, 0, 1) == 3
-        assert kc.codim_level(2, 1, 1) is None
+        assert codim_level(f, 1, 0, 1) == (0, 2)
+        assert piece_dim(f, 1, 0, 1) == 3
+        assert codim_level(f, 2, 1, 1) is None
+
+    def test_rows_match_the_window(self):
+        for f in fixture_fibres() + past_dimension_fibres():
+            for star in range(-3, f.dim_y + 9):
+                want = windowed_row_summands(f, star, f.dim_y + 2)
+                assert total_rows(f, star).summands == want, (f.dim_y, star)
+
+    def test_window_binds_past_the_dimension(self):
+        # a wider window would keep pieces that the rows leave out
+        for f in past_dimension_fibres():
+            cut = [
+                star for star in range(0, f.dim_y + 9)
+                if windowed_row_summands(f, star, f.dim_y + 8) != total_rows(f, star).summands
+            ]
+            assert cut, f.dim_y
 
     def test_d_doubleprime_is_minus_gamma(self):
         seen = 0
@@ -104,13 +142,13 @@ class TestKPieces:
     def test_total_rows_square_to_zero(self):
         for f in fixture_fibres():
             for star in range(-2, f.dim_y + 4):
-                cx = total_rows(build_K(f), star).complex
+                cx = total_rows(f, star).complex
                 for q in cx.support():
                     assert (cx.diff(q + 1) * cx.diff(q)).is_zero(), (star, q)
 
     def test_n_is_identity_block(self):
-        kc = build_K(triangle())
-        cone = cone_of_N(total_rows(kc, 1), total_rows(kc, 0))
+        f = triangle()
+        cone = cone_of_N(total_rows(f, 1), total_rows(f, 0))
         # Cone^1 = A^1 + B^0 -> Cone^2 = A^2 + B^1; N: A^1 -> B^1 is the
         # lower-left block, the identity on CH^0 of the three nodes
         d = cone.diff(1)
@@ -118,42 +156,39 @@ class TestKPieces:
         assert sub_block(d, 3, 3, 0, 3) == Mat.identity(3)
 
     def test_bound_clips(self):
-        assert build_K(triangle()).codim_level(-1, 0, 0) is not None
-        kc = build_K(triangle(), bound=0)
-        assert kc.codim_level(-1, 0, 0) is None
-        assert piece_dim(kc, -1, 0, 0) == 0
+        f = triangle()
+        assert codim_level(f, -1, 0, 0) is not None
+        assert codim_level(f, -1, 0, 0, bound=0) is None
+        assert piece_dim(f, -1, 0, 0, bound=0) == 0
 
 
 class TestRowsAndCone:
     def test_triangle_tate_row(self):
-        kc = build_K(triangle())
-        row = total_rows(kc, 1)
+        row = total_rows(triangle(), 1)
         assert row.complex.dims == {1: 3, 2: 3}
         assert row.levels_at(1) == ((2, 3),)
         assert row.levels_at(2) == ((1, 3),)
         assert row.complex.diff(1) == gamma(triangle(), 2, 0).scale(-1)
 
     def test_triangle_weight_zero_row(self):
-        kc = build_K(triangle())
-        row = total_rows(kc, 0)
+        row = total_rows(triangle(), 0)
         assert row.complex.dims == {0: 3, 1: 3}
         assert row.complex.diff(0) == rho(triangle(), 1, 0)
 
     def test_triangle_cone_golden_values(self):
-        kc = build_K(triangle())
-        cone = cone_of_N(total_rows(kc, 1), total_rows(kc, 0))
+        f = triangle()
+        cone = cone_of_N(total_rows(f, 1), total_rows(f, 0))
         assert cone.dims == {1: 6, 2: 6}
         assert cohomology_dims(cone) == {1: 1, 2: 1}
 
     def test_cone_requires_adjacent_stars(self):
-        kc = build_K(triangle())
+        f = triangle()
         with pytest.raises(ValueError, match="star - 1"):
-            cone_of_N(total_rows(kc, 1), total_rows(kc, 1))
+            cone_of_N(total_rows(f, 1), total_rows(f, 1))
 
     def test_ngon_dual_graph_row(self):
         f = generator_ngon(5, 2)
-        kc = build_K(f)
-        cone = cone_of_N(total_rows(kc, 0), total_rows(kc, -1))
+        cone = cone_of_N(total_rows(f, 0), total_rows(f, -1))
         # the cone over the zero row reduces to the dual graph complex of a cycle
         assert cohomology_dims(cone) == {0: 1, 1: 1}
 
@@ -201,9 +236,8 @@ class TestSmallComplex:
 
     def test_triangle_euler_characteristics_match(self):
         f = triangle()
-        kc = build_K(f)
-        a = total_rows(kc, 1)
-        b = total_rows(kc, 0)
+        a = total_rows(f, 1)
+        b = total_rows(f, 0)
         cone = cone_of_N(a, b)
         assert euler_characteristic(cone) == euler_characteristic(
             a.complex
@@ -281,10 +315,9 @@ class TestOneRankOneRow:
             dims, diffs, _ = random_known_complex(rng)
             complexes.append(CochainComplex({k: d for k, d in dims.items() if d}, diffs))
         for f in fixture_fibres():
-            kc = build_K(f)
             for star in range(-1, f.dim_y + 3):
                 complexes.append(build_C(f, star))
-                complexes.append(cone_of_N(total_rows(kc, star), total_rows(kc, star - 1)))
+                complexes.append(cone_of_N(total_rows(f, star), total_rows(f, star - 1)))
         for c in complexes:
             assert cohomology_dims(c) == two_rank_cohomology_dims(c)
 

@@ -20,7 +20,7 @@ import degen
 from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, Place, RegulatorDatum
 from degen.deligne import ConjectureAResult, CycleDatum, DeligneGroup
 from degen.lfun import FunctionalEquation, LeadingValue, RatFunc
-from degen.monodromy import CochainComplex, KComplex, QuasiIsoResult, TwistRow
+from degen.monodromy import CochainComplex, QuasiIsoResult, TwistRow
 from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat, SmithForm
 from degen.strata import GradedSpace, ValidationReport, generator_smooth
 from degen.workbench import CheckReport, ReportLine
@@ -51,7 +51,6 @@ def instances():
         "LeadingValue": LeadingValue(1, F(-1, 3), 1),
         "FunctionalEquation": FunctionalEquation(1, 0, -2),
         "CochainComplex": cx,
-        "KComplex": KComplex(small_fibre(), 3),
         "TwistRow": TwistRow(1, {0: ((1, 1),)}, cx),
         "QuasiIsoResult": QuasiIsoResult(1, 2, {0: 1}, {0: 1}),
         "SmithForm": SmithForm((), ((2,),), ((1,),)),
@@ -92,7 +91,6 @@ REPRS = {
     "LeadingValue": "LeadingValue(order=1, coeff=Fraction(-1, 3), logpow=1)",
     "FunctionalEquation": "FunctionalEquation(sign=1, alpha=0, beta=-2)",
     "CochainComplex": "CochainComplex(dims={0: 1}, diffs={})",
-    "KComplex": f"KComplex(fibre={FIBRE_REPR}, bound=3)",
     "TwistRow": (
         "TwistRow(star=1, summands={0: ((1, 1),)}, "
         "complex=CochainComplex(dims={0: 1}, diffs={}))"
