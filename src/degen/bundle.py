@@ -18,7 +18,9 @@ int (4300 by default); such a literal is named by its path in the file.
 The generator count of each group of the integral regulator may not
 exceed MAX_GENERATORS, and the rows and cols of each matrix, each
 higher_chow dim and the sum of each fibre's chow dims may not exceed
-MAX_DIMENSION; both are checked before any row is built.  A file nested
+MAX_DIMENSION; both are checked before any row is built.  So is the
+shape the fibre's Chow table asks of each pushforward and pullback block
+and of each explicit i^*i_* matrix.  A file nested
 past Python's recursion limit is rejected as too deeply nested.  At the
 boundary twist (q_coh - 2a = 1) the regulator matrix, xi and tau of each
 place are checked against CH^a of the first level as they are read, so a
@@ -36,6 +38,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .deligne import CycleDatum
 from .lfun import RatFunc
@@ -46,7 +49,9 @@ from .strata import (
     Fibre,
     block_shape,
     build_level,
+    ii_shape,
     is_prime_power,
+    level_one_dims,
 )
 
 __all__ = [
@@ -264,12 +269,23 @@ def _mat_from_json(obj, where: str, strict: bool, shape: tuple[int, int] | None 
     return _from_scalars(rows, cols, items)
 
 
+def _entry_strings(m: Mat) -> list[str]:
+    """The entries of m in row-major order as the text ``str`` gives their
+    Fractions: "0" off the sparse rows, the reduced n/d (or n) on them."""
+    den, cols = m._den, m.cols
+    out = ["0"] * (m.rows * cols)
+    for base, row in zip(range(0, len(out), cols or 1), m._data):
+        for j, x in row:
+            if den == 1:
+                out[base + j] = str(x)
+            else:
+                g = gcd(x, den)
+                out[base + j] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return out
+
+
 def _mat_to_json(m: Mat) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [str(x) for row in m.entries for x in row],
-    }
+    return {"rows": m.rows, "cols": m.cols, "entries": _entry_strings(m)}
 
 
 def _boundary_shape(m: Mat, rows: int | None, cols: int | None, where: str) -> None:
@@ -415,6 +431,8 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
         key = (_stratum(e["stratum"], f"{where}.chow[{i}].stratum"), e["codim"], e["j"])
         if key in chow:
             raise BundleError(f"{where}.chow[{i}]: duplicate entry for {key}")
+        if e["dim"] < 0:
+            raise BundleError(f"{where}.chow[{i}].dim: negative")
         chow[key] = e["dim"]
         total += e["dim"]
         if total > MAX_DIMENSION:
@@ -454,6 +472,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
 
     ii_matrices = {}
     if got["ii_matrices"] is not None:
+        level_one = level_one_dims(chow)
         for i, entry in enumerate(got["ii_matrices"]):
             e = _expect(
                 entry,
@@ -462,8 +481,11 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
                 f"{where}.ii_matrices[{i}]",
                 strict,
             )
-            ii_matrices[(e["codim"], e["j"])] = _mat_from_json(
-                e["matrix"], f"{where}.ii_matrices[{i}].matrix", strict
+            key = (e["codim"], e["j"])
+            if key in ii_matrices:
+                raise BundleError(f"{where}.ii_matrices[{i}]: duplicate entry for {key}")
+            ii_matrices[key] = _mat_from_json(
+                e["matrix"], f"{where}.ii_matrices[{i}].matrix", strict, ii_shape(level_one, *key)
             )
 
     higher_chow = {}
@@ -700,6 +722,49 @@ def load(path, strict: bool = True) -> Bundle:
 # ---------------------------------------------------------------------------
 # Serialization (canonical: sorted keys, stable entry order).
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(node, newline: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(node, indent=2,
+    sort_keys=True)`` gives, for a tree of dicts, lists, strs and ints,
+    where ``newline`` is a newline and the indent of the line ``node``
+    starts on.  A list of only strs or only ints is joined in one step,
+    with no Python-level call per entry."""
+    kind = type(node)
+    if kind is str:
+        out.append(_quote(node))
+    elif kind is int:
+        out.append(int.__repr__(node))
+    elif kind is dict or kind is list:
+        if not node:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if kind is dict:
+            lead = "{" + inner
+            for key in sorted(node):
+                out += (lead, _quote(key), ": ")
+                _write(node[key], inner, out)
+                lead = sep
+            out += (newline, "}")
+            return
+        types = set(map(type, node))
+        if types == {str}:
+            out += ("[", inner, sep.join(map(_quote, node)), newline, "]")
+        elif types == {int}:
+            out += ("[", inner, sep.join(map(int.__repr__, node)), newline, "]")
+        else:
+            lead = "[" + inner
+            for item in node:
+                out.append(lead)
+                _write(item, inner, out)
+                lead = sep
+            out += (newline, "]")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} to a bundle")
+
 
 def _fibre_to_json(f: Fibre) -> dict:
     out = {
@@ -745,6 +810,10 @@ def _fibre_to_json(f: Fibre) -> dict:
     return out
 
 
+def _square_rows(flat: list[str], n: int) -> list[list[str]]:
+    return [flat[i : i + n] for i in range(0, n * n, n or 1)]
+
+
 def _group_to_json(g: FPAbelianGroup) -> dict:
     return {
         "generators": g.generators,
@@ -752,7 +821,7 @@ def _group_to_json(g: FPAbelianGroup) -> dict:
     }
 
 
-def dumps(b: Bundle) -> str:
+def _bundle_to_json(b: Bundle) -> dict:
     data: dict = {
         "params": {
             "q_coh": b.params.q_coh,
@@ -765,7 +834,7 @@ def dumps(b: Bundle) -> str:
         data["places"] = {
             name: {
                 "deg_v": p.deg_v,
-                "frob": [[str(x) for x in row] for row in p.frob.entries],
+                "frob": _square_rows(_entry_strings(p.frob), p.frob.cols),
             }
             for name, p in sorted(b.places.items())
         }
@@ -804,7 +873,19 @@ def dumps(b: Bundle) -> str:
             "target": _group_to_json(b.integral.target),
             "matrix": [list(row) for row in b.integral.matrix],
         }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return data
+
+
+def _canonical(data) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, by ``_write``."""
+    out: list[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def dumps(b: Bundle) -> str:
+    return _canonical(_bundle_to_json(b))
 
 
 def save(b: Bundle, path) -> None:

@@ -3,11 +3,16 @@
 Exit codes: 0 every check passed, 1 at least one check failed,
 2 nothing failed but some check lacked data, 3 the input itself was
 unusable (malformed file, unknown example, bad arguments).
+
+``main(argv)`` runs one command and returns its exit code; it has no
+process-level effect, so tests and profilers call it in-process.
+``run()`` is the process entry of ``degen`` and ``python -m degen``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .bundle import MAX_TWIST, BundleError, load, save
@@ -164,5 +169,21 @@ def main(argv: list[str] | None = None) -> int:
     return report.exit_code
 
 
+def run() -> None:
+    """Run ``main()`` on the command line and exit the process with its code.
+
+    Before exiting it freezes the heap (``gc.freeze``): interpreter
+    finalisation runs one last full collection, which skips the frozen
+    objects, so the process does not walk every object it built only to
+    find no garbage.  Atexit handlers, stream flushes and their errors,
+    and reference-count deallocation run as before; ``os._exit`` would
+    skip the handlers.  ``main()`` itself stays safe to call in-process:
+    it neither freezes nor exits.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -37,6 +37,8 @@ __all__ = [
     "GradedSpace",
     "Fibre",
     "block_shape",
+    "level_one_dims",
+    "ii_shape",
     "build_level",
     "gamma",
     "rho",
@@ -284,6 +286,23 @@ def block_shape(chow: Mapping, kind: str, key: tuple[Stratum, int, int, int]) ->
     return chow.get((s, p, j), 0), chow.get((other, p, j), 0)
 
 
+def level_one_dims(chow: Mapping) -> dict[tuple[int, int], int]:
+    """dim CH^p(Y^{(1)}, j) for each (p, j), read off the Chow table
+    ``chow``: level one is the disjoint union of the one-index strata."""
+    dims: dict[tuple[int, int], int] = {}
+    for (s, p, j), d in chow.items():
+        if len(s) == 1:
+            dims[p, j] = dims.get((p, j), 0) + d
+    return dims
+
+
+def ii_shape(level_one: Mapping, p: int, j: int) -> tuple[int, int]:
+    """(rows, cols) of the i^*i_* matrix at (p, j), which maps
+    CH^p(Y^{(1)}, j) to CH^{p+1}(Y^{(1)}, j), given ``level_one`` =
+    level_one_dims(chow)."""
+    return level_one.get((p + 1, j), 0), level_one.get((p, j), 0)
+
+
 def build_level(f: Fibre, r: int, p: int, j: int = 0) -> GradedSpace:
     """CH^p(Y^{(r)}, j) as an ordered direct sum over |I| = r (lex order)."""
     spaces = _index(f).spaces
@@ -374,12 +393,11 @@ def ii_map(f: Fibre, p: int, j: int = 0) -> Mat:
     if key not in maps:
         explicit = f.ii_matrices.get((p, j))
         if explicit is not None:
-            src = build_level(f, 1, p, j)
-            tgt = build_level(f, 1, p + 1, j)
-            if (explicit.rows, explicit.cols) != (tgt.total, src.total):
+            rows, cols = ii_shape(level_one_dims(f.chow), p, j)
+            if (explicit.rows, explicit.cols) != (rows, cols):
                 raise DescriptorError(
                     f"ii matrix at codim {p}, j {j} has shape "
-                    f"{explicit.rows}x{explicit.cols}, expected {tgt.total}x{src.total}"
+                    f"{explicit.rows}x{explicit.cols}, expected {rows}x{cols}"
                 )
             maps[key] = explicit
         else:

@@ -6,12 +6,14 @@ elimination, Euclid over Fraction polynomials for rational functions,
 Smith forms with their unimodular transforms by elementary operations,
 group orders by coset enumeration, Laurent leading terms by truncated
 power series in u = L*(s - a), cochain complexes with known cohomology by
-conjugating direct sums of elementary pieces.
+conjugating direct sums of elementary pieces, bundle text by json's
+own indent encoder over the dense entries.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -898,3 +900,29 @@ def two_rank_cohomology_dims(c) -> dict[int, int]:
 def euler_characteristic(c) -> int:
     """Alternating sum of the dimensions of a cochain complex."""
     return sum((-1) ** q * d for q, d in c.dims.items())
+
+
+# ---------------------------------------------------------------------------
+# The route ``bundle.dumps`` replaced: json's pure-Python indent encoder,
+# over entry strings read off the dense ``Mat.entries`` view.
+
+
+def json_text(data) -> str:
+    """Canonical bundle text of a JSON tree, by ``json.dumps``."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def dense_entry_strings(m: Mat) -> list[str]:
+    """The entries of m in row-major order, as ``str`` of their Fractions."""
+    return [str(x) for row in m.entries for x in row]
+
+
+def dense_dumps(b) -> str:
+    """``bundle.dumps(b)`` by the old route: every matrix's entries off the
+    dense view, and the text by ``json.dumps``."""
+    from unittest import mock  # imports asyncio, so not at module level
+
+    from degen import bundle
+
+    with mock.patch.object(bundle, "_entry_strings", dense_entry_strings):
+        return json_text(bundle._bundle_to_json(b))

@@ -221,11 +221,23 @@ def test_higher_chow_and_ii_sections():
     data = as_data("smooth-ec")
     b = loads(json.dumps(data))
     assert b.fibres["v0"].higher_chow == {(1, 1): 0}
+    # i^*i_* maps CH^0 to CH^1 of the one component, both of dimension 1
     data["fibres"]["v0"]["ii_matrices"] = [
-        {"codim": 0, "j": 0, "matrix": {"rows": 2, "cols": 1, "entries": ["0", "0"]}}
+        {"codim": 0, "j": 0, "matrix": {"rows": 1, "cols": 1, "entries": ["0"]}}
     ]
     b = loads(json.dumps(data))
     assert (0, 0) in b.fibres["v0"].ii_matrices
+    data["fibres"]["v0"]["ii_matrices"][0]["matrix"] = {"rows": 2, "cols": 1, "entries": ["0", "0"]}
+    with pytest.raises(BundleError, match=r"ii_matrices\[0\]\.matrix: has shape 2x1, expected 1x1"):
+        loads(json.dumps(data))
+
+
+def test_negative_chow_dim_is_named():
+    # the level-one dims an ii matrix is held to are sums of these
+    data = as_data()
+    data["fibres"]["v0"]["chow"][0]["dim"] = -1
+    with pytest.raises(BundleError, match=r"fibres\.v0\.chow\[0\]\.dim: negative"):
+        loads(json.dumps(data))
 
 
 def test_integer_entries_accepted_on_load():
@@ -291,3 +303,94 @@ def test_number_near_misses_match_the_fraction_parse(value):
 ))
 def test_number_matches_the_fraction_parse(value):
     _same_number(value)
+
+
+# ---------------------------------------------------------------------------
+# The writer against json.dumps over the dense entries.
+
+
+def _written_bundles():
+    import random
+
+    from degen.workbench import EXAMPLES
+
+    from fixtures import conjugated, fixture_fibres, tensored
+    from test_pinned_reports import branch_bundles
+
+    for name in EXAMPLES:
+        yield build_example(name)
+    yield build_example("ngon", {"n": 120})
+    for f in fixture_fibres():
+        yield Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": f})
+    rational = conjugated(tensored(simplex_surface(), 4), random.Random(4))
+    yield Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": rational})
+    yield multi_place_bundle(8, 24)
+    yield from branch_bundles().values()
+
+
+def test_dumps_matches_the_json_route():
+    from oracles import dense_dumps
+
+    for b in _written_bundles():
+        assert dumps(b) == dense_dumps(b)
+
+
+_TRICKY = st.sampled_from(
+    ["", '"', "\\", "/", "\n\t\r\b\f", "\x00\x1f\x7f", "é", " ", "\U0001d11e", "\ud800", "v0"]
+)
+_STRINGS = st.one_of(st.text(), _TRICKY)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(), st.integers(-(10**80), 10**80))
+_LEAVES = st.one_of(
+    _STRINGS, _INTS, st.lists(_STRINGS), st.lists(_INTS), st.lists(st.one_of(_STRINGS, _INTS))
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(_STRINGS, kids, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_writer_matches_json_dumps(tree):
+    from degen.bundle import _canonical
+
+    from oracles import json_text
+
+    assert _canonical(tree) == json_text(tree)
+
+
+def test_writer_refuses_what_a_bundle_never_holds():
+    from degen.bundle import _canonical
+
+    for value in (True, None, 1.5, (1, 2)):
+        with pytest.raises(TypeError):
+            _canonical({"x": value})
+
+
+_SCALARS = st.one_of(st.just(0), st.integers(-(10**6), 10**6), st.fractions(max_denominator=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_entry_strings_match_the_dense_view(rows, cols, data):
+    from degen.bundle import _entry_strings
+
+    from oracles import dense_entry_strings
+
+    grid = data.draw(
+        st.lists(st.lists(_SCALARS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    m = qlinalg.Mat.from_rows(grid, cols=cols)
+    for mat in (m, m.scale(Fraction(-2, 3)), m.scale(6)):
+        assert _entry_strings(mat) == dense_entry_strings(mat)
+
+
+def test_entry_strings_of_integers_over_a_denominator():
+    from degen.bundle import _entry_strings
+
+    m = qlinalg.Mat.from_rows([[Fraction(1, 3), 2, 0], [-4, Fraction(-6, 9), Fraction(9, 3)]])
+    assert m._den == 3
+    assert _entry_strings(m) == ["1/3", "2", "0", "-4", "-2/3", "3"]

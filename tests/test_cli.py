@@ -1,15 +1,21 @@
 """Exit codes, output shape, and determinism of the command line."""
 
+import gc
+import importlib
 import json
+import re
 import resource
+import runpy
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from degen.bundle import MAX_DIMENSION, Bundle, Params, dumps
+from degen import cli
 from degen.cli import main
 
 from fixtures import multi_place_bundle, simplex_surface
@@ -201,6 +207,31 @@ def test_many_tall_empty_blocks_are_rejected_before_their_rows(tmp_path, capsys)
         })
     _bounded_rejection(tmp_path, data, ["validate"], f"fibres.v0.pullback[{first}].matrix")
     assert "has shape 100000x0, expected 0x0" in capsys.readouterr().err
+
+
+def test_many_tall_empty_ii_matrices_are_rejected_before_their_rows(tmp_path, capsys):
+    # i^*i_* is held to the level-one dims of the chow table before a row
+    # is built; validate never builds the map itself
+    data = json.loads(write_example(tmp_path, "ngon").read_text())
+    data["fibres"]["v0"]["ii_matrices"] = [
+        {"codim": 5 + i, "j": 0, "matrix": {"rows": 100_000, "cols": 0, "entries": []}}
+        for i in range(40)
+    ]
+    _bounded_rejection(tmp_path, data, ["validate"], "fibres.v0.ii_matrices[0].matrix")
+    assert "has shape 100000x0, expected 0x0" in capsys.readouterr().err
+
+
+def test_duplicate_ii_matrices_are_rejected(tmp_path, capsys):
+    # on the triangle i^*i_* maps CH^0 to CH^1 of three components
+    data = json.loads(write_example(tmp_path, "ngon").read_text())
+    data["fibres"]["v0"]["ii_matrices"] = [
+        {"codim": 0, "j": 0, "matrix": {"rows": 3, "cols": 3, "entries": [str(x)] * 9}}
+        for x in (9, 0)
+    ]
+    path = tmp_path / "duplicate-ii.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 3
+    assert "fibres.v0.ii_matrices[1]: duplicate entry for (0, 0)" in capsys.readouterr().err
 
 
 def test_chow_dimensions_past_the_limit_are_rejected(tmp_path, capsys):
@@ -406,6 +437,47 @@ def test_entry_point_runs_as_module(tmp_path):
     checked = run_cli("check", "CFF", str(out))
     assert checked.returncode == 0
     assert "-1*log(q)^-1" in checked.stdout
+
+
+def test_both_entry_points_resolve_to_run(monkeypatch):
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, attr = re.search(r'^degen = "([\w.]+):(\w+)"$', text, re.M).groups()
+    assert getattr(importlib.import_module(module), attr) is cli.run
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("degen", run_name="__main__")
+    assert calls == ["run"]
+
+
+def test_run_exits_with_the_code_and_output_of_main(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    data = json.loads(dumps(Bundle(params=Params(3, 1, 2), fibres={"v0": simplex_surface()})))
+    block = data["fibres"]["v0"]["pushforward"][0]["matrix"]
+    block["entries"] = [str(-Fraction(e)) for e in block["entries"]]
+    bad.write_text(json.dumps(data))
+    cases = (
+        (["validate", str(write_example(tmp_path, "zeta-fqt"))], 0),
+        (["validate", str(bad)], 1),
+        (["check", "CFF", str(write_example(tmp_path, "ngon"))], 2),
+        (["validate", str(tmp_path / "nope.json")], 3),
+    )
+    capsys.readouterr()
+    for argv, code in cases:
+        assert main(argv) == code
+        want = capsys.readouterr().out
+        for entry in (["-m", "degen"], ["-c", "from degen.cli import run; run()"]):
+            proc = subprocess.run(
+                [sys.executable, *entry, *argv], capture_output=True, text=True, timeout=60
+            )
+            assert (proc.returncode, proc.stdout) == (code, want), (entry, argv)
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
+    path = write_example(tmp_path, "ngon")
+    before = gc.get_freeze_count()
+    assert main(["validate", str(path)]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
 
 
 def test_example_default_output_name(tmp_path):
