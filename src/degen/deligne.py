@@ -15,11 +15,13 @@ For cohomological degree q and twist a there are two regimes:
   anticommutator identity folds i^*i_* gamma into gamma gamma = 0); with
   an explicit i^*i_* matrix this becomes a real compatibility check.
 
-The cycle-class side: a datum (xi, tau) is mapped into the quotient by
-first reducing xi to its canonical representative modulo the image of
-the one-step-lower i^*i_* (this makes the outcome independent of the
-chosen representative), then applying tau, then taking canonical quotient
-coordinates.  Everything is exact linear algebra over Q.
+The cycle-class side: a datum (xi, tau) is mapped into the ambient space by
+reducing xi to its canonical residue modulo the image of the one-step-lower
+i^*i_* (this makes the outcome independent of the chosen representative),
+then applying tau.  The checks need no coordinates on the quotient: a
+column lies in ker(i^*i_*) when i^*i_* kills it, and ranks in the
+quotient are ranks modulo im(gamma).  Everything is exact linear algebra
+over Q.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from __future__ import annotations
 from .qlinalg import (
     AbGroupMap,
     Mat,
-    _placed,
     _Record,
+    _set,
     kernel_basis,
     kernel_cokernel_orders,
     quotient_dim,
     quotient_projection,
     rank,
-    rref,
+    residues,
     solve,
 )
 from .strata import DescriptorError, Fibre, build_level, gamma, ii_map
@@ -44,7 +46,6 @@ __all__ = [
     "deligne_group",
     "CycleDatum",
     "z_map",
-    "residue_reduction",
     "ConjectureAResult",
     "conjecture_A_check",
     "integral_orders",
@@ -54,31 +55,42 @@ __all__ = [
 class DeligneGroup(_Record):
     """One v-adic Deligne cohomology group with its exact presentation.
 
-    ``kind`` is "higher" or "boundary".  In the boundary regime the
-    columns of ``kernel`` are the canonical basis of ker(i^*i_*) and those
-    of ``modulo`` generate im(gamma); both are None in the higher regime.
+    ``kind`` is "higher" or "boundary".  In the boundary regime ``ii`` is
+    the matrix of i^*i_*, whose kernel holds the group, and the columns of
+    ``modulo`` generate im(gamma); both are None in the higher regime.
     """
 
-    __slots__ = _fields = ("q", "a", "kind", "dim", "ambient_dim", "kernel", "modulo")
+    __slots__ = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo", "_kernel")
+    _fields = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo")
 
     def __init__(
         self, q: int, a: int, kind: str, dim: int, ambient_dim: int,
-        kernel: Mat | None, modulo: Mat | None,
+        ii: Mat | None, modulo: Mat | None,
     ):
-        self._assign(q, a, kind, dim, ambient_dim, kernel, modulo)
+        self._assign(q, a, kind, dim, ambient_dim, ii, modulo)
+        _set(self, "_kernel", None)
+
+    @property
+    def kernel(self) -> Mat | None:
+        """The canonical basis of ker(i^*i_*) as columns, built on first use."""
+        if self._kernel is None and self.ii is not None:
+            _set(self, "_kernel", kernel_basis(self.ii))
+        return self._kernel
+
+    def contains(self, vectors: Mat) -> bool:
+        """Does every column of ``vectors`` lie in ker(i^*i_*)?"""
+        return (self.ii * vectors).is_zero()
 
     def coords_in_quotient(self, vectors: Mat) -> Mat | None:
         """Canonical quotient coordinates of ambient vectors, or None if
         some column lies outside ker(i^*i_*)."""
         if self.kind != "boundary":
             raise ValueError("only the boundary presentation has ambient coordinates")
-        assert self.kernel is not None and self.modulo is not None
         in_kernel = solve(self.kernel, vectors)
         if in_kernel is None:
             return None
-        mod_coords = solve(self.kernel, self.modulo)
-        assert mod_coords is not None, "im(gamma) must lie in the kernel"
-        return quotient_projection(mod_coords) * in_kernel
+        # im(gamma) lies in the kernel, so its coordinates exist
+        return quotient_projection(solve(self.kernel, self.modulo)) * in_kernel
 
 
 def deligne_group(
@@ -91,7 +103,7 @@ def deligne_group(
             higher_chow_dim = f.higher_chow.get((q - a - 1, q - 2 * a - 1), 0)
         return DeligneGroup(
             q=q, a=a, kind="higher", dim=higher_chow_dim,
-            ambient_dim=0, kernel=None, modulo=None,
+            ambient_dim=0, ii=None, modulo=None,
         )
     if gap == 1:
         ambient = build_level(f, 1, a).total
@@ -101,11 +113,9 @@ def deligne_group(
             raise DescriptorError(
                 f"im(gamma) does not lie in ker(i^*i_*) at codim {a}"
             )
-        ker = kernel_basis(ii)
-        dim = ker.cols - rank(g)
         return DeligneGroup(
-            q=q, a=a, kind="boundary", dim=dim,
-            ambient_dim=ambient, kernel=ker, modulo=g,
+            q=q, a=a, kind="boundary", dim=ambient - rank(ii) - rank(g),
+            ambient_dim=ambient, ii=ii, modulo=g,
         )
     raise DescriptorError(
         f"(q, a) = ({q}, {a}) lies outside the supported range q - 2a >= 1"
@@ -121,18 +131,6 @@ class CycleDatum(_Record):
         self._assign(b_rank, xi, tau)
 
 
-def residue_reduction(modulo: Mat) -> Mat:
-    """Ambient endomorphism sending v to its canonical representative mod
-    the column span: pivot coordinates (echelon form of the span) are
-    eliminated, so equivalent vectors get equal outputs."""
-    n = modulo.rows
-    r, pivots = rref(modulo.transpose())
-    # v - sum_i v[p_i] * (echelon row i); ``pick`` sends v to (v[p_i])_i
-    one = Mat.identity(1)
-    pick = _placed(r.rows, n, [(i, p, one, 1) for i, p in enumerate(pivots)])
-    return Mat.identity(n) - r.transpose() * pick
-
-
 def z_map(f: Fibre, a: int, cyc: CycleDatum) -> Mat:
     """Ambient-valued cycle classes: tau applied to the canonical residue
     of xi modulo im(i^*i_*) one codimension down."""
@@ -142,15 +140,12 @@ def z_map(f: Fibre, a: int, cyc: CycleDatum) -> Mat:
             f"xi has shape {cyc.xi.rows}x{cyc.xi.cols}, expected {ambient}x{cyc.b_rank}"
         )
     lower_ii = ii_map(f, a - 1) if a >= 1 else Mat.zero(ambient, 0)
-    reduced = residue_reduction(lower_ii) * cyc.xi
-    tau = cyc.tau
-    if tau is None:
-        tau = Mat.identity(ambient)
+    tau = cyc.tau if cyc.tau is not None else Mat.identity(ambient)
     if (tau.rows, tau.cols) != (ambient, ambient):
         raise DescriptorError(
             f"tau has shape {tau.rows}x{tau.cols}, expected {ambient}x{ambient}"
         )
-    return tau * reduced
+    return tau * residues(cyc.xi, lower_ii)
 
 
 class ConjectureAResult(_Record):
@@ -202,11 +197,8 @@ def conjecture_A_check(
                 )
             blocks.append(m)
     combined = Mat.hstack(blocks) if blocks else Mat.zero(g.ambient_dim, 0)
-    assert g.kernel is not None and g.modulo is not None
-    in_kernel = solve(g.kernel, combined) is not None
-    achieved = (
-        quotient_dim(combined, g.modulo) if in_kernel else -1
-    )
+    in_kernel = g.contains(combined)
+    achieved = quotient_dim(combined, g.modulo) if in_kernel else -1
     return ConjectureAResult(
         kind="A2",
         dim=g.dim,

@@ -17,15 +17,15 @@ operands go and hand it signed blocks at offsets, which it sums over the
 lcm of their denominators.  Its cost follows the nonzeros of the blocks,
 not the size of the grid they sit in.
 
-Rank, reduced row echelon form, kernels, solving and quotient
-projections all go through one fraction-free sparse elimination
-(``_eliminate``).  Columns are taken left to right.  The pivot is the
-sparsest remaining row with a nonzero in the column, only rows with a
-nonzero there are updated, and every updated row is divided by its
-content (the gcd of its entries), so coefficients stay as small as the
-row space allows.  The reduced row echelon form of a matrix is unique,
-so every basis and every coordinate system read off it is canonical:
-the same input always yields the identical output object.
+Rank, reduced row echelon form, kernels, solving, quotient projections
+and residues modulo a span all go through one fraction-free sparse
+elimination (``_eliminate``).  Columns are taken left to right.  The
+pivot is the sparsest remaining row with a nonzero in the column, only
+rows with a nonzero there are updated, and every updated row is divided
+by its content (the gcd of its entries), so coefficients stay as small
+as the row space allows.  The reduced row echelon form of a matrix is
+unique, so every basis and every coordinate system read off it is
+canonical: the same input always yields the identical output object.
 
 Integer matrices (plain nested lists/tuples of int) get the diagonal of
 their Smith normal form, from one Bareiss elimination and, unless its
@@ -51,6 +51,7 @@ __all__ = [
     "solve",
     "quotient_projection",
     "quotient_dim",
+    "residues",
     "SmithForm",
     "smith_normal_form",
     "FPAbelianGroup",
@@ -358,7 +359,8 @@ class Mat(_Record):
 
 
 # ---------------------------------------------------------------------------
-# The one elimination behind rank, rref, kernels, solving and quotients.
+# The one elimination behind rank, rref, kernels, solving, quotients and
+# residues.
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -370,10 +372,12 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> None:
-    """row := (p * row - row[c] * prow) / content, in place; clears column c."""
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> int:
+    """row := (p * row - row[c] * prow) / g in place, with g = +-gcd(p, row[c])
+    signed like p; clears column c and returns p / g > 0, the factor that
+    multiplied row."""
     a = row.pop(c)
-    g = gcd(p, a)
+    g = gcd(p, a) if p > 0 else -gcd(p, a)
     mp, ma = p // g, a // g
     if mp != 1:
         for j in row:
@@ -385,8 +389,7 @@ def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> None:
                 row[j] = y
             else:
                 del row[j]
-    if row:
-        _primitive(row)
+    return mp
 
 
 def _eliminate(
@@ -421,6 +424,8 @@ def _eliminate(
             touched += [row for row in done if c in row]
         for row in touched:
             _cancel(row, prow, c, p)
+            if row:
+                _primitive(row)
         active = [row for i, row in enumerate(active) if i != k and row]
         pivots.append(c)
         done.append(prow)
@@ -501,13 +506,36 @@ def quotient_projection(modulo: Mat) -> Mat:
     return kernel_basis(modulo.transpose()).transpose()
 
 
-def quotient_dim(vectors: Mat, modulo: Mat | None = None) -> int:
+def quotient_dim(vectors: Mat, modulo: Mat) -> int:
     """Dimension of the image of span(vectors) in the quotient by span(modulo)."""
-    if modulo is None:
-        return rank(vectors)
     if vectors.rows != modulo.rows:
         raise ValueError("ambient dimensions differ")
     return rank(Mat.hstack([modulo, vectors])) - rank(modulo)
+
+
+def residues(vectors: Mat, modulo: Mat) -> Mat:
+    """The canonical representative of each column of ``vectors`` modulo
+    the column span of ``modulo``: the one vector of its coset that is zero
+    at every pivot column of the echelon form of that span.
+
+    One forward elimination of ``modulo`` transposed gives the pivot rows;
+    each is zero at every earlier pivot, so clearing the pivots of a column
+    in increasing order leaves the cleared ones zero.
+    """
+    if vectors.rows != modulo.rows:
+        raise ValueError("ambient dimensions differ")
+    pivots, done, _ = _eliminate(modulo.transpose(), reduce=False)
+    cols = []  # (integer column, its scale): the residue is column / (scale * den)
+    for col in vectors.transpose()._data:
+        v = dict(col)
+        scale = 1
+        for c, prow in zip(pivots, done):
+            if c in v:
+                scale *= _cancel(v, prow, c, prow[c])
+        cols.append((v, scale))
+    den = lcm(*[s for _, s in cols])
+    data = tuple(tuple(sorted((j, x * (den // s)) for j, x in v.items())) for v, s in cols)
+    return _reduced(vectors.cols, vectors.rows, vectors._den * den, data).transpose()
 
 
 # ---------------------------------------------------------------------------

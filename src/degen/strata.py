@@ -338,40 +338,27 @@ def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
     key = (mode, r, p, j)
     if key in maps:
         return maps[key]
+    push = mode == "push"
     src = build_level(f, r, p, j)
+    tgt = build_level(f, r - 1, p + 1, j) if push else build_level(f, r + 1, p, j)
+    deep, shallow = (src, tgt) if push else (tgt, src)
+    raw, kind = (f.pushforward, "pushforward") if push else (f.pullback, "pullback")
     placed: list[tuple[int, int, Mat, int]] = []  # (row offset, column offset, block, sign)
-    if mode == "push":
-        tgt = build_level(f, r - 1, p + 1, j)
-        # iterate source strata I, remove position u to land in the target
-        for stratum, _ in src.pieces:
-            for u in range(1, len(stratum) + 1):
-                other = _removed(stratum, u)
-                if not tgt.dim_of(other):
-                    continue
-                block = f.pushforward.get((stratum, u, p, j))
-                if block is None:
-                    raise DescriptorError(
-                        f"missing pushforward block for stratum {stratum}, "
-                        f"position {u}, codim {p}, j {j}"
-                    )
-                placed.append((tgt.offset(other), src.offset(stratum), block, (-1) ** (u - 1)))
-    elif mode == "pull":
-        tgt = build_level(f, r + 1, p, j)
-        # iterate target strata I, remove position u to find the source
-        for stratum, _ in tgt.pieces:
-            for u in range(1, len(stratum) + 1):
-                other = _removed(stratum, u)
-                if not src.dim_of(other):
-                    continue
-                block = f.pullback.get((stratum, u, p, j))
-                if block is None:
-                    raise DescriptorError(
-                        f"missing pullback block for stratum {stratum}, "
-                        f"position {u}, codim {p}, j {j}"
-                    )
-                placed.append((tgt.offset(stratum), src.offset(other), block, (-1) ** (u - 1)))
-    else:  # pragma: no cover
-        raise AssertionError(mode)
+    # walk the deeper level's strata I; removing position u lands in the shallower one
+    for stratum, _ in deep.pieces:
+        for u in range(1, len(stratum) + 1):
+            other = _removed(stratum, u)
+            if not shallow.dim_of(other):
+                continue
+            block = raw.get((stratum, u, p, j))
+            if block is None:
+                raise DescriptorError(
+                    f"missing {kind} block for stratum {stratum}, "
+                    f"position {u}, codim {p}, j {j}"
+                )
+            at = (shallow.offset(other), deep.offset(stratum))
+            row, col = at if push else at[::-1]
+            placed.append((row, col, block, (-1) ** (u - 1)))
     maps[key] = _placed(tgt.total, src.total, placed)
     return maps[key]
 

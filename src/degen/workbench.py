@@ -10,6 +10,7 @@ over the same file produce identical bytes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .bundle import Bundle, GlobalL, MotivicDatum, Place
@@ -30,7 +31,7 @@ from .lfun import (
     strip_S,
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
-from .qlinalg import Mat, _Record, rank
+from .qlinalg import Mat, _Record, quotient_dim, rank
 from .strata import Fibre, validate
 
 __all__ = [
@@ -173,6 +174,18 @@ def _reg_matrix(m: MotivicDatum) -> Mat | None:
     return m.regulator.matrix if m.regulator is not None else None
 
 
+def _groups(b: Bundle) -> Iterator[tuple[str, DeligneGroup]]:
+    """(place, Deligne group at the bundle's (q, a)), places in sorted order."""
+    for name in sorted(b.fibres):
+        yield name, deligne_group(b.fibres[name], b.params.q_coh, b.params.a)
+
+
+def _cycles(b: Bundle, name: str) -> Mat | None:
+    """The ambient cycle classes at a place, None without a cycle class."""
+    cyc = b.motivic[name].cycle_class
+    return z_map(b.fibres[name], b.params.a, cyc) if cyc is not None else None
+
+
 def _run_A(b: Bundle, which: str) -> CheckReport:
     boundary = _gap(b) == 1
     if which == "A1" and boundary:
@@ -180,19 +193,14 @@ def _run_A(b: Bundle, which: str) -> CheckReport:
     if which == "A2" and not boundary:
         return _inconclusive("A2", "non-boundary twist, statement is A1")
     lines = []
-    for name in sorted(b.fibres):
-        f = b.fibres[name]
-        g = deligne_group(f, b.params.q_coh, b.params.a)
+    for name, g in _groups(b):
         if name not in b.motivic:
             lines.append(
                 ReportLine(which, name, INCONCLUSIVE, f"dim={g.dim}, no motivic data")
             )
             continue
-        m = b.motivic[name]
-        cycles = None
-        if boundary and m.cycle_class is not None:
-            cycles = z_map(f, b.params.a, m.cycle_class)
-        res = conjecture_A_check(g, _reg_matrix(m), cycles)
+        cycles = _cycles(b, name) if boundary else None
+        res = conjecture_A_check(g, _reg_matrix(b.motivic[name]), cycles)
         if not res.in_kernel:
             value = "cycle classes do not land in ker(i^*i_*)"
         else:
@@ -314,9 +322,7 @@ def _run_B1(b: Bundle) -> CheckReport:
     assert b.global_l is not None
     a = b.params.a
     lam, alpha = _stripped(b)
-    total_dim = sum(
-        deligne_group(b.fibres[name], b.params.q_coh, a).dim for name in sorted(b.fibres)
-    )
+    total_dim = sum(g.dim for _, g in _groups(b))
     total_rank = _motivic_rank(b)
     order = ord_at(lam, b.params.field_q, a)
     achieved = sum(rank(m.regulator.matrix) for m in b.motivic.values() if m.regulator is not None)
@@ -343,19 +349,11 @@ def _run_B2(b: Bundle) -> CheckReport:
     assert b.global_l is not None
     a = b.params.a
     lam, alpha = _stripped(b)
-    names = sorted(b.fibres)
 
-    groups: dict[str, DeligneGroup] = {}
-    regs: dict[str, Mat] = {}
-    ambient: dict[str, Mat] = {}  # regulator columns, then cycle-class columns
-    for name in names:
-        f = b.fibres[name]
-        g = groups[name] = deligne_group(f, b.params.q_coh, a)
-        m = b.motivic[name]
-        reg = _reg_matrix(m)
-        regs[name] = reg if reg is not None else Mat.zero(g.ambient_dim, 0)
-        cycles = [z_map(f, a, m.cycle_class)] if m.cycle_class is not None else []
-        ambient[name] = Mat.hstack([regs[name], *cycles])
+    places = []  # (group, regulator columns, cycle columns or None) per place
+    for name, g in _groups(b):
+        reg = _reg_matrix(b.motivic[name])
+        places.append((g, reg if reg is not None else Mat.zero(g.ambient_dim, 0), _cycles(b, name)))
 
     shared = _b_ranks(b)
     cycles_line = ReportLine(
@@ -366,14 +364,9 @@ def _run_B2(b: Bundle) -> CheckReport:
 
     order_a = ord_at(lam, b.params.field_q, a)
 
-    coords: dict[str, list[Mat]] = {}  # quotient coordinates of each column
-    for name in names:
-        c = groups[name].coords_in_quotient(ambient[name])
-        if c is None:
-            break
-        coords[name] = c.columns()
-    in_kernel = len(coords) == len(names)
-
+    in_kernel = all(
+        g.contains(reg) and (cyc is None or g.contains(cyc)) for g, reg, cyc in places
+    )
     if not in_kernel or b_rank is None:
         map_line = ReportLine(
             "B2FF.map", "-", FAIL,
@@ -381,26 +374,23 @@ def _run_B2(b: Bundle) -> CheckReport:
             else "b_rank must be shared",
         )
     else:
-        # block-diagonal regulator columns, then the stacked cycle columns
-        grid = []
-        for i, name in enumerate(names):
-            width = regs[name].cols
-            row: list[Mat | None] = [None] * (len(names) + 1)
-            if width:
-                row[i] = Mat.hstack(coords[name][:width])
-            if coords[name][width:]:
-                row[-1] = Mat.hstack(coords[name][width:])
-            grid.append(row)
+        # block-diagonal regulator columns, then the stacked cycle columns,
+        # ranked modulo the block-diagonal im(gamma)
+        n = len(places)
+        ambient = [g.ambient_dim for g, _, _ in places]
         combined = Mat.block(
-            grid,
-            [groups[name].dim for name in names],
-            [regs[name].cols for name in names] + [b_rank],
+            [[reg if k == i else None for k in range(n)] + [cyc] for i, (_, reg, cyc) in enumerate(places)],
+            ambient, [reg.cols for _, reg, _ in places] + [b_rank],
         )
-        total_dim = sum(g.dim for g in groups.values())
-        achieved = rank(combined)
+        modulo = Mat.block(
+            [[g.modulo if k == i else None for k in range(n)] for i, (g, _, _) in enumerate(places)],
+            ambient, [g.modulo.cols for g, _, _ in places],
+        )
+        total_dim = sum(g.dim for g, _, _ in places)
+        achieved = quotient_dim(combined, modulo)
         map_line = ReportLine(
             "B2FF.map", "-", _verdict(combined.cols == total_dim and achieved == total_dim),
-            f"rank={achieved} of {combined.rows}x{combined.cols}",
+            f"rank={achieved} of {total_dim}x{combined.cols}",
         )
 
     lead = _scaled_leading(b, lam, alpha)

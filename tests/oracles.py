@@ -152,6 +152,21 @@ def dense_quotient_dim(vectors: Grid, modulo: Grid, v_cols: int, m_cols: int) ->
     return dense_rank(stacked, m_cols + v_cols) - dense_rank(modulo, m_cols)
 
 
+def residue_reduction(modulo: Mat) -> Mat:
+    """Ambient endomorphism sending v to its canonical representative mod
+    the column span of ``modulo``: v minus sum_i v[p_i] * (reduced echelon
+    row i of the span), so the result is zero at every pivot p_i and
+    equivalent vectors get equal outputs.  The projector that cycle classes
+    were once reduced by; ``degen.qlinalg.residues`` must agree with it."""
+    n = modulo.rows
+    r, pivots = dense_rref(dense_transpose(modulo.entries, modulo.cols), n)
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for row, p in zip(r, pivots):
+        for i in range(n):
+            out[i][p] -= row[i]
+    return Mat.from_rows(out, cols=n)
+
+
 def det_int(m: list[list[int]]) -> int:
     """Cofactor-expansion determinant for the small matrices used in tests."""
     n = len(m)

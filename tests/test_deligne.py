@@ -16,26 +16,35 @@ from degen.deligne import (
     conjecture_A_check,
     deligne_group,
     integral_orders,
-    residue_reduction,
     z_map,
 )
 from degen.qlinalg import (
     AbGroupMap,
     FPAbelianGroup,
     Mat,
+    kernel_basis,
     kernel_cokernel_orders,
     rank,
+    residues,
     solve,
 )
-from degen.strata import DescriptorError, gamma, generator_ngon, generator_smooth, ii_map
+from degen.strata import (
+    DescriptorError,
+    Fibre,
+    gamma,
+    generator_ngon,
+    generator_smooth,
+    ii_map,
+)
 
-from fixtures import simplex_surface
+from fixtures import fixture_fibres, simplex_surface
 from oracles import (
     brute_cokernel_order,
     brute_kernel_order,
     column,
     random_finite_group,
     random_group_map,
+    residue_reduction,
 )
 
 
@@ -109,13 +118,72 @@ def test_surface_group_consistency():
         assert g.dim >= 0
 
 
-def test_residue_reduction_is_idempotent_projection():
+def test_residues_are_idempotent():
     mod = Mat.from_rows(
         [[F(2), F(-1)], [F(-1), F(2)], [F(-1), F(-1)]], cols=2
     )
-    r = residue_reduction(mod)
-    assert r * r == r
-    assert (r * mod).is_zero()
+    vectors = Mat.hstack([Mat.identity(3), mod, Mat.zero(3, 0)])
+    r = residues(vectors, mod)
+    assert residues(r, mod) == r
+    assert r == residue_reduction(mod) * vectors
+    assert residues(mod, mod).is_zero()
+
+
+def with_explicit_ii(f: Fibre, rng: random.Random) -> Fibre:
+    """``f`` with explicit i^*i_* matrices T * (composed i^*i_*) at every
+    level-one codim, T random and often singular, so each kernel contains
+    the composed one and im(gamma) still lies in it."""
+    codims = sorted({(p, j) for (s, p, j) in f.chow if len(s) == 1})
+    ii = {}
+    for p, j in codims:
+        composed = ii_map(f, p, j)
+        t = Mat.from_rows(
+            [[rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(composed.rows)]
+             for _ in range(composed.rows)],
+            cols=composed.rows,
+        )
+        ii[p, j] = t * composed
+    return Fibre(
+        components=f.components, dim_y=f.dim_y, q_v=f.q_v, strata=f.strata,
+        chow=dict(f.chow), pushforward=dict(f.pushforward), pullback=dict(f.pullback),
+        ii_matrices=ii, higher_chow=dict(f.higher_chow),
+    )
+
+
+def test_contains_agrees_with_the_kernel_solve():
+    # membership by one product against membership by a solve on the basis
+    rng = random.Random(11)
+    checked = outside = 0
+    for f in fixture_fibres():
+        for fibre in (f, with_explicit_ii(f, rng)):
+            for a in range(1, fibre.dim_y + 1):
+                g = deligne_group(fibre, 2 * a + 1, a)
+                n = g.ambient_dim
+                probes = Mat.identity(n).columns() + [g.modulo, g.kernel]
+                probes.append(Mat.from_rows(
+                    [[rng.choice([0, 1, -1, Fraction(2, 3)]) for _ in range(2)] for _ in range(n)], cols=2
+                ))
+                for v in probes:
+                    want = solve(g.kernel, v) is not None
+                    assert g.contains(v) == want
+                    checked += 1
+                    outside += not want
+    assert checked and outside
+
+
+def test_kernel_is_canonical_and_built_once(monkeypatch):
+    import degen.deligne as deligne
+
+    calls = []
+    real = deligne.kernel_basis
+    monkeypatch.setattr(deligne, "kernel_basis", lambda m: calls.append(m) or real(m))
+    g = deligne_group(simplex_surface(), 3, 1)
+    assert calls == []
+    assert g.kernel == kernel_basis(ii_map(simplex_surface(), 1))
+    assert g.coords_in_quotient(g.kernel) is not None
+    assert g.kernel is g.kernel
+    assert len(calls) == 1
+    assert deligne_group(simplex_surface(), 5, 1).kernel is None
 
 
 def test_triangle_cycle_class_frozen():

@@ -162,13 +162,15 @@ def branch_bundles() -> dict:
     }
 
 
-def _record(out: dict, argv: list[str]) -> None:
-    code, text = _run(argv)
-    out[" ".join(argv)] = {"exit": code, "stdout": _sha(text)}
+def _record(out: dict, argv: list[str], only) -> None:
+    if only is None or tuple(a for a in argv[:-1] if a != "--tsv") in only:
+        code, text = _run(argv)
+        out[" ".join(argv)] = {"exit": code, "stdout": _sha(text)}
 
 
-def report_digests(workdir: Path) -> dict[str, dict]:
-    """Exit code and stdout digest of every command on every pinned input."""
+def report_digests(workdir: Path, only=None) -> dict[str, dict]:
+    """Exit code and stdout digest of every command on every pinned input;
+    with ``only`` (a collection of commands), of those commands alone."""
     out: dict[str, dict] = {}
     old = os.getcwd()
     os.chdir(workdir)
@@ -187,15 +189,15 @@ def report_digests(workdir: Path) -> dict[str, dict]:
         for target in files:
             for cmd in COMMANDS:
                 for tsv in ((), ("--tsv",)):
-                    _record(out, [*tsv, *cmd, target])
+                    _record(out, [*tsv, *cmd, target], only)
         _conjugated_surface_bundle(workdir / "surface-c4-conjugated.json")
         for cmd in CONJUGATED_COMMANDS:
             for tsv in ((), ("--tsv",)):
-                _record(out, [*tsv, *cmd, "surface-c4-conjugated.json"])
+                _record(out, [*tsv, *cmd, "surface-c4-conjugated.json"], only)
         _multi_place_bundle(workdir / "multi-place-p8.json")
         for cmd in MULTI_PLACE_COMMANDS:
             for tsv in ((), ("--tsv",)):
-                _record(out, [*tsv, *cmd, "multi-place-p8.json"])
+                _record(out, [*tsv, *cmd, "multi-place-p8.json"], only)
         from degen.bundle import save
 
         for name, bundle in branch_bundles().items():
@@ -203,7 +205,7 @@ def report_digests(workdir: Path) -> dict[str, dict]:
             save(bundle, workdir / target)
             for cmd in BRANCH_COMMANDS:
                 for tsv in ((), ("--tsv",)):
-                    _record(out, [*tsv, *cmd, target])
+                    _record(out, [*tsv, *cmd, target], only)
     finally:
         os.chdir(old)
     return out
@@ -214,6 +216,39 @@ def test_reports_match_pinned_digests(tmp_path):
     got = report_digests(tmp_path)
     assert sorted(got) == sorted(pinned)
     changed = [label for label in pinned if got[label] != pinned[label]]
+    assert not changed, f"reports differ from the pinned digests: {changed}"
+
+
+# Commands that decide the boundary groups from ranks and products alone.
+RANK_AND_PRODUCT_COMMANDS = (
+    ("dim-theorem",),
+    ("check", "A2"),
+    ("check", "B1FF"),
+    ("check", "B2FF"),
+)
+
+
+def test_deligne_checks_take_no_kernel_basis_or_rref(tmp_path, monkeypatch):
+    # membership in ker(i^*i_*) is one product and every dimension a rank,
+    # so these commands reach no rref, kernel basis, Deligne-side solve or
+    # quotient projection, and still print the pinned reports
+    import degen.deligne as deligne
+    import degen.qlinalg as qlinalg
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    for module, name in (
+        (deligne, "kernel_basis"), (deligne, "solve"),
+        (deligne, "quotient_projection"), (qlinalg, "rref"),
+    ):
+        monkeypatch.setattr(module, name, refuse(name))
+    pinned = json.loads(PINNED.read_text())
+    got = report_digests(tmp_path, only=RANK_AND_PRODUCT_COMMANDS)
+    assert sum(label.startswith("check B2FF") for label in got) >= 10
+    changed = [label for label in got if got[label] != pinned[label]]
     assert not changed, f"reports differ from the pinned digests: {changed}"
 
 

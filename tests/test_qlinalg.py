@@ -16,6 +16,7 @@ from degen.qlinalg import (
     quotient_dim,
     quotient_projection,
     rank,
+    residues,
     rref,
     smith_normal_form,
     solve,
@@ -38,6 +39,7 @@ from oracles import (
     in_relation_lattice,
     random_finite_group,
     random_group_map,
+    residue_reduction,
     smith_with_transforms,
     transform_group_order,
     transform_orders,
@@ -530,3 +532,30 @@ class TestInternalConstructors:
         got = _placed(rows, cols, blocks)
         assert got == want
         assert got._den == want._den and got._data == want._data
+
+
+@st.composite
+def dense_rational(draw, r, c):
+    """Every entry drawn, most of them nonzero, with small denominators."""
+    return Mat.from_rows([[draw(fractions_st) for _ in range(c)] for _ in range(r)], cols=c)
+
+
+class TestResidues:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_match_the_projector_oracle(self, data):
+        # sparse incidence (pivots -1 and 1), conjugated rational and dense
+        # inputs; an empty or dependent span, and no vectors at all
+        n, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+        kinds = lambda r, cols: st.one_of(shaped(r, cols), dense_rational(r, cols))
+        modulo = data.draw(kinds(n, k))
+        if k and data.draw(st.booleans()):
+            modulo = Mat.hstack([modulo, modulo * data.draw(kinds(k, 2))])
+        vectors = data.draw(kinds(n, c))
+        got = residues(vectors, modulo)
+        assert got == residue_reduction(modulo) * vectors
+        assert residues(got, modulo) == got
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            residues(Mat.zero(3, 1), Mat.zero(2, 1))

@@ -81,7 +81,7 @@ REPRS = {
     ),
     "DeligneGroup": (
         "DeligneGroup(q=2, a=1, kind='boundary', dim=1, ambient_dim=2, "
-        "kernel=Mat[1 2], modulo=None)"
+        "ii=Mat[1 2], modulo=None)"
     ),
     "CycleDatum": "CycleDatum(b_rank=1, xi=Mat[1 2], tau=None)",
     "ConjectureAResult": (
@@ -250,6 +250,23 @@ def test_cli_import_avoids_dataclasses_and_typing():
         f"import sys; sys.path.insert(0, {src!r}); import degen.cli; "
         "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'typing') "
         "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=20
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
+
+
+def test_fixtures_import_avoids_unittest_and_asyncio():
+    # the benchmark's workload set-up imports the fixtures and, through
+    # them, the oracles: whatever those import is paid in its start-up
+    # time and peak memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degen.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; import fixtures; "
+        "print(' '.join(m for m in ('unittest', 'asyncio') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=20
