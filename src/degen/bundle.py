@@ -20,11 +20,13 @@ exceed MAX_GENERATORS, and the rows and cols of each matrix, each
 higher_chow dim and the sum of each fibre's chow dims may not exceed
 MAX_DIMENSION; both are checked before any row is built.  So is the
 shape the fibre's Chow table asks of each pushforward and pullback block
-and of each explicit i^*i_* matrix.  A file nested
-past Python's recursion limit is rejected as too deeply nested.  At the
-boundary twist (q_coh - 2a = 1) the regulator matrix, xi and tau of each
-place are checked against CH^a of the first level as they are read, so a
-bad height is named before any command builds a map on it.
+and of each explicit i^*i_* matrix.  A file nested past Python's
+recursion limit is rejected as too deeply nested, and ``load`` rejects
+a file longer than MAX_BUNDLE_BYTES after reading one byte past it,
+before any parsing.  At the boundary twist (q_coh - 2a = 1) the
+regulator matrix, xi and tau of each place are checked against CH^a of
+the first level as they are read, so a bad height is named before any
+command builds a map on it.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -35,6 +37,7 @@ unknown keys anywhere in the file are rejected, which catches typos like
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -66,6 +69,7 @@ __all__ = [
     "loads",
     "save",
     "dumps",
+    "MAX_BUNDLE_BYTES",
     "MAX_DECIMAL_EXPONENT",
     "MAX_DIMENSION",
     "MAX_GENERATORS",
@@ -88,6 +92,11 @@ MAX_GENERATORS = 10_000
 # file whatever its height, and every space a command builds on a fibre
 # has at most the fibre's total Chow dimension.
 MAX_DIMENSION = 100_000
+
+# Largest bundle file read, in bytes: about twice the 66 MB a 1920-gon
+# example takes.  A larger input, such as /dev/zero, is rejected after
+# reading one byte past the limit.
+MAX_BUNDLE_BYTES = 128 * 2**20
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -715,8 +724,18 @@ def loads(text: str, strict: bool = True) -> Bundle:
 
 
 def load(path, strict: bool = True) -> Bundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), strict=strict)
+    with open(path, "rb") as fh:
+        # read one byte past the file's stated size, or past the limit if
+        # it states none (a pipe, /dev/zero): a buffer of the limit's size
+        # costs every small load a large allocation
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(min(size or MAX_BUNDLE_BYTES, MAX_BUNDLE_BYTES) + 1)
+    if len(data) > MAX_BUNDLE_BYTES:
+        raise BundleError(f"{path}: larger than {MAX_BUNDLE_BYTES} bytes (MAX_BUNDLE_BYTES)")
+    text = data.decode("utf-8")
+    if "\r" in text:  # the newlines a text-mode read translates, as JSON errors count lines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return loads(text, strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,16 @@ class DeligneGroup(_Record):
     ``modulo`` generate im(gamma); both are None in the higher regime.
     """
 
-    __slots__ = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo", "_kernel")
+    __slots__ = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo", "_kernel", "_modulo_rank")
     _fields = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo")
 
     def __init__(
         self, q: int, a: int, kind: str, dim: int, ambient_dim: int,
-        ii: Mat | None, modulo: Mat | None,
+        ii: Mat | None, modulo: Mat | None, modulo_rank: int | None = None,
     ):
         self._assign(q, a, kind, dim, ambient_dim, ii, modulo)
         _set(self, "_kernel", None)
+        _set(self, "_modulo_rank", modulo_rank)
 
     @property
     def kernel(self) -> Mat | None:
@@ -76,6 +77,13 @@ class DeligneGroup(_Record):
         if self._kernel is None and self.ii is not None:
             _set(self, "_kernel", kernel_basis(self.ii))
         return self._kernel
+
+    @property
+    def modulo_rank(self) -> int | None:
+        """rank(modulo), the dimension of im(gamma), taken once."""
+        if self._modulo_rank is None and self.modulo is not None:
+            _set(self, "_modulo_rank", rank(self.modulo))
+        return self._modulo_rank
 
     def contains(self, vectors: Mat) -> bool:
         """Does every column of ``vectors`` lie in ker(i^*i_*)?"""
@@ -113,9 +121,10 @@ def deligne_group(
             raise DescriptorError(
                 f"im(gamma) does not lie in ker(i^*i_*) at codim {a}"
             )
+        g_rank = rank(g)
         return DeligneGroup(
-            q=q, a=a, kind="boundary", dim=ambient - rank(ii) - rank(g),
-            ambient_dim=ambient, ii=ii, modulo=g,
+            q=q, a=a, kind="boundary", dim=ambient - rank(ii) - g_rank,
+            ambient_dim=ambient, ii=ii, modulo=g, modulo_rank=g_rank,
         )
     raise DescriptorError(
         f"(q, a) = ({q}, {a}) lies outside the supported range q - 2a >= 1"
@@ -198,7 +207,7 @@ def conjecture_A_check(
             blocks.append(m)
     combined = Mat.hstack(blocks) if blocks else Mat.zero(g.ambient_dim, 0)
     in_kernel = g.contains(combined)
-    achieved = quotient_dim(combined, g.modulo) if in_kernel else -1
+    achieved = quotient_dim(combined, g.modulo, g.modulo_rank) if in_kernel else -1
     return ConjectureAResult(
         kind="A2",
         dim=g.dim,

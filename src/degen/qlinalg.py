@@ -506,11 +506,14 @@ def quotient_projection(modulo: Mat) -> Mat:
     return kernel_basis(modulo.transpose()).transpose()
 
 
-def quotient_dim(vectors: Mat, modulo: Mat) -> int:
-    """Dimension of the image of span(vectors) in the quotient by span(modulo)."""
+def quotient_dim(vectors: Mat, modulo: Mat, modulo_rank: int | None = None) -> int:
+    """Dimension of the image of span(vectors) in the quotient by
+    span(modulo); pass ``modulo_rank`` when rank(modulo) is known."""
     if vectors.rows != modulo.rows:
         raise ValueError("ambient dimensions differ")
-    return rank(Mat.hstack([modulo, vectors])) - rank(modulo)
+    if modulo_rank is None:
+        modulo_rank = rank(modulo)
+    return rank(Mat.hstack([modulo, vectors])) - modulo_rank
 
 
 def residues(vectors: Mat, modulo: Mat) -> Mat:

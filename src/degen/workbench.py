@@ -387,7 +387,8 @@ def _run_B2(b: Bundle) -> CheckReport:
             ambient, [g.modulo.cols for g, _, _ in places],
         )
         total_dim = sum(g.dim for g, _, _ in places)
-        achieved = quotient_dim(combined, modulo)
+        gamma_rank = sum(g.modulo_rank for g, _, _ in places)
+        achieved = quotient_dim(combined, modulo, gamma_rank)
         map_line = ReportLine(
             "B2FF.map", "-", _verdict(combined.cols == total_dim and achieved == total_dim),
             f"rank={achieved} of {total_dim}x{combined.cols}",

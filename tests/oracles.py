@@ -941,3 +941,103 @@ def dense_dumps(b) -> str:
 
     with mock.patch.object(bundle, "_entry_strings", dense_entry_strings):
         return json_text(bundle._bundle_to_json(b))
+
+
+# ---------------------------------------------------------------------------
+# The command line: the argparse parser that ``degen.cli._parse`` replaced,
+# kept verbatim as the reference grammar.  argparse (and the gettext it
+# loads) is imported here, not at module level, so importing the oracles
+# costs the benchmark's workload set-up nothing.
+
+
+def argparse_parser():
+    """The old ``degen`` parser: ``parse_args`` exits 3 on a usage error
+    and 0 after printing help."""
+    import argparse
+
+    from degen.bundle import MAX_TWIST
+    from degen.workbench import CONJECTURES
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with 2 on usage errors; we reserve 2 for
+        inconclusive runs, so remap to 3."""
+
+        def error(self, message):
+            self.exit(3, f"{self.prog}: error: {message}\n")
+
+    def _twist(text: str) -> int:
+        """An integer no larger than MAX_TWIST in magnitude, as params.a/q_coh."""
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if abs(value) > MAX_TWIST:
+            raise argparse.ArgumentTypeError(f"exceeds {MAX_TWIST} in magnitude")
+        return value
+
+    def _build_parser() -> _Parser:
+        parser = _Parser(
+            prog="degen",
+            description="Exact checks for semistable degenerations: fibre "
+            "identities, monodromy complexes, and L-function leading values.",
+        )
+        parser.add_argument(
+            "--tsv",
+            action="store_true",
+            help="machine-readable output: check, place, verdict, value",
+        )
+        parser.add_argument(
+            "--strict",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="reject unknown keys in bundle files (default: on)",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+
+        p = sub.add_parser("validate", help="check the sign identities of every fibre")
+        p.add_argument("file")
+
+        p = sub.add_parser(
+            "dim-theorem",
+            help="compare group dimensions with local L-factor vanishing orders",
+        )
+        p.add_argument("file")
+        p.add_argument("--q", type=_twist, default=None, help="cohomological degree")
+        p.add_argument("--a", type=_twist, default=None, help="twist")
+
+        p = sub.add_parser("check", help="run one of the conjecture checks")
+        p.add_argument("conjecture", choices=CONJECTURES)
+        p.add_argument("file")
+
+        p = sub.add_parser(
+            "complex", help="build the small complex and report its cohomology"
+        )
+        p.add_argument("file")
+        p.add_argument("--q", type=int, default=None, help="degree to report")
+        p.add_argument("--star", type=int, default=None, help="twist of the complex")
+
+        p = sub.add_parser(
+            "quasi-iso",
+            help="compare Cone(N) cohomology with the small complex",
+        )
+        p.add_argument("file")
+        p.add_argument(
+            "--star",
+            type=int,
+            default=None,
+            help="single twist (default: sweep 0..dim+2)",
+        )
+
+        p = sub.add_parser("example", help="write a built-in example bundle")
+        p.add_argument("name")
+        p.add_argument(
+            "params",
+            nargs="*",
+            metavar="key=value",
+            help="integer parameters, e.g. q=3 or n=5",
+        )
+        p.add_argument("-o", "--output", default=None, help="output path (default: <name>.json)")
+
+        return parser
+
+    return _build_parser()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degen import qlinalg
-from degen.bundle import BundleError, Bundle, Params, dumps, loads
+from degen.bundle import BundleError, Bundle, Params, dumps, load, loads
 from degen.workbench import build_example
 
 from fixtures import multi_place_bundle, simplex_surface
@@ -203,6 +203,20 @@ def test_integral_load_takes_no_smith_form(monkeypatch):
 def test_not_json():
     with pytest.raises(BundleError, match="JSON"):
         loads("{ not json")
+
+
+def test_load_reads_newlines_as_a_text_file(tmp_path):
+    # a JSON error names the line and character of a text-mode read,
+    # where \r\n and \r are each one newline
+    text = '{"params":\r\n {"q_coh": 1,\r  "a": 0,\n  x}'
+    with pytest.raises(BundleError) as want:
+        loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    path = tmp_path / "crlf.json"
+    path.write_bytes(text.encode())
+    with pytest.raises(BundleError) as got:
+        load(path)
+    assert str(got.value) == str(want.value)
+    assert "line 4 column 3 (char 37)" in str(got.value)
 
 
 def test_fibres_required():

@@ -1,7 +1,10 @@
 """Exit codes, output shape, and determinism of the command line."""
 
+import contextlib
+import functools
 import gc
 import importlib
+import io
 import json
 import re
 import resource
@@ -13,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from degen.bundle import MAX_DIMENSION, Bundle, Params, dumps
 from degen import cli
@@ -496,3 +501,321 @@ def test_usage_error_exits_three():
     assert proc.returncode == 3
     proc = run_cli()
     assert proc.returncode == 3
+
+
+# ---------------------------------------------------------------------------
+# The command-line grammar, against the argparse parser it replaced
+# (``oracles.argparse_parser``).
+
+def _new(argv):
+    """("ok", args), ("help",) or ("error",), as ``cli._parse`` reads argv."""
+    try:
+        return "ok", cli._parse(list(argv))
+    except cli._HelpRequested:
+        return ("help",)
+    except cli._UsageError:
+        return ("error",)
+
+
+@functools.cache
+def _oracle():
+    from oracles import argparse_parser
+
+    return argparse_parser()
+
+
+def _old(argv):
+    """("ok", args, leftover), ("help",) or ("error",), as the argparse
+    parser reads argv; ``leftover`` is what ``parse_args`` would reject."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns, leftover = _oracle().parse_known_args(list(argv))
+        except SystemExit as exc:
+            return ("help",) if exc.code == 0 else ("error",)
+    return "ok", vars(ns), leftover
+
+
+def _old_stderr(argv):
+    """What the argparse parser writes to stderr as it rejects argv."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit):
+            _oracle().parse_args(list(argv))
+    return stderr.getvalue()
+
+
+# Before Python 3.13 argparse drops a literal "--" after the separator from
+# the value it lands in (``check A2 -- --`` gives file=[], which made the
+# old parser's caller crash), so the oracle reads such a token spelled as
+# a plain positional, and the spelling is undone in what it returns.
+_LITERAL = "\0--"
+
+
+def _spell_literal_dashes(argv):
+    if "--" not in argv:
+        return list(argv)
+    sep = argv.index("--") + 1
+    return argv[:sep] + [_LITERAL if t == "--" else t for t in argv[sep:]]
+
+
+def _unspell(value):
+    if isinstance(value, list):
+        return [_unspell(v) for v in value]
+    return "--" if value == _LITERAL else value
+
+
+def _argparse_is_the_reference():
+    """argparse from Python 3.13 on acts on -h inside a run of short
+    flags (``-hx``) at once, rejects an ambiguous prefix only when it
+    reaches it, and accepts ``--`` before the command; the grammar kept is
+    that of the argparse the old parser ran on, 3.10 to 3.12."""
+    probes = (["-hx"], ["-h", "--=x"], ["--", "validate", "F"])
+    return all(_old(argv) == ("error",) for argv in probes)
+
+
+def _argparse_messages_are_the_reference():
+    """Later argparse releases reword some usage errors (NAME and
+    key=value both required, say); compare whole messages only where
+    it words them as the argparse the old parser ran on."""
+    return _old_stderr(["example"]) == (
+        "degen example: error: the following arguments are required: name, key=value\n"
+    ) and _old_stderr(["check", "x"]) == (
+        "degen check: error: argument conjecture: invalid choice: 'x' "
+        "(choose from 'A1', 'A2', 'B1FF', 'B2FF', 'CFF')\n"
+    )
+
+
+def _reads_differently_in_later_argparse(argv):
+    if any(t.startswith(("-h", "--h", "--=")) for t in argv):
+        return True
+    return "--" in argv and not any(t in cli._COMMANDS for t in argv[: argv.index("--")])
+
+
+_GLOBAL_TOKENS = (
+    "--tsv", "--ts", "--t", "--strict", "--no-strict", "--no-s", "--n", "--st", "--s",
+    "--strict=1", "--tsv=", "--tsv=x", "-h", "--help", "--he", "-hh", "-hx", "-h=h", "-h=",
+    "--bogus", "-x", "-", "--", "--=x", "-5", "",
+)
+_COMMAND_TOKENS = (*cli._COMMANDS, "Validate", "exam", "check A2", "-o")
+_ARG_TOKENS = (
+    # conjecture names in any case, files, example names and parameters
+    "A1", "A2", "a2", "B1FF", "b1ff", "B2FF", "Cff", "CFF", "D9", "F", "x.json", "",
+    "ngon", "zeta-fqt", "n=3", "q=5", "a_v=1", "=3", "k=",
+    # every option spelling, prefixes and = forms
+    "--q", "--q=3", "--q=", "--a", "--a=-5", "--a=1_0", "--star", "--sta", "--st", "--s",
+    "--st=2", "--star=-1_0", "-o", "-ox.json", "-o=y", "-o=", "-o-5", "--output", "--out=z",
+    "--o", "--o=", "-q", "--", "--",
+    # negative, huge and underscored integers
+    "-5", "-0", "3", "+4", " 7", "1_000", "-1_000", "2000", "-2000", "1001", "-1000",
+    "99999999999999999999", "1" + "0" * 5000, "-1.5", "-.5", "1e3", "٣", "-٣", "-5\n",
+    # stray flags and junk
+    "--bogus", "-x", "-", "-h", "--help", "-hh", "-ho", "-hox", "-hx", "--tsv", "--strict",
+    "--no-strict", "-x y", "--q 5", " -a", "--=x",
+)
+_RANDOM_ARGVS = st.builds(
+    lambda flags, command, rest: flags + command + rest,
+    st.lists(st.sampled_from(_GLOBAL_TOKENS), max_size=2),
+    st.one_of(st.just([]), st.sampled_from(_COMMAND_TOKENS).map(lambda c: [c])),
+    st.lists(
+        st.one_of(st.sampled_from(_ARG_TOKENS), st.text("-=_ 0123456789ahoqs", max_size=5)),
+        max_size=7,
+    ),
+)
+
+
+@st.composite
+def _well_formed_argvs(draw):
+    """A command with its positionals and some of its options, each
+    spelled in any accepted way, in any order, perhaps with a ``--``."""
+    command = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    positionals, options = cli._COMMANDS[command]
+    words = ("A2", "CFF", "B1FF", "a2", "F", "x.json", "-5", "ngon")
+    units = [[draw(st.sampled_from(words))] for _, convert in positionals if convert is not None]
+    units += [[p] for p in draw(st.lists(st.sampled_from(("n=4", "q=3", "x")), max_size=2))]
+    valued = [s for s, (_, convert) in options.items() if callable(convert)]
+    for spelling in draw(st.lists(st.sampled_from(valued), max_size=3)) if valued else ():
+        value = draw(st.sampled_from(("3", "-5", "1_0", "-1_0", "2000", "-1000", " 7", "x")))
+        short = spelling[1] != "-"
+        spelling = spelling[: draw(st.integers(2 if short else 3, len(spelling)))]
+        form = draw(st.integers(0, 2))
+        units.append([spelling, value] if form == 0 else
+                     [f"{spelling}{value}" if short and form == 1 else f"{spelling}={value}"])
+    tokens = [t for unit in draw(st.permutations(units)) for t in unit]
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), "--")
+    flags = ("--tsv", "--ts", "--strict", "--no-strict", "--no-s")
+    flags = draw(st.lists(st.sampled_from(flags), max_size=2))
+    return flags + [command] + tokens
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_RANDOM_ARGVS, _well_formed_argvs()))
+def test_grammar_matches_the_argparse_parser(argv):
+    if not _argparse_is_the_reference():
+        assume(not _reads_differently_in_later_argparse(argv))
+    spelled = _spell_literal_dashes(argv)
+    new, old = _new(argv), _old(spelled)
+    event(new[0])
+    same_message = spelled == argv and _argparse_messages_are_the_reference()
+    if old[0] == "ok":
+        fields = {k: _unspell(v) for k, v in old[1].items()}
+        leftover = _unspell(old[2])
+        if leftover and fields["command"] == "example":
+            # the one change: every key=value after NAME is a parameter,
+            # also past an option, where argparse left it over
+            if new[0] == "ok":
+                more = [t for t in old[2] if t != "--"]
+                assert new[1] == {**fields, "params": fields["params"] + _unspell(more)}
+                return
+            same_message = False
+        old = ("error",) if leftover else ("ok", fields)
+    assert new == old
+    if new == ("error",):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(list(argv)) == 3
+        assert re.match(r"degen( [a-z-]+)?: error: ", stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if same_message:
+            assert stderr.getvalue() == _old_stderr(argv)
+
+
+GRAMMAR = (
+    # unique prefixes of long options, = forms, and -oFILE
+    (["--ts", "--no-s", "validate", "F"], {"tsv": True, "strict": False, "file": "F"}),
+    (["complex", "F", "--st", "2"], {"star": 2, "q": None}),
+    (["dim-theorem", "F", "--q=3", "--a", "-5"], {"q": 3, "a": -5}),
+    (["dim-theorem", "F", "--a=-1_000"], {"a": -1000}),
+    (["complex", "--star", "2", "F", "--q", "1_0"], {"file": "F", "star": 2, "q": 10}),
+    (["example", "-ox.json", "ngon"], {"name": "ngon", "output": "x.json", "params": []}),
+    (["example", "ngon", "-o=", "n=3"], {"output": "", "params": ["n=3"]}),
+    # -- makes every later token positional, a second -- too
+    (["check", "--", "A2", "-x"], {"conjecture": "A2", "file": "-x"}),
+    (["check", "A2", "--", "--"], {"file": "--"}),
+    (["example", "ngon", "--", "--", "n=3"], {"params": ["--", "n=3"]}),
+    (["complex", "F", "--q=3", "--"], "error"),
+    (["--", "validate", "F"], "error"),
+    # global flags only before the command; conjecture names as written
+    (["validate", "F", "--tsv"], "error"),
+    (["check", "a2", "F"], "error"),
+    (["dim-theorem", "F", "--a", "-1_000"], "error"),
+    (["dim-theorem", "F", "--a", "1001"], "error"),
+    (["--tsv=1", "validate", "F"], "error"),
+    # help, alone or in a run of short flags that all exist
+    (["-h"], "help"),
+    (["--bogus", "validate", "--he"], "help"),
+    (["-hh", "nonsense"], "help"),
+    (["-h=h"], "help"),
+    (["example", "-ho", "x"], "help"),
+    (["-hx"], "error"),
+    (["example", "-ho"], "error"),
+    (["-h", "--=x"], "error"),
+    (["check", "a2", "-h"], "error"),
+    (["check", "-h", "a2"], "help"),
+    # key=value pairs anywhere after NAME
+    (["example", "ngon", "n=3", "-o", "x.json", "q=5"],
+     {"name": "ngon", "output": "x.json", "params": ["n=3", "q=5"]}),
+    (["example", "ngon", "-o", "x.json", "n=3"], {"params": ["n=3"]}),
+    (["example", "ngon", "-o", "x.json", "--", "n=3"], {"params": ["n=3"]}),
+)
+
+
+@pytest.mark.parametrize("argv, want", GRAMMAR, ids=[" ".join(a) for a, _ in GRAMMAR])
+def test_grammar(argv, want):
+    got = _new(argv)
+    if isinstance(want, str):
+        assert got == (want,)
+    else:
+        assert got[0] == "ok"
+        assert {k: got[1][k] for k in want} == want
+
+
+def test_help_prints_the_usage_text(capsys):
+    for argv in (["--help"], ["check", "-h"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.USAGE and captured.err == ""
+    assert run_cli("-h").stdout == cli.USAGE
+
+
+def test_usage_error_names_the_argument(capsys):
+    assert main(["check", "a2", "F"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degen check: error: argument conjecture: invalid choice: 'a2'")
+    assert main(["complex", "F", "--star", "x"]) == 3
+    assert capsys.readouterr().err == "degen complex: error: argument --star: invalid int value: 'x'\n"
+    assert main(["validate", "F", "--tsv"]) == 3
+    assert capsys.readouterr().err == "degen: error: unrecognized arguments: --tsv\n"
+
+
+def test_example_parameters_after_the_output_option(tmp_path):
+    want = tmp_path / "want.json"
+    assert main(["example", "-o", str(want), "ngon", "n=5", "q=3"]) == 0
+    for argv in (
+        ["example", "ngon", "n=5", "-o", "{}", "q=3"],
+        ["example", "ngon", "-o", "{}", "n=5", "q=3"],
+        ["example", "ngon", "-o{}", "--", "n=5", "q=3"],
+    ):
+        out = tmp_path / "got.json"
+        assert main([a.format(out) for a in argv]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+
+def _count_rank_calls(monkeypatch):
+    """Count the calls of ``qlinalg.rank`` through every module's binding."""
+    from degen import qlinalg
+
+    calls = []
+    real = qlinalg.rank
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degen") and getattr(module, "rank", None) is real:
+            monkeypatch.setattr(module, "rank", counted)
+    return calls
+
+
+def test_check_a2_ranks_im_gamma_once(tmp_path, monkeypatch, capsys):
+    # rank(i^*i_*) and rank(gamma) give the dimension; the quotient rank
+    # reuses rank(gamma) and adds only the rank of [gamma | cycle classes]
+    path = write_example(tmp_path, "ngon")
+    calls = _count_rank_calls(monkeypatch)
+    assert main(["check", "A2", str(path)]) == 0
+    assert len(calls) == 3
+    capsys.readouterr()
+
+
+def test_check_b2ff_ranks_each_gamma_once(tmp_path, monkeypatch, capsys):
+    # one rank of i^*i_* and of gamma per place, then the ambient block matrix
+    path = write_example(tmp_path, "zeta-fqt")
+    calls = _count_rank_calls(monkeypatch)
+    assert main(["check", "B2FF", str(path)]) == 0
+    places = len(json.loads(path.read_text())["fibres"])
+    assert len(calls) == 2 * places + 1
+    capsys.readouterr()
+
+
+def test_over_size_bundle_is_rejected_before_parsing(tmp_path, monkeypatch, capsys):
+    from degen import bundle
+
+    path = write_example(tmp_path, "ngon")
+    size = path.stat().st_size
+    monkeypatch.setattr(bundle, "MAX_BUNDLE_BYTES", size)
+    assert main(["validate", str(path)]) == 0
+    monkeypatch.setattr(bundle, "MAX_BUNDLE_BYTES", size - 1)
+    assert main(["validate", str(path)]) == 3
+    assert f"larger than {size - 1} bytes (MAX_BUNDLE_BYTES)" in capsys.readouterr().err
+
+
+def test_endless_input_is_rejected_in_bounded_memory():
+    if not Path("/dev/zero").exists():
+        pytest.skip("no /dev/zero")
+    proc = subprocess.run(
+        [sys.executable, "-m", "degen", "validate", "/dev/zero"],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert "MAX_BUNDLE_BYTES" in proc.stderr and "Traceback" not in proc.stderr

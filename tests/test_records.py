@@ -244,32 +244,35 @@ def test_copy_and_pickle_round_trip():
         assert pickle.loads(pickle.dumps(obj)) == obj
 
 
-def test_cli_import_avoids_dataclasses_and_typing():
+def _modules_loaded_by(statement: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` a fresh ``python -S`` holds after ``statement``,
+    with the package source and the tests on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(degen.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import degen.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'typing') "
-        "if m in sys.modules))"
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; {statement}; "
+        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=20
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_cli_import_avoids_dataclasses_and_typing():
+    names = ("dataclasses", "inspect", "ast", "dis", "typing")
+    assert _modules_loaded_by("import degen.cli", names) == []
 
 
 def test_fixtures_import_avoids_unittest_and_asyncio():
     # the benchmark's workload set-up imports the fixtures and, through
     # them, the oracles: whatever those import is paid in its start-up
     # time and peak memory
-    src = os.path.dirname(os.path.dirname(os.path.abspath(degen.__file__)))
-    tests = os.path.dirname(os.path.abspath(__file__))
-    code = (
-        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; import fixtures; "
-        "print(' '.join(m for m in ('unittest', 'asyncio') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=20
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    names = ("unittest", "asyncio", "argparse", "gettext")
+    assert _modules_loaded_by("import fixtures", names) == []
+
+
+def test_cli_import_avoids_argparse_and_gettext():
+    # every command pays for what importing the command line loads
+    assert _modules_loaded_by("import degen.cli", ("argparse", "gettext")) == []
