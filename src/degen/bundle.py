@@ -20,7 +20,10 @@ exceed MAX_GENERATORS, and the rows and cols of each matrix, each
 higher_chow dim and the sum of each fibre's chow dims may not exceed
 MAX_DIMENSION; both are checked before any row is built.  So is the
 shape the fibre's Chow table asks of each pushforward and pullback block
-and of each explicit i^*i_* matrix.  A file nested past Python's
+and of each explicit i^*i_* matrix.  No chow or higher_chow dim may be
+negative, and no entry of chow, higher_chow, the blocks or ii_matrices
+may repeat the key of an earlier one (for higher_chow, its (codim, j)).
+A file nested past Python's
 recursion limit is rejected as too deeply nested, and ``load`` rejects
 a file longer than MAX_BUNDLE_BYTES after reading one byte past it,
 before any parsing.  At the boundary twist (q_coh - 2a = 1) the
@@ -36,12 +39,14 @@ unknown keys anywhere in the file are rejected, which catches typos like
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .deligne import CycleDatum
 from .lfun import RatFunc
@@ -98,53 +103,105 @@ MAX_DIMENSION = 100_000
 # reading one byte past the limit.
 MAX_BUNDLE_BYTES = 128 * 2**20
 
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-# The form every non-integer entry takes in a saved bundle: ASCII digits
-# over ASCII digits, with an optional minus sign and nothing else.
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)\Z")
+# A decimal exponent at the end of a rational string; searched for only in
+# text that is neither an integer nor p/q, so it is compiled on first use.
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
 class BundleError(ValueError):
     """Raised when a bundle file is malformed or internally inconsistent."""
 
 
-def _expect(obj, required: dict, optional: dict, where: str, strict: bool) -> dict:
-    """Pull typed fields out of a JSON object, enforcing key discipline."""
-    if not isinstance(obj, dict):
-        raise BundleError(f"{where}: expected an object")
-    out = {}
-    for key, kind in required.items():
-        if key not in obj:
-            raise BundleError(f"{where}: missing required key {key!r}")
-        out[key] = _coerce(obj[key], kind, f"{where}.{key}")
-    for key, kind in optional.items():
-        if key in obj and obj[key] is not None:
-            out[key] = _coerce(obj[key], kind, f"{where}.{key}")
-        else:
-            out[key] = None
-    if strict:
-        known = set(required) | set(optional)
-        extra = sorted(set(obj) - known)
-        if extra:
-            raise BundleError(f"{where}: unknown keys {extra}")
-    return out
+def _path(where) -> str:
+    """The text of a path into the file: a str, or a pair (path, step) whose
+    step is a list index or a ".key".  The reader builds pairs on the way
+    down and formats one only when an error names it."""
+    if type(where) is str:
+        return where
+    parent, step = where
+    return f"{_path(parent)}[{step}]" if type(step) is int else _path(parent) + step
 
 
-def _coerce(value, kind, where: str):
-    if kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise BundleError(f"{where}: expected an integer")
-        return value
-    if kind == "list":
-        if not isinstance(value, list):
-            raise BundleError(f"{where}: expected a list")
-        return value
-    if kind == "dict":
-        if not isinstance(value, dict):
-            raise BundleError(f"{where}: expected an object")
-        return value
-    raise AssertionError(kind)
+def _error(where, message) -> BundleError:
+    return BundleError(f"{_path(where)}: {message}")
+
+
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+_INT = frozenset({int})
+_LIST = frozenset({list})
+_STR = frozenset({str})
+
+
+class _Spec:
+    """The keys of one kind of record: each required key with the JSON type
+    its value must have, each optional key likewise (absent or null reads
+    as None), and the keys strict mode allows."""
+
+    __slots__ = ("required", "optional", "get", "types", "known")
+
+    def __init__(self, required: dict, optional: dict | None = None):
+        optional = optional or {}
+        self.required = tuple(required.items())
+        self.optional = tuple(optional.items())
+        # itemgetter gives a tuple for two keys or more
+        self.get = itemgetter(*required) if len(required) > 1 else (
+            lambda obj: tuple(obj[key] for key in required)
+        )
+        self.types = list(required.values())
+        self.known = frozenset(required).union(optional)
+
+
+_BUNDLE = _Spec(
+    {"params": dict, "fibres": dict},
+    {"places": dict, "motivic": dict, "global": dict, "integral": dict},
+)
+_PARAMS = _Spec({"q_coh": int, "a": int, "field_q": int})
+_FIBRE = _Spec(
+    {"components": int, "dim_y": int, "q_v": int, "strata": list, "chow": list,
+     "pushforward": list, "pullback": list},
+    {"ii_matrices": list, "higher_chow": list},
+)
+_CHOW = _Spec({"stratum": list, "codim": int, "j": int, "dim": int})
+_BLOCK = _Spec({"stratum": list, "position": int, "codim": int, "j": int, "matrix": dict})
+_II = _Spec({"codim": int, "j": int, "matrix": dict})
+_HIGHER_CHOW = _Spec({"codim": int, "j": int, "dim": int})
+_MATRIX = _Spec({"rows": int, "cols": int, "entries": list})
+_PLACE = _Spec({"deg_v": int, "frob": list})
+_MOTIVIC = _Spec({}, {"regulator": dict, "cycle_class": dict})
+_REGULATOR = _Spec({"motivic_rank": int, "matrix": dict})
+_CYCLE_CLASS = _Spec({"b_rank": int, "xi": dict}, {"tau": dict})
+_GLOBAL = _Spec({"z_num": list, "z_den": list, "weight_w": int}, {"conductor": list})
+_INTEGRAL = _Spec({"source": dict, "target": dict, "matrix": list})
+_GROUP = _Spec({"generators": int, "relations": list})
+
+
+def _record(obj, spec: _Spec, where, strict: bool) -> tuple:
+    """The values of ``spec``'s keys in the JSON object ``obj``, required
+    keys then optional ones, in the order ``spec`` lists them."""
+    if type(obj) is not dict:
+        raise _error(where, "expected an object")
+    try:
+        values = spec.get(obj)
+    except KeyError:
+        values = None
+    if values is None or [*map(type, values)] != spec.types:
+        # name the first key that is missing or of the wrong type
+        for key, kind in spec.required:
+            if key not in obj:
+                raise _error(where, f"missing required key {key!r}")
+            if type(obj[key]) is not kind:
+                raise _error((where, "." + key), f"expected {_KIND_NAMES[kind]}")
+    if spec.optional:
+        extra = []
+        for key, kind in spec.optional:
+            value = obj.get(key)
+            if value is not None and type(value) is not kind:
+                raise _error((where, "." + key), f"expected {_KIND_NAMES[kind]}")
+            extra.append(value)
+        values += tuple(extra)
+    if strict and not obj.keys() <= spec.known:
+        raise _error(where, f"unknown keys {sorted(set(obj) - spec.known)}")
+    return values
 
 
 class _NotANumber(Exception):
@@ -159,16 +216,20 @@ def _rational(value) -> int | Fraction:
                 return int(value)
             except ValueError:
                 pass
-        ratio = _RATIO.match(value)
-        if ratio is not None:
-            try:
-                num, den = int(ratio[1]), int(ratio[2])
-            except ValueError:  # more digits than int() converts
-                pass
-            else:
-                if den:
-                    return Fraction(num, den)
-        exponent = _EXPONENT.search(value)
+        else:
+            # the form every non-integer entry takes in a saved bundle: ASCII
+            # digits over ASCII digits, the numerator maybe negative (isdigit
+            # alone would also take "²" or "٣")
+            num, _, den = value.partition("/")
+            if value.isascii() and den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit():
+                try:
+                    num, den = int(num), int(den)
+                except ValueError:  # more digits than int() converts
+                    pass
+                else:
+                    if den:
+                        return Fraction(num, den)
+        exponent = re.search(_EXPONENT, value)
         if exponent is not None:
             try:
                 too_big = abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT
@@ -190,11 +251,11 @@ def _rational(value) -> int | Fraction:
     raise _NotANumber("expected a rational as string or integer")
 
 
-def _number(value, where: str) -> int | Fraction:
+def _number(value, where) -> int | Fraction:
     try:
         return _rational(value)
     except _NotANumber as exc:
-        raise BundleError(f"{where}: {exc}") from exc.__cause__
+        raise _error(where, exc) from exc.__cause__
 
 
 _TOO_DEEP = "not valid JSON: nested too deeply"
@@ -233,7 +294,7 @@ def _long_literal_error(text: str) -> BundleError:
     return BundleError("not valid JSON: an integer literal could not be converted")
 
 
-def _fraction(value, where: str) -> Fraction:
+def _fraction(value, where) -> Fraction:
     return Fraction(_number(value, where))
 
 
@@ -247,35 +308,57 @@ def _is_power(value: int, base: int, exponent: int) -> bool:
     return value == 1 and k == exponent
 
 
-def _mat_from_json(obj, where: str, strict: bool, shape: tuple[int, int] | None = None) -> Mat:
-    """The matrix ``obj`` describes; when ``shape`` is given, its declared
-    rows and cols must be that, and no row is built otherwise."""
-    got = _expect(obj, {"rows": "int", "cols": "int", "entries": "list"}, {}, where, strict)
-    rows, cols, entries = got["rows"], got["cols"], got["entries"]
-    if rows < 0 or cols < 0:
-        raise BundleError(f"{where}: negative shape")
-    for key in ("rows", "cols"):
-        if got[key] > MAX_DIMENSION:
-            raise BundleError(f"{where}.{key}: exceeds {MAX_DIMENSION}")
-    if shape is not None and (rows, cols) != shape:
-        raise BundleError(f"{where}: has shape {rows}x{cols}, expected {shape[0]}x{shape[1]}")
-    if len(entries) != rows * cols:
-        raise BundleError(
-            f"{where}: {len(entries)} entries for a {rows}x{cols} matrix"
-        )
-    items = []
-    for i in range(rows):
-        base = i * cols
-        row = []
-        for j, x in enumerate(entries[base : base + cols]):
+def _scalar_row(row: list, where, offset: int = 0) -> list:
+    """The nonzero (column, scalar) pairs of ``row``, a list of JSON
+    rationals: "0" entries are counted, not parsed, and the scan stops at
+    the last other entry.  Entry j is named (where, offset + j) on error."""
+    left = len(row) - row.count("0")
+    out = []
+    for j, x in enumerate(row):
+        if not left:
+            break
+        if x != "0":
+            left -= 1
             try:
                 x = _rational(x)
             except _NotANumber as exc:
-                raise BundleError(f"{where}.entries[{base + j}]: {exc}") from exc.__cause__
+                raise _error((where, offset + j), exc) from exc.__cause__
             if x:
-                row.append((j, x))
-        items.append(row)
-    return _from_scalars(rows, cols, items)
+                out.append((j, x))
+    return out
+
+
+def _mat_from_json(obj, where, strict: bool, built: dict, shape=None) -> Mat:
+    """The matrix ``obj`` describes; when ``shape`` is given, its declared
+    rows and cols must be that, and no row is built otherwise.  ``built``
+    holds the Mat of each shape and entry text the load has read: a Mat is
+    immutable, so a matrix read again shares it (the blocks of an n-gon
+    fibre take a few values over and over)."""
+    rows, cols, entries = _record(obj, _MATRIX, where, strict)
+    if rows < 0 or cols < 0:
+        raise _error(where, "negative shape")
+    if rows > MAX_DIMENSION:
+        raise _error((where, ".rows"), f"exceeds {MAX_DIMENSION}")
+    if cols > MAX_DIMENSION:
+        raise _error((where, ".cols"), f"exceeds {MAX_DIMENSION}")
+    if shape is not None and (rows, cols) != shape:
+        raise _error(where, f"has shape {rows}x{cols}, expected {shape[0]}x{shape[1]}")
+    if len(entries) != rows * cols:
+        raise _error(where, f"{len(entries)} entries for a {rows}x{cols} matrix")
+    if not cols:
+        return Mat.zero(rows, 0)
+    # only strings: 1 == 1.0 == True, and a float or bool entry is an error
+    text = (rows, cols, *entries) if {*map(type, entries)} <= _STR else None
+    if text in built:
+        return built[text]
+    at = (where, ".entries")
+    items = []
+    for base in range(0, rows * cols, cols):
+        items.append(_scalar_row(entries[base : base + cols], at, base))
+    m = _from_scalars(rows, cols, items)
+    if text is not None:
+        built[text] = m
+    return m
 
 
 def _entry_strings(m: Mat) -> list[str]:
@@ -305,32 +388,27 @@ def _boundary_shape(m: Mat, rows: int | None, cols: int | None, where: str) -> N
         )
 
 
-def _int_rows(value, where: str) -> list[list[int]]:
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise BundleError(f"{where}: expected a list of integer rows")
-    out = []
+def _int_rows(value, where) -> list[list[int]]:
+    """``value`` itself once it is a list of lists of JSON integers."""
+    if type(value) is not list or not {*map(type, value)} <= _LIST:
+        raise _error(where, "expected a list of integer rows")
     for i, row in enumerate(value):
-        cleaned = []
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise BundleError(f"{where}[{i}][{j}]: expected an integer")
-            cleaned.append(x)
-        out.append(cleaned)
-    return out
+        if not {*map(type, row)} <= _INT:
+            j = next(j for j, x in enumerate(row) if type(x) is not int)
+            raise _error(((where, i), j), "expected an integer")
+    return value
 
 
-def _stratum(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise BundleError(f"{where}: expected a list of integers")
+def _stratum(value, where) -> tuple[int, ...]:
+    if type(value) is not list or not {*map(type, value)} <= _INT:
+        raise _error(where, "expected a list of integers")
     return tuple(value)
 
 
-def _poly_from_json(value, where: str) -> tuple[Fraction, ...]:
-    if not isinstance(value, list):
-        raise BundleError(f"{where}: expected ascending coefficient list")
-    return tuple(_fraction(x, f"{where}[{i}]") for i, x in enumerate(value))
+def _poly_from_json(value, where) -> tuple[Fraction, ...]:
+    if type(value) is not list:
+        raise _error(where, "expected ascending coefficient list")
+    return tuple(_fraction(x, (where, i)) for i, x in enumerate(value))
 
 
 # ---------------------------------------------------------------------------
@@ -409,135 +487,113 @@ class Bundle(_Record):
 # Parsing.
 
 
-def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
-    got = _expect(
-        obj,
-        {
-            "components": "int",
-            "dim_y": "int",
-            "q_v": "int",
-            "strata": "list",
-            "chow": "list",
-            "pushforward": "list",
-            "pullback": "list",
-        },
-        {"ii_matrices": "list", "higher_chow": "list"},
-        where,
-        strict,
-    )
-    strata = [_stratum(s, f"{where}.strata[{i}]") for i, s in enumerate(got["strata"])]
+def _parse_fibre(obj, where: str, strict: bool, built: dict) -> Fibre:
+    (
+        components, dim_y, q_v, strata_list, chow_list, push_list, pull_list, ii_list, higher_list
+    ) = _record(obj, _FIBRE, where, strict)
+    at = (where, ".strata")
+    strata = [_stratum(s, (at, i)) for i, s in enumerate(strata_list)]
 
     chow = {}
     total = 0
-    for i, entry in enumerate(got["chow"]):
-        e = _expect(
-            entry,
-            {"stratum": "list", "codim": "int", "j": "int", "dim": "int"},
-            {},
-            f"{where}.chow[{i}]",
-            strict,
-        )
-        key = (_stratum(e["stratum"], f"{where}.chow[{i}].stratum"), e["codim"], e["j"])
+    list_at = (where, ".chow")
+    for i, entry in enumerate(chow_list):
+        at = (list_at, i)
+        stratum, codim, j, dim = _record(entry, _CHOW, at, strict)
+        key = (_stratum(stratum, (at, ".stratum")), codim, j)
         if key in chow:
-            raise BundleError(f"{where}.chow[{i}]: duplicate entry for {key}")
-        if e["dim"] < 0:
-            raise BundleError(f"{where}.chow[{i}].dim: negative")
-        chow[key] = e["dim"]
-        total += e["dim"]
+            raise _error(at, f"duplicate entry for {key}")
+        if dim < 0:
+            raise _error((at, ".dim"), "negative")
+        chow[key] = dim
+        total += dim
         if total > MAX_DIMENSION:
-            raise BundleError(
-                f"{where}.chow[{i}].dim: the chow dims of the fibre sum past {MAX_DIMENSION}"
-            )
+            raise _error((at, ".dim"), f"the chow dims of the fibre sum past {MAX_DIMENSION}")
 
-    def parse_blocks(name: str) -> dict:
+    def parse_blocks(name: str, entries: list) -> dict:
         blocks = {}
-        for i, entry in enumerate(got[name]):
-            e = _expect(
-                entry,
-                {
-                    "stratum": "list",
-                    "position": "int",
-                    "codim": "int",
-                    "j": "int",
-                    "matrix": "dict",
-                },
-                {},
-                f"{where}.{name}[{i}]",
-                strict,
-            )
-            stratum = _stratum(e["stratum"], f"{where}.{name}[{i}].stratum")
-            key = (stratum, e["position"], e["codim"], e["j"])
+        list_at = (where, "." + name)
+        for i, entry in enumerate(entries):
+            at = (list_at, i)
+            stratum, position, codim, j, matrix = _record(entry, _BLOCK, at, strict)
+            key = (_stratum(stratum, (at, ".stratum")), position, codim, j)
             if key in blocks:
-                raise BundleError(f"{where}.{name}[{i}]: duplicate entry for {key}")
+                raise _error(at, f"duplicate entry for {key}")
             try:
                 shape = block_shape(chow, name, key)
             except DescriptorError as exc:
-                raise BundleError(f"{where}.{name}[{i}]: {exc}") from exc
-            blocks[key] = _mat_from_json(e["matrix"], f"{where}.{name}[{i}].matrix", strict, shape)
+                raise _error(at, exc) from exc
+            blocks[key] = _mat_from_json(matrix, (at, ".matrix"), strict, built, shape)
         return blocks
 
-    pushforward = parse_blocks("pushforward")
-    pullback = parse_blocks("pullback")
+    pushforward = parse_blocks("pushforward", push_list)
+    pullback = parse_blocks("pullback", pull_list)
 
     ii_matrices = {}
-    if got["ii_matrices"] is not None:
+    if ii_list is not None:
         level_one = level_one_dims(chow)
-        for i, entry in enumerate(got["ii_matrices"]):
-            e = _expect(
-                entry,
-                {"codim": "int", "j": "int", "matrix": "dict"},
-                {},
-                f"{where}.ii_matrices[{i}]",
-                strict,
-            )
-            key = (e["codim"], e["j"])
+        list_at = (where, ".ii_matrices")
+        for i, entry in enumerate(ii_list):
+            at = (list_at, i)
+            codim, j, matrix = _record(entry, _II, at, strict)
+            key = (codim, j)
             if key in ii_matrices:
-                raise BundleError(f"{where}.ii_matrices[{i}]: duplicate entry for {key}")
+                raise _error(at, f"duplicate entry for {key}")
             ii_matrices[key] = _mat_from_json(
-                e["matrix"], f"{where}.ii_matrices[{i}].matrix", strict, ii_shape(level_one, *key)
+                matrix, (at, ".matrix"), strict, built, ii_shape(level_one, *key)
             )
 
     higher_chow = {}
-    if got["higher_chow"] is not None:
-        for i, entry in enumerate(got["higher_chow"]):
-            e = _expect(
-                entry,
-                {"codim": "int", "j": "int", "dim": "int"},
-                {},
-                f"{where}.higher_chow[{i}]",
-                strict,
-            )
-            if e["dim"] > MAX_DIMENSION:
-                raise BundleError(f"{where}.higher_chow[{i}].dim: exceeds {MAX_DIMENSION}")
-            higher_chow[(e["codim"], e["j"])] = e["dim"]
+    if higher_list is not None:
+        list_at = (where, ".higher_chow")
+        for i, entry in enumerate(higher_list):
+            at = (list_at, i)
+            codim, j, dim = _record(entry, _HIGHER_CHOW, at, strict)
+            key = (codim, j)
+            if key in higher_chow:
+                raise _error(at, f"duplicate entry for {key}")
+            if dim < 0:
+                raise _error((at, ".dim"), "negative")
+            if dim > MAX_DIMENSION:
+                raise _error((at, ".dim"), f"exceeds {MAX_DIMENSION}")
+            higher_chow[key] = dim
 
     try:
-        return Fibre(
-            components=got["components"],
-            dim_y=got["dim_y"],
-            q_v=got["q_v"],
-            strata=tuple(strata),
-            chow=chow,
-            pushforward=pushforward,
-            pullback=pullback,
-            ii_matrices=ii_matrices,
-            higher_chow=higher_chow,
+        fibre = Fibre(
+            components, dim_y, q_v, tuple(strata), chow, pushforward={}, pullback={},
+            ii_matrices=ii_matrices, higher_chow=higher_chow,
         )
     except DescriptorError as exc:
-        raise BundleError(f"{where}: {exc}") from exc
+        raise _error(where, exc) from exc
+    # each block was held to the shape chow asks of it before its rows were
+    # built, which is the one check Fibre would make of the blocks
+    fibre.pushforward, fibre.pullback = pushforward, pullback
+    return fibre
 
 
 def _parse_group(obj, where: str, strict: bool) -> FPAbelianGroup:
-    got = _expect(obj, {"generators": "int", "relations": "list"}, {}, where, strict)
-    if not 0 <= got["generators"] <= MAX_GENERATORS:
+    generators, relations = _record(obj, _GROUP, where, strict)
+    if not 0 <= generators <= MAX_GENERATORS:
         raise BundleError(f"{where}.generators: must be between 0 and {MAX_GENERATORS}")
-    rows = _int_rows(got["relations"], f"{where}.relations")
+    rows = _int_rows(relations, f"{where}.relations")
     if not rows:
-        rows = [[] for _ in range(got["generators"])]
-    return FPAbelianGroup.make(got["generators"], rows)
+        rows = [[] for _ in range(generators)]
+    return FPAbelianGroup.make(generators, rows)
 
 
 def loads(text: str, strict: bool = True) -> Bundle:
+    # the parsed tree holds no cycles, so the cyclic collector has nothing
+    # to find in the containers a load allocates
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read(text, strict)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read(text: str, strict: bool) -> Bundle:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -547,58 +603,42 @@ def loads(text: str, strict: bool = True) -> Bundle:
     except RecursionError:
         raise BundleError(_TOO_DEEP) from None
 
-    top = _expect(
-        data,
-        {"params": "dict", "fibres": "dict"},
-        {"places": "dict", "motivic": "dict", "global": "dict", "integral": "dict"},
-        "bundle",
-        strict,
+    params_obj, fibres_obj, places_obj, motivic_obj, global_obj, integral_obj = _record(
+        data, _BUNDLE, "bundle", strict
     )
 
-    p = _expect(
-        top["params"],
-        {"q_coh": "int", "a": "int", "field_q": "int"},
-        {},
-        "params",
-        strict,
-    )
-    for key in ("q_coh", "a"):
-        if abs(p[key]) > MAX_TWIST:
+    q_coh, a, field_q = _record(params_obj, _PARAMS, "params", strict)
+    for key, value in (("q_coh", q_coh), ("a", a)):
+        if abs(value) > MAX_TWIST:
             raise BundleError(f"params.{key}: exceeds {MAX_TWIST} in magnitude")
-    if p["field_q"] > MAX_PRIME_POWER:
+    if field_q > MAX_PRIME_POWER:
         raise BundleError("params.field_q: exceeds the largest field size 2^64")
-    if not is_prime_power(p["field_q"]):
-        raise BundleError(f"params.field_q: {p['field_q']} is not a prime power")
-    params = Params(q_coh=p["q_coh"], a=p["a"], field_q=p["field_q"])
+    if not is_prime_power(field_q):
+        raise BundleError(f"params.field_q: {field_q} is not a prime power")
+    params = Params(q_coh=q_coh, a=a, field_q=field_q)
 
+    built = {}
     fibres = {}
-    for name in sorted(top["fibres"]):
-        fibres[name] = _parse_fibre(top["fibres"][name], f"fibres.{name}", strict)
+    for name in sorted(fibres_obj):
+        fibres[name] = _parse_fibre(fibres_obj[name], f"fibres.{name}", strict, built)
     if not fibres:
         raise BundleError("fibres: at least one marked place is required")
 
     places = {}
-    if top["places"] is not None:
-        for name in sorted(top["places"]):
-            e = _expect(
-                top["places"][name],
-                {"deg_v": "int", "frob": "list"},
-                {},
-                f"places.{name}",
-                strict,
-            )
-            if e["deg_v"] < 1:
-                raise BundleError(f"places.{name}.deg_v: must be positive")
-            rows = e["frob"]
-            n = len(rows)
-            grid = []
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != n:
-                    raise BundleError(f"places.{name}.frob: expected a square matrix")
-                grid.append(
-                    [_number(x, f"places.{name}.frob[{i}][{j}]") for j, x in enumerate(row)]
-                )
-            places[name] = Place(deg_v=e["deg_v"], frob=Mat.from_rows(grid, cols=n))
+    if places_obj is not None:
+        for name in sorted(places_obj):
+            where = f"places.{name}"
+            deg_v, frob = _record(places_obj[name], _PLACE, where, strict)
+            if deg_v < 1:
+                raise BundleError(f"{where}.deg_v: must be positive")
+            n = len(frob)
+            at = (where, ".frob")
+            items = []
+            for i, row in enumerate(frob):
+                if type(row) is not list or len(row) != n:
+                    raise _error(at, "expected a square matrix")
+                items.append(_scalar_row(row, (at, i)))
+            places[name] = Place(deg_v=deg_v, frob=_from_scalars(n, n, items))
         if set(places) != set(fibres):
             raise BundleError(
                 "places: must list exactly the marked places "
@@ -612,100 +652,67 @@ def loads(text: str, strict: bool = True) -> Bundle:
                 )
 
     motivic = {}
-    if top["motivic"] is not None:
-        for name in sorted(top["motivic"]):
+    if motivic_obj is not None:
+        for name in sorted(motivic_obj):
             if name not in fibres:
                 raise BundleError(f"motivic.{name}: no such marked place")
-            e = _expect(
-                top["motivic"][name],
-                {},
-                {"regulator": "dict", "cycle_class": "dict"},
-                f"motivic.{name}",
-                strict,
-            )
+            where = f"motivic.{name}"
+            regulator_obj, cycle_obj = _record(motivic_obj[name], _MOTIVIC, where, strict)
             # at the boundary twist the regulator and cycle-class columns are
             # vectors of CH^a(Y^(1)), and tau acts on that space
             ambient = None
             if params.q_coh - 2 * params.a == 1:
                 ambient = build_level(fibres[name], 1, params.a).total
             regulator = None
-            if e["regulator"] is not None:
-                r = _expect(
-                    e["regulator"],
-                    {"motivic_rank": "int", "matrix": "dict"},
-                    {},
-                    f"motivic.{name}.regulator",
-                    strict,
-                )
-                matrix = _mat_from_json(r["matrix"], f"motivic.{name}.regulator.matrix", strict)
-                if matrix.cols != r["motivic_rank"]:
+            if regulator_obj is not None:
+                at = f"{where}.regulator"
+                rank, matrix = _record(regulator_obj, _REGULATOR, at, strict)
+                matrix = _mat_from_json(matrix, f"{at}.matrix", strict, built)
+                if matrix.cols != rank:
                     raise BundleError(
-                        f"motivic.{name}.regulator: matrix has {matrix.cols} columns, "
-                        f"declared rank {r['motivic_rank']}"
+                        f"{at}: matrix has {matrix.cols} columns, declared rank {rank}"
                     )
-                _boundary_shape(matrix, ambient, matrix.cols, f"motivic.{name}.regulator.matrix")
-                regulator = RegulatorDatum(motivic_rank=r["motivic_rank"], matrix=matrix)
+                _boundary_shape(matrix, ambient, matrix.cols, f"{at}.matrix")
+                regulator = RegulatorDatum(motivic_rank=rank, matrix=matrix)
             cycle_class = None
-            if e["cycle_class"] is not None:
-                c = _expect(
-                    e["cycle_class"],
-                    {"b_rank": "int", "xi": "dict"},
-                    {"tau": "dict"},
-                    f"motivic.{name}.cycle_class",
-                    strict,
-                )
-                xi = _mat_from_json(c["xi"], f"motivic.{name}.cycle_class.xi", strict)
-                if xi.cols != c["b_rank"]:
-                    raise BundleError(
-                        f"motivic.{name}.cycle_class: xi has {xi.cols} columns, "
-                        f"declared rank {c['b_rank']}"
-                    )
-                _boundary_shape(xi, ambient, xi.cols, f"motivic.{name}.cycle_class.xi")
-                tau = None
-                if c["tau"] is not None:
-                    tau = _mat_from_json(c["tau"], f"motivic.{name}.cycle_class.tau", strict)
-                    _boundary_shape(tau, ambient, ambient, f"motivic.{name}.cycle_class.tau")
-                cycle_class = CycleDatum(b_rank=c["b_rank"], xi=xi, tau=tau)
+            if cycle_obj is not None:
+                at = f"{where}.cycle_class"
+                b_rank, xi, tau = _record(cycle_obj, _CYCLE_CLASS, at, strict)
+                xi = _mat_from_json(xi, f"{at}.xi", strict, built)
+                if xi.cols != b_rank:
+                    raise BundleError(f"{at}: xi has {xi.cols} columns, declared rank {b_rank}")
+                _boundary_shape(xi, ambient, xi.cols, f"{at}.xi")
+                if tau is not None:
+                    tau = _mat_from_json(tau, f"{at}.tau", strict, built)
+                    _boundary_shape(tau, ambient, ambient, f"{at}.tau")
+                cycle_class = CycleDatum(b_rank=b_rank, xi=xi, tau=tau)
             motivic[name] = MotivicDatum(regulator=regulator, cycle_class=cycle_class)
 
     global_l = None
-    if top["global"] is not None:
-        g = _expect(
-            top["global"],
-            {"z_num": "list", "z_den": "list", "weight_w": "int"},
-            {"conductor": "list"},
-            "global",
-            strict,
-        )
-        num = _poly_from_json(g["z_num"], "global.z_num")
-        den = _poly_from_json(g["z_den"], "global.z_den")
+    if global_obj is not None:
+        z_num, z_den, weight_w, pair = _record(global_obj, _GLOBAL, "global", strict)
+        num = _poly_from_json(z_num, "global.z_num")
+        den = _poly_from_json(z_den, "global.z_den")
         try:
             z = RatFunc.make(num, den)
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleError(f"global: bad rational function: {exc}") from exc
         conductor = None
-        if g["conductor"] is not None:
-            pair = g["conductor"]
+        if pair is not None:
             if len(pair) != 2:
                 raise BundleError("global.conductor: expected [alpha, beta]")
             alpha = _fraction(pair[0], "global.conductor[0]")
-            if not isinstance(pair[1], int) or isinstance(pair[1], bool):
+            if type(pair[1]) is not int:
                 raise BundleError("global.conductor[1]: expected an integer")
             conductor = (alpha, pair[1])
-        global_l = GlobalL(z=z, weight_w=g["weight_w"], conductor=conductor)
+        global_l = GlobalL(z=z, weight_w=weight_w, conductor=conductor)
 
     integral = None
-    if top["integral"] is not None:
-        e = _expect(
-            top["integral"],
-            {"source": "dict", "target": "dict", "matrix": "list"},
-            {},
-            "integral",
-            strict,
-        )
-        source = _parse_group(e["source"], "integral.source", strict)
-        target = _parse_group(e["target"], "integral.target", strict)
-        matrix = _int_rows(e["matrix"], "integral.matrix")
+    if integral_obj is not None:
+        source, target, matrix = _record(integral_obj, _INTEGRAL, "integral", strict)
+        source = _parse_group(source, "integral.source", strict)
+        target = _parse_group(target, "integral.target", strict)
+        matrix = _int_rows(matrix, "integral.matrix")
         if not matrix:
             matrix = [[] for _ in range(target.generators)]
         try:
@@ -713,14 +720,7 @@ def loads(text: str, strict: bool = True) -> Bundle:
         except ValueError as exc:
             raise BundleError(f"integral: {exc}") from exc
 
-    return Bundle(
-        params=params,
-        fibres=fibres,
-        places=places,
-        motivic=motivic,
-        global_l=global_l,
-        integral=integral,
-    )
+    return Bundle(params, fibres, places, motivic, global_l, integral)
 
 
 def load(path, strict: bool = True) -> Bundle:

@@ -125,8 +125,9 @@ _COMMANDS = {
 # How usage errors name a positional whose destination differs.
 _METAVARS = {"params": "key=value"}
 
-# A token argparse reads as a negative number, so as a positional.
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# A token argparse reads as a negative number, so as a positional; matched
+# only against an unknown dash token, so re compiles it on first use.
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _classify(token: str, options: dict) -> tuple[str | None, str | None] | None:
@@ -148,7 +149,7 @@ def _classify(token: str, options: dict) -> tuple[str | None, str | None] | None
             return hits[0], tail if eq else None
     elif token[:2] in options:
         return token[:2], token[2:]
-    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+    return None if re.match(_NEGATIVE, token) or " " in token else (None, None)
 
 
 def _name(spelling: str, options: dict) -> str:

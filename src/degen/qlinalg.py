@@ -143,15 +143,15 @@ def _from_scalars(rows: int, cols: int, items: list[list[tuple[int, int | Fracti
                 integral = False
                 den = lcm(den, x.denominator)
     if integral:
-        data = tuple(tuple(row) for row in items)
+        data = tuple(map(tuple, items))
     else:
-        data = tuple(
-            tuple(
+        data = tuple([
+            tuple([
                 (j, x * den if type(x) is int else x.numerator * (den // x.denominator))
                 for j, x in row
-            )
+            ])
             for row in items
-        )
+        ])
     return Mat(rows, cols, den, data)
 
 

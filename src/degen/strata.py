@@ -121,10 +121,10 @@ def is_prime_power(n: int) -> bool:
 
 
 def _check_stratum(s: Sequence[int], components: int) -> Stratum:
-    t = tuple(int(x) for x in s)
+    t = tuple(map(int, s))
     if not t:
         raise DescriptorError("empty stratum index")
-    if any(a >= b for a, b in zip(t, t[1:])):
+    if list(t) != sorted(set(t)):
         raise DescriptorError(f"stratum indices not strictly increasing: {t}")
     if t[0] < 1 or t[-1] > components:
         raise DescriptorError(f"stratum {t} uses component outside 1..{components}")

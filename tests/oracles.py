@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -845,7 +846,7 @@ def fraction_number(value, where: str):
             return int(value)
         except ValueError:
             pass
-        exponent = _EXPONENT.search(value)
+        exponent = re.search(_EXPONENT, value)
         if exponent is not None:
             try:
                 too_big = abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT

@@ -1,5 +1,7 @@
 """Round trips and rejection paths for the JSON instance format."""
 
+import copy
+import functools
 import json
 import re
 from fractions import Fraction
@@ -246,11 +248,26 @@ def test_higher_chow_and_ii_sections():
         loads(json.dumps(data))
 
 
-def test_negative_chow_dim_is_named():
-    # the level-one dims an ii matrix is held to are sums of these
+@pytest.mark.parametrize("section", ["chow", "higher_chow"])
+def test_negative_chow_dim_is_named(section):
+    # the level-one dims an ii matrix is held to are sums of chow dims, and
+    # a higher Chow dim is reported as the dimension of a group
     data = as_data()
-    data["fibres"]["v0"]["chow"][0]["dim"] = -1
-    with pytest.raises(BundleError, match=r"fibres\.v0\.chow\[0\]\.dim: negative"):
+    if section == "chow":
+        data["fibres"]["v0"]["chow"][0]["dim"] = -1
+    else:
+        data["fibres"]["v0"]["higher_chow"] = [{"codim": 2, "j": 1, "dim": -3}]
+    with pytest.raises(BundleError, match=rf"fibres\.v0\.{section}\[0\]\.dim: negative"):
+        loads(json.dumps(data))
+
+
+def test_duplicate_higher_chow_entry_is_named():
+    data = as_data()
+    data["fibres"]["v0"]["higher_chow"] = [
+        {"codim": 2, "j": 1, "dim": 2}, {"codim": 2, "j": 1, "dim": 0}
+    ]
+    message = r"fibres\.v0\.higher_chow\[1\]: duplicate entry for \(2, 1\)"
+    with pytest.raises(BundleError, match=message):
         loads(json.dumps(data))
 
 
@@ -317,6 +334,155 @@ def test_number_near_misses_match_the_fraction_parse(value):
 ))
 def test_number_matches_the_fraction_parse(value):
     _same_number(value)
+
+
+# ---------------------------------------------------------------------------
+# The reader against the field-by-field reader it replaced.
+
+
+@functools.cache
+def _reader_bases() -> tuple:
+    """The JSON text of valid bundles of every shape the reader meets."""
+    import random
+
+    from degen.workbench import EXAMPLES
+
+    from fixtures import conjugated, tensored
+
+    bundles = [build_example(name) for name in EXAMPLES]
+    surface = tensored(simplex_surface(), 2)
+    for f in (surface, conjugated(surface, random.Random(3))):
+        bundles.append(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": f}))
+    bundles.append(multi_place_bundle(2, 4))
+    return tuple(json.dumps(json.loads(dumps(b))) for b in bundles)
+
+
+class _Pairs:
+    """A JSON object written from (key, value) pairs, so a key may repeat."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+
+def _text(node) -> str:
+    if isinstance(node, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(v)}" for k, v in node.pairs) + "}"
+    if isinstance(node, dict):
+        return _text(_Pairs(node.items()))
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_text, node)) + "]"
+    return json.dumps(node)
+
+
+_ODD_VALUES = st.sampled_from([
+    True, False, None, 1.5, 0, -1, 2, 10**6, "x", "", "1/0", "0/5", "-0", "2.0", "1e5000", " 1",
+    "١", "3/2", [], ["1"], [["1"]], [[1, 2]], {}, {"a": 1},
+])
+
+
+_MUTATIONS = ["delete", "rename", "add", "replace", "copy", "resize", "twin"]
+
+
+def _odd_value(data):
+    # a copy, so that a later mutation cannot change the strategy's own value
+    return copy.deepcopy(data.draw(_ODD_VALUES))
+
+
+def _mutate(tree, data) -> None:
+    """Apply one drawn mutation to the JSON tree in place."""
+    slots = []  # (container, key or index) of every node below the root
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        pairs = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in pairs:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    if not slots:
+        return
+    parent, key = data.draw(st.sampled_from(slots))
+    value = parent[key]
+    op = data.draw(st.sampled_from(_MUTATIONS))
+    if op == "delete":
+        del parent[key]
+    elif op == "rename" and isinstance(parent, dict):
+        parent[key + data.draw(st.sampled_from(["x", "_"]))] = parent.pop(key)
+    elif op == "add" and isinstance(parent, dict):
+        parent[data.draw(st.sampled_from(["bogus", "pushfoward"]))] = value
+    elif op == "copy" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(value))
+    elif op == "resize" and isinstance(value, dict) and "entries" in value:
+        field = data.draw(st.sampled_from(["rows", "cols", "entries"]))
+        if field == "entries":
+            value["entries"] = value["entries"][:-1] or ["1"]
+        else:
+            value[field] += data.draw(st.sampled_from([-1, 1]))
+    elif op == "twin" and isinstance(value, dict) and value:
+        first = next(iter(value))
+        parent[key] = _Pairs([(first, _odd_value(data)), *value.items()])
+    else:
+        parent[key] = _odd_value(data)
+
+
+def _outcome(read, text: str, strict: bool):
+    try:
+        return read(text, strict=strict)
+    except ValueError as exc:  # a BundleError, or a ValueError both let through
+        return f"{type(exc).__name__}: {exc}"
+
+
+_HIGHER_CHOW_RULE = re.compile(
+    r"^BundleError: .*\.higher_chow\[\d+\](\.dim: negative|: duplicate entry for \(.*\))$"
+)
+
+
+def _breaks_a_higher_chow_rule(text: str) -> bool:
+    for fibre in json.loads(text).get("fibres", {}).values():
+        seen = set()
+        for e in (fibre.get("higher_chow") or []) if isinstance(fibre, dict) else []:
+            if isinstance(e, dict):
+                if type(e.get("dim")) is int and e["dim"] < 0:
+                    return True
+                key = (repr(e.get("codim")), repr(e.get("j")))
+                if key in seen:
+                    return True
+                seen.add(key)
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_reader_matches_the_reference_reader(data):
+    import reference_reader
+
+    text = data.draw(st.sampled_from(_reader_bases()))
+    tree = json.loads(text)
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(tree, data)
+    text = _text(tree)
+    strict = data.draw(st.booleans())
+    got = _outcome(loads, text, strict)
+    want = _outcome(reference_reader.loads, text, strict)
+    if got != want:
+        # the only rules the reference lacks: a higher_chow dim is not
+        # negative, and no higher_chow (codim, j) repeats
+        assert isinstance(got, str) and _HIGHER_CHOW_RULE.search(got), (got, want)
+        assert _breaks_a_higher_chow_rule(text)
+
+
+def test_a_matrix_read_again_is_shared_only_at_the_same_shape_and_text():
+    from degen.bundle import _mat_from_json
+
+    built = {}
+    row = _mat_from_json({"rows": 1, "cols": 2, "entries": ["1", "2"]}, "a", True, built)
+    col = _mat_from_json({"rows": 2, "cols": 1, "entries": ["1", "2"]}, "b", True, built)
+    assert (row.rows, row.cols, col.rows, col.cols) == (1, 2, 2, 1)
+    assert _mat_from_json({"rows": 1, "cols": 2, "entries": ["1", "2"]}, "c", True, built) is row
+    # a JSON number is not the text of the same value: 1.5 is still refused
+    _mat_from_json({"rows": 1, "cols": 1, "entries": ["1.5"]}, "d", True, built)
+    with pytest.raises(BundleError, match=r"e\.entries\[0\]: expected a rational"):
+        _mat_from_json({"rows": 1, "cols": 1, "entries": [1.5]}, "e", True, built)
 
 
 # ---------------------------------------------------------------------------

@@ -244,20 +244,23 @@ def test_copy_and_pickle_round_trip():
         assert pickle.loads(pickle.dumps(obj)) == obj
 
 
-def _modules_loaded_by(statement: str, names: tuple[str, ...]) -> list[str]:
-    """Which of ``names`` a fresh ``python -S`` holds after ``statement``,
-    with the package source and the tests on its path."""
+def _fresh_words(statement: str, words: str) -> list[str]:
+    """The words that the expression ``words`` joins in a fresh ``python
+    -S`` after ``statement``, with the package source and the tests on its
+    path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(degen.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
-    code = (
-        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; {statement}; "
-        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
-    )
+    code = f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; {statement}; print(' '.join({words}))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=20
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
+
+
+def _modules_loaded_by(statement: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` a fresh ``python -S`` holds after ``statement``."""
+    return _fresh_words(statement, f"m for m in {names!r} if m in sys.modules")
 
 
 def test_cli_import_avoids_dataclasses_and_typing():
@@ -276,3 +279,14 @@ def test_fixtures_import_avoids_unittest_and_asyncio():
 def test_cli_import_avoids_argparse_and_gettext():
     # every command pays for what importing the command line loads
     assert _modules_loaded_by("import degen.cli", ("argparse", "gettext")) == []
+
+
+def test_cli_import_compiles_no_pattern():
+    # every command would pay for compiling a module-level pattern, also
+    # one that only an unusual input reaches
+    compiled = _fresh_words(
+        "import re, degen.cli",
+        "f'{m}.{k}' for m, mod in list(sys.modules.items()) if m.split('.')[0] == 'degen' "
+        "for k, v in vars(mod).items() if isinstance(v, re.Pattern)",
+    )
+    assert compiled == []
