@@ -45,12 +45,11 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 from operator import itemgetter
 
 from .deligne import CycleDatum
 from .lfun import RatFunc
-from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _from_scalars, _Record
+from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _entry_strings, _from_scalars, _Record
 from .strata import (
     MAX_PRIME_POWER,
     DescriptorError,
@@ -361,21 +360,6 @@ def _mat_from_json(obj, where, strict: bool, built: dict, shape=None) -> Mat:
     return m
 
 
-def _entry_strings(m: Mat) -> list[str]:
-    """The entries of m in row-major order as the text ``str`` gives their
-    Fractions: "0" off the sparse rows, the reduced n/d (or n) on them."""
-    den, cols = m._den, m.cols
-    out = ["0"] * (m.rows * cols)
-    for base, row in zip(range(0, len(out), cols or 1), m._data):
-        for j, x in row:
-            if den == 1:
-                out[base + j] = str(x)
-            else:
-                g = gcd(x, den)
-                out[base + j] = str(x // g) if g == den else f"{x // g}/{den // g}"
-    return out
-
-
 def _mat_to_json(m: Mat) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": _entry_strings(m)}
 
@@ -578,7 +562,10 @@ def _parse_group(obj, where: str, strict: bool) -> FPAbelianGroup:
     rows = _int_rows(relations, f"{where}.relations")
     if not rows:
         rows = [[] for _ in range(generators)]
-    return FPAbelianGroup.make(generators, rows)
+    try:
+        return FPAbelianGroup.make(generators, rows)
+    except ValueError as exc:  # a row count other than generators, or ragged rows
+        raise BundleError(f"{where}.relations: {exc}") from None
 
 
 def loads(text: str, strict: bool = True) -> Bundle:

@@ -11,9 +11,10 @@ For cohomological degree q and twist a there are two regimes:
       ker( i^*i_*: CH^a(Y^{(1)}) -> CH^{a+1}(Y^{(1)}) ) / im( gamma )
 
   with gamma the signed Gysin map CH^{a-1}(Y^{(2)}) -> CH^a(Y^{(1)}).
-  For a validated fibre im(gamma) automatically lies in the kernel (the
-  anticommutator identity folds i^*i_* gamma into gamma gamma = 0); with
-  an explicit i^*i_* matrix this becomes a real compatibility check.
+  im(gamma) lies in the kernel exactly when the fibre's identity ii.gamma
+  holds at codim a - 1, which is required; with an explicit i^*i_* matrix
+  it is a real compatibility check, which the composed one passes on a
+  fibre that validates.
 
 The cycle-class side: a datum (xi, tau) is mapped into the ambient space by
 reducing xi to its canonical residue modulo the image of the one-step-lower
@@ -39,7 +40,7 @@ from .qlinalg import (
     residues,
     solve,
 )
-from .strata import DescriptorError, Fibre, build_level, gamma, ii_map
+from .strata import DescriptorError, Fibre, build_level, gamma, ii_map, require_identity
 
 __all__ = [
     "DeligneGroup",
@@ -117,10 +118,7 @@ def deligne_group(
         ambient = build_level(f, 1, a).total
         ii = ii_map(f, a)
         g = gamma(f, 2, a - 1) if a >= 1 else Mat.zero(ambient, 0)
-        if not (ii * g).is_zero():
-            raise DescriptorError(
-                f"im(gamma) does not lie in ker(i^*i_*) at codim {a}"
-            )
+        require_identity(f, "ii.gamma", 2, a - 1)
         g_rank = rank(g)
         return DeligneGroup(
             q=q, a=a, kind="boundary", dim=ambient - rank(ii) - g_rank,

@@ -354,8 +354,24 @@ class Mat(_Record):
     def __repr__(self) -> str:  # compact, for test failure messages
         if self.rows == 0 or self.cols == 0:
             return f"Mat({self.rows}x{self.cols})"
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        text, cols = _entry_strings(self), self.cols
+        body = "; ".join(" ".join(text[i : i + cols]) for i in range(0, len(text), cols))
         return f"Mat[{body}]"
+
+
+def _entry_strings(m: Mat) -> list[str]:
+    """The entries of m in row-major order as the text ``str`` gives their
+    Fractions: "0" off the sparse rows, the reduced n/d (or n) on them."""
+    den, cols = m._den, m.cols
+    out = ["0"] * (m.rows * cols)
+    for base, row in zip(range(0, len(out), cols or 1), m._data):
+        for j, x in row:
+            if den == 1:
+                out[base + j] = str(x)
+            else:
+                g = gcd(x, den)
+                out[base + j] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,23 @@ and the two signed maps are assembled blockwise:
     gamma = sum_u (-1)^{u-1} delta(u)_*   (level r -> r-1, codim p -> p+1)
     rho   = sum_u (-1)^{u-1} delta(u)^*   (level r -> r+1, codim fixed)
 
-The ambient model itself (level 0) is excluded throughout; validate()
-checks gamma^2 = 0, rho^2 = 0 and the anticommutation gamma rho + rho
-gamma = 0 wherever both composites avoid level 0.
+The ambient model itself (level 0) is excluded throughout.  A complex
+built from a fibre squares to zero exactly when the sign identities it
+rests on hold: gamma.gamma, rho.rho, the anticommutator
+gamma.rho+rho.gamma, and the i^*i_* hinges ii.gamma (out of level 2) and
+rho.ii (on level 1).  identity_holds() decides each once per fibre,
+require_identity() names a failing one in a DescriptorError, and
+validate() reports the first three wherever they avoid level 0.
 
 A stratum may be disconnected (several double points sharing the same
 index set); its Chow space then just has higher dimension, which is how
 the 2-gon carries two nodes on the single stratum (1, 2).
 
 Everything derived from a fibre (strata by level, the graded spaces with
-their offsets, gamma, rho, i^*i_* and the twist rows of the monodromy
-complex) is computed once, on first use, and kept in a private index on
-the fibre.  A fibre is therefore not edited once any of its maps has been
-built.
+their offsets, gamma, rho, i^*i_*, the verdicts of its sign identities
+and the twist rows of the monodromy complex) is computed once, on first
+use, and kept in a private index on the fibre.  A fibre is therefore not
+edited once any of its maps has been built.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ __all__ = [
     "rho",
     "compose_ii",
     "ii_map",
+    "identity_holds",
+    "require_identity",
     "validate",
     "ValidationReport",
     "generator_ngon",
@@ -260,6 +266,7 @@ class _FibreIndex:
         self.levels = {r: tuple(ss) for r, ss in levels.items()}
         self.spaces: dict[tuple[int, int, int], GradedSpace] = {}
         self.maps: dict[tuple[str, int, int, int], Mat] = {}
+        self.verdicts: dict[tuple[str, int, int, int], bool] = {}
 
 
 def _index(f: Fibre) -> _FibreIndex:
@@ -392,6 +399,38 @@ def ii_map(f: Fibre, p: int, j: int = 0) -> Mat:
     return maps[key]
 
 
+# Each sign identity says that a composite out of CH^p(Y^{(r)}, j) is
+# zero: the sum of outer * inner over these (outer, inner) factor pairs.
+_IDENTITIES = {
+    "gamma.gamma": lambda f, r, p, j: ((gamma(f, r - 1, p + 1, j), gamma(f, r, p, j)),),
+    "rho.rho": lambda f, r, p, j: ((rho(f, r + 1, p, j), rho(f, r, p, j)),),
+    "gamma.rho+rho.gamma": lambda f, r, p, j: (
+        (gamma(f, r + 1, p, j), rho(f, r, p, j)), (rho(f, r - 1, p + 1, j), gamma(f, r, p, j)),
+    ),
+    "ii.gamma": lambda f, r, p, j: ((ii_map(f, p + 1, j), gamma(f, r, p, j)),),
+    "rho.ii": lambda f, r, p, j: ((rho(f, r, p + 1, j), ii_map(f, p, j)),),
+}
+
+
+def identity_holds(f: Fibre, kind: str, r: int, p: int, j: int = 0) -> bool:
+    """Does the identity ``kind`` hold out of CH^p(Y^{(r)}, j)?  Decided once
+    per fibre, with no map built out of a zero space and no product taken
+    of a pair with a zero factor."""
+    verdicts = _index(f).verdicts
+    key = (kind, r, p, j)
+    if key not in verdicts:
+        pairs = _IDENTITIES[kind](f, r, p, j) if build_level(f, r, p, j).total else ()
+        terms = [a * b for a, b in pairs if not (a.is_zero() or b.is_zero())]
+        verdicts[key] = not terms or sum(terms[1:], terms[0]).is_zero()
+    return verdicts[key]
+
+
+def require_identity(f: Fibre, kind: str, r: int, p: int, j: int = 0) -> None:
+    """identity_holds(), or DescriptorError naming the identity that fails."""
+    if not identity_holds(f, kind, r, p, j):
+        raise DescriptorError(f"{kind} != 0 at level {r}, codim {p}, j {j}")
+
+
 class ValidationReport(_Record):
     """``failures`` lists (identity, r, p, j) for each identity that fails."""
 
@@ -405,44 +444,28 @@ class ValidationReport(_Record):
         return not self.failures
 
 
-def validate(f: Fibre) -> ValidationReport:
-    """Check the sign identities wherever they avoid the excluded level 0.
+# The identities validate() reports, each with the lowest source level at
+# which it avoids level 0: gamma^2 needs two steps down to stay positive,
+# rho^2 is safe from level 1 up (overshooting the deepest stratum just hits
+# zero spaces), and the anticommutator needs level >= 2 so that the
+# rho-after-gamma route never passes through the ambient model.
+_VALIDATED = (("gamma.gamma", 3), ("rho.rho", 1), ("gamma.rho+rho.gamma", 2))
 
-    gamma^2 needs sources at level >= 3 (two steps down stay positive),
-    rho^2 is safe from level 1 up (overshooting the deepest stratum just
-    hits zero spaces), and the anticommutator needs level >= 2 so that the
-    rho-after-gamma route never passes through the ambient model.
-    """
+
+def validate(f: Fibre) -> ValidationReport:
+    """Check the sign identities wherever they avoid the excluded level 0."""
     failures = []
     checked = 0
     js = f.observed_js() or (0,)
     max_r = f.max_level
     for j in js:
         for p in range(0, f.dim_y + 2):
-            for r in range(3, max_r + 1):
-                src = build_level(f, r, p, j)
-                if src.total == 0:
-                    continue
-                checked += 1
-                if not (gamma(f, r - 1, p + 1, j) * gamma(f, r, p, j)).is_zero():
-                    failures.append(("gamma.gamma", r, p, j))
-            for r in range(1, max_r + 1):
-                src = build_level(f, r, p, j)
-                if src.total == 0:
-                    continue
-                checked += 1
-                if not (rho(f, r + 1, p, j) * rho(f, r, p, j)).is_zero():
-                    failures.append(("rho.rho", r, p, j))
-            for r in range(2, max_r + 1):
-                src = build_level(f, r, p, j)
-                if src.total == 0:
-                    continue
-                checked += 1
-                anti = gamma(f, r + 1, p, j) * rho(f, r, p, j) + rho(f, r - 1, p + 1, j) * gamma(
-                    f, r, p, j
-                )
-                if not anti.is_zero():
-                    failures.append(("gamma.rho+rho.gamma", r, p, j))
+            for kind, low in _VALIDATED:
+                for r in range(low, max_r + 1):
+                    if build_level(f, r, p, j).total:
+                        checked += 1
+                        if not identity_holds(f, kind, r, p, j):
+                            failures.append((kind, r, p, j))
     return ValidationReport(tuple(failures), checked)
 
 

@@ -778,9 +778,7 @@ def degree_walk_build_C(f, star: int):
             diffs[m] = ii_map(f, star - 1).scale(-1)
         else:
             diffs[m] = rho(f, r, p)
-    cx = CochainComplex(dims, diffs)
-    cx.check()
-    return cx
+    return CochainComplex(dims, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +914,33 @@ def two_rank_cohomology_dims(c) -> dict[int, int]:
 def euler_characteristic(c) -> int:
     """Alternating sum of the dimensions of a cochain complex."""
     return sum((-1) ** q * d for q, d in c.dims.items())
+
+
+# ---------------------------------------------------------------------------
+# The checks ``monodromy`` ran on every complex before the fibre's sign
+# identities decided them: d.d multiplied out in every degree, and f d = d f
+# for a chain map f.  An absent differential or map is zero.
+
+
+def squares_to_zero(c) -> bool:
+    """Has every differential its shape, and is d.d = 0 in every degree?"""
+    if any((d.rows, d.cols) != (c.dim(q + 1), c.dim(q)) for q, d in c.diffs.items()):
+        return False
+    return all((c.diff(q + 1) * c.diff(q)).is_zero() for q in c.support())
+
+
+def is_chain_map(f_maps: dict, source, target) -> bool:
+    """Has every map of ``f_maps`` its shape, and is f d = d f in every degree?"""
+    def f_at(q):
+        m = f_maps.get(q)
+        return Mat.zero(target.dim(q), source.dim(q)) if m is None else m
+
+    if any((m.rows, m.cols) != (target.dim(q), source.dim(q)) for q, m in f_maps.items()):
+        return False
+    return all(
+        f_at(q + 1) * source.diff(q) == target.diff(q) * f_at(q)
+        for q in set(source.dims) | set(target.dims)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from degen import monodromy, workbench
+from degen import monodromy, strata, workbench
 from degen.bundle import Bundle, Params
 from degen.monodromy import (
     CochainComplex,
-    ComplexError,
     build_C,
     check_quasi_iso,
     cohomology_dims,
@@ -15,8 +14,15 @@ from degen.monodromy import (
     total_rows,
 )
 from degen.qlinalg import Mat
-from degen.strata import build_level, gamma, generator_ngon, generator_smooth, rho
-from degen.workbench import run_quasi_iso
+from degen.strata import (
+    DescriptorError,
+    build_level,
+    gamma,
+    generator_ngon,
+    generator_smooth,
+    rho,
+)
+from degen.workbench import run_quasi_iso, run_validate
 from fixtures import (
     conjugated,
     fixture_fibres,
@@ -28,7 +34,9 @@ from fixtures import (
 from oracles import (
     degree_walk_build_C,
     euler_characteristic,
+    is_chain_map,
     random_known_complex,
+    squares_to_zero,
     two_rank_cohomology_dims,
     window_codim_level,
     windowed_row_summands,
@@ -142,9 +150,7 @@ class TestKPieces:
     def test_total_rows_square_to_zero(self):
         for f in fixture_fibres():
             for star in range(-2, f.dim_y + 4):
-                cx = total_rows(f, star).complex
-                for q in cx.support():
-                    assert (cx.diff(q + 1) * cx.diff(q)).is_zero(), (star, q)
+                assert squares_to_zero(total_rows(f, star).complex), star
 
     def test_n_is_identity_block(self):
         f = triangle()
@@ -250,7 +256,7 @@ class TestGenericComplexes:
         for _ in range(10):
             dims, diffs, _ = random_known_complex(rng)
             c = CochainComplex({k: d for k, d in dims.items() if d}, diffs)
-            c.check()
+            assert squares_to_zero(c)
             ident = {q: Mat.identity(d) for q, d in dims.items() if d}
             cone = mapping_cone(ident, c, c)
             assert cohomology_dims(cone) == {}
@@ -273,7 +279,7 @@ class TestGenericComplexes:
         for _ in range(20):
             dims, diffs, coh = random_known_complex(rng)
             c = CochainComplex({k: d for k, d in dims.items() if d}, diffs)
-            c.check()
+            assert squares_to_zero(c)
             assert cohomology_dims(c) == {k: v for k, v in coh.items() if v}
 
     def test_euler_additivity(self):
@@ -286,18 +292,23 @@ class TestGenericComplexes:
             assert euler_characteristic(cone) == 0
 
     def test_bad_chain_map_rejected(self):
+        # by the oracle: mapping_cone takes its map to chain unchecked
         a = CochainComplex({0: 1, 1: 1}, {0: Mat.identity(1)})
         b = CochainComplex({0: 1, 1: 1}, {0: Mat.zero(1, 1)})
-        with pytest.raises(ComplexError, match="chain map"):
-            mapping_cone({0: Mat.identity(1), 1: Mat.identity(1)}, a, b)
+        assert not is_chain_map({0: Mat.identity(1), 1: Mat.identity(1)}, a, b)
+        assert is_chain_map({0: Mat.identity(1), 1: Mat.identity(1)}, a, a)
+        assert not is_chain_map({0: Mat.identity(2)}, a, a)  # wrong shape
 
     def test_d_squared_rejected(self):
+        # by the oracle: a complex of the library is held to d.d = 0 by the
+        # sign identities of its fibre, not by multiplying out
         c = CochainComplex(
             {0: 1, 1: 1, 2: 1},
             {0: Mat.identity(1), 1: Mat.identity(1)},
         )
-        with pytest.raises(ComplexError, match="d.d"):
-            c.check()
+        assert not squares_to_zero(c)
+        assert not squares_to_zero(CochainComplex({0: 1, 1: 1}, {0: Mat.zero(2, 1)}))
+        assert squares_to_zero(CochainComplex(c.dims, {0: Mat.identity(1)}))
 
 
 class TestOneRankOneRow:
@@ -346,24 +357,36 @@ class TestOneRankOneRow:
         assert len(complexes) == 10  # a cone and a small complex per star
         assert len(ranked) == sum(len(c.diffs) for c in complexes)
 
-    def test_sweep_checks_each_row_and_small_complex_once(self, monkeypatch):
-        checked = []
-        real = CochainComplex.check
-        monkeypatch.setattr(CochainComplex, "check", lambda c: checked.append(c) or real(c))
-        f = self.surface()
-        report = run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
+    def test_sweep_decides_each_identity_once(self, monkeypatch):
+        composed, products = [], []
+        real_mul = Mat.__mul__
+        monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+        for kind, terms in list(strata._IDENTITIES.items()):
+            monkeypatch.setitem(
+                strata._IDENTITIES, kind,
+                lambda f, r, p, j, kind=kind, terms=terms: composed.append((kind, r, p, j))
+                or terms(f, r, p, j),
+            )
+        b = Bundle(params=Params(3, 1, 2), fibres={"v0": self.surface()})
+        del products[:]
+        report = run_quasi_iso(b)
         assert report.exit_code == 0 and len(report.lines) == 5
-        # 6 twist rows and 5 small complexes; a cone of checked rows along
-        # a checked chain map squares to zero, so it is not checked again
-        assert len(checked) == 11
+        # multiplying out every row and small complex took 52
+        assert len(products) == 9
+        b = Bundle(params=Params(3, 1, 2), fibres={"v0": self.surface()})
+        del composed[:]
+        assert run_validate(b).exit_code == 0 and run_quasi_iso(b) == report
+        assert composed and len(set(composed)) == len(composed)
+        assert {kind for kind, *_ in composed} == set(strata._IDENTITIES)
 
-    # (kind, block, star at which the sweep stops, message), recorded
-    # before twist rows were memoised, when every star built both its rows
+    # (kind, block, star at which the sweep stops, message); the stars were
+    # recorded before twist rows were memoised, when every star built both
+    # its rows
     FLIPS = (
-        ("pull", ((1, 2), 1, 0, 0), 0, "d.d != 0 out of degree 0"),
-        ("push", ((1, 2), 1, 0, 0), 1, "d.d != 0 out of degree 1"),
-        ("push", ((1, 2, 3), 1, 0, 0), 1, "d.d != 0 out of degree 1"),
-        ("push", ((1, 2), 1, 1, 0), 2, "d.d != 0 out of degree 2"),
+        ("pull", ((1, 2), 1, 0, 0), 0, "rho.rho != 0 at level 1, codim 0, j 0"),
+        ("push", ((1, 2), 1, 0, 0), 1, "gamma.rho+rho.gamma != 0 at level 2, codim 0, j 0"),
+        ("push", ((1, 2, 3), 1, 0, 0), 1, "gamma.rho+rho.gamma != 0 at level 2, codim 0, j 0"),
+        ("push", ((1, 2), 1, 1, 0), 2, "gamma.gamma != 0 at level 3, codim 0, j 0"),
     )
 
     @pytest.mark.parametrize("kind, key, star, message", FLIPS)
@@ -379,6 +402,6 @@ class TestOneRankOneRow:
 
         monkeypatch.setattr(workbench, "check_quasi_iso", tracked)
         f = with_flipped_sign(self.surface(), key, kind)
-        with pytest.raises(ComplexError) as exc:
+        with pytest.raises(DescriptorError) as exc:
             run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
         assert (stars[-1], str(exc.value)) == (star, message)

@@ -26,6 +26,7 @@ from oracles import (
     brute_kernel_order,
     column,
     dense_add,
+    dense_entry_strings,
     dense_kernel_basis,
     dense_mul,
     dense_quotient_dim,
@@ -470,6 +471,18 @@ class TestAgainstDenseOracle:
         b = data.draw(shaped(k, c))
         a2 = data.draw(st.one_of(shaped(r, k), st.just(a)))
         assert_matches_dense_oracle(a, b, a2, data.draw(small_fractions))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(matrices(), st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda shape: shaped(*shape))))
+    def test_repr_reads_the_dense_view(self, m):
+        # repr formats from the sparse rows, as the bundle writer does
+        if not (m.rows and m.cols):
+            assert repr(m) == f"Mat({m.rows}x{m.cols})"
+            return
+        text = dense_entry_strings(m)
+        rows = (text[i : i + m.cols] for i in range(0, len(text), m.cols))
+        assert repr(m) == "Mat[" + "; ".join(map(" ".join, rows)) + "]"
 
     @pytest.mark.parametrize("r,k,c", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (4, 4, 4)])
     def test_empty_and_square_shapes(self, r, k, c):
