@@ -5,13 +5,22 @@ for the local Euler factors, the motivic inputs (regulator images and
 cycle classes), the global L-function as an exact rational function in
 t = q^{-s}, and optionally an integral regulator presentation.  All
 rational numbers travel as strings ("p/q" or "n") so files are exact and
-serialization is byte-stable.
+serialization is byte-stable.  The reader turns "n" into an int and "p/q"
+into a reduced pair of ints, and builds each matrix's integer rows and
+Z's integer polynomials from those; only a rarer form (whitespace, a
+sign, a decimal point, an exponent, "_") goes through ``Fraction``,
+imported on that path.  The text is parsed by the scanner ``json.loads``
+runs, called directly; ``json`` itself is imported only to raise the
+error ``json.loads`` raises on malformed text.
 
 A decimal exponent in a rational string ("1e5") may not exceed
 MAX_DECIMAL_EXPONENT in magnitude: "1e99999999" would otherwise make the
 parser build a number with hundreds of millions of digits.  For the same
-reason the twist params.a and the degree params.q_coh, which become
-exponents of q, may not exceed MAX_TWIST in magnitude, and field sizes
+reason the twist params.a and the degree params.q_coh, like
+global.weight_w and the two entries of global.conductor, become
+exponents of q and may not exceed MAX_TWIST in magnitude; z_num and z_den
+may hold at most MAX_COEFFICIENTS coefficients each, counted before any
+is read, because Z is reduced at load time; and field sizes
 (params.field_q, each q_v) may not exceed strata.MAX_PRIME_POWER.  A
 JSON integer literal may not have more digits than Python converts to an
 int (4300 by default); such a literal is named by its path in the file.
@@ -40,15 +49,13 @@ unknown keys anywhere in the file are rejected, which catches typos like
 from __future__ import annotations
 
 import gc
-import json
 import os
-import re
 import sys
-from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 
 from .deligne import CycleDatum
-from .lfun import RatFunc
+from .lfun import RatFunc, _scaled
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _entry_strings, _from_scalars, _Record
 from .strata import (
     MAX_PRIME_POWER,
@@ -74,6 +81,7 @@ __all__ = [
     "save",
     "dumps",
     "MAX_BUNDLE_BYTES",
+    "MAX_COEFFICIENTS",
     "MAX_DECIMAL_EXPONENT",
     "MAX_DIMENSION",
     "MAX_GENERATORS",
@@ -83,9 +91,17 @@ __all__ = [
 # Largest |e| accepted in a decimal exponent such as "1e5" or "2.5E-3".
 MAX_DECIMAL_EXPONENT = 1000
 
-# Largest |params.a| and |params.q_coh|: t0 = q^{-a} and the twists built
-# from them are exact numbers whose size grows with these exponents.
+# Largest |params.a|, |params.q_coh|, |global.weight_w| and |alpha|, |beta|
+# of global.conductor: each is an exponent of q, and t0 = q^{-a}, q^w and
+# q^alpha are exact numbers whose size grows with it.
 MAX_TWIST = 1000
+
+# Largest number of coefficients of global.z_num and of global.z_den: Z
+# is reduced at load time by a remainder-sequence gcd whose cost grows
+# with about the fourth power of the degree.  With 56 random 50-digit
+# coefficients a side, validate takes about 1.5 s on a 2-core host; with
+# 64, the reduction alone takes 2 s.  Benchmark Z has degree 50 or less.
+MAX_COEFFICIENTS = 56
 
 # Largest generator count of a group in the integral regulator: with empty
 # relations the parser builds one row per generator.
@@ -207,8 +223,9 @@ class _NotANumber(Exception):
     """What is wrong with a JSON rational, before the path to it is known."""
 
 
-def _rational(value) -> int | Fraction:
-    """A rational from JSON: an int when the text is an integer, else a Fraction."""
+def _rational(value) -> int | tuple[int, int]:
+    """A rational from JSON: an int when the value is an integer or its
+    text, else the reduced pair (numerator, denominator > 0)."""
     if isinstance(value, str):
         if "/" not in value:  # else int() could only fail, at the cost of an exception
             try:
@@ -227,22 +244,9 @@ def _rational(value) -> int | Fraction:
                     pass
                 else:
                     if den:
-                        return Fraction(num, den)
-        exponent = re.search(_EXPONENT, value)
-        if exponent is not None:
-            try:
-                too_big = abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT
-            except ValueError:  # more digits than int() converts
-                too_big = True
-            if too_big:
-                raise _NotANumber(
-                    f"decimal exponent in {value[:40]!r} exceeds "
-                    f"{MAX_DECIMAL_EXPONENT} in magnitude"
-                )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _NotANumber(f"bad rational {value!r}") from exc
+                        g = gcd(num, den)
+                        return num // g, den // g
+        return _unusual_rational(value)
     if isinstance(value, bool):
         raise _NotANumber("booleans are not numbers")
     if isinstance(value, int):
@@ -250,11 +254,43 @@ def _rational(value) -> int | Fraction:
     raise _NotANumber("expected a rational as string or integer")
 
 
-def _number(value, where) -> int | Fraction:
+def _unusual_rational(value: str) -> tuple[int, int]:
+    """Rational text in any form but an integer or ASCII p/q, with
+    whitespace, a sign, a decimal point, an exponent or "_": Fraction
+    decides what it means, with the decimal-exponent limit first."""
+    import re
+    from fractions import Fraction
+
+    exponent = re.search(_EXPONENT, value)
+    if exponent is not None:
+        try:
+            too_big = abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT
+        except ValueError:  # more digits than int() converts
+            too_big = True
+        if too_big:
+            raise _NotANumber(
+                f"decimal exponent in {value[:40]!r} exceeds "
+                f"{MAX_DECIMAL_EXPONENT} in magnitude"
+            )
     try:
-        return _rational(value)
+        x = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _NotANumber(f"bad rational {value!r}") from exc
+    return x.numerator, x.denominator
+
+
+def _number(value, where):
+    """The scalar ``value`` reads as, at the API edge: an int when it is an
+    integer or its text, else a Fraction."""
+    try:
+        x = _rational(value)
     except _NotANumber as exc:
         raise _error(where, exc) from exc.__cause__
+    if type(x) is int:
+        return x
+    from fractions import Fraction
+
+    return Fraction(*x)
 
 
 _TOO_DEEP = "not valid JSON: nested too deeply"
@@ -275,6 +311,8 @@ def _long_literal_error(text: str) -> BundleError:
         except ValueError:
             return _Digits(len(literal.lstrip("-")))
 
+    import json
+
     try:
         stack = [("", json.loads(text, parse_int=keep))]
     except json.JSONDecodeError as exc:  # malformed past the long literal
@@ -293,10 +331,6 @@ def _long_literal_error(text: str) -> BundleError:
     return BundleError("not valid JSON: an integer literal could not be converted")
 
 
-def _fraction(value, where) -> Fraction:
-    return Fraction(_number(value, where))
-
-
 def _is_power(value: int, base: int, exponent: int) -> bool:
     """value == base**exponent for base >= 2, without building the power:
     divide by base while it divides, at most log2(value) times."""
@@ -309,8 +343,10 @@ def _is_power(value: int, base: int, exponent: int) -> bool:
 
 def _scalar_row(row: list, where, offset: int = 0) -> list:
     """The nonzero (column, scalar) pairs of ``row``, a list of JSON
-    rationals: "0" entries are counted, not parsed, and the scan stops at
-    the last other entry.  Entry j is named (where, offset + j) on error."""
+    rationals, each scalar an int or a reduced (numerator, denominator)
+    pair, as ``_from_scalars`` takes them: "0" entries
+    are counted, not parsed, and the scan stops at the last other entry.
+    Entry j is named (where, offset + j) on error."""
     left = len(row) - row.count("0")
     out = []
     for j, x in enumerate(row):
@@ -322,7 +358,7 @@ def _scalar_row(row: list, where, offset: int = 0) -> list:
                 x = _rational(x)
             except _NotANumber as exc:
                 raise _error((where, offset + j), exc) from exc.__cause__
-            if x:
+            if x if type(x) is int else x[0]:
                 out.append((j, x))
     return out
 
@@ -389,10 +425,18 @@ def _stratum(value, where) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _poly_from_json(value, where) -> tuple[Fraction, ...]:
-    if type(value) is not list:
-        raise _error(where, "expected ascending coefficient list")
-    return tuple(_fraction(x, (where, i)) for i, x in enumerate(value))
+def _poly_from_json(value, where) -> tuple[int, list[int]]:
+    """(m, p): the ascending coefficient list ``value`` is p / m, with p an
+    integer list and m > 0."""
+    pairs = []
+    for i, x in enumerate(value):
+        try:
+            x = _rational(x)
+        except _NotANumber as exc:
+            raise _error((where, i), exc) from exc.__cause__
+        pairs.append((x, 1) if type(x) is int else x)
+    m = lcm(*[d for _, d in pairs])
+    return m, [x * (m // d) for x, d in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +478,13 @@ class GlobalL(_Record):
 
     conductor = (alpha, beta) means the completed function is
     q^alpha * t^beta * z; the t-power folds into the rational function,
-    the q-power only ever scales leading coefficients.
+    the q-power only ever scales leading coefficients.  alpha is an int,
+    or a Fraction when the file gives a non-integer text for it.
     """
 
     __slots__ = _fields = ("z", "weight_w", "conductor")
 
-    def __init__(self, z: RatFunc, weight_w: int, conductor: tuple[Fraction, int] | None = None):
+    def __init__(self, z: RatFunc, weight_w: int, conductor: tuple | None = None):
         self._assign(z, weight_w, conductor)
 
 
@@ -580,12 +625,60 @@ def loads(text: str, strict: bool = True) -> Bundle:
             gc.enable()
 
 
+class _Defaults:
+    """The settings ``json.loads`` decodes with, as its scanner reads them."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {
+        "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+    }.__getitem__
+
+
+try:
+    from _json import make_scanner as _make_scanner
+
+    _scan = _make_scanner(_Defaults)
+except ImportError:  # an interpreter without the C accelerator
+    from json.decoder import JSONDecoder
+
+    _scan = JSONDecoder().scan_once
+
+# The whitespace JSON allows around a value.
+_SPACE = " \t\n\r"
+
+
+def _json_value(text: str):
+    """``json.loads(text)`` for a str: the scanner ``json.loads`` runs, on
+    the text between leading and trailing whitespace.  Whatever that
+    scanner does not accept as one whole value (nothing, trailing data, a
+    BOM, a literal too long for int()) goes to ``json.loads`` itself,
+    imported only then, which raises the error it raises."""
+    if type(text) is str and text[:1] != "\ufeff":
+        start = len(text) - len(text.lstrip(_SPACE))
+        try:
+            value, end = _scan(text, start)
+        except (StopIteration, ValueError):
+            pass
+        else:
+            if not text[end:].lstrip(_SPACE):
+                return value
+    import json
+
+    return json.loads(text)
+
+
 def _read(text: str, strict: bool) -> Bundle:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"not valid JSON: {exc}") from exc
-    except ValueError:  # an integer literal longer than int() converts
+        data = _json_value(text)
+    except ValueError as exc:
+        from json import JSONDecodeError  # loaded by the parse that failed
+
+        if isinstance(exc, JSONDecodeError):
+            raise BundleError(f"not valid JSON: {exc}") from exc
+        # an integer literal longer than int() converts
         raise _long_literal_error(text) from None
     except RecursionError:
         raise BundleError(_TOO_DEEP) from None
@@ -678,19 +771,31 @@ def _read(text: str, strict: bool) -> Bundle:
     global_l = None
     if global_obj is not None:
         z_num, z_den, weight_w, pair = _record(global_obj, _GLOBAL, "global", strict)
-        num = _poly_from_json(z_num, "global.z_num")
-        den = _poly_from_json(z_den, "global.z_den")
+        for key, value in (("z_num", z_num), ("z_den", z_den)):
+            if len(value) > MAX_COEFFICIENTS:
+                raise BundleError(
+                    f"global.{key}: {len(value)} coefficients, past MAX_COEFFICIENTS = "
+                    f"{MAX_COEFFICIENTS}"
+                )
+        mn, num = _poly_from_json(z_num, "global.z_num")
+        md, den = _poly_from_json(z_den, "global.z_den")
         try:
-            z = RatFunc.make(num, den)
+            z = RatFunc.make(_scaled(md, num), _scaled(mn, den))
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleError(f"global: bad rational function: {exc}") from exc
+        if abs(weight_w) > MAX_TWIST:
+            raise BundleError(f"global.weight_w: exceeds {MAX_TWIST} in magnitude")
         conductor = None
         if pair is not None:
             if len(pair) != 2:
                 raise BundleError("global.conductor: expected [alpha, beta]")
-            alpha = _fraction(pair[0], "global.conductor[0]")
+            alpha = _number(pair[0], "global.conductor[0]")
+            if abs(alpha) > MAX_TWIST:
+                raise BundleError(f"global.conductor[0]: exceeds {MAX_TWIST} in magnitude")
             if type(pair[1]) is not int:
                 raise BundleError("global.conductor[1]: expected an integer")
+            if abs(pair[1]) > MAX_TWIST:
+                raise BundleError(f"global.conductor[1]: exceeds {MAX_TWIST} in magnitude")
             conductor = (alpha, pair[1])
         global_l = GlobalL(z=z, weight_w=weight_w, conductor=conductor)
 
@@ -728,7 +833,10 @@ def load(path, strict: bool = True) -> Bundle:
 # ---------------------------------------------------------------------------
 # Serialization (canonical: sorted keys, stable entry order).
 
-_quote = json.encoder.encode_basestring_ascii
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def _write(node, newline: str, out: list[str]) -> None:
@@ -864,11 +972,8 @@ def _bundle_to_json(b: Bundle) -> dict:
             section[name] = entry
         data["motivic"] = section
     if b.global_l is not None:
-        g: dict = {
-            "z_num": [str(x) for x in b.global_l.z.num],
-            "z_den": [str(x) for x in b.global_l.z.den],
-            "weight_w": b.global_l.weight_w,
-        }
+        z_num, z_den = b.global_l.z._texts()
+        g: dict = {"z_num": z_num, "z_den": z_den, "weight_w": b.global_l.weight_w}
         if b.global_l.conductor is not None:
             alpha, beta = b.global_l.conductor
             g["conductor"] = [str(alpha), beta]

@@ -20,7 +20,6 @@ reference.
 from __future__ import annotations
 
 import gc
-import re
 import sys
 
 from .bundle import MAX_TWIST, load, save
@@ -126,7 +125,8 @@ _COMMANDS = {
 _METAVARS = {"params": "key=value"}
 
 # A token argparse reads as a negative number, so as a positional; matched
-# only against an unknown dash token, so re compiles it on first use.
+# only against an unknown dash token whose second character is a digit or
+# a point, so re is imported, and compiles it, only then.
 _NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
@@ -149,7 +149,14 @@ def _classify(token: str, options: dict) -> tuple[str | None, str | None] | None
             return hits[0], tail if eq else None
     elif token[:2] in options:
         return token[:2], token[2:]
-    return None if re.match(_NEGATIVE, token) or " " in token else (None, None)
+    if " " in token:
+        return None
+    if token[1].isdigit() or token[1] == ".":  # else _NEGATIVE cannot match
+        import re
+
+        if re.match(_NEGATIVE, token):
+            return None
+    return None, None
 
 
 def _name(spelling: str, options: dict) -> str:

@@ -1,13 +1,16 @@
 """Exact L-function arithmetic over function fields.
 
-An L-function here is a rational function of t = q^{-s} with Fraction
-coefficients; the arithmetic on it runs on integer polynomials.  Local
-Euler factors come from Frobenius matrices via the Faddeev-LeVerrier
-characteristic polynomial, so no factorization or floating point is
-involved anywhere.  Vanishing orders and leading Taylor
-coefficients at integer points s = a are exact: since
-t - q^{-a} = q^{-a}(e^{-u} - 1) with u = log(q)(s - a), a zero of order d
-in t contributes a leading term
+An L-function here is a rational function of t = q^{-s} with rational
+coefficients, held as integers: a reduced scalar a/b times n/d, where n
+and d are coprime primitive integer polynomials and d's leading
+coefficient is positive.  Every operation runs on that form; the
+``Fraction`` coefficients of ``RatFunc.num`` and ``.den`` and
+``LeadingValue.coeff`` are views built on demand.  Local Euler factors
+come from Frobenius matrices via the Faddeev-LeVerrier characteristic
+polynomial, so no factorization or floating point is involved anywhere.
+Vanishing orders and leading Taylor coefficients at integer points
+s = a are exact: since t - q^{-a} = q^{-a}(e^{-u} - 1) with
+u = log(q)(s - a), a zero of order d in t contributes a leading term
 
     coeff * log(q)^d * (s - a)^d,   coeff = g(q^{-a}) * (-q^{-a})^d,
 
@@ -17,11 +20,9 @@ pair (exact rational, power of log q).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
-from .qlinalg import Mat, _Record, _set
+from .qlinalg import Mat, _ratio, _ratio_text, _Record, _set
 
 __all__ = [
     "RatFunc",
@@ -35,19 +36,19 @@ __all__ = [
     "MAX_RENDERED_BITS",
 ]
 
-Poly = tuple[Fraction, ...]  # ascending coefficients
-
-# Arithmetic runs on integer polynomials: lists of ascending int
-# coefficients without trailing zeros, [] being zero.  A polynomial with
-# Fraction coefficients is a Fraction scalar times a primitive one (content
+# Arithmetic runs on integer polynomials: sequences of ascending int
+# coefficients without trailing zeros, empty being zero.  A polynomial with
+# rational coefficients is a rational scalar times a primitive one (content
 # 1, positive leading coefficient).  By Gauss's lemma products of
 # primitive polynomials are primitive, and when a primitive polynomial
 # divides an integer one over Q the quotient is integral, so every
 # division below is exact integer division.
 IPoly = list[int]
 
+_INT = frozenset({int})
 
-def _primitive(p: Sequence[int]) -> tuple[int, IPoly]:
+
+def _primitive(p) -> tuple[int, IPoly]:
     """(c, p / c) with p / c primitive; c carries the sign of the lead."""
     p = list(p)
     while p and p[-1] == 0:
@@ -60,15 +61,31 @@ def _primitive(p: Sequence[int]) -> tuple[int, IPoly]:
     return c, [x // c for x in p]
 
 
-def _split(p: Sequence) -> tuple[Fraction, IPoly]:
-    """Rational coefficients as (scalar, primitive integer polynomial)."""
-    fs = [Fraction(x) for x in p]
-    den = lcm(*(x.denominator for x in fs)) if fs else 1
-    c, ints = _primitive([x.numerator * (den // x.denominator) for x in fs])
-    return Fraction(c, den), ints
+def _split(p) -> tuple[int, int, IPoly]:
+    """Rational coefficients (ints, Fractions or their text) as (c, m, n)
+    with p = (c / m) * n, m > 0 and n primitive."""
+    if {*map(type, p)} <= _INT:
+        c, n = _primitive(p)
+        return c, 1, n
+    pairs = [_ratio(x) for x in p]
+    m = lcm(*[d for _, d in pairs])
+    c, n = _primitive([x * (m // d) for x, d in pairs])
+    return c, m, n
 
 
-def _mul(a: IPoly, b: IPoly) -> IPoly:
+def _scaled(c: int, p: IPoly) -> IPoly:
+    return p if c == 1 else [c * x for x in p]
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator (den != 0)."""
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _mul(a, b) -> IPoly:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -119,71 +136,106 @@ def _quo(a: IPoly, b: IPoly) -> IPoly:
     return q
 
 
-def _eval(p: IPoly, r: int, s: int) -> Fraction:
-    """p(r/s) for s > 0, by Horner on the homogenised polynomial."""
+def _low(p) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    k = 0
+    while not p[k]:
+        k += 1
+    return k
+
+
+def _homogenised(p, r: int, s: int) -> int:
+    """s^deg p(r/s) for a nonzero p: its value at r/s over s^deg.  The
+    t-power that divides p comes out as one power of r."""
+    k = _low(p)
     acc, spow = 0, 1
-    for c in reversed(p):
+    for c in reversed(p[k:]):
         acc = acc * r + c * spow
         spow *= s
-    return Fraction(acc, spow // s) if p else Fraction(0)
-
-
-def _product(polys: Iterable[Sequence]) -> list[Fraction]:
-    """Product of rational polynomials, multiplied as integer ones."""
-    scale, out = Fraction(1), [1]
-    for p in polys:
-        c, ints = _split(p)
-        scale, out = scale * c, _mul(out, ints)
-    return [scale * x for x in out]
+    return acc * r**k if k else acc
 
 
 class RatFunc(_Record):
-    """Reduced rational function of t; gcd(num, den) = 1 and den is monic."""
+    """Reduced rational function of t: the scalar a/b times n/d.
 
-    __slots__ = _fields = ("num", "den")
+    a/b is in lowest terms with b > 0; n and d are coprime primitive
+    integer polynomials (tuples, ascending) with positive leading
+    coefficients.  The zero function is 0/1 times ()/(1,).  ``num`` and
+    ``den`` are the coefficients as Fractions with den monic, built on
+    each call.
+    """
 
-    def __init__(self, num: Poly, den: Poly):
-        _set(self, "num", num)
-        _set(self, "den", den)
+    __slots__ = _fields = ("_a", "_b", "_n", "_d")
+
+    def __init__(self, _a: int, _b: int, _n: tuple[int, ...], _d: tuple[int, ...]):
+        _set(self, "_a", _a)
+        _set(self, "_b", _b)
+        _set(self, "_n", _n)
+        _set(self, "_d", _d)
 
     @staticmethod
-    def make(num: Sequence, den: Sequence) -> "RatFunc":
-        """num/den reduced: one gcd, cofactors by exact division, monic den."""
-        sn, n = _split(num)
-        sd, d = _split(den)
+    def make(num, den) -> "RatFunc":
+        """num/den reduced: one gcd, cofactors by exact division.  The
+        coefficients are ints, Fractions or the text of rationals."""
+        cn, mn, n = _split(num)
+        cd, md, d = _split(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         if not n:
-            return RatFunc((Fraction(0),), (Fraction(1),))
+            return RatFunc(0, 1, (), (1,))
         g = _gcd(n, d)
         if len(g) > 1:
             n, d = _quo(n, g), _quo(d, g)
-        lead = d[-1]
-        scale = sn / (sd * lead)
-        return RatFunc(tuple(scale * c for c in n), tuple(Fraction(c, lead) for c in d))
+        return RatFunc(*_reduced(cn * md, mn * cd), tuple(n), tuple(d))
+
+    @property
+    def num(self) -> tuple:
+        from fractions import Fraction
+
+        if not self._a:
+            return (Fraction(0),)
+        scale = self._b * self._d[-1]
+        return tuple(Fraction(self._a * c, scale) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        from fractions import Fraction
+
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._d)
+
+    def _texts(self) -> tuple[list[str], list[str]]:
+        """The coefficients of ``num`` and ``den`` as ``str`` writes them."""
+        lead = self._d[-1]
+        scale = self._b * lead
+        num = [_ratio_text(self._a * c, scale) for c in self._n] if self._a else ["0"]
+        return num, [_ratio_text(c, lead) for c in self._d]
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self._a
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(
-            _product([self.num, other.num]), _product([self.den, other.den])
+            _scaled(self._a * other._a, _mul(self._n, other._n)),
+            _scaled(self._b * other._b, _mul(self._d, other._d)),
         )
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return RatFunc.make(
-            _product([self.num, other.den]), _product([self.den, other.num])
+            _scaled(self._a * other._b, _mul(self._n, other._d)),
+            _scaled(self._b * other._a, _mul(self._d, other._n)),
         )
 
     def __repr__(self) -> str:
-        def side(p):
+        def side(texts):
             return "+".join(
-                f"{c}t^{k}" if k else str(c) for k, c in enumerate(p) if c != 0
+                f"{c}t^{k}" if k else c for k, c in enumerate(texts) if c != "0"
             ) or "0"
 
-        return f"RatFunc({side(self.num)})/({side(self.den)})"
+        num, den = self._texts()
+        return f"RatFunc({side(num)})/({side(den)})"
 
 
 # A rendered coefficient has at most this many bits in its numerator and
@@ -193,25 +245,60 @@ MAX_RENDERED_BITS = 14_000
 
 
 class LeadingValue(_Record):
-    """Leading term coeff * log(q)^logpow * (s - a)^order of an expansion."""
+    """Leading term coeff * log(q)^logpow * (s - a)^order of an expansion.
 
-    __slots__ = _fields = ("order", "coeff", "logpow")
+    coeff is held as a reduced numerator and a positive denominator; the
+    ``coeff`` Fraction is a view built on each call.
+    """
 
-    def __init__(self, order: int, coeff: Fraction, logpow: int):
-        self._assign(order, coeff, logpow)
+    __slots__ = ("order", "_num", "_den", "logpow")
+    _fields = ("order", "coeff", "logpow")
 
-    def render(self, line: str) -> str:
+    def __init__(self, order: int, coeff, logpow: int):
+        _set(self, "order", order)
+        num, den = _ratio(coeff)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        _set(self, "logpow", logpow)
+
+    @property
+    def coeff(self):
+        from fractions import Fraction
+
+        return Fraction(self._num, self._den)
+
+    def scaled(self, base: int, exponent: int) -> "LeadingValue":
+        """This term with its coefficient multiplied by base**exponent."""
+        num, den = self._num, self._den
+        if exponent >= 0:
+            num *= base**exponent
+        else:
+            den *= base ** -exponent
+        return _leading(self.order, num, den, self.logpow)
+
+    def render(self, line: str, lower: str = "|params.a|") -> str:
         """``coeff*log(q)^logpow``; ``line`` names the report line that
-        shows it in the error raised when the coefficient is too large."""
-        c = self.coeff
-        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        shows it, and ``lower`` the input to lower, in the error raised
+        when the coefficient is too large."""
+        bits = max(self._num.bit_length(), self._den.bit_length())
         if bits > MAX_RENDERED_BITS:
             raise ValueError(
                 f"{line}: the leading coefficient at s = params.a needs {bits} bits, "
                 f"past the {MAX_RENDERED_BITS}-bit limit on a printed value; "
-                "lower |params.a|"
+                f"lower {lower}"
             )
-        return f"{c}*log(q)^{self.logpow}"
+        return f"{_ratio_text(self._num, self._den)}*log(q)^{self.logpow}"
+
+
+def _leading(order: int, num: int, den: int, logpow: int) -> LeadingValue:
+    """The LeadingValue of coefficient num/den (den != 0), built from ints."""
+    lv = object.__new__(LeadingValue)
+    num, den = _reduced(num, den)
+    _set(lv, "order", order)
+    _set(lv, "_num", num)
+    _set(lv, "_den", den)
+    _set(lv, "logpow", logpow)
+    return lv
 
 
 class FunctionalEquation(_Record):
@@ -223,20 +310,22 @@ class FunctionalEquation(_Record):
         self._assign(sign, alpha, beta)
 
 
-def _char_poly_det(frob: Mat) -> list[Fraction]:
-    """Coefficients of det(I - frob * u), ascending in u (Faddeev-LeVerrier).
+def _char_poly_det(frob: Mat) -> tuple[IPoly, int]:
+    """(p, m) with det(I - frob * u) = p(u) / m, p ascending in u
+    (Faddeev-LeVerrier).
 
     With frob = N / den for the integer numerator N, the k-th coefficient
-    is c_k(N) / den^k.  Faddeev-LeVerrier on N stays in the integers:
-    M_k = N (M_{k-1} + c_{k-1} I) and c_k = -tr(M_k) / k, a division that is
-    exact because N's characteristic polynomial has integer coefficients.
+    is c_k(N) / den^k, so p_k = c_k(N) den^(n-k) and m = den^n.
+    Faddeev-LeVerrier on N stays in the integers: M_k = N (M_{k-1} +
+    c_{k-1} I) and c_k = -tr(M_k) / k, a division that is exact because
+    N's characteristic polynomial has integer coefficients.
     """
     n = frob.rows
     if frob.cols != n:
         raise ValueError("Frobenius matrix must be square")
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     m = [[0] * n for _ in range(n)]
-    c = scale = 1
+    c = 1
     for k in range(1, n + 1):
         for i in range(n):
             m[i][i] += c
@@ -248,20 +337,22 @@ def _char_poly_det(frob: Mat) -> list[Fraction]:
             prod.append(acc)
         m = prod
         c = -sum(m[i][i] for i in range(n)) // k
-        scale *= frob._den
-        coeffs.append(Fraction(c, scale))
-    return coeffs
+        coeffs.append(c)
+    den = frob._den
+    if den == 1:
+        return coeffs, 1
+    return [c * den ** (n - k) for k, c in enumerate(coeffs)], den**n
 
 
 def local_factor(frob: Mat, deg_v: int) -> RatFunc:
     """Local Euler factor 1 / det(I - frob * t^{deg_v}) as a RatFunc."""
     if deg_v < 1:
         raise ValueError("place degree must be positive")
-    p = _char_poly_det(frob)
-    spread = [Fraction(0)] * ((len(p) - 1) * deg_v + 1)
+    p, m = _char_poly_det(frob)
+    spread = [0] * ((len(p) - 1) * deg_v + 1)
     for k, c in enumerate(p):
         spread[k * deg_v] = c
-    return RatFunc.make([1], spread)
+    return RatFunc.make([m], spread)
 
 
 def _root(q: int, a: int) -> tuple[int, int]:
@@ -269,27 +360,34 @@ def _root(q: int, a: int) -> tuple[int, int]:
     return (1, q**a) if a >= 0 else (q ** (-a), 1)
 
 
-def _strip_root(p: IPoly, r: int, s: int) -> tuple[int, IPoly]:
-    """(m, p / (s t - r)^m) for the largest m; p is a nonzero integer polynomial.
+def _strip_root(p, r: int, s: int) -> tuple[int, IPoly]:
+    """(m, p / (s t - r)^m) for the largest m; p is a nonzero integer
+    polynomial, r and s coprime and nonzero.
 
-    Synthetic division from the top: p_i = s q_{i-1} - r q_i.  Since
-    s t - r is primitive, it divides p exactly iff every step divides
-    exactly and the constant term closes.
+    The t-power that divides p is set aside.  By the rational root
+    theorem s t - r can divide what is left only if s divides its top
+    coefficient and r its constant one.  Then synthetic division from the
+    top: p_i = s q_{i-1} - r q_i; since s t - r is primitive, it divides p
+    exactly iff every step divides exactly and the constant term closes.
     """
+    k = _low(p)
+    p = p[k:]
     m = 0
-    while len(p) > 1:
+    while len(p) > 1 and not p[-1] % s and not p[0] % r:
         quo = [0] * (len(p) - 1)
         carry = 0
         for i in range(len(p) - 1, 0, -1):
             carry, rem = divmod(p[i] + r * carry, s)
             if rem:
-                return m, p
+                break
             quo[i - 1] = carry
-        if p[0] + r * carry:
-            return m, p
-        p = quo
-        m += 1
-    return m, p
+        else:
+            if not p[0] + r * carry:
+                p = quo
+                m += 1
+                continue
+        break
+    return m, [0] * k + list(p)
 
 
 def ord_at(f: RatFunc, q: int, a: int) -> int:
@@ -297,8 +395,7 @@ def ord_at(f: RatFunc, q: int, a: int) -> int:
     if f.is_zero():
         raise ValueError("order of the zero function is undefined")
     r, s = _root(q, a)
-    n, d = _split(f.num)[1], _split(f.den)[1]
-    return _strip_root(n, r, s)[0] - _strip_root(d, r, s)[0]
+    return _strip_root(f._n, r, s)[0] - _strip_root(f._d, r, s)[0]
 
 
 def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
@@ -311,15 +408,25 @@ def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
     if f.is_zero():
         raise ValueError("leading term of the zero function is undefined")
     r, s = _root(q, a)
-    (cn, n), (cd, d) = _split(f.num), _split(f.den)
-    mn, n = _strip_root(n, r, s)
-    md, d = _strip_root(d, r, s)
+    mn, n = _strip_root(f._n, r, s)
+    md, d = _strip_root(f._d, r, s)
     order = mn - md
-    coeff = cn / cd * Fraction(-r) ** order * _eval(n, r, s) / _eval(d, r, s)
-    return LeadingValue(order=order, coeff=coeff, logpow=order)
+    # n(t0) / m(t0) = N s^deg(m) / (M s^deg(n)) for the homogenised N, M
+    num = f._a * _homogenised(n, r, s)
+    den = f._b * _homogenised(d, r, s)
+    shift = len(d) - len(n)
+    if shift > 0:
+        num *= s**shift
+    elif shift < 0:
+        den *= s ** -shift
+    if order > 0:
+        num *= (-r) ** order
+    elif order < 0:
+        den *= (-r) ** -order
+    return _leading(order, num, den, order)
 
 
-def strip_S(global_l: RatFunc, local_factors: Iterable[RatFunc]) -> RatFunc:
+def strip_S(global_l: RatFunc, local_factors) -> RatFunc:
     """Remove the Euler factors at the bad places from a complete L-function.
 
     All factors are multiplied in first and the result is reduced once.
@@ -327,63 +434,80 @@ def strip_S(global_l: RatFunc, local_factors: Iterable[RatFunc]) -> RatFunc:
     factors = list(local_factors)
     if any(f.is_zero() for f in factors):
         raise ZeroDivisionError("division by the zero function")
-    return RatFunc.make(
-        _product([global_l.num, *(f.den for f in factors)]),
-        _product([global_l.den, *(f.num for f in factors)]),
-    )
+    a, b, num, den = global_l._a, global_l._b, list(global_l._n), list(global_l._d)
+    for f in factors:
+        a *= f._b
+        b *= f._a
+        num = _mul(num, f._d)
+        den = _mul(den, f._n)
+    return RatFunc.make(_scaled(a, num), _scaled(b, den))
 
 
-def _reverse_scaled(p: IPoly, cr: int, cs: int) -> IPoly:
-    # cs^deg * p(1/(c t)) * (c t)^deg with c = cr/cs: coefficient i is
-    # p_{deg-i} cr^i cs^{deg-i}
-    deg = len(p) - 1
-    return [p[deg - i] * cr**i * cs ** (deg - i) for i in range(deg + 1)]
+def _reciprocal(p, k: int, cr: int, cs: int) -> bool:
+    """Whether p / t^k is fixed up to a constant by the reversal
+    p' -> t^deg(p') p'(1/(c t)), c = cr/cs: p_{D-j} c^j p_k = p_D p_{k+j}
+    for every j, D the degree of p.
+
+    At the last j that reads p_k^2 cr^(D-k) = p_D^2 cs^(D-k), and cr, cs
+    are coprime, so cr^(D-k) divides p_D^2 and cs^(D-k) divides p_k^2:
+    powers too large for that fail before any is built.
+    """
+    top, low, span = p[-1], p[k], len(p) - 1 - k
+    for base, bound in ((cr, top), (cs, low)):
+        if base > 1 and span * (base.bit_length() - 1) > 2 * bound.bit_length():
+            return False
+    crj = csj = 1
+    for j in range(span + 1):
+        if p[-1 - j] * crj * low != top * p[k + j] * csj:
+            return False
+        crj *= cr
+        csj *= cs
+    return True
+
+
+def _log(num: int, den: int, q: int) -> int | None:
+    """e with num / den = q^e for positive num and den, or None."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if num != 1 and den != 1:
+        return None
+    x, sign = (num, 1) if den == 1 else (den, -1)
+    e = 0
+    while x > 1:
+        x, rem = divmod(x, q)
+        if rem:
+            return None
+        e += 1
+    return sign * e
 
 
 def functional_equation(lam: RatFunc, q: int, weight_w: int) -> FunctionalEquation | None:
     """Match Lambda(1/(q^w t)) against sign * q^alpha * t^beta * Lambda(t).
 
     Returns None when the ratio is not an exact monomial of that shape.
+
+    With Lambda = c t^kn n'/(t^kd d') and n'(0) d'(0) != 0, put
+    R_p(t) = t^D p(1/(ct)) c^D for p of degree D, c = q^w.  Then
+    Lambda(1/(ct)) / Lambda(t) = (ct)^(Dd - Dn) R_n d / (R_d n), and as n,
+    d are coprime so are R_n, R_d and n', d': the ratio is a monomial
+    exactly when R_n = K_n n' and R_d = K_d d', with K_p = p_D / p_k.  The
+    scalar of Lambda cancels; the ratio is (K_n/K_d) c^(Dd - Dn) times
+    t^(Dd - Dn + kd - kn).
     """
     if lam.is_zero():
         return None
-    c = Fraction(q) ** weight_w
-    cr, cs = c.numerator, c.denominator
-    n, d = _split(lam.num)[1], _split(lam.den)[1]
-    # lam(1/(ct)) / lam(t) = (ct)^shift * rev(n) d / (rev(d) n) * cs^shift,
-    # shift = deg d - deg n; the scalars of lam cancel and c^shift cs^shift
-    # is cr^shift
-    shift = len(d) - len(n)
-    mono = [0] * abs(shift) + [1]
-    rat_num = _mul(_reverse_scaled(n, cr, cs), d)
-    rat_den = _mul(_reverse_scaled(d, cr, cs), n)
-    if shift >= 0:
-        rat_num = _mul(rat_num, mono)
-    else:
-        rat_den = _mul(rat_den, mono)
-    scale = Fraction(cr) ** shift
-    ratio = RatFunc.make([scale * x for x in rat_num], rat_den)
-    num_terms = [(k, co) for k, co in enumerate(ratio.num) if co != 0]
-    den_terms = [(k, co) for k, co in enumerate(ratio.den) if co != 0]
-    if len(num_terms) != 1 or len(den_terms) != 1:
+    cr, cs = (q**weight_w, 1) if weight_w >= 0 else (1, q ** -weight_w)
+    n, d = lam._n, lam._d
+    kn, kd = _low(n), _low(d)
+    if not (_reciprocal(n, kn, cr, cs) and _reciprocal(d, kd, cr, cs)):
         return None
-    (kn, cn), (kd, cd) = num_terms[0], den_terms[0]
-    beta = kn - kd
-    r = cn / cd
-    sign = 1 if r > 0 else -1
-    r = abs(r)
-    alpha = 0
-    while r > 1:
-        if r % q != 0:
-            return None
-        r /= q
-        alpha += 1
-    while r < 1:
-        rq = r * q
-        if rq > 1:
-            return None
-        r = rq
-        alpha -= 1
-    if r != 1:
+    dn, dd = len(n) - 1, len(d) - 1
+    num, den = n[-1] * d[kd], n[kn] * d[-1]
+    e = _log(abs(num), abs(den), q)
+    if e is None:
         return None
-    return FunctionalEquation(sign=sign, alpha=alpha, beta=beta)
+    return FunctionalEquation(
+        sign=1 if (num > 0) == (den > 0) else -1,
+        alpha=e + weight_w * (dd - dn),
+        beta=dd - dn + kd - kn,
+    )

@@ -8,8 +8,10 @@ the denominator shares no factor with all numerators together, and it is
 1 for a zero matrix.  Equal matrices therefore have equal fields, and
 ``==`` and ``hash`` compare them directly.  Products, sums, scaling,
 transposes, stacking and zero tests cost time in proportion to the
-nonzero entries and use integer arithmetic only; ``entries`` is a dense
-``Fraction`` view, built on demand.
+nonzero entries and use integer arithmetic only.  A scalar goes in as
+anything with ``numerator`` and ``denominator`` (an int or a Fraction) or
+as the text of a rational; ``entries`` is a dense ``Fraction`` view, built
+on demand, and the only place this module builds a Fraction.
 
 One assembler, ``_placed``, builds every matrix made of other matrices:
 ``hstack``, ``vstack``, ``block``, ``+`` and ``-`` work out where their
@@ -39,7 +41,6 @@ when the group has positive rank.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -110,30 +111,35 @@ class _Record:
         return self.__class__, self._values()
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """An exact scalar as its reduced (numerator, denominator): an int or a
+    Fraction read as it is, the text of a rational through Fraction."""
     if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"not an exact scalar: {x!r}")
+        from fractions import Fraction
+
+        x = Fraction(x.strip())
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"not an exact scalar: {x!r}") from None
 
 
-def _scalar(x) -> int | Fraction:
-    """An exact scalar as an int when it is integral, else a Fraction."""
-    if isinstance(x, int):
-        return int(x)
-    x = _frac(x)
-    return x.numerator if x.denominator == 1 else x
+def _scalar(x) -> int | tuple[int, int]:
+    """An exact scalar as an int when it is integral, else as its reduced
+    (numerator, denominator) pair."""
+    if type(x) is int:
+        return x
+    p, q = _ratio(x)
+    return p if q == 1 else (p, q)
 
 
-def _from_scalars(rows: int, cols: int, items: list[list[tuple[int, int | Fraction]]]) -> "Mat":
-    """Mat from sorted nonzero (column, scalar) rows.
+def _from_scalars(rows: int, cols: int, items: list[list[tuple[int, int | tuple[int, int]]]]) -> "Mat":
+    """Mat from sorted nonzero (column, scalar) rows, each scalar an int or
+    a reduced (numerator, denominator > 0) pair.
 
-    The denominator is the lcm of the entries' reduced denominators, so
-    the result is reduced without a gcd pass. A Fraction entry becomes
-    an integer even when the lcm is 1 (every Fraction integral).
+    The denominator is the lcm of the pairs' denominators, so the result
+    is reduced without a gcd pass.  A pair becomes an integer even when
+    the lcm is 1 (every pair integral).
     """
     den = 1
     integral = True  # every entry an int
@@ -141,13 +147,13 @@ def _from_scalars(rows: int, cols: int, items: list[list[tuple[int, int | Fracti
         for _, x in row:
             if type(x) is not int:
                 integral = False
-                den = lcm(den, x.denominator)
+                den = lcm(den, x[1])
     if integral:
         data = tuple(map(tuple, items))
     else:
         data = tuple([
             tuple([
-                (j, x * den if type(x) is int else x.numerator * (den // x.denominator))
+                (j, x * den if type(x) is int else x[0] * (den // x[1]))
                 for j, x in row
             ])
             for row in items
@@ -278,7 +284,11 @@ class Mat(_Record):
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense view: a tuple of row tuples of Fractions, built on each call."""
+        """Dense view: a tuple of row tuples of Fractions, built on each
+        call.  Nothing in the package reads it; it is the ``Fraction``
+        edge of the API, and imports ``fractions`` on first use."""
+        from fractions import Fraction
+
         zero = Fraction(0)
         den = self._den
         out = []
@@ -304,14 +314,13 @@ class Mat(_Record):
         )
 
     def scale(self, c) -> "Mat":
-        c = _frac(c)
-        if c == 0:
+        p, q = _ratio(c)
+        if p == 0:
             return Mat.zero(self.rows, self.cols)
-        p = c.numerator
         data = self._data if p == 1 else tuple(
             tuple((j, x * p) for j, x in row) for row in self._data
         )
-        return _reduced(self.rows, self.cols, self._den * c.denominator, data)
+        return _reduced(self.rows, self.cols, self._den * q, data)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -359,6 +368,13 @@ class Mat(_Record):
         return f"Mat[{body}]"
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """The text ``str(Fraction(p, q))`` gives, for q > 0, without the
+    Fraction: the reduced n/d, or n when d is 1."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def _entry_strings(m: Mat) -> list[str]:
     """The entries of m in row-major order as the text ``str`` gives their
     Fractions: "0" off the sparse rows, the reduced n/d (or n) on them."""
@@ -366,11 +382,7 @@ def _entry_strings(m: Mat) -> list[str]:
     out = ["0"] * (m.rows * cols)
     for base, row in zip(range(0, len(out), cols or 1), m._data):
         for j, x in row:
-            if den == 1:
-                out[base + j] = str(x)
-            else:
-                g = gcd(x, den)
-                out[base + j] = str(x // g) if g == den else f"{x // g}/{den // g}"
+            out[base + j] = str(x) if den == 1 else _ratio_text(x, den)
     return out
 
 

@@ -11,7 +11,7 @@ over the same file produce identical bytes.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
+from math import gcd
 
 from .bundle import Bundle, GlobalL, MotivicDatum, Place
 from .deligne import (
@@ -31,7 +31,7 @@ from .lfun import (
     strip_S,
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
-from .qlinalg import Mat, _Record, quotient_dim, rank
+from .qlinalg import Mat, _ratio_text, _Record, quotient_dim, rank
 from .strata import Fibre, validate
 
 __all__ = [
@@ -209,15 +209,15 @@ def _run_A(b: Bundle, which: str) -> CheckReport:
     return CheckReport(tuple(lines))
 
 
-def _effective_global(g: GlobalL) -> tuple[RatFunc, Fraction]:
+def _effective_global(g: GlobalL):
     """Fold the conductor monomial q^alpha * t^beta into Z.
 
     The t-power is an honest rational function; the q-power cannot be (its
-    exponent may be fractional), so it comes back separately and only ever
-    scales leading coefficients.
+    exponent may be fractional), so alpha, an int or a Fraction, comes back
+    separately and only ever scales leading coefficients.
     """
     z = g.z
-    alpha = Fraction(0)
+    alpha = 0
     if g.conductor is not None:
         alpha, beta = g.conductor
         if beta >= 0:
@@ -227,7 +227,7 @@ def _effective_global(g: GlobalL) -> tuple[RatFunc, Fraction]:
     return z, alpha
 
 
-def _scaled_leading(b: Bundle, f: RatFunc, alpha: Fraction) -> LeadingValue | None:
+def _scaled_leading(b: Bundle, f: RatFunc, alpha) -> LeadingValue | None:
     """Leading value of f at s = params.a times q^alpha; None when that
     leaves the rationals."""
     qf = b.params.field_q
@@ -236,19 +236,18 @@ def _scaled_leading(b: Bundle, f: RatFunc, alpha: Fraction) -> LeadingValue | No
         return lead
     if alpha.denominator != 1:
         return None
-    return LeadingValue(
-        order=lead.order,
-        coeff=lead.coeff * Fraction(qf) ** int(alpha),
-        logpow=lead.logpow,
-    )
+    return lead.scaled(qf, alpha.numerator)
 
 
-def _leading_line(check: str, lead: LeadingValue | None, verdict: str, note: str = "") -> ReportLine:
-    """The ``check`` line of a leading value; ``verdict`` applies only when
-    the value is rational."""
+def _leading_line(
+    check: str, lead: LeadingValue | None, verdict: str, alpha, note: str = ""
+) -> ReportLine:
+    """The ``check`` line of a leading value scaled by q^alpha; ``verdict``
+    applies only when the value is rational."""
     if lead is None:
         return ReportLine(check, "-", INCONCLUSIVE, "conductor q-power is irrational")
-    return ReportLine(check, "-", verdict, lead.render(check) + note)
+    lower = "|params.a|" if alpha == 0 else "|params.a| or |global.conductor[0]|"
+    return ReportLine(check, "-", verdict, lead.render(check, lower) + note)
 
 
 def _motivic_rank(b: Bundle) -> int:
@@ -290,7 +289,7 @@ def _fe_line(check: str, g: GlobalL, field_q: int) -> ReportLine:
     return ReportLine(f"{check}.fe", "-", PASS, value)
 
 
-def _stripped(b: Bundle) -> tuple[RatFunc, Fraction]:
+def _stripped(b: Bundle):
     factors = [
         local_factor(b.places[name].frob, b.places[name].deg_v)
         for name in sorted(b.places)
@@ -334,7 +333,9 @@ def _run_B1(b: Bundle) -> CheckReport:
             _verdict(total_rank == total_dim and achieved == total_dim),
             f"rank={achieved} of {total_dim}x{total_rank}",
         ),
-        _leading_line("B1FF.leading", lead, _verdict(lead is not None and lead.logpow == order)),
+        _leading_line(
+            "B1FF.leading", lead, _verdict(lead is not None and lead.logpow == order), alpha
+        ),
         _fe_line("B1FF", b.global_l, b.params.field_q),
     ]
     return CheckReport(tuple(lines))
@@ -400,7 +401,9 @@ def _run_B2(b: Bundle) -> CheckReport:
         _pole_line("B2FF.order_pole", b, lam, b_rank),
         cycles_line,
         map_line,
-        _leading_line("B2FF.leading", lead, _verdict(lead is not None and lead.logpow == order_a)),
+        _leading_line(
+            "B2FF.leading", lead, _verdict(lead is not None and lead.logpow == order_a), alpha
+        ),
         _fe_line("B2FF", b.global_l, b.params.field_q),
     ]
     return CheckReport(tuple(lines))
@@ -436,18 +439,27 @@ def _run_C(b: Bundle) -> CheckReport:
                 "integral kernel or cokernel is infinite",
             )
         )
-        lines.append(_leading_line("CFF.leading", lead, INCONCLUSIVE))
+        lines.append(_leading_line("CFF.leading", lead, INCONCLUSIVE, alpha))
     else:
         lines.append(
             ReportLine("CFF.orders", "-", PASS, f"kernel={ker} cokernel={coker}")
         )
-        expected = Fraction(coker, ker)
-        ok = lead is not None and abs(lead.coeff) == expected and lead.logpow == order
+        # |coeff| against coker/ker as reduced integer pairs (both orders
+        # are positive)
+        g = gcd(coker, ker)
+        ok = (
+            lead is not None
+            and (abs(lead._num), lead._den) == (coker // g, ker // g)
+            and lead.logpow == order
+        )
         lines.append(
-            _leading_line("CFF.leading", lead, _verdict(ok), f" vs cokernel/kernel={expected}")
+            _leading_line(
+                "CFF.leading", lead, _verdict(ok), alpha,
+                f" vs cokernel/kernel={_ratio_text(coker, ker)}",
+            )
         )
     z_eff, z_alpha = _effective_global(b.global_l)
-    lines.append(_leading_line("Z.leading", _scaled_leading(b, z_eff, z_alpha), PASS))
+    lines.append(_leading_line("Z.leading", _scaled_leading(b, z_eff, z_alpha), PASS, z_alpha))
     return CheckReport(tuple(lines))
 
 
@@ -512,14 +524,13 @@ def _example_zeta(q: int) -> Bundle:
     from .qlinalg import AbGroupMap, FPAbelianGroup
     from .strata import generator_smooth
 
-    one = Fraction(1)
     fibre = generator_smooth({(0, 0): 1}, 0, q)
-    place = Place(deg_v=1, frob=Mat.from_rows([[one]], cols=1))
+    place = Place(deg_v=1, frob=Mat.identity(1))
     motivic = MotivicDatum(
         regulator=RegulatorDatum(motivic_rank=0, matrix=Mat.zero(1, 0)),
         cycle_class=CycleDatum(
             b_rank=1,
-            xi=Mat.from_rows([[one]], cols=1),
+            xi=Mat.identity(1),
             tau=Mat.identity(1),
         ),
     )
@@ -543,8 +554,8 @@ def _example_ngon(n: int, q: int) -> Bundle:
     from .strata import generator_ngon
 
     fibre = generator_ngon(n, q)
-    place = Place(deg_v=1, frob=Mat.from_rows([[Fraction(q)]], cols=1))
-    xi = Mat.from_rows([[Fraction(1 if i == 0 else 0)] for i in range(n)], cols=1)
+    place = Place(deg_v=1, frob=Mat.from_rows([[q]], cols=1))
+    xi = Mat.from_rows([[1 if i == 0 else 0] for i in range(n)], cols=1)
     motivic = MotivicDatum(
         regulator=RegulatorDatum(motivic_rank=0, matrix=Mat.zero(n, 0)),
         cycle_class=CycleDatum(b_rank=1, xi=xi, tau=Mat.identity(n)),
@@ -570,9 +581,7 @@ def _example_smooth_ec(a_v: int, q: int) -> Bundle:
         pullback={},
         higher_chow={(1, 1): 0},
     )
-    frob = Mat.from_rows(
-        [[Fraction(0), Fraction(-q)], [Fraction(1), Fraction(a_v)]], cols=2
-    )
+    frob = Mat.from_rows([[0, -q], [1, a_v]], cols=2)
     place = Place(deg_v=1, frob=frob)
     motivic = MotivicDatum(
         regulator=RegulatorDatum(motivic_rank=0, matrix=Mat.zero(0, 0))

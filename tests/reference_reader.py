@@ -182,7 +182,7 @@ def _mat_from_json(obj, where: str, strict: bool, shape: tuple[int, int] | None 
             except _NotANumber as exc:
                 raise BundleError(f"{where}.entries[{base + j}]: {exc}") from exc.__cause__
             if x:
-                row.append((j, x))
+                row.append((j, x if type(x) is int else (x.numerator, x.denominator)))
         items.append(row)
     return _from_scalars(rows, cols, items)
 

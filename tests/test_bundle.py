@@ -5,6 +5,7 @@ import functools
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +349,108 @@ def test_number_matches_the_fraction_parse(value):
     _same_number(value)
 
 
+# Rational text from a grammar: signs, whitespace, "_", decimals,
+# exponents, non-ASCII digits, zero denominators and literals past the
+# 4300 digits int() converts.
+_DIGITS = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=12),
+    st.text(alphabet="01_٣²", max_size=4),
+    st.sampled_from(["0", "00", "9" * 4400, "1" * 4301]),
+)
+_RATIONAL_TEXT = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", "", "-", "+", " ", "--", "\t"]),
+    _DIGITS,
+    st.sampled_from(["/", "/", ".", "", "//", " /", "/-"]),
+    st.one_of(_DIGITS, st.just("0"), st.just("")),
+    st.sampled_from(["", "", "e5", "E-3", "e1001", "e+1_0", "e99999999999"]),
+    st.sampled_from(["", "", " ", "\n", "x"]),
+)
+
+
+def _rational_outcome(parse, value):
+    """("int", n), ("ratio", Fraction) or ("error", message)."""
+    from degen.bundle import _NotANumber
+
+    try:
+        x = parse(value)
+    except _NotANumber as exc:
+        return "error", str(exc)
+    if type(x) is int:
+        return "int", x
+    return "ratio", x if type(x) is Fraction else Fraction(*x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    _RATIONAL_TEXT,
+    st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(0, 10**30)),
+    st.text(), st.integers(), st.booleans(), st.none(),
+))
+def test_rational_parse_matches_the_fraction_route(value):
+    from degen.bundle import _rational
+
+    from oracles import fraction_rational
+
+    got = _rational_outcome(_rational, value)
+    assert got == _rational_outcome(fraction_rational, value)
+    if got[0] == "ratio" and type(value) is str and value.isascii() and "/" in value:
+        pair = _rational(value)
+        assert pair[1] > 0 and gcd(*pair) == 1
+
+
+# JSON text as json.dumps writes it, then cut, padded or spliced.
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from(["\ufeff", "\ud800", "NaN"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _json_texts(draw):
+    value = draw(_JSON_VALUES)
+    text = json.dumps(value, indent=draw(st.sampled_from([None, 0, 2])))
+    op = draw(st.sampled_from(["keep", "cut", "trail", "bom", "space", "deep", "long", "splice"]))
+    if op == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif op == "trail":
+        text += draw(st.sampled_from([" x", "\n1", "{}", "  ", "\t\r\n", "\x0c", "\u00a0"]))
+    elif op == "bom":
+        text = "\ufeff" + text
+    elif op == "space":
+        pad = draw(st.sampled_from(["", " ", "\n\t", "\r\n ", "\x0c", "\u2028"]))
+        text = pad + text + pad
+    elif op == "deep":
+        depth = draw(st.sampled_from([50, 5000, 200_000]))
+        text = "[" * depth + text + "]" * draw(st.sampled_from([depth, depth - 1]))
+    elif op == "long":
+        text = f'{{"a": [1, -{"7" * draw(st.sampled_from([4299, 4300, 4301, 5000]))}]}}'
+    elif op == "splice":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["NaN", "-Infinity", ",", "]", '"\\x"', "\x00"])) + text[at:]
+    return text
+
+
+def _json_outcome(parse, text):
+    try:
+        return "value", repr(parse(text))
+    except (ValueError, RecursionError) as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_texts())
+def test_json_parse_matches_json_loads(text):
+    from degen.bundle import _json_value
+
+    assert _json_outcome(_json_value, text) == _json_outcome(json.loads, text)
+
+
 # ---------------------------------------------------------------------------
 # The reader against the field-by-field reader it replaced.
 
@@ -426,9 +529,10 @@ def _mutate(tree, data) -> None:
         parent.insert(key, copy.deepcopy(value))
     elif op == "resize" and isinstance(value, dict) and "entries" in value:
         field = data.draw(st.sampled_from(["rows", "cols", "entries"]))
-        if field == "entries":
+        # an earlier mutation may have deleted the field or changed its type
+        if field == "entries" and type(value["entries"]) is list:
             value["entries"] = value["entries"][:-1] or ["1"]
-        else:
+        elif type(value.get(field)) is int:
             value[field] += data.draw(st.sampled_from([-1, 1]))
     elif op == "twin" and isinstance(value, dict) and value:
         first = next(iter(value))
@@ -453,6 +557,18 @@ _RELATIONS_RULE = re.compile(
 _HIGHER_CHOW_RULE = re.compile(
     r"^BundleError: .*\.higher_chow\[\d+\](\.dim: negative|: duplicate entry for \(.*\))$"
 )
+
+
+# Rules the reference lacks on the q-exponents of the global section.
+_Q_EXPONENT_RULE = re.compile(
+    r"^BundleError: global\.(weight_w|conductor\[[01]\]): exceeds 1000 in magnitude$"
+)
+
+
+def _breaks_a_q_exponent_rule(text: str, field: str) -> bool:
+    g = json.loads(text)["global"]
+    value = g["weight_w"] if field == "weight_w" else g["conductor"][int(field[-2])]
+    return abs(Fraction(value)) > 1000
 
 
 def _breaks_a_higher_chow_rule(text: str) -> bool:
@@ -485,9 +601,12 @@ def test_reader_matches_the_reference_reader(data):
     named = isinstance(got, str) and _RELATIONS_RULE.search(got)
     if named:
         assert want == f"ValueError: {named[2]}", (got, want)
+    elif got != want and isinstance(got, str) and _Q_EXPONENT_RULE.search(got):
+        # the reference reads weight_w and the conductor at any size
+        assert _breaks_a_q_exponent_rule(text, _Q_EXPONENT_RULE.search(got)[1])
     elif got != want:
-        # the only rules the reference lacks: a higher_chow dim is not
-        # negative, and no higher_chow (codim, j) repeats
+        # the only other rules the reference lacks: a higher_chow dim is
+        # not negative, and no higher_chow (codim, j) repeats
         assert isinstance(got, str) and _HIGHER_CHOW_RULE.search(got), (got, want)
         assert _breaks_a_higher_chow_rule(text)
 

@@ -151,6 +151,82 @@ def test_oversized_leading_value_is_rejected(tmp_path, capsys):
     assert "B1FF.leading" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("conductor", ["0", 100_000_000_000], "global.conductor[1]"),
+        ("conductor", ["0", -10_000_000], "global.conductor[1]"),
+        ("conductor", ["1e900", 0], "global.conductor[0]"),
+        ("conductor", ["-2001/2", 0], "global.conductor[0]"),
+        ("weight_w", 1_000_000, "global.weight_w"),
+        ("weight_w", -1001, "global.weight_w"),
+    ],
+)
+def test_global_q_exponents_past_the_twist_bound_are_rejected(tmp_path, capsys, key, value, field):
+    # weight_w and the conductor (alpha, beta) are exponents of q, as
+    # params.a is, and are held to the same bound
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    data["global"][key] = value
+    for argv in (["check", "B2FF"], ["check", "CFF"]):
+        _bounded_rejection(tmp_path, data, argv, field)
+    assert "exceeds 1000 in magnitude" in capsys.readouterr().err
+
+
+def test_global_q_exponents_at_the_twist_bound_are_read(tmp_path, capsys):
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    data["global"]["weight_w"] = -1000
+    data["global"]["conductor"] = ["-1000", 1000]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["check", "CFF", str(path)]) in (0, 1)
+    assert main(["check", "B2FF", str(path)]) in (0, 1)
+    assert time.perf_counter() - start < 2.0
+    capsys.readouterr()
+
+
+def test_oversized_leading_value_names_the_conductor_power(tmp_path, capsys):
+    q = 2**61 - 1  # prime: q^1000 has 61000 bits
+    data = json.loads(write_example(tmp_path, "zeta-fqt", f"q={q}").read_text())
+    data["global"]["conductor"] = ["1000", 0]
+    _bounded_rejection(tmp_path, data, ["check", "CFF"], "global.conductor[0]")
+    err = capsys.readouterr().err
+    assert "CFF.leading" in err and "lower |params.a| or |global.conductor[0]|" in err
+
+
+def test_coefficient_count_past_the_limit_is_rejected(tmp_path, capsys):
+    from degen.bundle import MAX_COEFFICIENTS
+
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    for key in ("z_num", "z_den"):
+        edited = json.loads(json.dumps(data))
+        # past the limit, and with an entry that is no number: the count
+        # is checked before any coefficient is read
+        edited["global"][key] = ["1"] * MAX_COEFFICIENTS + ["junk"]
+        _bounded_rejection(tmp_path, edited, ["validate"], f"global.{key}")
+        assert "MAX_COEFFICIENTS" in capsys.readouterr().err
+
+
+def test_coefficient_count_at_the_limit_is_read_within_seconds(tmp_path, capsys):
+    # random 50-digit coefficients make the remainder sequence that
+    # reduces Z as expensive as it gets at this degree
+    import random
+
+    from degen.bundle import MAX_COEFFICIENTS
+
+    rng = random.Random(50)
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    for key in ("z_num", "z_den"):
+        data["global"][key] = [str(rng.randrange(1, 10**50) * rng.choice([1, -1]))
+                               for _ in range(MAX_COEFFICIENTS)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 4.0
+    capsys.readouterr()
+
+
 def test_integer_literal_too_long_to_convert_is_named(tmp_path, capsys):
     # json.dumps cannot write such an integer either, so splice it in as text
     big = "1" + "0" * 4400

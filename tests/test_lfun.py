@@ -321,3 +321,112 @@ def test_make_agrees_with_sympy_cancel(nd):
     f = RatFunc.make(num, den)
     assert [Fraction(int(c.p), int(c.q)) for c in n_coeffs] == list(f.num)
     assert [Fraction(int(c.p), int(c.q)) for c in d_coeffs] == list(f.den)
+
+
+def _monomial(k: int) -> RatFunc:
+    """t^k for any integer k."""
+    return RatFunc.make([0] * max(k, 0) + [1], [0] * max(-k, 0) + [1])
+
+
+class TestAgainstSplitOracle:
+    """The integer form against the Fraction route it replaced, which held
+    num and den as Fraction coefficients and split them again on every
+    call (``oracles.split_*``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfuncs())
+    def test_make(self, nd):
+        assert _pair(RatFunc.make(*nd)) == oracles.split_make(*nd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ratfuncs(), ratfuncs())
+    def test_mul_and_div(self, a, b):
+        f, g = RatFunc.make(*a), RatFunc.make(*b)
+        assert _pair(f * g) == oracles.split_mul(_pair(f), _pair(g))
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f / g
+        else:
+            assert _pair(f / g) == oracles.split_div(_pair(f), _pair(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratfuncs(), st.lists(ratfuncs(), max_size=4))
+    def test_strip_S(self, g, factors):
+        fs = [RatFunc.make(*x) for x in factors]
+        if any(f.is_zero() for f in fs):
+            return
+        want = oracles.split_strip_S(oracles.split_make(*g), [_pair(f) for f in fs])
+        assert _pair(strip_S(RatFunc.make(*g), fs)) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 3), st.data())
+    def test_local_factor(self, n, deg_v, data):
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=data.draw(st.sampled_from([1, 6, 97])))
+        frob = Mat.from_rows([[data.draw(entry) for _ in range(n)] for _ in range(n)], cols=n)
+        assert _pair(local_factor(frob, deg_v)) == oracles.split_local_factor(frob, deg_v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3, 4, 13]), st.integers(-3, 3))
+    def test_ord_and_leading(self, data, q, k):
+        f = _marked(data.draw, q) * _monomial(k)
+        if f.is_zero():
+            return
+        for a in range(-3, 4):
+            assert ord_at(f, q, a) == oracles.split_ord_at(_pair(f), q, a)
+            lead = leading_laurent(f, q, a)
+            assert (lead.order, lead.coeff, lead.logpow) == oracles.split_leading_laurent(
+                _pair(f), q, a
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ratfuncs(), st.sampled_from([2, 3, 4, 13]), st.integers(-3, 3), st.integers(-3, 3),
+    )
+    def test_functional_equation(self, nd, q, w, k):
+        f = RatFunc.make(*nd) * _monomial(k)
+        got = functional_equation(f, q, w)
+        assert (got and (got.sign, got.alpha, got.beta)) == oracles.split_functional_equation(
+            _pair(f), q, w
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, 13]),
+        st.integers(-3, 3),
+        st.lists(st.integers(min_value=-4, max_value=4), max_size=4),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.sampled_from([1, -1, 2, Fraction(-3, 5)]),
+    )
+    def test_functional_equation_of_self_dual_products(self, q, w, a_vs, k, other, c):
+        # 1/((1 - t)(1 - q^w t)) and 1/(1 - a t + q^w t^2) are self-dual of
+        # weight w, also for w < 0; scaled by c and by t^k the product stays
+        # so, and at another weight the early rejection must agree too
+        qw = Fraction(q) ** w
+        f = RatFunc.make([c], [1, -1 - qw, qw]) * _monomial(k)
+        for a_v in a_vs:
+            f = f * RatFunc.make([1], [1, -a_v, qw])
+        assert functional_equation(f, q, w) is not None
+        for weight in (w, other):
+            got = functional_equation(f, q, weight)
+            want = oracles.split_functional_equation(_pair(f), q, weight)
+            assert (got and (got.sign, got.alpha, got.beta)) == want
+
+
+def test_functional_equation_rejects_a_huge_weight_before_building_its_powers():
+    # q^w = 2^(64*1000) would make every reversed coefficient tens of
+    # kilobits long; the size test on the end coefficients decides first
+    q = 2**64 - 59  # prime
+    f = zeta(q) * RatFunc.make([1], [1, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    for w in (1000, -1000):
+        assert functional_equation(f, q, w) is None
+        assert oracles.split_functional_equation(_pair(f), q, 3) is None
+
+
+def test_leading_value_is_held_as_integers():
+    lead = leading_laurent(zeta(3), 3, 0)
+    assert (lead._num, lead._den) == (-1, 2)
+    assert lead.coeff == F(-1, 2) and type(lead.coeff) is Fraction
+    assert lead.scaled(3, 2) == LeadingValue(-1, F(-9, 2), -1)
+    assert lead.scaled(3, -1) == LeadingValue(-1, F(-1, 6), -1)
+    assert lead.render("Z.leading") == "-1/2*log(q)^-1"

@@ -512,8 +512,9 @@ class TestInternalConstructors:
     def test_integral_fractions_become_integers(self):
         from degen.qlinalg import _from_scalars
 
-        m = _from_scalars(2, 3, [[(0, F(4, 2)), (2, F(-3))], [(1, F(6, 3))]])
+        m = _from_scalars(2, 3, [[(0, (2, 1)), (2, -3)], [(1, (2, 1))]])
         assert m == mat([[2, 0, -3], [0, 2, 0]])
+        assert m == Mat.from_rows([[F(4, 2), 0, F(-3)], [0, F(6, 3), 0]])
         assert all(type(x) is int for row in m._data for _, x in row)
         assert rank(m) == 2 and rank(m.scale(F(1, 2)) - m) == 2
 

@@ -281,6 +281,53 @@ def test_cli_import_avoids_argparse_and_gettext():
     assert _modules_loaded_by("import degen.cli", ("argparse", "gettext")) == []
 
 
+def test_cli_import_avoids_json_fractions_and_re():
+    # every command pays for what importing the command line loads; an
+    # exact rational travels as integers from the file to the report
+    names = ("json", "fractions", "decimal", "numbers", "re", "enum")
+    assert _modules_loaded_by("import degen.cli", names) == []
+
+
+def test_no_command_loads_json_fractions_or_decimal(tmp_path):
+    import random
+
+    from degen.bundle import save
+    from degen.workbench import CONJECTURES, EXAMPLES, build_example
+
+    from fixtures import conjugated, simplex_surface
+
+    files = []
+    for name in ("ngon", "zeta-fqt"):
+        files.append(tmp_path / f"{name}.json")
+        save(build_example(name), files[-1])
+    files.append(tmp_path / "surface.json")
+    surface = conjugated(simplex_surface(), random.Random(2))
+    save(Bundle(Params(3, 1, 2), {"v0": surface}), files[-1])
+    commands = [["validate"], ["dim-theorem"], *(["check", c] for c in CONJECTURES),
+                ["complex"], ["quasi-iso"]]
+    runs = [[*command, str(path)] for path in files for command in commands]
+    runs += [["example", name, "-o", str(tmp_path / f"out-{name}.json")] for name in EXAMPLES]
+    runs = [[*flag, *argv] for argv in runs for flag in ([], ["--tsv"])]
+    names = ("json", "fractions", "decimal")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degen.__file__)))
+    # each command runs in order in one fresh interpreter; the first one
+    # after which any of the names is loaded is printed with them
+    code = (
+        f"import io, sys; sys.path[:0] = [{src!r}]; from degen.cli import main\n"
+        f"out = sys.stdout\n"
+        f"for argv in {runs!r}:\n"
+        f"    sys.stdout = io.StringIO(); code = main(argv); sys.stdout = out\n"
+        f"    loaded = [m for m in {names!r} if m in sys.modules]\n"
+        f"    if code not in (0, 1, 2) or loaded:\n"
+        f"        print(code, argv, loaded); break\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+
+
 def test_cli_import_compiles_no_pattern():
     # every command would pay for compiling a module-level pattern, also
     # one that only an unusual input reaches
