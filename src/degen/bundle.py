@@ -51,11 +51,14 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 
+from _json import encode_basestring_ascii as _quote
+from _json import make_scanner
+
 from .deligne import CycleDatum
-from .lfun import RatFunc, _scaled
+from .lfun import RatFunc
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _entry_strings, _from_scalars, _Record
 from .strata import (
     MAX_PRIME_POWER,
@@ -425,18 +428,15 @@ def _stratum(value, where) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _poly_from_json(value, where) -> tuple[int, list[int]]:
-    """(m, p): the ascending coefficient list ``value`` is p / m, with p an
-    integer list and m > 0."""
-    pairs = []
+def _coefficients(value, where) -> list:
+    """The ascending coefficient list ``value`` as ``_rational`` reads each."""
+    out = []
     for i, x in enumerate(value):
         try:
-            x = _rational(x)
+            out.append(_rational(x))
         except _NotANumber as exc:
             raise _error((where, i), exc) from exc.__cause__
-        pairs.append((x, 1) if type(x) is int else x)
-    m = lcm(*[d for _, d in pairs])
-    return m, [x * (m // d) for x, d in pairs]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +637,7 @@ class _Defaults:
     }.__getitem__
 
 
-try:
-    from _json import make_scanner as _make_scanner
-
-    _scan = _make_scanner(_Defaults)
-except ImportError:  # an interpreter without the C accelerator
-    from json.decoder import JSONDecoder
-
-    _scan = JSONDecoder().scan_once
+_scan = make_scanner(_Defaults)
 
 # The whitespace JSON allows around a value.
 _SPACE = " \t\n\r"
@@ -777,10 +770,10 @@ def _read(text: str, strict: bool) -> Bundle:
                     f"global.{key}: {len(value)} coefficients, past MAX_COEFFICIENTS = "
                     f"{MAX_COEFFICIENTS}"
                 )
-        mn, num = _poly_from_json(z_num, "global.z_num")
-        md, den = _poly_from_json(z_den, "global.z_den")
+        num = _coefficients(z_num, "global.z_num")
+        den = _coefficients(z_den, "global.z_den")
         try:
-            z = RatFunc.make(_scaled(md, num), _scaled(mn, den))
+            z = RatFunc.make(num, den)
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleError(f"global: bad rational function: {exc}") from exc
         if abs(weight_w) > MAX_TWIST:
@@ -832,12 +825,6 @@ def load(path, strict: bool = True) -> Bundle:
 
 # ---------------------------------------------------------------------------
 # Serialization (canonical: sorted keys, stable entry order).
-
-try:
-    from _json import encode_basestring_ascii as _quote
-except ImportError:  # an interpreter without the C accelerator
-    from json.encoder import encode_basestring_ascii as _quote
-
 
 def _write(node, newline: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(node, indent=2,

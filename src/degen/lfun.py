@@ -62,12 +62,13 @@ def _primitive(p) -> tuple[int, IPoly]:
 
 
 def _split(p) -> tuple[int, int, IPoly]:
-    """Rational coefficients (ints, Fractions or their text) as (c, m, n)
-    with p = (c / m) * n, m > 0 and n primitive."""
+    """Rational coefficients as (c, m, n) with p = (c / m) * n, m > 0 and n
+    primitive.  A coefficient is an int, a Fraction, the text of a
+    rational or a reduced pair (numerator, denominator > 0)."""
     if {*map(type, p)} <= _INT:
         c, n = _primitive(p)
         return c, 1, n
-    pairs = [_ratio(x) for x in p]
+    pairs = [x if type(x) is tuple else _ratio(x) for x in p]
     m = lcm(*[d for _, d in pairs])
     c, n = _primitive([x * (m // d) for x, d in pairs])
     return c, m, n
@@ -176,7 +177,8 @@ class RatFunc(_Record):
     @staticmethod
     def make(num, den) -> "RatFunc":
         """num/den reduced: one gcd, cofactors by exact division.  The
-        coefficients are ints, Fractions or the text of rationals."""
+        coefficients are ints, Fractions, the text of rationals or reduced
+        (numerator, denominator > 0) pairs."""
         cn, mn, n = _split(num)
         cd, md, d = _split(den)
         if not d:
@@ -255,8 +257,18 @@ class LeadingValue(_Record):
     _fields = ("order", "coeff", "logpow")
 
     def __init__(self, order: int, coeff, logpow: int):
+        self._set_ints(order, *_ratio(coeff), logpow)
+
+    @classmethod
+    def from_ints(cls, order: int, num: int, den: int, logpow: int) -> "LeadingValue":
+        """The LeadingValue of coefficient num/den (den != 0)."""
+        lv = object.__new__(cls)
+        lv._set_ints(order, num, den, logpow)
+        return lv
+
+    def _set_ints(self, order: int, num: int, den: int, logpow: int) -> None:
+        num, den = _reduced(num, den)
         _set(self, "order", order)
-        num, den = _ratio(coeff)
         _set(self, "_num", num)
         _set(self, "_den", den)
         _set(self, "logpow", logpow)
@@ -267,6 +279,11 @@ class LeadingValue(_Record):
 
         return Fraction(self._num, self._den)
 
+    @property
+    def ratio(self) -> tuple[int, int]:
+        """coeff as its reduced (numerator, denominator > 0)."""
+        return self._num, self._den
+
     def scaled(self, base: int, exponent: int) -> "LeadingValue":
         """This term with its coefficient multiplied by base**exponent."""
         num, den = self._num, self._den
@@ -274,7 +291,7 @@ class LeadingValue(_Record):
             num *= base**exponent
         else:
             den *= base ** -exponent
-        return _leading(self.order, num, den, self.logpow)
+        return LeadingValue.from_ints(self.order, num, den, self.logpow)
 
     def render(self, line: str, lower: str = "|params.a|") -> str:
         """``coeff*log(q)^logpow``; ``line`` names the report line that
@@ -288,17 +305,6 @@ class LeadingValue(_Record):
                 f"lower {lower}"
             )
         return f"{_ratio_text(self._num, self._den)}*log(q)^{self.logpow}"
-
-
-def _leading(order: int, num: int, den: int, logpow: int) -> LeadingValue:
-    """The LeadingValue of coefficient num/den (den != 0), built from ints."""
-    lv = object.__new__(LeadingValue)
-    num, den = _reduced(num, den)
-    _set(lv, "order", order)
-    _set(lv, "_num", num)
-    _set(lv, "_den", den)
-    _set(lv, "logpow", logpow)
-    return lv
 
 
 class FunctionalEquation(_Record):
@@ -423,7 +429,7 @@ def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
         num *= (-r) ** order
     elif order < 0:
         den *= (-r) ** -order
-    return _leading(order, num, den, order)
+    return LeadingValue.from_ints(order, num, den, order)
 
 
 def strip_S(global_l: RatFunc, local_factors) -> RatFunc:

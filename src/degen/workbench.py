@@ -444,12 +444,13 @@ def _run_C(b: Bundle) -> CheckReport:
         lines.append(
             ReportLine("CFF.orders", "-", PASS, f"kernel={ker} cokernel={coker}")
         )
-        # |coeff| against coker/ker as reduced integer pairs (both orders
+        # coeff against +-coker/ker as reduced integer pairs (both orders
         # are positive)
         g = gcd(coker, ker)
+        c, k = coker // g, ker // g
         ok = (
             lead is not None
-            and (abs(lead._num), lead._den) == (coker // g, ker // g)
+            and lead.ratio in ((c, k), (-c, k))
             and lead.logpow == order
         )
         lines.append(

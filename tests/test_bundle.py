@@ -390,7 +390,7 @@ def _rational_outcome(parse, value):
 def test_rational_parse_matches_the_fraction_route(value):
     from degen.bundle import _rational
 
-    from oracles import fraction_rational
+    from fraction_routes import fraction_rational
 
     got = _rational_outcome(_rational, value)
     assert got == _rational_outcome(fraction_rational, value)

@@ -16,6 +16,7 @@ from degen.lfun import (
     strip_S,
 )
 from degen.qlinalg import Mat
+import fraction_routes
 import oracles
 from oracles import random_marked_ratfunc, series_leading
 
@@ -331,23 +332,23 @@ def _monomial(k: int) -> RatFunc:
 class TestAgainstSplitOracle:
     """The integer form against the Fraction route it replaced, which held
     num and den as Fraction coefficients and split them again on every
-    call (``oracles.split_*``)."""
+    call (``fraction_routes.split_*``)."""
 
     @settings(max_examples=150, deadline=None)
     @given(ratfuncs())
     def test_make(self, nd):
-        assert _pair(RatFunc.make(*nd)) == oracles.split_make(*nd)
+        assert _pair(RatFunc.make(*nd)) == fraction_routes.split_make(*nd)
 
     @settings(max_examples=100, deadline=None)
     @given(ratfuncs(), ratfuncs())
     def test_mul_and_div(self, a, b):
         f, g = RatFunc.make(*a), RatFunc.make(*b)
-        assert _pair(f * g) == oracles.split_mul(_pair(f), _pair(g))
+        assert _pair(f * g) == fraction_routes.split_mul(_pair(f), _pair(g))
         if g.is_zero():
             with pytest.raises(ZeroDivisionError):
                 f / g
         else:
-            assert _pair(f / g) == oracles.split_div(_pair(f), _pair(g))
+            assert _pair(f / g) == fraction_routes.split_div(_pair(f), _pair(g))
 
     @settings(max_examples=60, deadline=None)
     @given(ratfuncs(), st.lists(ratfuncs(), max_size=4))
@@ -355,7 +356,7 @@ class TestAgainstSplitOracle:
         fs = [RatFunc.make(*x) for x in factors]
         if any(f.is_zero() for f in fs):
             return
-        want = oracles.split_strip_S(oracles.split_make(*g), [_pair(f) for f in fs])
+        want = fraction_routes.split_strip_S(fraction_routes.split_make(*g), [_pair(f) for f in fs])
         assert _pair(strip_S(RatFunc.make(*g), fs)) == want
 
     @settings(max_examples=80, deadline=None)
@@ -363,7 +364,7 @@ class TestAgainstSplitOracle:
     def test_local_factor(self, n, deg_v, data):
         entry = st.fractions(min_value=-20, max_value=20, max_denominator=data.draw(st.sampled_from([1, 6, 97])))
         frob = Mat.from_rows([[data.draw(entry) for _ in range(n)] for _ in range(n)], cols=n)
-        assert _pair(local_factor(frob, deg_v)) == oracles.split_local_factor(frob, deg_v)
+        assert _pair(local_factor(frob, deg_v)) == fraction_routes.split_local_factor(frob, deg_v)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.sampled_from([2, 3, 4, 13]), st.integers(-3, 3))
@@ -372,9 +373,9 @@ class TestAgainstSplitOracle:
         if f.is_zero():
             return
         for a in range(-3, 4):
-            assert ord_at(f, q, a) == oracles.split_ord_at(_pair(f), q, a)
+            assert ord_at(f, q, a) == fraction_routes.split_ord_at(_pair(f), q, a)
             lead = leading_laurent(f, q, a)
-            assert (lead.order, lead.coeff, lead.logpow) == oracles.split_leading_laurent(
+            assert (lead.order, lead.coeff, lead.logpow) == fraction_routes.split_leading_laurent(
                 _pair(f), q, a
             )
 
@@ -385,7 +386,7 @@ class TestAgainstSplitOracle:
     def test_functional_equation(self, nd, q, w, k):
         f = RatFunc.make(*nd) * _monomial(k)
         got = functional_equation(f, q, w)
-        assert (got and (got.sign, got.alpha, got.beta)) == oracles.split_functional_equation(
+        assert (got and (got.sign, got.alpha, got.beta)) == fraction_routes.split_functional_equation(
             _pair(f), q, w
         )
 
@@ -409,7 +410,7 @@ class TestAgainstSplitOracle:
         assert functional_equation(f, q, w) is not None
         for weight in (w, other):
             got = functional_equation(f, q, weight)
-            want = oracles.split_functional_equation(_pair(f), q, weight)
+            want = fraction_routes.split_functional_equation(_pair(f), q, weight)
             assert (got and (got.sign, got.alpha, got.beta)) == want
 
 
@@ -420,13 +421,23 @@ def test_functional_equation_rejects_a_huge_weight_before_building_its_powers():
     f = zeta(q) * RatFunc.make([1], [1, 3, 5, 7, 11, 13, 17, 19, 23, 29])
     for w in (1000, -1000):
         assert functional_equation(f, q, w) is None
-        assert oracles.split_functional_equation(_pair(f), q, 3) is None
+        assert fraction_routes.split_functional_equation(_pair(f), q, 3) is None
 
 
 def test_leading_value_is_held_as_integers():
     lead = leading_laurent(zeta(3), 3, 0)
-    assert (lead._num, lead._den) == (-1, 2)
+    assert lead.ratio == (-1, 2)
     assert lead.coeff == F(-1, 2) and type(lead.coeff) is Fraction
+    assert LeadingValue.from_ints(-1, 4, -8, -1) == lead
+    assert LeadingValue.from_ints(-1, 4, -8, -1).ratio == (-1, 2)
     assert lead.scaled(3, 2) == LeadingValue(-1, F(-9, 2), -1)
     assert lead.scaled(3, -1) == LeadingValue(-1, F(-1, 6), -1)
     assert lead.render("Z.leading") == "-1/2*log(q)^-1"
+
+
+def test_make_reads_reduced_integer_pairs():
+    # the bundle reader hands make each "p/q" coefficient as its reduced pair
+    mixed = ([1, (-1, 2), "3/4"], [(1, 3), 2])
+    want = RatFunc.make([1, F(-1, 2), F(3, 4)], [F(1, 3), 2])
+    assert RatFunc.make(*mixed) == want
+    assert RatFunc.make([(2, 3)], [(4, 9)]) == RatFunc.make([3], [2])
