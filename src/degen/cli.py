@@ -19,7 +19,9 @@ reference.
 
 from __future__ import annotations
 
+import atexit
 import gc
+import os
 import sys
 
 from .bundle import MAX_TWIST, load, save
@@ -331,19 +333,29 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Run ``main()`` on the command line and exit the process with its code.
+    """Run ``main()`` on the command line and end the process with its code.
 
-    Before exiting it freezes the heap (``gc.freeze``): interpreter
-    finalisation runs one last full collection, which skips the frozen
-    objects, so the process does not walk every object it built only to
-    find no garbage.  Atexit handlers, stream flushes and their errors,
-    and reference-count deallocation run as before; ``os._exit`` would
-    skip the handlers.  ``main()`` itself stays safe to call in-process:
-    it neither freezes nor exits.
+    The cyclic garbage collector is off for the whole job: a command makes
+    next to no reference cycles, and the collector's passes over the
+    objects it builds find nothing to free.  Once ``main()`` returns, the
+    process does what interpreter finalisation would do that can be seen
+    from outside, in its order: the atexit handlers run, then stdout and
+    stderr are flushed, and ``os._exit`` ends the process without tearing
+    down the modules and objects it built.  If a flush fails (a full disk,
+    a closed pipe), the interpreter exits as usual instead, reporting the
+    failure the way it always has (exit code 120).  ``main()`` itself
+    stays safe to call in-process: it neither touches the collector nor
+    exits.
     """
+    gc.disable()
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # whatever it was, finalisation meets and reports it again
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ __all__ = [
     "strip_S",
     "functional_equation",
     "MAX_RENDERED_BITS",
+    "TooLarge",
 ]
 
 # Arithmetic runs on integer polynomials: sequences of ascending int
@@ -145,15 +146,49 @@ def _low(p) -> int:
     return k
 
 
-def _homogenised(p, r: int, s: int) -> int:
-    """s^deg p(r/s) for a nonzero p: its value at r/s over s^deg.  The
-    t-power that divides p comes out as one power of r."""
-    k = _low(p)
+def _cofactor(p, k: int, r: int, s: int) -> int:
+    """s^(deg p - k) p(r/s) / (r/s)^k for a nonzero p whose lowest nonzero
+    coefficient is at k: the sum of p_i r^(i-k) s^(deg p - i)."""
     acc, spow = 0, 1
     for c in reversed(p[k:]):
         acc = acc * r + c * spow
         spow *= s
-    return acc * r**k if k else acc
+    return acc
+
+
+def _valuation_cap(p, k: int, a: int, g: int) -> int:
+    """g times an upper bound on v_l(C) / f, for the cofactor C of p at
+    t0 = q^-a (see ``_cofactor``), q = l^f a power of the prime l and
+    g = q.bit_length() - 1; no value of C is built.
+
+    A nonzero x has v_l(x) / f <= log_q |x| < x.bit_length() / g.  C is
+    p's end coefficient (the top one for a > 0, the lowest for a < 0)
+    modulo q^|a|, so it has that coefficient's valuation when the bound
+    on it stays below |a|.  Otherwise |C| <= |p|_1 q^(|a| (deg p - k)).
+    """
+    end = (p[-1] if a > 0 else p[k]).bit_length()
+    if a and end <= abs(a) * g:
+        return end
+    return _l1_bits(p) + abs(a) * (len(p) - 1 - k) * g
+
+
+def _size_floor(p, k: int, a: int, g: int) -> int:
+    """A lower bound on the bits of the cofactor N of p at t0 = q^-a,
+    g = q.bit_length() - 1; no value of N is built.
+
+    N is p's lowest (a > 0) or top (a < 0) coefficient times T^(deg p - k),
+    T = q^|a|, plus terms of at most |p|_1 T^(deg p - k - 1) in all, so
+    |N| >= T^(deg p - k - 1) once T > |p|_1.
+    """
+    span = len(p) - 1 - k
+    if span and abs(a) * g >= _l1_bits(p):
+        return (span - 1) * abs(a) * g + 1
+    return 1
+
+
+def _l1_bits(p) -> int:
+    """Bits of the sum of |p_i|, a bound on those of every norm of p."""
+    return sum(map(abs, p)).bit_length()
 
 
 class RatFunc(_Record):
@@ -246,6 +281,22 @@ class RatFunc(_Record):
 MAX_RENDERED_BITS = 14_000
 
 
+class TooLarge(ValueError):
+    """A leading coefficient of more than MAX_RENDERED_BITS bits, refused
+    on report line ``line``, with ``lower`` the input to lower.  ``bits``
+    is its size or, when ``bound``, a lower bound on it taken before it
+    was built."""
+
+    def __init__(self, bits: int, line: str = "leading value", lower: str = "|params.a|",
+                 bound: bool = False):
+        needs = f"at least {bits}" if bound else bits
+        super().__init__(
+            f"{line}: the leading coefficient at s = params.a needs {needs} bits, "
+            f"past the {MAX_RENDERED_BITS}-bit limit on a printed value; lower {lower}"
+        )
+        self.bits, self.bound = bits, bound
+
+
 class LeadingValue(_Record):
     """Leading term coeff * log(q)^logpow * (s - a)^order of an expansion.
 
@@ -284,26 +335,13 @@ class LeadingValue(_Record):
         """coeff as its reduced (numerator, denominator > 0)."""
         return self._num, self._den
 
-    def scaled(self, base: int, exponent: int) -> "LeadingValue":
-        """This term with its coefficient multiplied by base**exponent."""
-        num, den = self._num, self._den
-        if exponent >= 0:
-            num *= base**exponent
-        else:
-            den *= base ** -exponent
-        return LeadingValue.from_ints(self.order, num, den, self.logpow)
-
     def render(self, line: str, lower: str = "|params.a|") -> str:
         """``coeff*log(q)^logpow``; ``line`` names the report line that
         shows it, and ``lower`` the input to lower, in the error raised
         when the coefficient is too large."""
         bits = max(self._num.bit_length(), self._den.bit_length())
         if bits > MAX_RENDERED_BITS:
-            raise ValueError(
-                f"{line}: the leading coefficient at s = params.a needs {bits} bits, "
-                f"past the {MAX_RENDERED_BITS}-bit limit on a printed value; "
-                f"lower {lower}"
-            )
+            raise TooLarge(bits, line, lower)
         return f"{_ratio_text(self._num, self._den)}*log(q)^{self.logpow}"
 
 
@@ -404,12 +442,32 @@ def ord_at(f: RatFunc, q: int, a: int) -> int:
     return _strip_root(f._n, r, s)[0] - _strip_root(f._d, r, s)[0]
 
 
-def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
-    """Exact leading term of f at s = a as coeff * log(q)^d * (s-a)^d.
+def leading_laurent(f: RatFunc, q: int, a: int, alpha: int = 0) -> LeadingValue:
+    """Exact leading term of q^alpha f at s = a as coeff * log(q)^d * (s-a)^d,
+    for a prime power q.
 
     With f = c (s t - r)^d * n/m, n(t0) m(t0) != 0 and t0 = r/s, the
     leading term in t - t0 is c s^d n(t0)/m(t0), so coeff, which is that
-    times (-t0)^d, equals c (-r)^d n(t0)/m(t0).
+    times (-t0)^d q^alpha, equals c (-r)^d n(t0)/m(t0) q^alpha.
+
+    r and s are powers of q (one of them 1), so every power of q in coeff
+    is gathered into one exponent e beside the cofactors N and M of n and
+    m (``_cofactor``).  Before N, M or q^e is built, two lower bounds on
+    the bits of the reduced coefficient are taken, and past
+    MAX_RENDERED_BITS, where ``render`` would refuse it, TooLarge is
+    raised instead:
+
+    * from its l-adic valuation v_l, for the prime l with q = l^f: the
+      reduced coefficient has l^|v_l| in its numerator or its
+      denominator, and v_l is e f plus at most the valuations of c's
+      numerator and N, minus at most those of c's denominator and M
+      (``_valuation_cap``);
+    * from its size: the bits of the unreduced numerator and denominator
+      (``_size_floor``) less those of a bound on their gcd.  That gcd
+      divides c's numerator and denominator, the l-parts of N and M, and
+      gcd(N, M), which divides the resultant of n and m with their
+      t-powers removed, since N and M are the values of those as binary
+      forms at the coprime pair (r, s).
     """
     if f.is_zero():
         raise ValueError("leading term of the zero function is undefined")
@@ -417,18 +475,33 @@ def leading_laurent(f: RatFunc, q: int, a: int) -> LeadingValue:
     mn, n = _strip_root(f._n, r, s)
     md, d = _strip_root(f._d, r, s)
     order = mn - md
-    # n(t0) / m(t0) = N s^deg(m) / (M s^deg(n)) for the homogenised N, M
-    num = f._a * _homogenised(n, r, s)
-    den = f._b * _homogenised(d, r, s)
-    shift = len(d) - len(n)
-    if shift > 0:
-        num *= s**shift
-    elif shift < 0:
-        den *= s ** -shift
-    if order > 0:
-        num *= (-r) ** order
-    elif order < 0:
-        den *= (-r) ** -order
+    kn, kd = _low(n), _low(d)
+    # coeff = (-1)^order c (N / M) q^e
+    e = alpha + (-a * (order + kn - kd) if a < 0 else a * (len(d) - len(n)))
+    g = q.bit_length() - 1
+    cap_n, cap_d = _valuation_cap(n, kn, a, g), _valuation_cap(d, kd, a, g)
+    by_valuation = max(e * g - f._b.bit_length() - cap_d, -e * g - f._a.bit_length() - cap_n)
+    # |resultant| <= |n|_2^deg(m) |m|_2^deg(n), and the l-part of N is
+    # below q^(cap_n / g), so of at most 2 cap_n + 1 bits
+    shared = (
+        f._a.bit_length() + f._b.bit_length() + 2 * (cap_n + cap_d + 1)
+        + (len(d) - 1 - kd) * _l1_bits(n) + (len(n) - 1 - kn) * _l1_bits(d)
+    )
+    by_size = max(
+        f._a.bit_length() + _size_floor(n, kn, a, g) + max(e, 0) * g,
+        f._b.bit_length() + _size_floor(d, kd, a, g) + max(-e, 0) * g,
+    ) - 1 - shared
+    bits = max(by_valuation + 1, by_size, 1)
+    if bits > MAX_RENDERED_BITS:
+        raise TooLarge(bits, bound=True)
+    num = f._a * _cofactor(n, kn, r, s)
+    den = f._b * _cofactor(d, kd, r, s)
+    if order % 2:
+        num = -num
+    if e > 0:
+        num *= q**e
+    elif e < 0:
+        den *= q**-e
     return LeadingValue.from_ints(order, num, den, order)
 
 

@@ -860,19 +860,33 @@ class FPAbelianGroup(_Record):
 
 class AbGroupMap(_Record):
     """Map between finitely presented abelian groups, given on generators
-    (``matrix`` is target.generators x source.generators)."""
+    (``matrix`` is target.generators x source.generators).
 
-    __slots__ = _fields = ("source", "target", "matrix")
+    ``relation_coords`` is kept once taken; it takes no part in ``==``,
+    ``hash``, ``repr`` or pickling.
+    """
+
+    __slots__ = ("source", "target", "matrix", "_coords")
+    _fields = ("source", "target", "matrix")
 
     def __init__(self, source: FPAbelianGroup, target: FPAbelianGroup, matrix: IntRows):
         self._assign(source, target, matrix)
+        _set(self, "_coords", None)
 
     @staticmethod
     def make(source: FPAbelianGroup, target: FPAbelianGroup, matrix) -> "AbGroupMap":
+        """The map, checked to send source relations into target relations."""
         m = _as_int_matrix(matrix, rows=target.generators, cols=source.generators)
         f = AbGroupMap(source, target, tuple(tuple(r) for r in m))
-        _relation_coords(f)
+        _set(f, "_coords", _relation_coords(f))
         return f
+
+    @property
+    def relation_coords(self) -> tuple[list[list[int]], Mat]:
+        """``_relation_coords`` of this map, taken once."""
+        if self._coords is None:
+            _set(self, "_coords", _relation_coords(self))
+        return self._coords
 
 
 def _relation_coords(f: AbGroupMap) -> tuple[list[list[int]], Mat]:
@@ -900,7 +914,7 @@ def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
 
     Let R_s, R_t be the relation matrices, R_t' a Z-basis of the lattice
     R_t spans (e columns), and N the integer solution of R_t' N = M R_s
-    from ``_relation_coords``.  The cone of the presentations,
+    (``f.relation_coords``).  The cone of the presentations,
     a = [R_s; -N] followed by b = [M | R_t'], has b a = 0 and first
     homology ker_Z(b) / im(a) = ker f.
     ker_Z(b) is saturated of rank ga + e - rank b, so ker f is finite iff
@@ -909,7 +923,7 @@ def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
     relations, which gives the cokernel from b's divisors as well.
     """
     src = f.source
-    rt, n = _relation_coords(f)
+    rt, n = f.relation_coords
     e = len(rt[0]) if rt else 0
     rank_b, index_b = _rank_and_index([list(m) + r for m, r in zip(f.matrix, rt)])
     coker = index_b if rank_b == f.target.generators else None

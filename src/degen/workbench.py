@@ -24,6 +24,7 @@ from .deligne import (
 from .lfun import (
     LeadingValue,
     RatFunc,
+    TooLarge,
     functional_equation,
     leading_laurent,
     local_factor,
@@ -227,16 +228,22 @@ def _effective_global(g: GlobalL):
     return z, alpha
 
 
-def _scaled_leading(b: Bundle, f: RatFunc, alpha) -> LeadingValue | None:
+def _lower(alpha) -> str:
+    """The inputs to lower when a leading value scaled by q^alpha is too
+    large to print."""
+    return "|params.a|" if alpha == 0 else "|params.a| or |global.conductor[0]|"
+
+
+def _scaled_leading(check: str, b: Bundle, f: RatFunc, alpha) -> LeadingValue | None:
     """Leading value of f at s = params.a times q^alpha; None when that
-    leaves the rationals."""
-    qf = b.params.field_q
-    lead = leading_laurent(f, qf, b.params.a)
-    if alpha == 0:
-        return lead
+    leaves the rationals.  One too large to print ends the run with the
+    error ``render`` would raise on the ``check`` line."""
     if alpha.denominator != 1:
         return None
-    return lead.scaled(qf, alpha.numerator)
+    try:
+        return leading_laurent(f, b.params.field_q, b.params.a, alpha.numerator)
+    except TooLarge as exc:
+        raise TooLarge(exc.bits, check, _lower(alpha), exc.bound) from None
 
 
 def _leading_line(
@@ -246,8 +253,7 @@ def _leading_line(
     applies only when the value is rational."""
     if lead is None:
         return ReportLine(check, "-", INCONCLUSIVE, "conductor q-power is irrational")
-    lower = "|params.a|" if alpha == 0 else "|params.a| or |global.conductor[0]|"
-    return ReportLine(check, "-", verdict, lead.render(check, lower) + note)
+    return ReportLine(check, "-", verdict, lead.render(check, _lower(alpha)) + note)
 
 
 def _motivic_rank(b: Bundle) -> int:
@@ -325,7 +331,7 @@ def _run_B1(b: Bundle) -> CheckReport:
     total_rank = _motivic_rank(b)
     order = ord_at(lam, b.params.field_q, a)
     achieved = sum(rank(m.regulator.matrix) for m in b.motivic.values() if m.regulator is not None)
-    lead = _scaled_leading(b, lam, alpha)
+    lead = _scaled_leading("B1FF.leading", b, lam, alpha)
     lines = [
         _order_line("B1FF.order", order, total_rank),
         ReportLine(
@@ -395,7 +401,7 @@ def _run_B2(b: Bundle) -> CheckReport:
             f"rank={achieved} of {total_dim}x{combined.cols}",
         )
 
-    lead = _scaled_leading(b, lam, alpha)
+    lead = _scaled_leading("B2FF.leading", b, lam, alpha)
     lines = [
         _order_line("B2FF.order_a", order_a, _motivic_rank(b)),
         _pole_line("B2FF.order_pole", b, lam, b_rank),
@@ -420,7 +426,7 @@ def _run_C(b: Bundle) -> CheckReport:
     qf = b.params.field_q
     lam, alpha = _stripped(b)
     order = ord_at(lam, qf, a)
-    lead = _scaled_leading(b, lam, alpha)
+    lead = _scaled_leading("CFF.leading", b, lam, alpha)
     ker, coker = integral_orders(b.integral)
 
     lines = [_order_line("CFF.order", order, _motivic_rank(b))]
@@ -460,7 +466,9 @@ def _run_C(b: Bundle) -> CheckReport:
             )
         )
     z_eff, z_alpha = _effective_global(b.global_l)
-    lines.append(_leading_line("Z.leading", _scaled_leading(b, z_eff, z_alpha), PASS, z_alpha))
+    lines.append(_leading_line(
+        "Z.leading", _scaled_leading("Z.leading", b, z_eff, z_alpha), PASS, z_alpha
+    ))
     return CheckReport(tuple(lines))
 
 

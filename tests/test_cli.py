@@ -6,6 +6,7 @@ import gc
 import importlib
 import io
 import json
+import os
 import re
 import resource
 import runpy
@@ -192,6 +193,73 @@ def test_oversized_leading_value_names_the_conductor_power(tmp_path, capsys):
     _bounded_rejection(tmp_path, data, ["check", "CFF"], "global.conductor[0]")
     err = capsys.readouterr().err
     assert "CFF.leading" in err and "lower |params.a| or |global.conductor[0]|" in err
+
+
+def _leading_probe(tmp_path, a, conductor, num=None, den=None):
+    """The zeta-fqt bundle on a 61-bit field at twist ``a`` with
+    ``conductor``, and Z's coefficients when given, written to a file."""
+    data = json.loads(write_example(tmp_path, "zeta-fqt", f"q={2**61 - 1}").read_text())
+    data["params"]["a"] = a
+    data["global"]["conductor"] = conductor
+    if num is not None:
+        data["global"]["z_num"], data["global"]["z_den"] = num, den
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "conductor, num, den",
+    [
+        # t^1000 at t0 = q^-1000 puts q^-10^6, 6e7 bits, in the coefficient
+        (["0", 1000], None, None),
+        (["1000", 1000], None, None),
+        (["0", -1000], None, None),
+        # no net power of q, but the stripped L-function's numerator and
+        # denominator have degree 55, so their values at t0 have 3e6 bits
+        # and only a small common factor
+        (None, [str(1 + i % 7) for i in range(55)], [str(1 + i % 5) for i in range(56)]),
+    ],
+)
+def test_leading_value_past_the_limit_is_refused_before_it_is_built(
+    tmp_path, capsys, conductor, num, den
+):
+    path = _leading_probe(tmp_path, 1000, conductor, num, den)
+    proc = subprocess.run(
+        [sys.executable, "-m", "degen", "check", "CFF", str(path)],
+        capture_output=True, text=True, timeout=5, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert "CFF.leading" in proc.stderr and "needs at least" in proc.stderr
+    assert "lower |params.a|" in proc.stderr and "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert main(["check", "CFF", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+def test_leading_value_just_under_the_limit_is_printed(tmp_path, capsys):
+    # t^229 at t0 = q^-1: a coefficient of 13,969 bits, under the 14,000
+    # the limit allows, printed as the Fraction route gives it
+    from degen.bundle import load
+    from degen.workbench import _stripped
+    from fraction_routes import split_leading_laurent
+
+    path = _leading_probe(tmp_path, 1, ["0", 229])
+    proc = subprocess.run(
+        [sys.executable, "-m", "degen", "check", "CFF", str(path)],
+        capture_output=True, text=True, timeout=5, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    b = load(str(path))
+    lam, _ = _stripped(b)
+    order, coeff, logpow = split_leading_laurent((lam.num, lam.den), b.params.field_q, 1)
+    assert max(coeff.numerator.bit_length(), coeff.denominator.bit_length()) == 13_969
+    line = next(x for x in proc.stdout.splitlines() if x.startswith("CFF.leading"))
+    assert f"  {coeff}*log(q)^{logpow} vs " in line
+    capsys.readouterr()
+    assert main(["check", "CFF", str(path)]) == proc.returncode
+    assert capsys.readouterr().out == proc.stdout
 
 
 def test_coefficient_count_past_the_limit_is_rejected(tmp_path, capsys):
@@ -556,9 +624,53 @@ def test_run_exits_with_the_code_and_output_of_main(tmp_path, capsys):
 def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
     path = write_example(tmp_path, "ngon")
     before = gc.get_freeze_count()
+    enabled = gc.isenabled()
     assert main(["validate", str(path)]) == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled() == enabled
     capsys.readouterr()
+
+
+def test_run_keeps_the_atexit_handlers(tmp_path, capsys):
+    path = write_example(tmp_path, "ngon")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 0
+    want = capsys.readouterr().out
+    code = "import atexit; atexit.register(print, 'atexit ran'); from degen.cli import run; run()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "validate", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "atexit ran\n", "")
+
+
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed pipe"])
+def test_failed_stdout_flush_is_reported_as_by_the_interpreter(tmp_path, stdout):
+    # the report stays in stdout's buffer until the exit flushes it; that
+    # flush fails, and run() must then exit as a plain sys.exit does
+    path = write_example(tmp_path, "ngon")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    plain = "import sys; from degen.cli import main; sys.exit(main())"
+    if stdout == "/dev/full":
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+    try:
+        got, want = (
+            subprocess.run(
+                [sys.executable, *entry, "validate", str(path)],
+                stdout=fd, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+            for entry in (["-m", "degen"], ["-c", plain])
+        )
+    finally:
+        os.close(fd)
+    assert got.returncode == want.returncode == 120
+    assert got.stderr == want.stderr
+    assert "Exception ignored" in got.stderr and "Traceback" not in got.stderr
 
 
 def test_example_default_output_name(tmp_path):
@@ -871,6 +983,19 @@ def test_check_b2ff_ranks_each_gamma_once(tmp_path, monkeypatch, capsys):
     assert main(["check", "B2FF", str(path)]) == 0
     places = len(json.loads(path.read_text())["fibres"])
     assert len(calls) == 2 * places + 1
+    capsys.readouterr()
+
+
+def test_check_cff_takes_the_relation_coordinates_once(tmp_path, monkeypatch, capsys):
+    # the load checks the integral map with them, and the orders reuse them
+    from degen import qlinalg
+
+    path = write_example(tmp_path, "zeta-fqt")
+    calls = []
+    real = qlinalg._relation_coords
+    monkeypatch.setattr(qlinalg, "_relation_coords", lambda f: calls.append(f) or real(f))
+    assert main(["check", "CFF", str(path)]) == 0
+    assert len(calls) == 1
     capsys.readouterr()
 
 

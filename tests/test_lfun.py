@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degen import lfun
 from degen.lfun import (
     FunctionalEquation,
     LeadingValue,
     RatFunc,
+    TooLarge,
     functional_equation,
     leading_laurent,
     local_factor,
@@ -413,6 +415,28 @@ class TestAgainstSplitOracle:
             want = fraction_routes.split_functional_equation(_pair(f), q, weight)
             assert (got and (got.sign, got.alpha, got.beta)) == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.data(), st.sampled_from([2, 3, 4, 8, 9, 13]), st.integers(-3, 3),
+        st.integers(-40, 40), st.integers(-40, 40),
+    )
+    def test_leading_size_bound_is_below_the_reduced_coefficient(self, data, q, k, a, alpha):
+        # scaled by q^alpha the term is the oracle's times q^alpha; with no
+        # bits allowed every call is refused before the coefficient is
+        # built, and the bound it names may not exceed the true size
+        f = _marked(data.draw, q) * _monomial(k) * RatFunc.make(*data.draw(ratfuncs()))
+        if f.is_zero():
+            return
+        lead = leading_laurent(f, q, a, alpha)
+        order, coeff, logpow = fraction_routes.split_leading_laurent(_pair(f), q, a)
+        assert (lead.order, lead.coeff, lead.logpow) == (order, coeff * F(q) ** alpha, logpow)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lfun, "MAX_RENDERED_BITS", 0)
+            with pytest.raises(TooLarge) as refused:
+                leading_laurent(f, q, a, alpha)
+        assert refused.value.bound
+        assert 1 <= refused.value.bits <= max(x.bit_length() for x in lead.ratio)
+
 
 def test_functional_equation_rejects_a_huge_weight_before_building_its_powers():
     # q^w = 2^(64*1000) would make every reversed coefficient tens of
@@ -430,8 +454,8 @@ def test_leading_value_is_held_as_integers():
     assert lead.coeff == F(-1, 2) and type(lead.coeff) is Fraction
     assert LeadingValue.from_ints(-1, 4, -8, -1) == lead
     assert LeadingValue.from_ints(-1, 4, -8, -1).ratio == (-1, 2)
-    assert lead.scaled(3, 2) == LeadingValue(-1, F(-9, 2), -1)
-    assert lead.scaled(3, -1) == LeadingValue(-1, F(-1, 6), -1)
+    assert leading_laurent(zeta(3), 3, 0, 2) == LeadingValue(-1, F(-9, 2), -1)
+    assert leading_laurent(zeta(3), 3, 0, -1) == LeadingValue(-1, F(-1, 6), -1)
     assert lead.render("Z.leading") == "-1/2*log(q)^-1"
 
 
