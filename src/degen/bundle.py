@@ -477,9 +477,11 @@ class GlobalL(_Record):
     """Global L-function plus the data its analysis needs.
 
     conductor = (alpha, beta) means the completed function is
-    q^alpha * t^beta * z; the t-power folds into the rational function,
-    the q-power only ever scales leading coefficients.  alpha is an int,
-    or a Fraction when the file gives a non-integer text for it.
+    q^alpha * t^beta * z.  The conductor stays that pair of exponents and
+    never enters a rational function: at s = a, where t = q^-a, t^beta
+    moves no order and scales the leading value by q^(-a beta), and it
+    shifts the functional equation's exponents.  alpha is an int, or a
+    Fraction when the file gives a non-integer text for it.
     """
 
     __slots__ = _fields = ("z", "weight_w", "conductor")
@@ -987,5 +989,8 @@ def dumps(b: Bundle) -> str:
 
 
 def save(b: Bundle, path) -> None:
+    """Write ``dumps(b)`` to ``path``; the file is opened only once the
+    text is built, so a bundle that fails to render leaves no file."""
+    text = dumps(b)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(b))
+        fh.write(text)

@@ -4,7 +4,7 @@ Exit codes: 0 every check passed, 1 at least one check failed,
 2 nothing failed but some check lacked data, 3 the input itself was
 unusable (malformed file, unknown example, bad arguments, or a fibre
 whose sign identities fail, named as in "rho.rho != 0 at level 1,
-codim 0, j 0").
+codim 0, j 0"), 120 the report could not be written to stdout.
 
 ``main(argv)`` runs one command and returns its exit code; it has no
 process-level effect, so tests and profilers call it in-process.
@@ -296,8 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _HelpRequested:
-        sys.stdout.write(USAGE)
-        return 0
+        return _write(USAGE, 0)
     except _UsageError as exc:
         print(f"{exc.prog}: error: {exc}", file=sys.stderr)
         return 3
@@ -328,8 +327,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"degen: error: {exc}", file=sys.stderr)
         return 3
 
-    sys.stdout.write(render_tsv(report) if args["tsv"] else render_text(report))
-    return report.exit_code
+    return _write(render_tsv(report) if args["tsv"] else render_text(report), report.exit_code)
+
+
+def _write(text: str, code: int) -> int:
+    """Write ``text`` to stdout and return ``code``.  When stdout is closed
+    or the write fails (a full disk, a closed pipe), say so on stderr and
+    return 120 instead, the code the interpreter exits with when its last
+    flush of stdout fails."""
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"degen: error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 120
+    return code
 
 
 def run() -> None:

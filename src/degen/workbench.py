@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import gcd
 
-from .bundle import Bundle, GlobalL, MotivicDatum, Place
+from .bundle import MAX_BUNDLE_BYTES, Bundle, GlobalL, MotivicDatum, Place
 from .deligne import (
     DeligneGroup,
     conjecture_A_check,
@@ -22,7 +22,6 @@ from .deligne import (
     z_map,
 )
 from .lfun import (
-    LeadingValue,
     RatFunc,
     TooLarge,
     functional_equation,
@@ -210,52 +209,6 @@ def _run_A(b: Bundle, which: str) -> CheckReport:
     return CheckReport(tuple(lines))
 
 
-def _effective_global(g: GlobalL):
-    """Fold the conductor monomial q^alpha * t^beta into Z.
-
-    The t-power is an honest rational function; the q-power cannot be (its
-    exponent may be fractional), so alpha, an int or a Fraction, comes back
-    separately and only ever scales leading coefficients.
-    """
-    z = g.z
-    alpha = 0
-    if g.conductor is not None:
-        alpha, beta = g.conductor
-        if beta >= 0:
-            z = z * RatFunc.make([0] * beta + [1], [1])
-        else:
-            z = z / RatFunc.make([0] * (-beta) + [1], [1])
-    return z, alpha
-
-
-def _lower(alpha) -> str:
-    """The inputs to lower when a leading value scaled by q^alpha is too
-    large to print."""
-    return "|params.a|" if alpha == 0 else "|params.a| or |global.conductor[0]|"
-
-
-def _scaled_leading(check: str, b: Bundle, f: RatFunc, alpha) -> LeadingValue | None:
-    """Leading value of f at s = params.a times q^alpha; None when that
-    leaves the rationals.  One too large to print ends the run with the
-    error ``render`` would raise on the ``check`` line."""
-    if alpha.denominator != 1:
-        return None
-    try:
-        return leading_laurent(f, b.params.field_q, b.params.a, alpha.numerator)
-    except TooLarge as exc:
-        raise TooLarge(exc.bits, check, _lower(alpha), exc.bound) from None
-
-
-def _leading_line(
-    check: str, lead: LeadingValue | None, verdict: str, alpha, note: str = ""
-) -> ReportLine:
-    """The ``check`` line of a leading value scaled by q^alpha; ``verdict``
-    applies only when the value is rational."""
-    if lead is None:
-        return ReportLine(check, "-", INCONCLUSIVE, "conductor q-power is irrational")
-    return ReportLine(check, "-", verdict, lead.render(check, _lower(alpha)) + note)
-
-
 def _motivic_rank(b: Bundle) -> int:
     """Regulator columns summed over the marked places."""
     return sum(m.regulator.matrix.cols for m in b.motivic.values() if m.regulator is not None)
@@ -285,27 +238,51 @@ def _b_ranks(b: Bundle) -> list[int]:
     })
 
 
+# The completed function is q^alpha t^beta Z for global.conductor =
+# (alpha, beta), and the conductor stays that pair of exponents: it never
+# enters a rational function.  t0 = q^-a is not 0, so t^beta moves no
+# order at s = a and scales the leading value there by q^(-a beta)
+# (_leading_line); the functional equation of t^beta Z is Z's with alpha
+# - w beta and beta - 2 beta (_fe_line); q^alpha cancels from it.
+
+
+def _leading_line(check: str, b: Bundle, f: RatFunc, verdict, note: str = "") -> ReportLine:
+    """The ``check`` line: the leading value at s = params.a of f times the
+    conductor monomial, judged by ``verdict(lead)``.  A fractional alpha
+    leaves the rationals and makes the line INCONCLUSIVE; a value too
+    large to print ends the run with the TooLarge error naming ``check``."""
+    assert b.global_l is not None
+    alpha, beta = b.global_l.conductor or (0, 0)
+    if alpha.denominator != 1:
+        return ReportLine(check, "-", INCONCLUSIVE, "conductor q-power is irrational")
+    lower = "|params.a|" if alpha == 0 else "|params.a| or |global.conductor[0]|"
+    a = b.params.a
+    try:
+        lead = leading_laurent(f, b.params.field_q, a, alpha.numerator - a * beta)
+    except TooLarge as exc:
+        raise TooLarge(exc.bits, check, lower, exc.bound) from None
+    return ReportLine(check, "-", verdict(lead), lead.render(check, lower) + note)
+
+
 def _fe_line(check: str, g: GlobalL, field_q: int) -> ReportLine:
-    z, _ = _effective_global(g)
-    fe = functional_equation(z, field_q, g.weight_w)
+    fe = functional_equation(g.z, field_q, g.weight_w)
     if fe is None:
         return ReportLine(f"{check}.fe", "-", FAIL, "Z is not self-dual for this weight")
+    beta = g.conductor[1] if g.conductor is not None else 0
     sign = "+1" if fe.sign > 0 else "-1"
-    value = f"sign={sign} alpha={fe.alpha} beta={fe.beta}"
+    value = f"sign={sign} alpha={fe.alpha - g.weight_w * beta} beta={fe.beta - 2 * beta}"
     return ReportLine(f"{check}.fe", "-", PASS, value)
 
 
-def _stripped(b: Bundle):
-    factors = [
-        local_factor(b.places[name].frob, b.places[name].deg_v)
-        for name in sorted(b.places)
-    ]
-    assert b.global_l is not None
-    z, alpha = _effective_global(b.global_l)
-    return strip_S(z, factors), alpha
-
-
-def _need_global(b: Bundle, check: str) -> CheckReport | None:
+def _global(b: Bundle, which: str) -> CheckReport | tuple[RatFunc, int]:
+    """The start of B1FF, B2FF and CFF: a one-line INCONCLUSIVE report when
+    the bundle cannot decide ``which``, else lam, Z with the Euler factors
+    at the marked places removed, and its order at s = params.a."""
+    boundary = _gap(b) == 1
+    if which == "B1FF" and boundary:
+        return _inconclusive(which, "boundary twist, statement is B2FF")
+    if which == "B2FF" and not boundary:
+        return _inconclusive(which, "non-boundary twist, statement is B1FF")
     missing = []
     if b.global_l is None:
         missing.append("global L-function")
@@ -314,49 +291,33 @@ def _need_global(b: Bundle, check: str) -> CheckReport | None:
     if set(b.motivic) != set(b.fibres):
         missing.append("motivic data at every marked place")
     if missing:
-        return _inconclusive(check, "missing " + ", ".join(missing))
-    return None
-
-
-def _run_B1(b: Bundle) -> CheckReport:
-    if _gap(b) == 1:
-        return _inconclusive("B1FF", "boundary twist, statement is B2FF")
-    short = _need_global(b, "B1FF")
-    if short is not None:
-        return short
+        return _inconclusive(which, "missing " + ", ".join(missing))
+    if which == "CFF" and b.integral is None:
+        return _inconclusive(which, "missing integral regulator")
     assert b.global_l is not None
-    a = b.params.a
-    lam, alpha = _stripped(b)
+    lam = strip_S(b.global_l.z, [
+        local_factor(b.places[name].frob, b.places[name].deg_v) for name in sorted(b.places)
+    ])
+    return lam, ord_at(lam, b.params.field_q, b.params.a)
+
+
+def _run_B1(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
     total_dim = sum(g.dim for _, g in _groups(b))
     total_rank = _motivic_rank(b)
-    order = ord_at(lam, b.params.field_q, a)
     achieved = sum(rank(m.regulator.matrix) for m in b.motivic.values() if m.regulator is not None)
-    lead = _scaled_leading("B1FF.leading", b, lam, alpha)
-    lines = [
+    return [
         _order_line("B1FF.order", order, total_rank),
         ReportLine(
             "B1FF.regulator", "-",
             _verdict(total_rank == total_dim and achieved == total_dim),
             f"rank={achieved} of {total_dim}x{total_rank}",
         ),
-        _leading_line(
-            "B1FF.leading", lead, _verdict(lead is not None and lead.logpow == order), alpha
-        ),
+        _leading_line("B1FF.leading", b, lam, lambda lead: _verdict(lead.logpow == order)),
         _fe_line("B1FF", b.global_l, b.params.field_q),
     ]
-    return CheckReport(tuple(lines))
 
 
-def _run_B2(b: Bundle) -> CheckReport:
-    if _gap(b) != 1:
-        return _inconclusive("B2FF", "non-boundary twist, statement is B1FF")
-    short = _need_global(b, "B2FF")
-    if short is not None:
-        return short
-    assert b.global_l is not None
-    a = b.params.a
-    lam, alpha = _stripped(b)
-
+def _run_B2(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
     places = []  # (group, regulator columns, cycle columns or None) per place
     for name, g in _groups(b):
         reg = _reg_matrix(b.motivic[name])
@@ -368,8 +329,6 @@ def _run_B2(b: Bundle) -> CheckReport:
         f"b_rank={shared[0]}" if len(shared) == 1 else f"b_rank differs: {shared}",
     )
     b_rank = shared[0] if len(shared) == 1 else None
-
-    order_a = ord_at(lam, b.params.field_q, a)
 
     in_kernel = all(
         g.contains(reg) and (cyc is None or g.contains(cyc)) for g, reg, cyc in places
@@ -401,34 +360,17 @@ def _run_B2(b: Bundle) -> CheckReport:
             f"rank={achieved} of {total_dim}x{combined.cols}",
         )
 
-    lead = _scaled_leading("B2FF.leading", b, lam, alpha)
-    lines = [
-        _order_line("B2FF.order_a", order_a, _motivic_rank(b)),
+    return [
+        _order_line("B2FF.order_a", order, _motivic_rank(b)),
         _pole_line("B2FF.order_pole", b, lam, b_rank),
         cycles_line,
         map_line,
-        _leading_line(
-            "B2FF.leading", lead, _verdict(lead is not None and lead.logpow == order_a), alpha
-        ),
+        _leading_line("B2FF.leading", b, lam, lambda lead: _verdict(lead.logpow == order)),
         _fe_line("B2FF", b.global_l, b.params.field_q),
     ]
-    return CheckReport(tuple(lines))
 
 
-def _run_C(b: Bundle) -> CheckReport:
-    short = _need_global(b, "CFF")
-    if short is not None:
-        return short
-    if b.integral is None:
-        return _inconclusive("CFF", "missing integral regulator")
-    assert b.global_l is not None
-    a = b.params.a
-    qf = b.params.field_q
-    lam, alpha = _stripped(b)
-    order = ord_at(lam, qf, a)
-    lead = _scaled_leading("CFF.leading", b, lam, alpha)
-    ker, coker = integral_orders(b.integral)
-
+def _run_C(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
     lines = [_order_line("CFF.order", order, _motivic_rank(b))]
     if _gap(b) == 1:
         b_ranks = _b_ranks(b)
@@ -438,6 +380,7 @@ def _run_C(b: Bundle) -> CheckReport:
             lines.append(
                 ReportLine("CFF.order_pole", "-", FAIL, f"b_rank differs: {b_ranks}")
             )
+    ker, coker = integral_orders(b.integral)
     if ker is None or coker is None:
         lines.append(
             ReportLine(
@@ -445,7 +388,7 @@ def _run_C(b: Bundle) -> CheckReport:
                 "integral kernel or cokernel is infinite",
             )
         )
-        lines.append(_leading_line("CFF.leading", lead, INCONCLUSIVE, alpha))
+        lines.append(_leading_line("CFF.leading", b, lam, lambda lead: INCONCLUSIVE))
     else:
         lines.append(
             ReportLine("CFF.orders", "-", PASS, f"kernel={ker} cokernel={coker}")
@@ -454,34 +397,27 @@ def _run_C(b: Bundle) -> CheckReport:
         # are positive)
         g = gcd(coker, ker)
         c, k = coker // g, ker // g
-        ok = (
-            lead is not None
-            and lead.ratio in ((c, k), (-c, k))
-            and lead.logpow == order
-        )
-        lines.append(
-            _leading_line(
-                "CFF.leading", lead, _verdict(ok), alpha,
-                f" vs cokernel/kernel={_ratio_text(coker, ker)}",
-            )
-        )
-    z_eff, z_alpha = _effective_global(b.global_l)
-    lines.append(_leading_line(
-        "Z.leading", _scaled_leading("Z.leading", b, z_eff, z_alpha), PASS, z_alpha
-    ))
-    return CheckReport(tuple(lines))
+        lines.append(_leading_line(
+            "CFF.leading", b, lam,
+            lambda lead: _verdict(lead.ratio in ((c, k), (-c, k)) and lead.logpow == order),
+            f" vs cokernel/kernel={_ratio_text(coker, ker)}",
+        ))
+    lines.append(_leading_line("Z.leading", b, b.global_l.z, lambda lead: PASS))
+    return lines
+
+
+_GLOBAL_RUNNERS = {"B1FF": _run_B1, "B2FF": _run_B2, "CFF": _run_C}
 
 
 def run_conjecture(b: Bundle, which: str) -> CheckReport:
     if which == "A1" or which == "A2":
         return _run_A(b, which)
-    if which == "B1FF":
-        return _run_B1(b)
-    if which == "B2FF":
-        return _run_B2(b)
-    if which == "CFF":
-        return _run_C(b)
-    raise ValueError(f"unknown conjecture {which!r}")
+    if which not in _GLOBAL_RUNNERS:
+        raise ValueError(f"unknown conjecture {which!r}")
+    start = _global(b, which)
+    if isinstance(start, CheckReport):
+        return start
+    return CheckReport(tuple(_GLOBAL_RUNNERS[which](b, *start)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +493,23 @@ def _example_zeta(q: int) -> Bundle:
     )
 
 
+# Largest n of the ngon example.  Its file takes at most 17 n^2 + 1700 n +
+# 1000 bytes: tau, the n x n identity, is written one 17-byte line an
+# entry, and the rest takes under 1700 bytes a component.  Up to this n
+# that stays within MAX_BUNDLE_BYTES, so load reads what example writes.
+MAX_NGON_N = 2760
+
+
 def _example_ngon(n: int, q: int) -> Bundle:
     from .bundle import Params, RegulatorDatum
     from .deligne import CycleDatum
     from .strata import generator_ngon
 
+    if n > MAX_NGON_N:
+        raise ValueError(
+            f"example 'ngon': n = {n} would write more than the {MAX_BUNDLE_BYTES} bytes "
+            f"load reads (MAX_BUNDLE_BYTES); n may be at most {MAX_NGON_N}"
+        )
     fibre = generator_ngon(n, q)
     place = Place(deg_v=1, frob=Mat.from_rows([[q]], cols=1))
     xi = Mat.from_rows([[1 if i == 0 else 0] for i in range(n)], cols=1)

@@ -3,6 +3,9 @@ kept as the references tests/test_lfun.py and tests/test_bundle.py
 compare the library against: ``lfun``'s rational functions held as
 Fraction coefficients between calls (``split_*``) and the bundle reader's
 scalar parse returning a Fraction for every p/q (``fraction_rational``).
+Beside them, the conductor's t-power folded into Z as a polynomial
+(``folded_conductor``), the route the global checks took before they kept
+the conductor as two exponents; tests/test_workbench.py compares them.
 
 Kept in a module of its own that nothing else imports: the benchmark's
 workload set-up imports ``fixtures`` and, through it, ``oracles``, and so
@@ -15,8 +18,8 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from degen.bundle import _EXPONENT, MAX_DECIMAL_EXPONENT, _NotANumber
-from degen.lfun import _gcd, _mul, _primitive, _quo
+from degen.bundle import _EXPONENT, MAX_DECIMAL_EXPONENT, Bundle, GlobalL, _NotANumber
+from degen.lfun import RatFunc, _gcd, _mul, _primitive, _quo
 from degen.qlinalg import Mat
 
 FPoly = tuple[Fraction, ...]
@@ -248,3 +251,21 @@ def fraction_rational(value):
     if isinstance(value, int):
         return value
     raise _NotANumber("expected a rational as string or integer")
+
+
+# ---------------------------------------------------------------------------
+# The global checks' conductor before they kept it as two exponents.
+
+
+def folded_conductor(b: Bundle) -> Bundle:
+    """``b`` with its conductor's t^beta multiplied into Z as a polynomial,
+    z * t^beta or z / t^-beta through ``RatFunc.make``, and (alpha, 0)
+    left as the conductor, for the q-power to scale leading values."""
+    g = b.global_l
+    if g is None or g.conductor is None:
+        return b
+    alpha, beta = g.conductor
+    t = RatFunc.make([0] * abs(beta) + [1], [1])
+    z = g.z * t if beta >= 0 else g.z / t
+    global_l = GlobalL(z=z, weight_w=g.weight_w, conductor=(alpha, 0))
+    return Bundle(b.params, b.fibres, b.places, b.motivic, global_l, b.integral)

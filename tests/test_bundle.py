@@ -30,6 +30,35 @@ def test_examples_roundtrip_bytewise():
         roundtrip(build_example(name))
 
 
+def test_ngon_example_file_stays_within_what_load_reads():
+    # the bound behind MAX_NGON_N against the text written; at n = 2760
+    # the file has 134,169,978 bytes and at 2761 134,265,533, on each side
+    # of MAX_BUNDLE_BYTES, which is too large to build here
+    from degen.bundle import MAX_BUNDLE_BYTES
+    from degen.workbench import MAX_NGON_N
+
+    def bound(n):
+        return 17 * n * n + 1700 * n + 1000
+
+    for n in (2, 3, 9, 10, 11, 57, 99, 100, 101, 250):
+        for q in (2, 2**64):
+            assert len(dumps(build_example("ngon", {"n": n, "q": q}))) <= bound(n), (n, q)
+    assert bound(MAX_NGON_N) <= MAX_BUNDLE_BYTES < bound(MAX_NGON_N + 1)
+    with pytest.raises(ValueError, match=f"n = {MAX_NGON_N + 1} would write"):
+        build_example("ngon", {"n": MAX_NGON_N + 1})
+
+
+def test_save_opens_no_file_for_a_bundle_it_cannot_write(tmp_path):
+    from degen.bundle import save
+
+    b = build_example("ngon")
+    bad = Bundle(Params(b.params.q_coh, 0.5, b.params.field_q), b.fibres)
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        save(bad, path)
+    assert not path.exists()
+
+
 def test_roundtrip_preserves_content():
     b = build_example("zeta-fqt", {"q": 3})
     again = roundtrip(b)

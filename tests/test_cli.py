@@ -240,10 +240,11 @@ def test_leading_value_past_the_limit_is_refused_before_it_is_built(
 
 def test_leading_value_just_under_the_limit_is_printed(tmp_path, capsys):
     # t^229 at t0 = q^-1: a coefficient of 13,969 bits, under the 14,000
-    # the limit allows, printed as the Fraction route gives it
+    # the limit allows, printed as the Fraction route gives it with t^229
+    # folded into the stripped L-function
     from degen.bundle import load
-    from degen.workbench import _stripped
-    from fraction_routes import split_leading_laurent
+    from degen.workbench import _global
+    from fraction_routes import split_leading_laurent, split_mul
 
     path = _leading_probe(tmp_path, 1, ["0", 229])
     proc = subprocess.run(
@@ -252,8 +253,9 @@ def test_leading_value_just_under_the_limit_is_printed(tmp_path, capsys):
     )
     assert proc.returncode in (0, 1), proc.stderr
     b = load(str(path))
-    lam, _ = _stripped(b)
-    order, coeff, logpow = split_leading_laurent((lam.num, lam.den), b.params.field_q, 1)
+    lam, _ = _global(b, "CFF")
+    folded = split_mul((lam.num, lam.den), ((0,) * 229 + (1,), (1,)))
+    order, coeff, logpow = split_leading_laurent(folded, b.params.field_q, 1)
     assert max(coeff.numerator.bit_length(), coeff.denominator.bit_length()) == 13_969
     line = next(x for x in proc.stdout.splitlines() if x.startswith("CFF.leading"))
     assert f"  {coeff}*log(q)^{logpow} vs " in line
@@ -293,6 +295,33 @@ def test_coefficient_count_at_the_limit_is_read_within_seconds(tmp_path, capsys)
     assert main(["validate", str(path)]) == 0
     assert time.perf_counter() - start < 4.0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("beta", [1000, -1000])
+def test_conductor_t_power_at_the_limit_ends_within_seconds(tmp_path, beta):
+    # random 50-digit coefficients, MAX_COEFFICIENTS a side, and t^beta at
+    # MAX_TWIST; multiplied into Z as a polynomial, t^1000 made the gcd
+    # that reduces the product run for minutes
+    import random
+
+    from degen.bundle import MAX_COEFFICIENTS, MAX_TWIST
+
+    assert abs(beta) == MAX_TWIST
+    rng = random.Random(50)
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    for key in ("z_num", "z_den"):
+        data["global"][key] = [str(rng.randrange(1, 10**50) * rng.choice([1, -1]))
+                               for _ in range(MAX_COEFFICIENTS)]
+    data["global"]["conductor"] = ["0", beta]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    for conjecture in ("B2FF", "CFF"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "degen", "check", conjecture, str(path)],
+            capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_integer_literal_too_long_to_convert_is_named(tmp_path, capsys):
@@ -671,6 +700,68 @@ def test_failed_stdout_flush_is_reported_as_by_the_interpreter(tmp_path, stdout)
     assert got.returncode == want.returncode == 120
     assert got.stderr == want.stderr
     assert "Exception ignored" in got.stderr and "Traceback" not in got.stderr
+
+
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed"])
+def test_failed_report_write_exits_120_without_a_traceback(tmp_path, stdout):
+    # unbuffered, the report's write itself fails inside main(); with
+    # stdout closed, sys.stdout is None
+    path = write_example(tmp_path, "ngon")
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    if stdout == "/dev/full":
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+        extra = {"stdout": fd}
+    else:
+        fd = None
+        extra = {"preexec_fn": lambda: os.close(1)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "degen", "validate", str(path)],
+            stderr=subprocess.PIPE, text=True, env=env, timeout=60, **extra,
+        )
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert proc.returncode == 120
+    assert "degen: error: cannot write to stdout" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_failed_report_write_in_process(tmp_path, capsys, monkeypatch):
+    path = write_example(tmp_path, "ngon")
+
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    for stdout, why in ((Full(), "[Errno 28] No space left on device"), (None, "stdout is closed")):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["validate", str(path)]) == 120
+        assert main(["--help"]) == 120
+        monkeypatch.undo()
+        assert capsys.readouterr().err == f"degen: error: cannot write to stdout: {why}\n" * 2
+
+
+def test_ngon_example_past_the_file_limit_is_refused_before_it_is_built(tmp_path, capsys):
+    # n = 20000 would build a 7 GB file; n = 3000 one of 158 MB that load
+    # refuses as past MAX_BUNDLE_BYTES
+    from degen.workbench import MAX_NGON_N
+
+    for n in (MAX_NGON_N + 1, 3000, 20000):
+        path = tmp_path / f"ngon{n}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "degen", "example", "ngon", f"n={n}", "-o", str(path)],
+            capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 3
+        assert f"n = {n} would write" in proc.stderr and "MAX_BUNDLE_BYTES" in proc.stderr
+        assert "Traceback" not in proc.stderr and not path.exists()
+        start = time.perf_counter()
+        assert main(["example", "ngon", f"n={n}", "-o", str(path)]) == 3
+        assert time.perf_counter() - start < 0.1
+    capsys.readouterr()
 
 
 def test_example_default_output_name(tmp_path):

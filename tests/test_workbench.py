@@ -3,8 +3,13 @@
 import json
 from fractions import Fraction
 
-from degen.bundle import Bundle, GlobalL, Params, dumps, loads
-from degen.strata import Fibre
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, RegulatorDatum, dumps, loads
+from degen.lfun import RatFunc, TooLarge
+from degen.qlinalg import Mat
+from degen.strata import Fibre, build_level
 from degen.workbench import (
     build_example,
     render_text,
@@ -16,6 +21,7 @@ from degen.workbench import (
 )
 
 from fixtures import simplex_surface, with_flipped_sign
+from fraction_routes import folded_conductor
 
 
 def with_conductor(b, alpha, beta):
@@ -64,6 +70,61 @@ def test_fractional_conductor_is_inconclusive_not_wrong():
     assert line(rep, "Z.leading").verdict == "INCONCLUSIVE"
     # order statements stay decidable
     assert line(rep, "CFF.order").verdict == "PASS"
+
+
+def _outcome(b, which):
+    """The text report of ``which`` on b, or the TooLarge message that ends it."""
+    try:
+        return render_text(run_conjecture(b, which))
+    except TooLarge as exc:
+        return f"TooLarge: {exc}"
+
+
+def _poly(low_zeros):
+    """Ascending integer coefficients after ``low_zeros`` zeros, top one nonzero."""
+    return st.tuples(
+        st.lists(st.integers(-9, 9), max_size=4), st.integers(1, 9), st.sampled_from([1, -1])
+    ).map(lambda t: [0] * low_zeros + t[0] + [t[1] * t[2]])
+
+
+@st.composite
+def _conductor_bundles(draw):
+    """A zeta-fqt bundle at a drawn twist a, non-boundary or boundary, with
+    Z the example's or random (a t-power in its numerator or denominator),
+    weight w and conductor (alpha, beta), alpha an integer or a fraction."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    a = draw(st.one_of(st.integers(-3, 3), st.sampled_from([-400, 400, 1000])))
+    boundary = draw(st.booleans())
+    b = build_example("zeta-fqt", {"q": q})
+    motivic = b.motivic
+    if a != 0:
+        ambient = build_level(b.fibres["infty"], 1, a).total if boundary else 0
+        motivic = {"infty": MotivicDatum(regulator=RegulatorDatum(0, Mat.zero(ambient, 0)))}
+    shift = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        t = RatFunc.make([0] * abs(shift) + [1], [1])
+        z = b.global_l.z * t if shift >= 0 else b.global_l.z / t
+    else:
+        z = RatFunc.make(draw(_poly(max(shift, 0))), draw(_poly(max(-shift, 0))))
+    alpha = draw(st.one_of(
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-7, 7), st.sampled_from([2, 3])),
+    ))
+    conductor = (alpha, draw(st.integers(-40, 40)))
+    global_l = GlobalL(z=z, weight_w=draw(st.integers(-2, 3)), conductor=conductor)
+    params = Params(2 * a + (1 if boundary else 2), a, q)
+    return Bundle(params, b.fibres, b.places, motivic, global_l, b.integral)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conductor_bundles())
+def test_conductor_exponents_agree_with_the_folded_t_power(b):
+    # the runners keep (alpha, beta) as exponents; folding t^beta into Z as
+    # a polynomial, the route they replaced, must give the same reports and
+    # the same refusals of values too large to print
+    folded = folded_conductor(b)
+    for which in ("B1FF", "B2FF", "CFF"):
+        assert _outcome(b, which) == _outcome(folded, which), which
 
 
 def test_conductor_roundtrips_through_json():
