@@ -833,7 +833,8 @@ def _write(node, newline: str, out: list[str]) -> None:
     sort_keys=True)`` gives, for a tree of dicts, lists, strs and ints,
     where ``newline`` is a newline and the indent of the line ``node``
     starts on.  A list of only strs or only ints is joined in one step,
-    with no Python-level call per entry."""
+    with no Python-level call per entry; each distinct str in it is
+    quoted once."""
     kind = type(node)
     if kind is str:
         out.append(_quote(node))
@@ -855,7 +856,8 @@ def _write(node, newline: str, out: list[str]) -> None:
             return
         types = set(map(type, node))
         if types == {str}:
-            out += ("[", inner, sep.join(map(_quote, node)), newline, "]")
+            quoted = {x: _quote(x) for x in set(node)}
+            out += ("[", inner, sep.join(map(quoted.__getitem__, node)), newline, "]")
         elif types == {int}:
             out += ("[", inner, sep.join(map(int.__repr__, node)), newline, "]")
         else:
@@ -976,21 +978,23 @@ def _bundle_to_json(b: Bundle) -> dict:
     return data
 
 
-def _canonical(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, by ``_write``."""
+def _pieces(data) -> list[str]:
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"`` in pieces, by
+    ``_write``."""
     out: list[str] = []
     _write(data, "\n", out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def dumps(b: Bundle) -> str:
-    return _canonical(_bundle_to_json(b))
+    return "".join(_pieces(_bundle_to_json(b)))
 
 
 def save(b: Bundle, path) -> None:
-    """Write ``dumps(b)`` to ``path``; the file is opened only once the
-    text is built, so a bundle that fails to render leaves no file."""
-    text = dumps(b)
+    """Write ``dumps(b)`` to ``path`` piece by piece, with no copy of the
+    whole text; the file is opened only once every piece is rendered, so
+    a bundle that fails to render leaves no file."""
+    pieces = _pieces(_bundle_to_json(b))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(pieces)

@@ -298,8 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except _HelpRequested:
         return _write(USAGE, 0)
     except _UsageError as exc:
-        print(f"{exc.prog}: error: {exc}", file=sys.stderr)
-        return 3
+        return _complain(f"{exc.prog}: error: {exc}", 3)
 
     command = args["command"]
     try:
@@ -324,25 +323,33 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 raise AssertionError(command)
     except (ValueError, OSError) as exc:  # BundleError and DescriptorError among them
-        print(f"degen: error: {exc}", file=sys.stderr)
-        return 3
+        return _complain(f"degen: error: {exc}", 3)
 
     return _write(render_tsv(report) if args["tsv"] else render_text(report), report.exit_code)
 
 
-def _write(text: str, code: int) -> int:
-    """Write ``text`` to stdout and return ``code``.  When stdout is closed
-    or the write fails (a full disk, a closed pipe), say so on stderr and
-    return 120 instead, the code the interpreter exits with when its last
-    flush of stdout fails."""
+def _write(text: str, code: int, stream: str = "stdout") -> int:
+    """Write ``text`` to ``sys.stdout`` (or ``sys.stderr``) and return
+    ``code``.  When the stream is closed or the write fails (a full disk, a
+    closed pipe), return 120 instead, the code the interpreter exits with
+    when its last flush of a standard stream fails; a failed report says
+    so on stderr first."""
     try:
-        if sys.stdout is None:
-            raise OSError("stdout is closed")
-        sys.stdout.write(text)
+        out = getattr(sys, stream)
+        if out is None:
+            raise OSError(f"{stream} is closed")
+        out.write(text)
     except OSError as exc:
-        print(f"degen: error: cannot write to stdout: {exc}", file=sys.stderr)
+        if stream == "stdout":
+            _complain(f"degen: error: cannot write to stdout: {exc}", 120)
         return 120
     return code
+
+
+def _complain(message: str, code: int) -> int:
+    """Say ``message`` on stderr and return ``code``, or 120 when stderr
+    cannot be written."""
+    return _write(message + "\n", code, "stderr")
 
 
 def run() -> None:

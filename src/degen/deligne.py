@@ -20,9 +20,11 @@ The cycle-class side: a datum (xi, tau) is mapped into the ambient space by
 reducing xi to its canonical residue modulo the image of the one-step-lower
 i^*i_* (this makes the outcome independent of the chosen representative),
 then applying tau.  The checks need no coordinates on the quotient: a
-column lies in ker(i^*i_*) when i^*i_* kills it, and ranks in the
-quotient are ranks modulo im(gamma).  Everything is exact linear algebra
-over Q.
+column lies in ker(i^*i_*) when i^*i_* kills it, and a rank in the
+quotient is the rank of canonical residues modulo im(gamma).  A boundary
+group eliminates gamma^T once: its pivot count is rank(gamma), and its
+pivot rows give every residue the checks take.  Everything is exact
+linear algebra over Q.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .qlinalg import (
     AbGroupMap,
     Mat,
     _Record,
+    _eliminate,
+    _residues,
     _set,
     kernel_basis,
     kernel_cokernel_orders,
-    quotient_dim,
     quotient_projection,
     rank,
     residues,
@@ -59,18 +62,21 @@ class DeligneGroup(_Record):
     ``kind`` is "higher" or "boundary".  In the boundary regime ``ii`` is
     the matrix of i^*i_*, whose kernel holds the group, and the columns of
     ``modulo`` generate im(gamma); both are None in the higher regime.
+    ``_gamma_rows`` holds the forward elimination of ``modulo``
+    transposed, which ``residues`` reads; it takes no part in ``==``.
     """
 
-    __slots__ = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo", "_kernel", "_modulo_rank")
+    __slots__ = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo", "_kernel", "_gamma_rows")
     _fields = ("q", "a", "kind", "dim", "ambient_dim", "ii", "modulo")
 
     def __init__(
         self, q: int, a: int, kind: str, dim: int, ambient_dim: int,
-        ii: Mat | None, modulo: Mat | None, modulo_rank: int | None = None,
+        ii: Mat | None, modulo: Mat | None,
+        gamma_rows: tuple[list[int], list[dict[int, int]]] | None = None,
     ):
         self._assign(q, a, kind, dim, ambient_dim, ii, modulo)
         _set(self, "_kernel", None)
-        _set(self, "_modulo_rank", modulo_rank)
+        _set(self, "_gamma_rows", gamma_rows)
 
     @property
     def kernel(self) -> Mat | None:
@@ -79,16 +85,21 @@ class DeligneGroup(_Record):
             _set(self, "_kernel", kernel_basis(self.ii))
         return self._kernel
 
-    @property
-    def modulo_rank(self) -> int | None:
-        """rank(modulo), the dimension of im(gamma), taken once."""
-        if self._modulo_rank is None and self.modulo is not None:
-            _set(self, "_modulo_rank", rank(self.modulo))
-        return self._modulo_rank
-
     def contains(self, vectors: Mat) -> bool:
         """Does every column of ``vectors`` lie in ker(i^*i_*)?"""
         return (self.ii * vectors).is_zero()
+
+    def residues(self, vectors: Mat) -> Mat:
+        """The canonical residues of ambient vectors modulo im(gamma), as
+        ``qlinalg.residues(vectors, self.modulo)`` gives them; their rank
+        is that of the vectors' image in the quotient."""
+        if self.kind != "boundary":
+            raise ValueError("only the boundary presentation has ambient coordinates")
+        if vectors.rows != self.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        if self._gamma_rows is None:
+            _set(self, "_gamma_rows", _eliminate(self.modulo.transpose()))
+        return _residues(vectors, *self._gamma_rows)
 
     def coords_in_quotient(self, vectors: Mat) -> Mat | None:
         """Canonical quotient coordinates of ambient vectors, or None if
@@ -102,16 +113,12 @@ class DeligneGroup(_Record):
         return quotient_projection(solve(self.kernel, self.modulo)) * in_kernel
 
 
-def deligne_group(
-    f: Fibre, q: int, a: int, higher_chow_dim: int | None = None
-) -> DeligneGroup:
+def deligne_group(f: Fibre, q: int, a: int) -> DeligneGroup:
     """The group at (q, a); see the module docstring for the two regimes."""
     gap = q - 2 * a
     if gap > 1:
-        if higher_chow_dim is None:
-            higher_chow_dim = f.higher_chow.get((q - a - 1, q - 2 * a - 1), 0)
         return DeligneGroup(
-            q=q, a=a, kind="higher", dim=higher_chow_dim,
+            q=q, a=a, kind="higher", dim=f.higher_chow.get((q - a - 1, q - 2 * a - 1), 0),
             ambient_dim=0, ii=None, modulo=None,
         )
     if gap == 1:
@@ -119,10 +126,10 @@ def deligne_group(
         ii = ii_map(f, a)
         g = gamma(f, 2, a - 1) if a >= 1 else Mat.zero(ambient, 0)
         require_identity(f, "ii.gamma", 2, a - 1)
-        g_rank = rank(g)
+        gamma_rows = _eliminate(g.transpose())
         return DeligneGroup(
-            q=q, a=a, kind="boundary", dim=ambient - rank(ii) - g_rank,
-            ambient_dim=ambient, ii=ii, modulo=g, modulo_rank=g_rank,
+            q=q, a=a, kind="boundary", dim=ambient - rank(ii) - len(gamma_rows[0]),
+            ambient_dim=ambient, ii=ii, modulo=g, gamma_rows=gamma_rows,
         )
     raise DescriptorError(
         f"(q, a) = ({q}, {a}) lies outside the supported range q - 2a >= 1"
@@ -205,7 +212,7 @@ def conjecture_A_check(
             blocks.append(m)
     combined = Mat.hstack(blocks) if blocks else Mat.zero(g.ambient_dim, 0)
     in_kernel = g.contains(combined)
-    achieved = quotient_dim(combined, g.modulo, g.modulo_rank) if in_kernel else -1
+    achieved = rank(g.residues(combined)) if in_kernel else -1
     return ConjectureAResult(
         kind="A2",
         dim=g.dim,

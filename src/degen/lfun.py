@@ -257,23 +257,6 @@ class RatFunc(_Record):
             _scaled(self._b * other._b, _mul(self._d, other._d)),
         )
 
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunc.make(
-            _scaled(self._a * other._b, _mul(self._n, other._d)),
-            _scaled(self._b * other._a, _mul(self._d, other._n)),
-        )
-
-    def __repr__(self) -> str:
-        def side(texts):
-            return "+".join(
-                f"{c}t^{k}" if k else c for k, c in enumerate(texts) if c != "0"
-            ) or "0"
-
-        num, den = self._texts()
-        return f"RatFunc({side(num)})/({side(den)})"
-
 
 # A rendered coefficient has at most this many bits in its numerator and
 # in its denominator, so at most 4215 decimal digits each: below the 4300

@@ -139,8 +139,7 @@ class TwistRow(_Record):
 def total_rows(f: Fibre, star: int) -> TwistRow:
     """Realize the star-th row as an explicit cochain complex, once per
     fibre and star; a row whose identities fail is not kept."""
-    # kept on the fibre's index, made here on first use
-    rows: dict[int, TwistRow] = vars(_index(f)).setdefault("twist_rows", {})
+    rows: dict[int, TwistRow] = _index(f).twist_rows
     row = rows.get(star)
     if row is None:
         row = rows[star] = _build_row(f, star)

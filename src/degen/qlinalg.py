@@ -14,19 +14,22 @@ as the text of a rational; ``entries`` is a dense ``Fraction`` view, built
 on demand, and the only place this module builds a Fraction.
 
 One assembler, ``_placed``, builds every matrix made of other matrices:
-``hstack``, ``vstack``, ``block``, ``+`` and ``-`` work out where their
-operands go and hand it signed blocks at offsets, which it sums over the
-lcm of their denominators.  Its cost follows the nonzeros of the blocks,
-not the size of the grid they sit in.
+``hstack``, ``block`` and ``+`` work out where their operands go and
+hand it signed blocks at offsets, which it sums over the lcm of their
+denominators.  Its cost follows the nonzeros of the blocks, not the size
+of the grid they sit in.
 
 Rank, reduced row echelon form, kernels, solving, quotient projections
 and residues modulo a span all go through one fraction-free sparse
-elimination (``_eliminate``).  Columns are taken left to right.  The
-pivot is the sparsest remaining row with a nonzero in the column, only
-rows with a nonzero there are updated, and every updated row is divided
-by its content (the gcd of its entries), so coefficients stay as small
-as the row space allows.  The reduced row echelon form of a matrix is
-unique, so every basis and every coordinate system read off it is
+forward elimination (``_eliminate``), which takes no options.  Columns
+are taken left to right.  The pivot is the sparsest remaining row with a
+nonzero in the column, only rows with a nonzero there are updated, and
+every updated row is divided by its content (the gcd of its entries), so
+coefficients stay as small as the row space allows.  Rank counts the
+pivot rows, and residues clear pivot columns with them as they are;
+rref, kernels and solving back-substitute them (``_reduced_rows``).  The
+reduced row echelon form of a matrix and the residue of a vector are
+unique, so every basis and every coordinate system read off them is
 canonical: the same input always yields the identical output object.
 
 Integer matrices (plain nested lists/tuples of int) get the diagonal of
@@ -51,7 +54,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "quotient_projection",
-    "quotient_dim",
     "residues",
     "SmithForm",
     "smith_normal_form",
@@ -250,16 +252,6 @@ class Mat(_Record):
         return Mat.block([blocks], [r], [b.cols for b in blocks])
 
     @staticmethod
-    def vstack(blocks: Sequence["Mat"]) -> "Mat":
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("vstack of nothing")
-        c = blocks[0].cols
-        if any(b.cols != c for b in blocks):
-            raise ValueError("vstack: column counts differ")
-        return Mat.block([[b] for b in blocks], [b.rows for b in blocks], [c])
-
-    @staticmethod
     def block(grid: Sequence[Sequence["Mat | None"]], row_dims: Sequence[int], col_dims: Sequence[int]) -> "Mat":
         """Assemble from a grid of optional blocks; ``None`` means a zero block.
 
@@ -303,9 +295,6 @@ class Mat(_Record):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         return _placed(self.rows, self.cols, [(0, 0, self, 1), (0, 0, other, 1)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + -other
 
     def __neg__(self) -> "Mat":
         return Mat(
@@ -420,25 +409,23 @@ def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> int:
     return mp
 
 
-def _eliminate(
-    m: Mat, reduce: bool, limit: int | None = None
-) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
-    """Fraction-free sparse elimination on the integer rows of ``m``.
+def _eliminate(m: Mat) -> tuple[list[int], list[dict[int, int]]]:
+    """Fraction-free sparse forward elimination on the integer rows of ``m``.
 
-    Columns before ``limit`` (default: all) are taken left to right.  The
-    pivot of a column is the sparsest remaining row with a nonzero there,
-    earliest on ties; every other remaining row with a nonzero there, and
-    with ``reduce`` every earlier pivot row too, is combined with it to
-    clear the column and divided by its content.  Returns the pivot
-    columns, the pivot rows (primitive integer rows as column -> value
-    dicts; with ``reduce`` each is zero at every other pivot column, so
-    it is its reduced echelon row times its pivot entry), and the
-    remaining nonzero rows, which live at or past ``limit``.
+    Columns are taken left to right.  The pivot of a column is the
+    sparsest remaining row with a nonzero there, earliest on ties; every
+    other remaining row with a nonzero there is combined with it to clear
+    the column and divided by its content.  Returns the pivot columns and
+    the pivot rows: primitive integer rows as column -> value dicts, each
+    zero before its pivot column, so an echelon basis of the row space.
+    Rank counts them, ``_residues`` clears columns with them as they are,
+    and ``_reduced_rows`` back-substitutes them for rref, kernels and
+    solving.
     """
     active = [_primitive(dict(row)) for row in m._data if row]
     pivots: list[int] = []
     done: list[dict[int, int]] = []
-    for c in range(m.cols if limit is None else limit):
+    for c in range(m.cols):
         if not active:
             break
         hits = [i for i, row in enumerate(active) if c in row]
@@ -447,40 +434,51 @@ def _eliminate(
         k = min(hits, key=lambda i: len(active[i]))
         prow = active[k]
         p = prow[c]
-        touched = [active[i] for i in hits if i != k]
-        if reduce:
-            touched += [row for row in done if c in row]
-        for row in touched:
-            _cancel(row, prow, c, p)
-            if row:
-                _primitive(row)
+        for i in hits:
+            row = active[i]
+            if row is not prow:
+                _cancel(row, prow, c, p)
+                if row:
+                    _primitive(row)
         active = [row for i, row in enumerate(active) if i != k and row]
         pivots.append(c)
         done.append(prow)
-    return pivots, done, active
+    return pivots, done
 
 
-def _over_pivots(done: list[dict[int, int]], pivots: list[int]) -> tuple[int, list[dict[int, int]]]:
-    """A common denominator for the rows divided by their pivot entries,
-    and the numerators over it: each returned row holds the denominator
-    at its pivot."""
+def _reduced_rows(m: Mat) -> tuple[list[int], int, list[dict[int, int]]]:
+    """The reduced row echelon form of ``m``: its pivot columns, a common
+    denominator, and the numerator rows over it, each holding the
+    denominator at its pivot.
+
+    ``_eliminate``'s pivot rows are back-substituted bottom up: each one,
+    already zero at every later pivot column, clears its own column from
+    the rows above it, which are divided by their content again.
+    """
+    pivots, done = _eliminate(m)
+    for k in range(len(done) - 1, 0, -1):
+        c, prow = pivots[k], done[k]
+        p = prow[c]
+        for row in done[:k]:
+            if c in row:
+                _cancel(row, prow, c, p)
+                _primitive(row)
     den = 1
     for row, p in zip(done, pivots):
         den = lcm(den, row[p])
-    return den, [
+    return pivots, den, [
         {j: x * (den // row[p]) for j, x in row.items()} for row, p in zip(done, pivots)
     ]
 
 
 def rank(m: Mat) -> int:
     """Rank over Q."""
-    return len(_eliminate(m, reduce=False)[0])
+    return len(_eliminate(m)[0])
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    pivots, done, _ = _eliminate(m, reduce=True)
-    den, rows = _over_pivots(done, pivots)
+    pivots, den, rows = _reduced_rows(m)
     data = [tuple(sorted(row.items())) for row in rows]
     data += [()] * (m.rows - len(data))
     return _reduced(m.rows, m.cols, den, tuple(data)), tuple(pivots)
@@ -492,8 +490,7 @@ def kernel_basis(m: Mat) -> Mat:
     The basis vector for free column f has entry 1 at f and the negated
     reduced column above the pivots, the standard echelon-form kernel.
     """
-    pivots, done, _ = _eliminate(m, reduce=True)
-    den, rows = _over_pivots(done, pivots)
+    pivots, den, rows = _reduced_rows(m)
     pivset = set(pivots)
     free = {f: k for k, f in enumerate(j for j in range(m.cols) if j not in pivset)}
     data: list[Row] = [()] * m.cols
@@ -507,15 +504,16 @@ def kernel_basis(m: Mat) -> Mat:
 def solve(a: Mat, b: Mat) -> Mat | None:
     """One rational solution of a X = b (columnwise), or None if inconsistent.
 
-    Free variables are set to zero, so the solution is canonical.
+    ``[a | b]`` is reduced over all its columns; the system is
+    inconsistent exactly when a pivot lands in b's columns.  Free
+    variables are set to zero, so the solution is canonical.
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch in solve")
     n = a.cols
-    pivots, done, rest = _eliminate(Mat.hstack([a, b]), reduce=True, limit=n)
-    if rest:
+    pivots, den, rows = _reduced_rows(Mat.hstack([a, b]))
+    if pivots and pivots[-1] >= n:
         return None
-    den, rows = _over_pivots(done, pivots)
     data: list[Row] = [()] * n
     for p, row in zip(pivots, rows):
         data[p] = tuple((j - n, x) for j, x in sorted(row.items()) if j >= n)
@@ -534,28 +532,9 @@ def quotient_projection(modulo: Mat) -> Mat:
     return kernel_basis(modulo.transpose()).transpose()
 
 
-def quotient_dim(vectors: Mat, modulo: Mat, modulo_rank: int | None = None) -> int:
-    """Dimension of the image of span(vectors) in the quotient by
-    span(modulo); pass ``modulo_rank`` when rank(modulo) is known."""
-    if vectors.rows != modulo.rows:
-        raise ValueError("ambient dimensions differ")
-    if modulo_rank is None:
-        modulo_rank = rank(modulo)
-    return rank(Mat.hstack([modulo, vectors])) - modulo_rank
-
-
-def residues(vectors: Mat, modulo: Mat) -> Mat:
-    """The canonical representative of each column of ``vectors`` modulo
-    the column span of ``modulo``: the one vector of its coset that is zero
-    at every pivot column of the echelon form of that span.
-
-    One forward elimination of ``modulo`` transposed gives the pivot rows;
-    each is zero at every earlier pivot, so clearing the pivots of a column
-    in increasing order leaves the cleared ones zero.
-    """
-    if vectors.rows != modulo.rows:
-        raise ValueError("ambient dimensions differ")
-    pivots, done, _ = _eliminate(modulo.transpose(), reduce=False)
+def _residues(vectors: Mat, pivots: list[int], done: list[dict[int, int]]) -> Mat:
+    """``residues`` of ``vectors`` modulo the span whose transpose
+    ``_eliminate`` gave ``pivots`` and ``done``."""
     cols = []  # (integer column, its scale): the residue is column / (scale * den)
     for col in vectors.transpose()._data:
         v = dict(col)
@@ -567,6 +546,22 @@ def residues(vectors: Mat, modulo: Mat) -> Mat:
     den = lcm(*[s for _, s in cols])
     data = tuple(tuple(sorted((j, x * (den // s)) for j, x in v.items())) for v, s in cols)
     return _reduced(vectors.cols, vectors.rows, vectors._den * den, data).transpose()
+
+
+def residues(vectors: Mat, modulo: Mat) -> Mat:
+    """The canonical representative of each column of ``vectors`` modulo
+    the column span of ``modulo``: the one vector of its coset that is zero
+    at every pivot column of the echelon form of that span.
+
+    One forward elimination of ``modulo`` transposed gives the pivot rows;
+    each is zero before its pivot, so clearing the pivots of a column in
+    increasing order leaves the cleared ones zero.  The rank of the
+    residues is the dimension of the image of span(vectors) in the
+    quotient by span(modulo).
+    """
+    if vectors.rows != modulo.rows:
+        raise ValueError("ambient dimensions differ")
+    return _residues(vectors, *_eliminate(modulo.transpose()))
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,7 @@ class _FibreIndex:
         self.spaces: dict[tuple[int, int, int], GradedSpace] = {}
         self.maps: dict[tuple[str, int, int, int], Mat] = {}
         self.verdicts: dict[tuple[str, int, int, int], bool] = {}
+        self.twist_rows: dict = {}  # star -> monodromy.TwistRow, kept by total_rows
 
 
 def _index(f: Fibre) -> _FibreIndex:

@@ -31,7 +31,7 @@ from .lfun import (
     strip_S,
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
-from .qlinalg import Mat, _ratio_text, _Record, quotient_dim, rank
+from .qlinalg import Mat, _ratio_text, _Record, rank
 from .strata import Fibre, validate
 
 __all__ = [
@@ -340,21 +340,20 @@ def _run_B2(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
             else "b_rank must be shared",
         )
     else:
-        # block-diagonal regulator columns, then the stacked cycle columns,
-        # ranked modulo the block-diagonal im(gamma)
+        # block-diagonal regulator columns, then the stacked cycle columns;
+        # im(gamma) is block-diagonal too, so each place's rows are taken
+        # modulo its own im(gamma)
         n = len(places)
-        ambient = [g.ambient_dim for g, _, _ in places]
         combined = Mat.block(
-            [[reg if k == i else None for k in range(n)] + [cyc] for i, (_, reg, cyc) in enumerate(places)],
-            ambient, [reg.cols for _, reg, _ in places] + [b_rank],
-        )
-        modulo = Mat.block(
-            [[g.modulo if k == i else None for k in range(n)] for i, (g, _, _) in enumerate(places)],
-            ambient, [g.modulo.cols for g, _, _ in places],
+            [
+                [g.residues(reg) if k == i else None for k in range(n)]
+                + [None if cyc is None else g.residues(cyc)]
+                for i, (g, reg, cyc) in enumerate(places)
+            ],
+            [g.ambient_dim for g, _, _ in places], [reg.cols for _, reg, _ in places] + [b_rank],
         )
         total_dim = sum(g.dim for g, _, _ in places)
-        gamma_rank = sum(g.modulo_rank for g, _, _ in places)
-        achieved = quotient_dim(combined, modulo, gamma_rank)
+        achieved = rank(combined)
         map_line = ReportLine(
             "B2FF.map", "-", _verdict(combined.cols == total_dim and achieved == total_dim),
             f"rank={achieved} of {total_dim}x{combined.cols}",

@@ -259,13 +259,14 @@ def fraction_rational(value):
 
 def folded_conductor(b: Bundle) -> Bundle:
     """``b`` with its conductor's t^beta multiplied into Z as a polynomial,
-    z * t^beta or z / t^-beta through ``RatFunc.make``, and (alpha, 0)
-    left as the conductor, for the q-power to scale leading values."""
+    z * t^beta or z * (1 / t^-beta) through ``RatFunc.make``, and
+    (alpha, 0) left as the conductor, for the q-power to scale leading
+    values."""
     g = b.global_l
     if g is None or g.conductor is None:
         return b
     alpha, beta = g.conductor
-    t = RatFunc.make([0] * abs(beta) + [1], [1])
-    z = g.z * t if beta >= 0 else g.z / t
+    power = [0] * abs(beta) + [1]
+    z = g.z * (RatFunc.make(power, [1]) if beta >= 0 else RatFunc.make([1], power))
     global_l = GlobalL(z=z, weight_w=g.weight_w, conductor=(alpha, 0))
     return Bundle(b.params, b.fibres, b.places, b.motivic, global_l, b.integral)

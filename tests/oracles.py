@@ -17,13 +17,17 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from degen.qlinalg import (
     AbGroupMap,
     FPAbelianGroup,
     Mat,
+    Row,
     SmithForm,
+    _cancel,
+    _primitive,
+    _reduced,
     rank,
     solve,
 )
@@ -166,6 +170,103 @@ def residue_reduction(modulo: Mat) -> Mat:
         for i in range(n):
             out[i][p] -= row[i]
     return Mat.from_rows(out, cols=n)
+
+
+# ---------------------------------------------------------------------------
+# The sparse elimination that reduced inside its forward loop: the
+# ``_eliminate(m, reduce, limit)`` that ``degen.qlinalg`` replaced by a
+# flag-free forward pass plus back-substitution, with rref, kernels,
+# solving and residues on top of it as they were.  The library must give
+# the identical Mats.
+
+
+def flagged_eliminate(
+    m: Mat, reduce: bool, limit: int | None = None
+) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """Columns before ``limit`` (default: all) left to right, the sparsest
+    row as pivot; with ``reduce`` every earlier pivot row is cleared at
+    the new pivot column as well.  Returns the pivot columns, the pivot
+    rows and the remaining nonzero rows."""
+    active = [_primitive(dict(row)) for row in m._data if row]
+    pivots: list[int] = []
+    done: list[dict[int, int]] = []
+    for c in range(m.cols if limit is None else limit):
+        if not active:
+            break
+        hits = [i for i, row in enumerate(active) if c in row]
+        if not hits:
+            continue
+        k = min(hits, key=lambda i: len(active[i]))
+        prow = active[k]
+        p = prow[c]
+        touched = [active[i] for i in hits if i != k]
+        if reduce:
+            touched += [row for row in done if c in row]
+        for row in touched:
+            _cancel(row, prow, c, p)
+            if row:
+                _primitive(row)
+        active = [row for i, row in enumerate(active) if i != k and row]
+        pivots.append(c)
+        done.append(prow)
+    return pivots, done, active
+
+
+def _over_pivots(done: list[dict[int, int]], pivots: list[int]) -> tuple[int, list[dict[int, int]]]:
+    den = 1
+    for row, p in zip(done, pivots):
+        den = lcm(den, row[p])
+    return den, [
+        {j: x * (den // row[p]) for j, x in row.items()} for row, p in zip(done, pivots)
+    ]
+
+
+def flagged_rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    pivots, done, _ = flagged_eliminate(m, reduce=True)
+    den, rows = _over_pivots(done, pivots)
+    data = [tuple(sorted(row.items())) for row in rows]
+    data += [()] * (m.rows - len(data))
+    return _reduced(m.rows, m.cols, den, tuple(data)), tuple(pivots)
+
+
+def flagged_kernel_basis(m: Mat) -> Mat:
+    pivots, done, _ = flagged_eliminate(m, reduce=True)
+    den, rows = _over_pivots(done, pivots)
+    pivset = set(pivots)
+    free = {f: k for k, f in enumerate(j for j in range(m.cols) if j not in pivset)}
+    data: list[Row] = [()] * m.cols
+    for f, k in free.items():
+        data[f] = ((k, den),)
+    for p, row in zip(pivots, rows):
+        data[p] = tuple((free[j], -x) for j, x in sorted(row.items()) if j != p)
+    return _reduced(m.cols, len(free), den, tuple(data))
+
+
+def flagged_solve(a: Mat, b: Mat) -> Mat | None:
+    n = a.cols
+    pivots, done, rest = flagged_eliminate(Mat.hstack([a, b]), reduce=True, limit=n)
+    if rest:
+        return None
+    den, rows = _over_pivots(done, pivots)
+    data: list[Row] = [()] * n
+    for p, row in zip(pivots, rows):
+        data[p] = tuple((j - n, x) for j, x in sorted(row.items()) if j >= n)
+    return _reduced(n, b.cols, den, tuple(data))
+
+
+def flagged_residues(vectors: Mat, modulo: Mat) -> Mat:
+    pivots, done, _ = flagged_eliminate(modulo.transpose(), reduce=False)
+    cols = []
+    for col in vectors.transpose()._data:
+        v = dict(col)
+        scale = 1
+        for c, prow in zip(pivots, done):
+            if c in v:
+                scale *= _cancel(v, prow, c, prow[c])
+        cols.append((v, scale))
+    den = lcm(*[s for _, s in cols])
+    data = tuple(tuple(sorted((j, x * (den // s)) for j, x in v.items())) for v, s in cols)
+    return _reduced(vectors.cols, vectors.rows, vectors._den * den, data).transpose()
 
 
 def det_int(m: list[list[int]]) -> int:
@@ -488,6 +589,15 @@ def frac_gcd(a: FPoly, b: FPoly) -> FPoly:
     return tuple(c / a[-1] for c in a)
 
 
+def ratfunc_div(f, g):
+    """f / g for ``RatFunc``s: f times the reciprocal that ``RatFunc.make``
+    builds from g's Fraction coefficients, so ZeroDivisionError when g is
+    the zero function."""
+    from degen.lfun import RatFunc
+
+    return f * RatFunc.make(g.den, g.num)
+
+
 def frac_eval(p: FPoly, x: Fraction) -> Fraction:
     out = Fraction(0)
     for c in reversed(p):
@@ -668,11 +778,11 @@ def random_marked_ratfunc(rng: random.Random, q: int):
         e = rng.randint(-2, 2)
         lin = RatFunc.make([-t0, 1], [1])
         for _ in range(abs(e)):
-            f = f * lin if e > 0 else f / lin
+            f = f * lin if e > 0 else ratfunc_div(f, lin)
     if rng.random() < 0.5:
         f = f * RatFunc.make([Fraction(-2, 3), 1], [1])
     if rng.random() < 0.5:
-        f = f / RatFunc.make([1, 1, 1], [1])  # no roots at the markers
+        f = f * RatFunc.make([1], [1, 1, 1])  # no roots at the markers
     return f
 
 

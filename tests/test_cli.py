@@ -744,6 +744,44 @@ def test_failed_report_write_in_process(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == f"degen: error: cannot write to stdout: {why}\n" * 2
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("args", [["validate", "missing.json"], ["bogus"]])
+def test_failed_error_message_write_exits_120(tmp_path, args, unbuffered):
+    # unbuffered, the message's write fails inside main(); buffered, the
+    # last flush of stderr fails as the interpreter ends
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "degen", *args], stdout=subprocess.PIPE, stderr=fd,
+            text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 120
+    assert proc.stdout == ""
+
+
+def test_failed_error_message_write_in_process(tmp_path, monkeypatch):
+    path = write_example(tmp_path, "ngon")
+
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    for stderr in (Full(), None):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["validate", str(tmp_path / "missing.json")]) == 120
+        assert main(["bogus"]) == 120
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["validate", str(path)]) == 120
+        monkeypatch.undo()
+
+
 def test_ngon_example_past_the_file_limit_is_refused_before_it_is_built(tmp_path, capsys):
     # n = 20000 would build a 7 GB file; n = 3000 one of 158 MB that load
     # refuses as past MAX_BUNDLE_BYTES
@@ -1057,23 +1095,36 @@ def _count_rank_calls(monkeypatch):
     return calls
 
 
+def _count_gamma_eliminations(monkeypatch):
+    """Count the eliminations of gamma^T, the only ones ``deligne`` runs."""
+    from degen import deligne
+
+    calls = []
+    real = deligne._eliminate
+    monkeypatch.setattr(deligne, "_eliminate", lambda m: calls.append(m) or real(m))
+    return calls
+
+
 def test_check_a2_ranks_im_gamma_once(tmp_path, monkeypatch, capsys):
-    # rank(i^*i_*) and rank(gamma) give the dimension; the quotient rank
-    # reuses rank(gamma) and adds only the rank of [gamma | cycle classes]
+    # rank(i^*i_*) and one elimination of gamma^T give the dimension; the
+    # quotient rank reuses gamma^T's pivot rows and ranks only the residues
     path = write_example(tmp_path, "ngon")
     calls = _count_rank_calls(monkeypatch)
+    eliminations = _count_gamma_eliminations(monkeypatch)
     assert main(["check", "A2", str(path)]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 2 and len(eliminations) == 1
     capsys.readouterr()
 
 
 def test_check_b2ff_ranks_each_gamma_once(tmp_path, monkeypatch, capsys):
-    # one rank of i^*i_* and of gamma per place, then the ambient block matrix
+    # one rank of i^*i_* and one elimination of gamma^T per place, then the
+    # rank of the block matrix of residues
     path = write_example(tmp_path, "zeta-fqt")
     calls = _count_rank_calls(monkeypatch)
+    eliminations = _count_gamma_eliminations(monkeypatch)
     assert main(["check", "B2FF", str(path)]) == 0
     places = len(json.loads(path.read_text())["fibres"])
-    assert len(calls) == 2 * places + 1
+    assert len(calls) == places + 1 and len(eliminations) == places
     capsys.readouterr()
 
 

@@ -1,6 +1,8 @@
 """Deligne-group presentations, cycle classes, and the A-type rank checks."""
 
+import functools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -42,6 +44,8 @@ from oracles import (
     brute_cokernel_order,
     brute_kernel_order,
     column,
+    dense_quotient_dim,
+    flagged_residues,
     random_finite_group,
     random_group_map,
     residue_reduction,
@@ -76,7 +80,8 @@ def test_higher_regime_reads_table():
     g = deligne_group(f, 2, 0)
     assert g.kind == "higher"
     assert g.dim == 0
-    assert deligne_group(f, 2, 0, higher_chow_dim=5).dim == 5
+    object.__setattr__(f, "higher_chow", {(1, 1): 5})
+    assert deligne_group(f, 2, 0).dim == 5
 
 
 def test_higher_regime_defaults_to_zero():
@@ -127,6 +132,43 @@ def test_residues_are_idempotent():
     assert residues(r, mod) == r
     assert r == residue_reduction(mod) * vectors
     assert residues(mod, mod).is_zero()
+
+
+@functools.cache
+def boundary_groups():
+    """The boundary groups of every fixture fibre, a = 0..dim_y, built once."""
+    return tuple(
+        deligne_group(f, 2 * a + 1, a) for f in fixture_fibres() for a in range(f.dim_y + 1)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_group_residues_rank_the_quotient(data):
+    # random ambient vectors beside combinations of the gamma columns,
+    # ranked modulo im(gamma) from the rows the group eliminated once
+    groups = boundary_groups()
+    g = groups[data.draw(st.integers(0, len(groups) - 1))]
+    n, m = g.ambient_dim, g.modulo.cols
+    small = st.integers(-3, 3)
+    c = data.draw(st.integers(0, 3))
+    free = Mat.from_rows([[data.draw(small) for _ in range(c)] for _ in range(n)], cols=c)
+    k = data.draw(st.integers(0, 3))
+    mix = Mat.from_rows([[data.draw(small) for _ in range(k)] for _ in range(m)], cols=k)
+    vectors = Mat.hstack([free, g.modulo * mix])
+    got = g.residues(vectors)
+    assert got == residues(vectors, g.modulo) == flagged_residues(vectors, g.modulo)
+    assert rank(got) == dense_quotient_dim(vectors.entries, g.modulo.entries, c + k, m)
+    # a group rebuilt from its fields eliminates gamma^T on first use
+    assert pickle.loads(pickle.dumps(g)).residues(vectors) == got
+
+
+def test_group_residues_need_the_boundary_presentation():
+    g = deligne_group(generator_ngon(3, 2), 3, 1)
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        g.residues(Mat.zero(2, 1))
+    with pytest.raises(ValueError, match="boundary presentation"):
+        deligne_group(generator_ngon(3, 2), 4, 1).residues(Mat.zero(0, 1))
 
 
 def with_explicit_ii(f: Fibre, rng: random.Random) -> Fibre:
@@ -275,7 +317,9 @@ def test_conjecture_A1_good_reduction():
 
 def test_conjecture_A1_rank_mismatch():
     f = generator_ngon(3, 2)
-    g = deligne_group(f, 5, 1, higher_chow_dim=2)
+    object.__setattr__(f, "higher_chow", {(3, 2): 2})
+    g = deligne_group(f, 5, 1)
+    assert g.dim == 2
     reg = Mat.from_rows([[F(1), F(1)], [F(1), F(1)]], cols=2)
     res = conjecture_A_check(g, reg=reg)
     assert res.achieved_rank == 1

@@ -13,7 +13,6 @@ from degen.qlinalg import (
     SmithForm,
     kernel_basis,
     kernel_cokernel_orders,
-    quotient_dim,
     quotient_projection,
     rank,
     residues,
@@ -37,6 +36,10 @@ from oracles import (
     dense_solve,
     dense_transpose,
     det_int,
+    flagged_kernel_basis,
+    flagged_residues,
+    flagged_rref,
+    flagged_solve,
     in_relation_lattice,
     random_finite_group,
     random_group_map,
@@ -200,7 +203,7 @@ class TestRankKernel:
     @given(matrices())
     def test_quotient_dim_of_full_space(self, m):
         n = m.rows
-        assert quotient_dim(Mat.identity(n), m) == n - rank(m)
+        assert rank(residues(Mat.identity(n), m)) == n - rank(m)
 
 
 class TestSmith:
@@ -430,7 +433,7 @@ def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
     assert len(ga) == r and all(len(row) == k for row in ga)
     assert (a * b).entries == dense_mul(ga, gb, k, c)
     assert (a + a2).entries == dense_add(ga, ga2)
-    assert (a - a2).entries == dense_add(ga, dense_scale(ga2, -1))
+    assert (a + -a2).entries == dense_add(ga, dense_scale(ga2, -1))
     assert (-a).entries == dense_scale(ga, -1)
     assert a.scale(s).entries == dense_scale(ga, s)
     assert a.transpose().entries == dense_transpose(ga, k)
@@ -440,13 +443,13 @@ def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
     # the assemblers lay blocks of unlike denominators out on dense grids
     gab = dense_mul(ga, gb, k, c)
     assert Mat.hstack([a, a2]).entries == tuple(x + y for x, y in zip(ga, ga2))
-    assert Mat.vstack([a, a2, Mat.zero(0, k)]).entries == ga + ga2
+    assert Mat.block([[a], [a2], [Mat.zero(0, k)]], [r, r, 0], [k]).entries == ga + ga2
     zeros = (F(0),) * k
     assert Mat.block([[a, a * b], [None, b]], [r, k], [k, c]).entries == tuple(
         x + y for x, y in zip(ga, gab)
     ) + tuple(zeros + y for y in gb)
     # equality and hashing are structural on the canonical form
-    for again in (Mat.from_rows(ga, cols=k), a - Mat.zero(r, k), a.scale(3).scale(F(1, 3))):
+    for again in (Mat.from_rows(ga, cols=k), a + Mat.zero(r, k), a.scale(3).scale(F(1, 3))):
         assert again == a and hash(again) == hash(a)
     assert (a == a2) == (ga == ga2)
     assert rank(a) == dense_rank(ga, k)
@@ -454,7 +457,7 @@ def assert_matches_dense_oracle(a: Mat, b: Mat, a2: Mat, s: Fraction) -> None:
     assert (red.entries, pivots) == dense_rref(ga, k)
     assert kernel_basis(a).entries == dense_kernel_basis(ga, k)
     assert quotient_projection(a).entries == dense_quotient_projection(ga, r, k)
-    assert quotient_dim(a2, a) == dense_quotient_dim(ga2, ga, k, k)
+    assert rank(residues(a2, a)) == dense_quotient_dim(ga2, ga, k, k)
     for rhs in (a2, a * b):  # a2 may be inconsistent, a * b never is
         x = solve(a, rhs)
         want = dense_solve(ga, rhs.entries, k, rhs.cols)
@@ -516,7 +519,7 @@ class TestInternalConstructors:
         assert m == mat([[2, 0, -3], [0, 2, 0]])
         assert m == Mat.from_rows([[F(4, 2), 0, F(-3)], [0, F(6, 3), 0]])
         assert all(type(x) is int for row in m._data for _, x in row)
-        assert rank(m) == 2 and rank(m.scale(F(1, 2)) - m) == 2
+        assert rank(m) == 2 and rank(m.scale(F(1, 2)) + -m) == 2
 
     def test_placed_blocks_that_cancel_are_reduced(self):
         from degen.qlinalg import _placed
@@ -573,3 +576,48 @@ class TestResidues:
     def test_shapes_must_agree(self):
         with pytest.raises(ValueError, match="ambient dimensions differ"):
             residues(Mat.zero(3, 1), Mat.zero(2, 1))
+
+
+class TestAgainstFlaggedElimination:
+    """The forward pass plus back-substitution gives the Mats that the
+    elimination reducing inside its loop (``oracles.flagged_eliminate``)
+    gave, on sparse incidence, conjugated and dense rational inputs."""
+
+    @staticmethod
+    def assert_agree(a: Mat, x: Mat, rhs: Mat, vectors: Mat) -> None:
+        """a is r x k, x is k x c, rhs and vectors have r rows."""
+        assert rref(a) == flagged_rref(a)
+        assert kernel_basis(a) == flagged_kernel_basis(a)
+        for b in (a * x, rhs):  # consistent, then most often not
+            assert solve(a, b) == flagged_solve(a, b)
+        assert solve(a, a * x) is not None
+        assert residues(vectors, a) == flagged_residues(vectors, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rref_kernel_solve_and_residues(self, data):
+        r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+        kinds = lambda rows, cols: st.one_of(shaped(rows, cols), dense_rational(rows, cols))
+        self.assert_agree(
+            data.draw(kinds(r, k)), data.draw(kinds(k, c)), data.draw(kinds(r, c)),
+            data.draw(kinds(r, c)),
+        )
+
+    @pytest.mark.parametrize("r,k,c", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)])
+    def test_empty_shapes(self, r, k, c):
+        rng = random.Random(r * 100 + k * 10 + c)
+
+        def rand(rows, cols):
+            return Mat.from_rows(
+                [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+
+        self.assert_agree(rand(r, k), rand(k, c), rand(r, c), rand(r, c))
+
+    def test_upper_triangular_needs_back_substitution(self):
+        a = mat([[2, 1, 3], [0, 3, 1], [0, 0, 5]])
+        assert rref(a) == (Mat.identity(3), (0, 1, 2)) == flagged_rref(a)
+        b = column([1, 2, 3])
+        assert solve(a, b) == flagged_solve(a, b) and a * solve(a, b) == b
+        assert solve(mat([[1, 1], [0, 0]]), column([1, 1])) is None

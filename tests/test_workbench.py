@@ -102,8 +102,8 @@ def _conductor_bundles(draw):
         motivic = {"infty": MotivicDatum(regulator=RegulatorDatum(0, Mat.zero(ambient, 0)))}
     shift = draw(st.integers(-3, 3))
     if draw(st.booleans()):
-        t = RatFunc.make([0] * abs(shift) + [1], [1])
-        z = b.global_l.z * t if shift >= 0 else b.global_l.z / t
+        power = [0] * abs(shift) + [1]
+        z = b.global_l.z * (RatFunc.make(power, [1]) if shift >= 0 else RatFunc.make([1], power))
     else:
         z = RatFunc.make(draw(_poly(max(shift, 0))), draw(_poly(max(-shift, 0))))
     alpha = draw(st.one_of(
