@@ -25,6 +25,13 @@ quotient is the rank of canonical residues modulo im(gamma).  A boundary
 group eliminates gamma^T once: its pivot count is rank(gamma), and its
 pivot rows give every residue the checks take.  Everything is exact
 linear algebra over Q.
+
+The regulator map: ``conjecture_A_check`` takes one (group, regulator
+columns, cycle classes) triple per place.  The regulators sit
+block-diagonally, one source per place; the cycle classes are one shared
+source, their columns stacked over the places.  At one place it is the
+local statement A1/A2; over every marked place it is the global map of
+B1FF/B2FF into the sum of the v-adic groups.
 """
 
 from __future__ import annotations
@@ -163,13 +170,14 @@ def z_map(f: Fibre, a: int, cyc: CycleDatum) -> Mat:
 
 
 class ConjectureAResult(_Record):
-    __slots__ = _fields = ("kind", "dim", "expected_sources", "achieved_rank", "in_kernel")
+    """The map of ``conjecture_A_check``: the dimension of its target, its
+    source column count, its rank (-1 when the map is not defined) and
+    whether every column lands in ker(i^*i_*)."""
 
-    def __init__(
-        self, kind: str, dim: int, expected_sources: int, achieved_rank: int,
-        in_kernel: bool,
-    ):
-        self._assign(kind, dim, expected_sources, achieved_rank, in_kernel)
+    __slots__ = _fields = ("dim", "expected_sources", "achieved_rank", "in_kernel")
+
+    def __init__(self, dim: int, expected_sources: int, achieved_rank: int, in_kernel: bool):
+        self._assign(dim, expected_sources, achieved_rank, in_kernel)
 
     @property
     def ok(self) -> bool:
@@ -181,45 +189,53 @@ class ConjectureAResult(_Record):
 
 
 def conjecture_A_check(
-    g: DeligneGroup, reg: Mat | None, cycle_images: Mat | None = None
+    places: list[tuple[DeligneGroup, Mat | None, Mat | None]],
 ) -> ConjectureAResult:
-    """Is (regulator [+ cycle classes]) an isomorphism onto the group?
+    """Is the regulator map, with the cycle classes beside it, an
+    isomorphism onto the sum of the places' groups?
 
-    In the higher regime the regulator columns are abstract coordinates of
-    length dim; in the boundary regime both blocks are ambient vectors and
-    the rank is taken in the quotient presentation.
+    Each place gives (group, regulator columns or None, cycle classes or
+    None), every group at one (q, a).  The regulators sit
+    block-diagonally, a source per place.  The cycle classes are one
+    shared source: their columns are stacked over the places, so each
+    place gives as many of them (None gives none).
+
+    In the higher regime the rank is the sum of the regulator ranks, the
+    columns being abstract coordinates; cycle classes and regulator
+    heights are not read.  At the boundary every column is an ambient
+    vector; once all lie in ker(i^*i_*) the rank is that of their
+    residues, each place's rows modulo its own im(gamma).  The rank is -1
+    when a column lies outside the kernel or the cycle-class widths
+    differ: then there is no map.
     """
-    if g.kind == "higher":
-        m = reg if reg is not None else Mat.zero(g.dim, 0)
-        if m.rows != g.dim:
-            raise DescriptorError(
-                f"regulator matrix has {m.rows} rows, expected {g.dim}"
-            )
-        return ConjectureAResult(
-            kind="A1",
-            dim=g.dim,
-            expected_sources=m.cols,
-            achieved_rank=rank(m),
-            in_kernel=True,
-        )
-    blocks = []
-    for m in (reg, cycle_images):
-        if m is not None and m.cols:
-            if m.rows != g.ambient_dim:
-                raise DescriptorError(
-                    f"matrix has {m.rows} rows, expected ambient {g.ambient_dim}"
-                )
-            blocks.append(m)
-    combined = Mat.hstack(blocks) if blocks else Mat.zero(g.ambient_dim, 0)
-    in_kernel = g.contains(combined)
-    achieved = rank(g.residues(combined)) if in_kernel else -1
-    return ConjectureAResult(
-        kind="A2",
-        dim=g.dim,
-        expected_sources=combined.cols,
-        achieved_rank=achieved,
-        in_kernel=in_kernel,
+    dim = sum(g.dim for g, _, _ in places)
+    reg_cols = [_cols(reg) for _, reg, _ in places]
+    if all(g.kind == "higher" for g, _, _ in places):
+        achieved = sum(rank(reg) for _, reg, _ in places if reg is not None)
+        return ConjectureAResult(dim, sum(reg_cols), achieved, True)
+    filled = [(g, m) for g, *blocks in places for m in blocks if _cols(m)]
+    for g, m in filled:
+        if m.rows != g.ambient_dim:
+            raise DescriptorError(f"matrix has {m.rows} rows, expected ambient {g.ambient_dim}")
+    widths = {_cols(cyc) for _, _, cyc in places}
+    b_rank = max(widths)
+    in_kernel = all(g.contains(m) for g, m in filled)
+    if not in_kernel or len(widths) > 1:
+        return ConjectureAResult(dim, sum(reg_cols) + b_rank, -1, in_kernel)
+    n = len(places)
+    combined = Mat.block(
+        [
+            [g.residues(reg) if k == i and reg_cols[i] else None for k in range(n)]
+            + [g.residues(cyc) if b_rank else None]
+            for i, (g, reg, cyc) in enumerate(places)
+        ],
+        [g.ambient_dim for g, _, _ in places], reg_cols + [b_rank],
     )
+    return ConjectureAResult(dim, combined.cols, rank(combined), True)
+
+
+def _cols(m: Mat | None) -> int:
+    return m.cols if m is not None else 0
 
 
 def integral_orders(f_map: AbGroupMap) -> tuple[int | None, int | None]:

@@ -229,26 +229,24 @@ def build_C(f: Fibre, star: int) -> CochainComplex:
 
 
 class QuasiIsoResult(_Record):
-    __slots__ = _fields = ("star", "focus_q", "cone_cohomology", "small_cohomology")
+    __slots__ = _fields = ("star", "cone_cohomology", "small_cohomology")
 
     def __init__(
-        self, star: int, focus_q: int, cone_cohomology: dict[int, int],
-        small_cohomology: dict[int, int],
+        self, star: int, cone_cohomology: dict[int, int], small_cohomology: dict[int, int],
     ):
-        self._assign(star, focus_q, cone_cohomology, small_cohomology)
+        self._assign(star, cone_cohomology, small_cohomology)
 
     @property
     def ok(self) -> bool:
         return self.cone_cohomology == self.small_cohomology
 
 
-def check_quasi_iso(f: Fibre, q: int, star: int) -> QuasiIsoResult:
+def check_quasi_iso(f: Fibre, star: int) -> QuasiIsoResult:
     """Compare cohomology of Cone(N) with the explicit small complex."""
     cone = cone_of_N(total_rows(f, star), total_rows(f, star - 1))
     small = build_C(f, star)
     return QuasiIsoResult(
         star=star,
-        focus_q=q,
         cone_cohomology=cohomology_dims(cone),
         small_cohomology=cohomology_dims(small),
     )

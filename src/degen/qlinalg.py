@@ -571,7 +571,13 @@ IntMatrix = list[list[int]]
 
 
 def _as_int_matrix(m, rows: int | None = None, cols: int | None = None) -> list[list[int]]:
-    out = [list(map(int, row)) for row in m]
+    """The rows of ``m`` as lists; an entry that is not an int (a bool, a
+    float, a Fraction) is a ValueError naming its row and column."""
+    out = [list(row) for row in m]
+    for i, row in enumerate(out):
+        if not {*map(type, row)} <= {int}:
+            j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
+            raise ValueError(f"integer matrix entry ({i}, {j}) is {x!r}, not an int")
     if rows is not None and len(out) != rows:
         raise ValueError("integer matrix has wrong number of rows")
     if out and cols is not None and any(len(r) != cols for r in out):

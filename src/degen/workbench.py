@@ -13,8 +13,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import gcd
 
-from .bundle import MAX_BUNDLE_BYTES, Bundle, GlobalL, MotivicDatum, Place
+from .bundle import MAX_BUNDLE_BYTES, Bundle, GlobalL, MotivicDatum, Params, Place, RegulatorDatum
 from .deligne import (
+    ConjectureAResult,
+    CycleDatum,
     DeligneGroup,
     conjecture_A_check,
     deligne_group,
@@ -31,8 +33,8 @@ from .lfun import (
     strip_S,
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
-from .qlinalg import Mat, _ratio_text, _Record, rank
-from .strata import Fibre, validate
+from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _ratio_text, _Record
+from .strata import DescriptorError, Fibre, generator_ngon, generator_smooth, validate
 
 __all__ = [
     "ReportLine",
@@ -170,20 +172,26 @@ def _gap(b: Bundle) -> int:
     return b.params.q_coh - 2 * b.params.a
 
 
-def _reg_matrix(m: MotivicDatum) -> Mat | None:
-    return m.regulator.matrix if m.regulator is not None else None
-
-
 def _groups(b: Bundle) -> Iterator[tuple[str, DeligneGroup]]:
     """(place, Deligne group at the bundle's (q, a)), places in sorted order."""
     for name in sorted(b.fibres):
         yield name, deligne_group(b.fibres[name], b.params.q_coh, b.params.a)
 
 
-def _cycles(b: Bundle, name: str) -> Mat | None:
-    """The ambient cycle classes at a place, None without a cycle class."""
-    cyc = b.motivic[name].cycle_class
-    return z_map(b.fibres[name], b.params.a, cyc) if cyc is not None else None
+def _local(b: Bundle, name: str, g: DeligneGroup) -> tuple[DeligneGroup, Mat | None, Mat | None]:
+    """A place's input to ``conjecture_A_check``: its group, regulator
+    columns and ambient cycle classes, None where the place has none;
+    cycle classes enter at the boundary twist only."""
+    m = b.motivic[name]
+    reg = m.regulator.matrix if m.regulator is not None else None
+    cyc = m.cycle_class
+    if cyc is None or _gap(b) != 1:
+        return g, reg, None
+    return g, reg, z_map(b.fibres[name], b.params.a, cyc)
+
+
+def _map_value(res: ConjectureAResult) -> str:
+    return f"rank={res.achieved_rank} of {res.dim}x{res.expected_sources}"
 
 
 def _run_A(b: Bundle, which: str) -> CheckReport:
@@ -199,8 +207,10 @@ def _run_A(b: Bundle, which: str) -> CheckReport:
                 ReportLine(which, name, INCONCLUSIVE, f"dim={g.dim}, no motivic data")
             )
             continue
-        cycles = _cycles(b, name) if boundary else None
-        res = conjecture_A_check(g, _reg_matrix(b.motivic[name]), cycles)
+        g, reg, cycles = _local(b, name, g)
+        if not boundary and reg is not None and reg.rows != g.dim:
+            raise DescriptorError(f"regulator matrix has {reg.rows} rows, expected {g.dim}")
+        res = conjecture_A_check([(g, reg, cycles)])
         if not res.in_kernel:
             value = "cycle classes do not land in ker(i^*i_*)"
         else:
@@ -302,62 +312,29 @@ def _global(b: Bundle, which: str) -> CheckReport | tuple[RatFunc, int]:
 
 
 def _run_B1(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
-    total_dim = sum(g.dim for _, g in _groups(b))
-    total_rank = _motivic_rank(b)
-    achieved = sum(rank(m.regulator.matrix) for m in b.motivic.values() if m.regulator is not None)
+    res = conjecture_A_check([_local(b, name, g) for name, g in _groups(b)])
     return [
-        _order_line("B1FF.order", order, total_rank),
-        ReportLine(
-            "B1FF.regulator", "-",
-            _verdict(total_rank == total_dim and achieved == total_dim),
-            f"rank={achieved} of {total_dim}x{total_rank}",
-        ),
+        _order_line("B1FF.order", order, _motivic_rank(b)),
+        ReportLine("B1FF.regulator", "-", _verdict(res.ok), _map_value(res)),
         _leading_line("B1FF.leading", b, lam, lambda lead: _verdict(lead.logpow == order)),
         _fe_line("B1FF", b.global_l, b.params.field_q),
     ]
 
 
 def _run_B2(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
-    places = []  # (group, regulator columns, cycle columns or None) per place
-    for name, g in _groups(b):
-        reg = _reg_matrix(b.motivic[name])
-        places.append((g, reg if reg is not None else Mat.zero(g.ambient_dim, 0), _cycles(b, name)))
-
+    res = conjecture_A_check([_local(b, name, g) for name, g in _groups(b)])
     shared = _b_ranks(b)
-    cycles_line = ReportLine(
-        "B2FF.cycles", "-", _verdict(len(shared) == 1),
-        f"b_rank={shared[0]}" if len(shared) == 1 else f"b_rank differs: {shared}",
-    )
     b_rank = shared[0] if len(shared) == 1 else None
-
-    in_kernel = all(
-        g.contains(reg) and (cyc is None or g.contains(cyc)) for g, reg, cyc in places
+    cycles_line = ReportLine(
+        "B2FF.cycles", "-", _verdict(b_rank is not None),
+        f"b_rank={b_rank}" if b_rank is not None else f"b_rank differs: {shared}",
     )
-    if not in_kernel or b_rank is None:
-        map_line = ReportLine(
-            "B2FF.map", "-", FAIL,
-            "cycle classes do not land in ker(i^*i_*)" if not in_kernel
-            else "b_rank must be shared",
-        )
+    if not res.in_kernel:
+        map_line = ReportLine("B2FF.map", "-", FAIL, "cycle classes do not land in ker(i^*i_*)")
+    elif b_rank is None:
+        map_line = ReportLine("B2FF.map", "-", FAIL, "b_rank must be shared")
     else:
-        # block-diagonal regulator columns, then the stacked cycle columns;
-        # im(gamma) is block-diagonal too, so each place's rows are taken
-        # modulo its own im(gamma)
-        n = len(places)
-        combined = Mat.block(
-            [
-                [g.residues(reg) if k == i else None for k in range(n)]
-                + [None if cyc is None else g.residues(cyc)]
-                for i, (g, reg, cyc) in enumerate(places)
-            ],
-            [g.ambient_dim for g, _, _ in places], [reg.cols for _, reg, _ in places] + [b_rank],
-        )
-        total_dim = sum(g.dim for g, _, _ in places)
-        achieved = rank(combined)
-        map_line = ReportLine(
-            "B2FF.map", "-", _verdict(combined.cols == total_dim and achieved == total_dim),
-            f"rank={achieved} of {total_dim}x{combined.cols}",
-        )
+        map_line = ReportLine("B2FF.map", "-", _verdict(res.ok), _map_value(res))
 
     return [
         _order_line("B2FF.order_a", order, _motivic_rank(b)),
@@ -438,12 +415,11 @@ def run_complex(b: Bundle, q: int | None = None, star: int | None = None) -> Che
 
 def run_quasi_iso(b: Bundle, star: int | None = None) -> CheckReport:
     lines = []
-    q = b.params.q_coh
     for name in sorted(b.fibres):
         f = b.fibres[name]
         stars = [star] if star is not None else list(range(0, f.dim_y + 3))
         for s in stars:
-            res = check_quasi_iso(f, q, s)
+            res = check_quasi_iso(f, s)
             if res.ok:
                 coh = ",".join(
                     f"{m}:{d}" for m, d in sorted(res.small_cohomology.items())
@@ -463,11 +439,6 @@ def run_quasi_iso(b: Bundle, star: int | None = None) -> CheckReport:
 
 
 def _example_zeta(q: int) -> Bundle:
-    from .bundle import Params, RegulatorDatum
-    from .deligne import CycleDatum
-    from .qlinalg import AbGroupMap, FPAbelianGroup
-    from .strata import generator_smooth
-
     fibre = generator_smooth({(0, 0): 1}, 0, q)
     place = Place(deg_v=1, frob=Mat.identity(1))
     motivic = MotivicDatum(
@@ -500,10 +471,6 @@ MAX_NGON_N = 2760
 
 
 def _example_ngon(n: int, q: int) -> Bundle:
-    from .bundle import Params, RegulatorDatum
-    from .deligne import CycleDatum
-    from .strata import generator_ngon
-
     if n > MAX_NGON_N:
         raise ValueError(
             f"example 'ngon': n = {n} would write more than the {MAX_BUNDLE_BYTES} bytes "
@@ -525,8 +492,6 @@ def _example_ngon(n: int, q: int) -> Bundle:
 
 
 def _example_smooth_ec(a_v: int, q: int) -> Bundle:
-    from .bundle import Params, RegulatorDatum
-
     fibre = Fibre(
         components=1,
         dim_y=1,

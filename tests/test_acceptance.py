@@ -111,7 +111,7 @@ def test_criterion_04_validate_and_rows_on_random_descriptors():
 def test_criterion_05_quasi_isomorphism_window():
     for n in range(2, 7):
         for star in range(0, 4):
-            res = check_quasi_iso(generator_ngon(n, 2), 3, star)
+            res = check_quasi_iso(generator_ngon(n, 2), star)
             assert res.ok, (n, star, res)
     smooths = [
         generator_smooth({(0, 0): 1}, 0, 2),
@@ -120,7 +120,7 @@ def test_criterion_05_quasi_isomorphism_window():
     ]
     for f in smooths:
         for star in range(0, f.dim_y + 3):
-            assert check_quasi_iso(f, 2 * star + 1, star).ok, (f.dim_y, star)
+            assert check_quasi_iso(f, star).ok, (f.dim_y, star)
     # same sweep through the bundle-level runner
     b = build_example("ngon", {"n": 6, "q": 2})
     assert run_quasi_iso(b).exit_code == 0

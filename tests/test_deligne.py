@@ -273,9 +273,9 @@ def test_ngon_conjecture_A2_passes():
         g = deligne_group(f, 3, 1)
         xi = column([F(1)] + [F(0)] * (n - 1))
         z = z_map(f, 1, CycleDatum(b_rank=1, xi=xi))
-        res = conjecture_A_check(g, reg=None, cycle_images=z)
+        res = conjecture_A_check([(g, None, z)])
         assert isinstance(res, ConjectureAResult)
-        assert res.kind == "A2"
+        assert g.kind == "boundary"
         assert res.ok, res
 
 
@@ -284,7 +284,7 @@ def test_conjecture_A2_detects_rank_drop():
     g = deligne_group(f, 3, 1)
     # a class already inside im(gamma) projects to zero
     dead = gamma(f, 2, 0).columns()[0]
-    res = conjecture_A_check(g, reg=None, cycle_images=dead)
+    res = conjecture_A_check([(g, None, dead)])
     assert res.in_kernel
     assert res.achieved_rank == 0
     assert not res.ok
@@ -302,7 +302,7 @@ def test_conjecture_A2_detects_kernel_escape():
             break
     if outside is None:
         pytest.skip("every coordinate vector lies in the kernel")
-    res = conjecture_A_check(g, reg=None, cycle_images=outside)
+    res = conjecture_A_check([(g, None, outside)])
     assert not res.in_kernel
     assert not res.ok
 
@@ -310,8 +310,8 @@ def test_conjecture_A2_detects_kernel_escape():
 def test_conjecture_A1_good_reduction():
     f = generator_smooth({(0, 0): 1, (1, 0): 1}, 1, 4)
     g = deligne_group(f, 2, 0)
-    res = conjecture_A_check(g, reg=Mat.zero(0, 0))
-    assert res.kind == "A1"
+    res = conjecture_A_check([(g, Mat.zero(0, 0), None)])
+    assert g.kind == "higher"
     assert res.ok
 
 
@@ -321,7 +321,7 @@ def test_conjecture_A1_rank_mismatch():
     g = deligne_group(f, 5, 1)
     assert g.dim == 2
     reg = Mat.from_rows([[F(1), F(1)], [F(1), F(1)]], cols=2)
-    res = conjecture_A_check(g, reg=reg)
+    res = conjecture_A_check([(g, reg, None)])
     assert res.achieved_rank == 1
     assert not res.ok
 

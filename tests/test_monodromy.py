@@ -225,19 +225,19 @@ class TestSmallComplex:
         for n in range(2, 7):
             f = generator_ngon(n, 3)
             for star in range(0, f.dim_y + 3):
-                res = check_quasi_iso(f, 2 * star, star)
+                res = check_quasi_iso(f, star)
                 assert res.ok, (n, star, res)
 
     def test_quasi_iso_smooth(self):
         f = generator_smooth({(0, 0): 1, (1, 0): 2, (2, 0): 1}, dim_y=2, q_v=4)
         for star in range(0, f.dim_y + 3):
-            res = check_quasi_iso(f, 2 * star, star)
+            res = check_quasi_iso(f, star)
             assert res.ok, (star, res)
 
     def test_quasi_iso_surface_fixture(self):
         f = simplex_surface()
         for star in range(0, f.dim_y + 3):
-            res = check_quasi_iso(f, 2 * star, star)
+            res = check_quasi_iso(f, star)
             assert res.ok, (star, res)
 
     def test_triangle_euler_characteristics_match(self):
@@ -396,9 +396,9 @@ class TestOneRankOneRow:
         stars = []
         real = workbench.check_quasi_iso
 
-        def tracked(f, q, s):
+        def tracked(f, s):
             stars.append(s)
-            return real(f, q, s)
+            return real(f, s)
 
         monkeypatch.setattr(workbench, "check_quasi_iso", tracked)
         f = with_flipped_sign(self.surface(), key, kind)

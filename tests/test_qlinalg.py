@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -218,6 +219,20 @@ class TestSmith:
     def test_empty(self):
         sf = smith_normal_form([])
         assert sf.diag == ()
+
+    @pytest.mark.parametrize("build, where, entry", [
+        (lambda: FPAbelianGroup.make(1, [[Fraction(3, 2)]]), "(0, 0)", "Fraction(3, 2)"),
+        (lambda: FPAbelianGroup.make(1, [[2.9]]), "(0, 0)", "2.9"),
+        (lambda: smith_normal_form([[Fraction(1, 2), 0], [0, 2.5]]), "(0, 0)", "Fraction(1, 2)"),
+        (lambda: smith_normal_form([[2, 0], [0, 2.5]]), "(1, 1)", "2.5"),
+        (lambda: smith_normal_form([[1, True]]), "(0, 1)", "True"),
+        (lambda: AbGroupMap.make(
+            FPAbelianGroup.make(1, [[]]), FPAbelianGroup.make(1, [[]]), [[1.0]]
+        ), "(0, 0)", "1.0"),
+    ])
+    def test_non_integer_entries_are_named_not_truncated(self, build, where, entry):
+        with pytest.raises(ValueError, match=rf"entry {re.escape(where)} is {re.escape(entry)}, not an int"):
+            build()
 
     @settings(max_examples=80)
     @given(

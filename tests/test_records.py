@@ -47,12 +47,12 @@ def instances():
         "Bundle": Bundle(Params(1, 0, 13), {}),
         "DeligneGroup": DeligneGroup(2, 1, "boundary", 1, 2, m, None),
         "CycleDatum": CycleDatum(1, m),
-        "ConjectureAResult": ConjectureAResult("A2", 1, 1, 1, True),
+        "ConjectureAResult": ConjectureAResult(1, 1, 1, True),
         "LeadingValue": LeadingValue(1, F(-1, 3), 1),
         "FunctionalEquation": FunctionalEquation(1, 0, -2),
         "CochainComplex": cx,
         "TwistRow": TwistRow(1, {0: ((1, 1),)}, cx),
-        "QuasiIsoResult": QuasiIsoResult(1, 2, {0: 1}, {0: 1}),
+        "QuasiIsoResult": QuasiIsoResult(1, {0: 1}, {0: 1}),
         "SmithForm": SmithForm((), ((2,),), ((1,),)),
         "FPAbelianGroup": grp,
         "AbGroupMap": AbGroupMap.make(grp, grp, [[1]]),
@@ -85,8 +85,7 @@ REPRS = {
     ),
     "CycleDatum": "CycleDatum(b_rank=1, xi=Mat[1 2], tau=None)",
     "ConjectureAResult": (
-        "ConjectureAResult(kind='A2', dim=1, expected_sources=1, achieved_rank=1, "
-        "in_kernel=True)"
+        "ConjectureAResult(dim=1, expected_sources=1, achieved_rank=1, in_kernel=True)"
     ),
     "LeadingValue": "LeadingValue(order=1, coeff=Fraction(-1, 3), logpow=1)",
     "FunctionalEquation": "FunctionalEquation(sign=1, alpha=0, beta=-2)",
@@ -96,8 +95,7 @@ REPRS = {
         "complex=CochainComplex(dims={0: 1}, diffs={}))"
     ),
     "QuasiIsoResult": (
-        "QuasiIsoResult(star=1, focus_q=2, cone_cohomology={0: 1}, "
-        "small_cohomology={0: 1})"
+        "QuasiIsoResult(star=1, cone_cohomology={0: 1}, small_cohomology={0: 1})"
     ),
     "SmithForm": "SmithForm(u=(), d=((2,),), v=((1,),))",
     "FPAbelianGroup": "FPAbelianGroup(generators=1, relations=((2,),))",
