@@ -9,33 +9,41 @@ otherwise (n = dim_y).  Three maps act on it:
     N = identity:    (i, j, k) -> (i+2, j, k+1)     same level, shifted twist
 
 The sign rule of d' + d'' lives in ``_total_block`` (rho one level up,
--gamma one level down); ``total_rows`` and ``build_C`` take blocks from it.
-Neither multiplies out d.d: each block of it is a sign identity of the
-fibre, which they require (``strata.require_identity``).
+-gamma one level down).  No complex is multiplied out to see d.d = 0:
+each block of it is a sign identity of the fibre, which ``total_rows``
+and ``build_C`` require (``strata.require_identity``).
 
 For a fixed twist index "star", the degree-q slice along the diagonal
 (i, j) = (q - 2*star, q - n) is a cochain complex under d' + d'' (the
 "total row").  Solving the side conditions for codim p and level r, the
 row at star holds CH^p(Y^{(r)}) in degree q = 2p + r - 1 for
 max(0, star - r + 1) <= p <= star and q <= 2n + 2, so ``total_rows``
-reads it straight off the levels 1..max_level.  N is a degree-zero chain map from the row at
-star to the row at star - 1, given by identity blocks on the shared level
-summands.  The cohomology of Cone(N) computes the v-adic weight spectral
-bookkeeping, and it agrees with a short explicit complex built from gamma,
-i^*i_* and rho (check_quasi_iso verifies the agreement instance by
-instance).  Both rows take their blocks from ``_total_block``, so
-N d = d N holds block by block and is not checked.
+reads it straight off the levels 1..max_level.
+
+N is the identity on each level summand that the row A at star shares
+with the row B at star - 1 (max(0, star - r + 1) <= p <= star - 1); both
+rows take their blocks from ``_total_block``, so N d = d N block by block.
+Cone(N), A^q + B^{q-1} under (da, Na - db), holds an identity block from
+each shared A^q(r, p) to its copy in B^q.  ``cone_of_N`` cancels these
+pairs in increasing degree by the Gaussian elimination lemma (Kaczynski,
+Mrozek, Slusarek 1998; Skoldberg 2006), a homotopy equivalence: a block e
+from w to z of that degree becomes e - g.d, g from A^q(r, p) to z and d
+from w to B^q(r, p).  Blocks are kept as signed products, multiplied out
+only if they survive.  What survives is A's p = star and B's p = star - r,
+one summand a degree: C's spaces, with rho as in C, +gamma for C's -gamma
+and the hinge -gamma.rho, C's -i^*i_* when that is composed.  Maps equal
+up to sign have equal ranks, so ``check_quasi_iso`` ranks the reduced cone
+only where a space or a differential of it is not C's up to sign.
 """
 
 from __future__ import annotations
 
-from .qlinalg import Mat, _Record, rank
-from .strata import Fibre, _index, build_level, gamma, ii_map, require_identity, rho
+from .qlinalg import Mat, _placed, _Record, rank
+from .strata import Fibre, _index, build_level, composite, gamma, ii_map, require_identity, rho
 
 __all__ = [
     "CochainComplex",
     "cohomology_dims",
-    "mapping_cone",
     "TwistRow",
     "total_rows",
     "cone_of_N",
@@ -46,10 +54,8 @@ __all__ = [
 
 
 class CochainComplex(_Record):
-    """Finitely supported cochain complex; absent degrees are zero.
-
-    ``diffs[q]`` maps degree q to degree q + 1.
-    """
+    """Finitely supported cochain complex; absent degrees are zero, and
+    ``diffs[q]`` maps degree q to degree q + 1."""
 
     __slots__ = _fields = ("dims", "diffs")
 
@@ -73,27 +79,8 @@ def cohomology_dims(c: CochainComplex) -> dict[int, int]:
     """Nonzero cohomology dimensions, assuming d.d = 0 holds; each
     differential is ranked once."""
     ranks = {q: rank(d) for q, d in c.diffs.items()}
-    out = {}
-    for q in c.support():
-        h = c.dim(q) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        if h:
-            out[q] = h
-    return out
-
-
-def mapping_cone(
-    f_maps: dict[int, Mat], source: CochainComplex, target: CochainComplex
-) -> CochainComplex:
-    """Cone of a chain map f: Cone^q = A^q + B^{q-1}, D(a,b) = (da, fa - db).
-    f d = d f is taken as given; an absent degree of ``f_maps`` is zero."""
-    dims, diffs = {}, {}
-    for q in set(source.dims) | {q + 1 for q in target.dims}:
-        dims[q] = source.dim(q) + target.dim(q - 1)
-        diffs[q] = Mat.block(
-            [[source.diff(q), None], [f_maps.get(q), -target.diff(q - 1)]],
-            [source.dim(q + 1), target.dim(q)], [source.dim(q), target.dim(q - 1)],
-        )
-    return CochainComplex({q: d for q, d in dims.items() if d}, diffs)
+    h = {q: c.dim(q) - ranks.get(q, 0) - ranks.get(q - 1, 0) for q in c.support()}
+    return {q: d for q, d in h.items() if d}
 
 
 # The identity a d.d block of a twist row is, by its level gap; levels
@@ -104,14 +91,10 @@ _SMALL_IDENTITIES = {(-1, -1): "gamma.gamma", (-1, 0): "ii.gamma", (0, 1): "rho.
                      (1, 1): "rho.rho"}
 
 
-def _total_block(f: Fibre, r: int, t: int, p: int) -> Mat | None:
-    """Block of d' + d'' from CH^p at level r to level t: rho one level up,
-    -gamma one level down, None (a zero block) otherwise."""
-    if t == r + 1:
-        return rho(f, r, p)
-    if t == r - 1:
-        return -gamma(f, r, p)
-    return None
+def _total_block(f: Fibre, r: int, t: int, p: int) -> tuple[int, Mat]:
+    """Block of d' + d'' from CH^p at level r to level t as (sign, map): rho
+    one level up, -gamma one level down (levels further apart: zero)."""
+    return (1, rho(f, r, p)) if t == r + 1 else (-1, gamma(f, r, p))
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +102,18 @@ def _total_block(f: Fibre, r: int, t: int, p: int) -> Mat | None:
 
 
 class TwistRow(_Record):
-    """One twist's diagonal row of the double complex, totalized over k.
+    """One twist's diagonal row of the double complex, totalized over k:
+    ``summands`` maps each degree q to its ((level, dim), ...)."""
 
-    ``summands`` maps each degree q to its ((level, dim), ...).
-    """
+    __slots__ = _fields = ("star", "summands")
 
-    __slots__ = _fields = ("star", "summands", "complex")
-
-    def __init__(
-        self, star: int, summands: dict[int, tuple[tuple[int, int], ...]],
-        complex: CochainComplex,
-    ):
-        self._assign(star, summands, complex)
-
-    def levels_at(self, q: int) -> tuple[tuple[int, int], ...]:
-        return self.summands.get(q, ())
+    def __init__(self, star: int, summands: dict[int, tuple[tuple[int, int], ...]]):
+        self._assign(star, summands)
 
 
 def total_rows(f: Fibre, star: int) -> TwistRow:
-    """Realize the star-th row as an explicit cochain complex, once per
-    fibre and star; a row whose identities fail is not kept."""
+    """The star-th row's summands once per fibre and star, once the sign
+    identities its d.d = 0 rests on hold."""
     rows: dict[int, TwistRow] = _index(f).twist_rows
     row = rows.get(star)
     if row is None:
@@ -164,35 +139,48 @@ def _build_row(f: Fibre, star: int) -> TwistRow:
                 kind = _ROW_IDENTITIES.get(t - r)
                 if kind:
                     require_identity(f, kind, r, (q + 1 - r) // 2)
-    dims = {q: sum(d for _, d in s) for q, s in summands.items()}
-    diffs = {}
-    for q, src in summands.items():
-        tgt = summands.get(q + 1, ())
-        if not tgt:
-            continue
-        grid = [
-            [_total_block(f, sr, tr, (q + 1 - sr) // 2) for sr, _ in src] for tr, _ in tgt
-        ]
-        diffs[q] = Mat.block(grid, [d for _, d in tgt], [d for _, d in src])
-    return TwistRow(star, summands, CochainComplex(dims, diffs))
+    return TwistRow(star, summands)
 
 
-def cone_of_N(source_row: TwistRow, target_row: TwistRow) -> CochainComplex:
-    """Cone of the monodromy chain map from the row at star to star - 1."""
-    if target_row.star != source_row.star - 1:
-        raise ValueError("monodromy connects twist star to star - 1")
-    n_maps = {}
-    degrees = set(source_row.summands) | set(target_row.summands)
-    for q in degrees:
-        src = source_row.levels_at(q)
-        tgt = target_row.levels_at(q)
-        if not src or not tgt:
-            continue
-        grid = [[Mat.identity(sd) if tr == sr else None for sr, sd in src] for tr, _ in tgt]
-        n_maps[q] = Mat.block(grid, [d for _, d in tgt], [d for _, d in src])
-    # N is the identity on shared summands, so N d = d N block by block;
-    # with both rows' identities decided, D.D = 0 needs no product
-    return mapping_cone(n_maps, source_row.complex, target_row.complex)
+def cone_of_N(f: Fibre, star: int) -> CochainComplex:
+    """Cone(N) from the row at star to the row at star - 1, with each pair
+    of shared summands cancelled: a complex homotopy equivalent to it."""
+    # a summand is (cone degree, side, level), side 0 in row A and 1 in row B
+    dims = {}
+    for side, row in enumerate((total_rows(f, star), total_rows(f, star - 1))):
+        for q, levels in row.summands.items():
+            dims.update(((q + side, side, r), d) for r, d in levels)
+    blocks: dict[tuple, list[tuple]] = {}  # (target, source) -> [(sign, factor, ...)]
+    for q, side, r in dims:  # D = (da, Na - db)
+        for t in (r - 1, r + 1):
+            if (q + 1, side, t) in dims:
+                sign, blk = _total_block(f, r, t, (q - side + 1 - r) // 2)
+                blocks[(q + 1, side, t), (q, side, r)] = [((1 - 2 * side) * sign, blk)]
+        if side == 0 and (q + 1, 1, r) in dims:
+            blocks[(q + 1, 1, r), (q, 0, r)] = [(1, Mat.identity(dims[q, 0, r]))]
+    for x, y in sorted((w, z) for z, w in blocks if w[1] < z[1]):  # N's blocks
+        if blocks[y, x] != [(1, Mat.identity(dims[x]))]:
+            continue  # never met: no correction lands between a pair's summands
+        outs = [(z, g) for (z, w), g in blocks.items() if w == x and z != y]
+        ins = [(w, d) for (z, w), d in blocks.items() if z == y and w != x]
+        blocks = {k: t for k, t in blocks.items() if x not in k and y not in k}
+        for z, g in outs:
+            for w, d in ins:  # e -= g.d
+                blocks.setdefault((z, w), []).extend(
+                    (-sg * sd, *fg, *fd) for sg, *fg in g for sd, *fd in d
+                )
+        del dims[x], dims[y]
+    at: dict[int, dict] = {}  # degree -> {survivor: offset}
+    size: dict[int, int] = {}
+    for u in sorted(dims):
+        at.setdefault(u[0], {})[u] = size.get(u[0], 0)
+        size[u[0]] = size.get(u[0], 0) + dims[u]
+    placed: dict[int, list] = {}
+    for (z, w), t in blocks.items():  # every block left joins two survivors
+        placed.setdefault(w[0], []).extend(
+            (at[z[0]][z], at[w[0]][w], composite(f, *fs), s) for s, *fs in t
+        )
+    return CochainComplex(size, {q: _placed(size[q + 1], size[q], b) for q, b in placed.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +209,16 @@ def build_C(f: Fibre, star: int) -> CochainComplex:
     for (m, p, r), (_, _, t) in zip(spaces, spaces[1:]):
         if m not in dims and m + 1 not in dims:
             continue
-        if m == 2 * star - 1:
-            diffs[m] = -ii_map(f, star - 1)
-        else:
-            diffs[m] = _total_block(f, r, t, p)
+        sign, blk = (-1, ii_map(f, star - 1)) if m == 2 * star - 1 else _total_block(f, r, t, p)
+        diffs[m] = blk if sign > 0 else -blk
     return CochainComplex(dims, diffs)
 
 
 class QuasiIsoResult(_Record):
     __slots__ = _fields = ("star", "cone_cohomology", "small_cohomology")
 
-    def __init__(
-        self, star: int, cone_cohomology: dict[int, int], small_cohomology: dict[int, int],
-    ):
+    def __init__(self, star: int, cone_cohomology: dict[int, int],
+                 small_cohomology: dict[int, int]):
         self._assign(star, cone_cohomology, small_cohomology)
 
     @property
@@ -242,11 +227,12 @@ class QuasiIsoResult(_Record):
 
 
 def check_quasi_iso(f: Fibre, star: int) -> QuasiIsoResult:
-    """Compare cohomology of Cone(N) with the explicit small complex."""
-    cone = cone_of_N(total_rows(f, star), total_rows(f, star - 1))
-    small = build_C(f, star)
-    return QuasiIsoResult(
-        star=star,
-        cone_cohomology=cohomology_dims(cone),
-        small_cohomology=cohomology_dims(small),
+    """Compare the cohomology of Cone(N) with that of the small complex C,
+    ranking the reduced cone only where it is not C up to signs."""
+    cone, small = cone_of_N(f, star), build_C(f, star)
+    h = cohomology_dims(small)
+    same = cone.dims == small.dims and all(
+        (d := cone.diff(q)) == (c := small.diff(q)) or d == -c
+        for q in cone.diffs.keys() | small.diffs.keys()
     )
+    return QuasiIsoResult(star, h if same else cohomology_dims(cone), h)

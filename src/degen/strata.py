@@ -23,10 +23,10 @@ index set); its Chow space then just has higher dimension, which is how
 the 2-gon carries two nodes on the single stratum (1, 2).
 
 Everything derived from a fibre (strata by level, the graded spaces with
-their offsets, gamma, rho, i^*i_*, the verdicts of its sign identities
-and the twist rows of the monodromy complex) is computed once, on first
-use, and kept in a private index on the fibre.  A fibre is therefore not
-edited once any of its maps has been built.
+their offsets, gamma, rho, i^*i_*, products of its maps, the verdicts of
+its sign identities and the twist rows of the monodromy complex) is
+computed once, on first use, and kept in a private index on the fibre.
+A fibre is therefore not edited once any of its maps has been built.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "build_level",
     "gamma",
     "rho",
+    "composite",
     "compose_ii",
     "ii_map",
     "identity_holds",
@@ -268,6 +269,7 @@ class _FibreIndex:
         self.maps: dict[tuple[str, int, int, int], Mat] = {}
         self.verdicts: dict[tuple[str, int, int, int], bool] = {}
         self.twist_rows: dict = {}  # star -> monodromy.TwistRow, kept by total_rows
+        self.products: dict = {}  # (id, id) -> (outer, inner, outer * inner)
 
 
 def _index(f: Fibre) -> _FibreIndex:
@@ -371,6 +373,18 @@ def _assemble(f: Fibre, r: int, p: int, j: int, mode: str) -> Mat:
     return maps[key]
 
 
+def composite(f: Fibre, *factors: Mat) -> Mat:
+    """The product of ``factors`` left to right, each pair multiplied once per fibre."""
+    products = _index(f).products
+    m, *rest = factors
+    for g in rest:
+        key = (id(m), id(g))
+        if key not in products:  # holding both factors keeps their ids unique
+            products[key] = (m, g, m * g)
+        m = products[key][2]
+    return m
+
+
 def compose_ii(f: Fibre, p: int, j: int = 0) -> Mat:
     """The composite gamma(level 2) . rho(level 1): CH^p(Y^{(1)}) -> CH^{p+1}(Y^{(1)}).
 
@@ -378,7 +392,7 @@ def compose_ii(f: Fibre, p: int, j: int = 0) -> Mat:
     matrix is supplied; the opposite order rho . gamma lives one level up
     and is exposed through validate()'s anticommutator checks instead.
     """
-    return gamma(f, 2, p, j) * rho(f, 1, p, j)
+    return composite(f, gamma(f, 2, p, j), rho(f, 1, p, j))
 
 
 def ii_map(f: Fibre, p: int, j: int = 0) -> Mat:

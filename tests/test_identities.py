@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from degen import deligne, monodromy
 from degen.deligne import deligne_group
-from degen.monodromy import build_C, cone_of_N, total_rows
+from degen.monodromy import build_C, total_rows
 from degen.qlinalg import Mat
 from degen.strata import DescriptorError, Fibre, gamma, ii_map, rho
 
 from fixtures import fixture_fibres, with_flipped_sign
-from oracles import is_chain_map, squares_to_zero
+from oracles import cone_pieces, is_chain_map, row_complex, squares_to_zero
 from test_deligne import with_explicit_ii
 
 
@@ -114,11 +114,6 @@ def _named_identity_fails(f: Fibre, exc: DescriptorError) -> str:
 
 
 def test_identities_fail_exactly_when_the_complexes_do(monkeypatch):
-    cones = []
-    real_cone = monodromy.mapping_cone
-    monkeypatch.setattr(
-        monodromy, "mapping_cone", lambda *args: cones.append(args) or real_cone(*args)
-    )
     failed = {"row": set(), "small": set(), "group": set()}
     cases = 0
     for fibre in fibres():
@@ -132,7 +127,7 @@ def test_identities_fail_exactly_when_the_complexes_do(monkeypatch):
                     small = build_C(patched, star)
                     group = deligne_group(patched, 2 * star + 1, star)
                 built = {
-                    "row": (row, squares_to_zero(row.complex), total_rows),
+                    "row": (row, squares_to_zero(row_complex(patched, row)), total_rows),
                     "small": (small, squares_to_zero(small), build_C),
                     "group": (group, (group.ii * group.modulo).is_zero(),
                               lambda f, s: deligne_group(f, 2 * s + 1, s)),
@@ -146,10 +141,7 @@ def test_identities_fail_exactly_when_the_complexes_do(monkeypatch):
                         failed[name].add(_named_identity_fails(real, exc))
                 upper, lower = (_outcome(total_rows, real, s)[0] for s in (star, star - 1))
                 if upper is not None and lower is not None:
-                    del cones[:]
-                    cone_of_N(upper, lower)
-                    (n_maps, source, target), = cones
-                    assert is_chain_map(n_maps, source, target), star
+                    assert is_chain_map(*cone_pieces(real, upper, lower)), star
     assert cases > 800
     assert failed == {
         "row": {"gamma.gamma", "rho.rho", "gamma.rho+rho.gamma"},
@@ -161,8 +153,8 @@ def test_identities_fail_exactly_when_the_complexes_do(monkeypatch):
 def test_levels_four_apart_need_no_identity():
     f = five_level_fibre()
     row = total_rows(f, 1)
-    assert {r for r, _ in row.levels_at(2)} == {1, 3} and row.levels_at(4) == ((5, 1),)
-    assert squares_to_zero(row.complex)
+    assert {r for r, _ in row.summands[2]} == {1, 3} and row.summands[4] == ((5, 1),)
+    assert squares_to_zero(row_complex(f, row))
     for star in range(-1, f.dim_y + 3):
-        assert squares_to_zero(total_rows(f, star).complex)
+        assert squares_to_zero(row_complex(f, total_rows(f, star)))
         assert squares_to_zero(build_C(f, star))

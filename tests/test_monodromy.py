@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degen import monodromy, strata, workbench
 from degen.bundle import Bundle, Params
@@ -10,13 +13,14 @@ from degen.monodromy import (
     check_quasi_iso,
     cohomology_dims,
     cone_of_N,
-    mapping_cone,
     total_rows,
 )
 from degen.qlinalg import Mat
 from degen.strata import (
     DescriptorError,
+    Fibre,
     build_level,
+    compose_ii,
     gamma,
     generator_ngon,
     generator_smooth,
@@ -31,11 +35,15 @@ from fixtures import (
     with_codims_past_dimension,
     with_flipped_sign,
 )
+from test_identities import five_level_fibre, flips
 from oracles import (
     degree_walk_build_C,
     euler_characteristic,
+    full_cone_of_N,
     is_chain_map,
+    mapping_cone,
     random_known_complex,
+    row_complex,
     squares_to_zero,
     two_rank_cohomology_dims,
     window_codim_level,
@@ -81,11 +89,11 @@ def row_blocks(f, star):
     """(source level, target level, codim, block) for every level block of
     every differential of the total row at star."""
     row = total_rows(f, star)
-    for q, d in sorted(row.complex.diffs.items()):
+    for q, d in sorted(row_complex(f, row).diffs.items()):
         r0 = 0
-        for tr, td in row.levels_at(q + 1):
+        for tr, td in row.summands.get(q + 1, ()):
             c0 = 0
-            for sr, sd in row.levels_at(q):
+            for sr, sd in row.summands.get(q, ()):
                 yield sr, tr, (q + 1 - sr) // 2, sub_block(d, r0, td, c0, sd)
                 c0 += sd
             r0 += td
@@ -150,11 +158,11 @@ class TestKPieces:
     def test_total_rows_square_to_zero(self):
         for f in fixture_fibres():
             for star in range(-2, f.dim_y + 4):
-                assert squares_to_zero(total_rows(f, star).complex), star
+                assert squares_to_zero(row_complex(f, total_rows(f, star))), star
 
     def test_n_is_identity_block(self):
         f = triangle()
-        cone = cone_of_N(total_rows(f, 1), total_rows(f, 0))
+        cone = full_cone_of_N(f, total_rows(f, 1), total_rows(f, 0))
         # Cone^1 = A^1 + B^0 -> Cone^2 = A^2 + B^1; N: A^1 -> B^1 is the
         # lower-left block, the identity on CH^0 of the three nodes
         d = cone.diff(1)
@@ -171,32 +179,43 @@ class TestKPieces:
 class TestRowsAndCone:
     def test_triangle_tate_row(self):
         row = total_rows(triangle(), 1)
-        assert row.complex.dims == {1: 3, 2: 3}
-        assert row.levels_at(1) == ((2, 3),)
-        assert row.levels_at(2) == ((1, 3),)
-        assert row.complex.diff(1) == gamma(triangle(), 2, 0).scale(-1)
+        cx = row_complex(triangle(), row)
+        assert cx.dims == {1: 3, 2: 3}
+        assert row.summands[1] == ((2, 3),)
+        assert row.summands[2] == ((1, 3),)
+        assert cx.diff(1) == gamma(triangle(), 2, 0).scale(-1)
 
     def test_triangle_weight_zero_row(self):
-        row = total_rows(triangle(), 0)
-        assert row.complex.dims == {0: 3, 1: 3}
-        assert row.complex.diff(0) == rho(triangle(), 1, 0)
+        cx = row_complex(triangle(), total_rows(triangle(), 0))
+        assert cx.dims == {0: 3, 1: 3}
+        assert cx.diff(0) == rho(triangle(), 1, 0)
 
     def test_triangle_cone_golden_values(self):
         f = triangle()
-        cone = cone_of_N(total_rows(f, 1), total_rows(f, 0))
+        cone = full_cone_of_N(f, total_rows(f, 1), total_rows(f, 0))
         assert cone.dims == {1: 6, 2: 6}
         assert cohomology_dims(cone) == {1: 1, 2: 1}
+        # the shared CH^0 of the three nodes cancels, and what is left is C:
+        # the hinge -gamma.rho = -i^*i_* on CH^0 of the components
+        reduced = cone_of_N(f, 1)
+        assert reduced.dims == {1: 3, 2: 3}
+        assert reduced.diff(1) == build_C(f, 1).diff(1) == -(gamma(f, 2, 0) * rho(f, 1, 0))
 
     def test_cone_requires_adjacent_stars(self):
+        # cone_of_N takes one star and builds the rows at star and star - 1
+        # itself; the oracle's full cone still refuses rows not adjacent
         f = triangle()
+        cone_of_N(f, 1)
+        assert sorted(strata._index(f).twist_rows) == [0, 1]
         with pytest.raises(ValueError, match="star - 1"):
-            cone_of_N(total_rows(f, 1), total_rows(f, 1))
+            full_cone_of_N(f, total_rows(f, 1), total_rows(f, 1))
 
     def test_ngon_dual_graph_row(self):
         f = generator_ngon(5, 2)
-        cone = cone_of_N(total_rows(f, 0), total_rows(f, -1))
+        cone = full_cone_of_N(f, total_rows(f, 0), total_rows(f, -1))
         # the cone over the zero row reduces to the dual graph complex of a cycle
         assert cohomology_dims(cone) == {0: 1, 1: 1}
+        assert cohomology_dims(cone_of_N(f, 0)) == {0: 1, 1: 1}
 
 
 class TestSmallComplex:
@@ -244,10 +263,11 @@ class TestSmallComplex:
         f = triangle()
         a = total_rows(f, 1)
         b = total_rows(f, 0)
-        cone = cone_of_N(a, b)
+        cone = full_cone_of_N(f, a, b)
         assert euler_characteristic(cone) == euler_characteristic(
-            a.complex
-        ) - euler_characteristic(b.complex)
+            row_complex(f, a)
+        ) - euler_characteristic(row_complex(f, b))
+        assert euler_characteristic(cone_of_N(f, 1)) == euler_characteristic(cone)
 
 
 class TestGenericComplexes:
@@ -328,7 +348,8 @@ class TestOneRankOneRow:
         for f in fixture_fibres():
             for star in range(-1, f.dim_y + 3):
                 complexes.append(build_C(f, star))
-                complexes.append(cone_of_N(total_rows(f, star), total_rows(f, star - 1)))
+                complexes.append(cone_of_N(f, star))
+                complexes.append(full_cone_of_N(f, total_rows(f, star), total_rows(f, star - 1)))
         for c in complexes:
             assert cohomology_dims(c) == two_rank_cohomology_dims(c)
 
@@ -343,9 +364,9 @@ class TestOneRankOneRow:
             assert sorted(map(id, ranked[start:])) == sorted(map(id, c.diffs.values()))
             return out
 
-        def counted_row(star, summands, complex):
+        def counted_row(star, summands):
             rows.append(star)
-            return real_row(star, summands, complex)
+            return real_row(star, summands)
 
         monkeypatch.setattr(monodromy, "rank", lambda m: ranked.append(m) or real_rank(m))
         monkeypatch.setattr(monodromy, "cohomology_dims", counted_dims)
@@ -354,7 +375,8 @@ class TestOneRankOneRow:
         report = run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
         assert report.exit_code == 0 and len(report.lines) == 5
         assert rows == [0, -1, 1, 2, 3, 4]
-        assert len(complexes) == 10  # a cone and a small complex per star
+        # the small complex per star: every reduced cone matched it up to sign
+        assert complexes == [build_C(f, star) for star in range(5)]
         assert len(ranked) == sum(len(c.diffs) for c in complexes)
 
     def test_sweep_decides_each_identity_once(self, monkeypatch):
@@ -371,7 +393,8 @@ class TestOneRankOneRow:
         del products[:]
         report = run_quasi_iso(b)
         assert report.exit_code == 0 and len(report.lines) == 5
-        # multiplying out every row and small complex took 52
+        # multiplying out every row and small complex took 52; the hinge
+        # -gamma.rho of the reduced cone reuses the composed i^*i_*
         assert len(products) == 9
         b = Bundle(params=Params(3, 1, 2), fibres={"v0": self.surface()})
         del composed[:]
@@ -405,3 +428,95 @@ class TestOneRankOneRow:
         with pytest.raises(DescriptorError) as exc:
             run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
         assert (stars[-1], str(exc.value)) == (star, message)
+
+
+def with_hinge(f, ii):
+    """``f`` with the explicit i^*i_* matrices ``ii``."""
+    return Fibre(
+        components=f.components, dim_y=f.dim_y, q_v=f.q_v, strata=f.strata,
+        chow=dict(f.chow), pushforward=dict(f.pushforward), pullback=dict(f.pullback),
+        ii_matrices=ii, higher_chow=dict(f.higher_chow),
+    )
+
+
+class TestReducedCone:
+    """check_quasi_iso cancels N's identity blocks and ranks C; the full
+    cone of ``tests/oracles.py`` is the reference for the cone's side."""
+
+    @staticmethod
+    def agree(f, g, star):
+        """check_quasi_iso on ``f`` against the full cone and C of ``g``, a
+        copy of ``f`` that shares no built map: the same result, or the
+        same identity named."""
+        try:
+            got = check_quasi_iso(f, star)
+        except DescriptorError as exc:
+            with pytest.raises(DescriptorError, match=f"^{re.escape(str(exc))}$"):
+                total_rows(g, star), total_rows(g, star - 1), build_C(g, star)
+            return None
+        cone = full_cone_of_N(g, total_rows(g, star), total_rows(g, star - 1))
+        assert got.cone_cohomology == cohomology_dims(cone), star
+        assert got.small_cohomology == cohomology_dims(build_C(g, star)), star
+        return got
+
+    def test_survivors_are_C_with_the_gamma_branch_negated(self):
+        # one summand a degree: -gamma of C comes out as +gamma, rho as rho,
+        # and the hinge as -gamma.rho = -i^*i_*
+        seen = 0
+        for f in fixture_fibres() + [five_level_fibre()]:
+            for star in range(-1, f.dim_y + 3):
+                cone, small = cone_of_N(f, star), build_C(f, star)
+                assert cone.dims == small.dims, star
+                for q in cone.diffs.keys() | small.diffs.keys():
+                    sign = -1 if q < 2 * star - 1 else 1
+                    assert cone.diff(q) == small.diff(q).scale(sign), (star, q)
+                    seen += q == 2 * star - 1 and not small.diff(q).is_zero()
+        assert seen > 10
+
+    def test_every_fixture_flip_and_the_five_level_fibre(self):
+        verdicts = []
+        for fibre in fixture_fibres() + [five_level_fibre()]:
+            for f, g in flips(fibre):
+                for star in range(-1, fibre.dim_y + 3):
+                    got = self.agree(f, g, star)
+                    verdicts.append(None if got is None else got.ok)
+        assert verdicts.count(None) and verdicts.count(True) > 500
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32))
+    def test_conjugated_tensored_surfaces(self, c, seed):
+        f, g = (conjugated(tensored(simplex_surface(), c), random.Random(seed)) for _ in "fg")
+        for star in range(-1, f.dim_y + 3):
+            assert self.agree(f, g, star).ok, star
+
+    @pytest.mark.parametrize("factor, small", [
+        (0, {1: 3, 2: 3}),      # i^*i_* = 0: C is not the cone
+        (2, {1: 1, 2: 1}),      # 2 i^*i_*: not C's map, but C's rank
+    ])
+    def test_explicit_hinge_ranks_the_reduced_cone(self, monkeypatch, factor, small):
+        ii = {(0, 0): compose_ii(simplex_surface(), 0).scale(factor)}
+        f, g = with_hinge(simplex_surface(), ii), with_hinge(simplex_surface(), ii)
+        ranked = []
+        real = monodromy.cohomology_dims
+        monkeypatch.setattr(monodromy, "cohomology_dims", lambda c: ranked.append(c) or real(c))
+        got = self.agree(f, g, 1)
+        assert (got.cone_cohomology, got.small_cohomology) == ({1: 1, 2: 1}, small)
+        assert got.ok == bool(factor)
+        assert ranked == [build_C(f, 1), cone_of_N(f, 1)]  # C, then the reduced cone
+
+    def test_only_C_is_ranked_on_a_pass(self, monkeypatch):
+        shapes = []
+        real_rank = monodromy.rank
+        monkeypatch.setattr(
+            monodromy, "rank", lambda m: shapes.append((m.rows, m.cols)) or real_rank(m)
+        )
+        for f in (generator_ngon(40, 3), TestOneRankOneRow.surface()):
+            del shapes[:]
+            report = run_quasi_iso(Bundle(params=Params(3, 1, 2), fibres={"v0": f}))
+            assert report.exit_code == 0
+            stars = range(f.dim_y + 3)
+            small = [(d.rows, d.cols) for s in stars for d in build_C(f, s).diffs.values()]
+            cones = [full_cone_of_N(f, total_rows(f, s), total_rows(f, s - 1)) for s in stars]
+            assert sorted(shapes) == sorted(small)
+            cone_cells = max(d.rows * d.cols for c in cones for d in c.diffs.values())
+            assert max(r * c for r, c in shapes) < cone_cells / 2

@@ -51,7 +51,7 @@ def instances():
         "LeadingValue": LeadingValue(1, F(-1, 3), 1),
         "FunctionalEquation": FunctionalEquation(1, 0, -2),
         "CochainComplex": cx,
-        "TwistRow": TwistRow(1, {0: ((1, 1),)}, cx),
+        "TwistRow": TwistRow(1, {0: ((1, 1),)}),
         "QuasiIsoResult": QuasiIsoResult(1, {0: 1}, {0: 1}),
         "SmithForm": SmithForm((), ((2,),), ((1,),)),
         "FPAbelianGroup": grp,
@@ -90,10 +90,7 @@ REPRS = {
     "LeadingValue": "LeadingValue(order=1, coeff=Fraction(-1, 3), logpow=1)",
     "FunctionalEquation": "FunctionalEquation(sign=1, alpha=0, beta=-2)",
     "CochainComplex": "CochainComplex(dims={0: 1}, diffs={})",
-    "TwistRow": (
-        "TwistRow(star=1, summands={0: ((1, 1),)}, "
-        "complex=CochainComplex(dims={0: 1}, diffs={}))"
-    ),
+    "TwistRow": "TwistRow(star=1, summands={0: ((1, 1),)})",
     "QuasiIsoResult": (
         "QuasiIsoResult(star=1, cone_cohomology={0: 1}, small_cohomology={0: 1})"
     ),
