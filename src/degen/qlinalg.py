@@ -32,13 +32,14 @@ reduced row echelon form of a matrix and the residue of a vector are
 unique, so every basis and every coordinate system read off them is
 canonical: the same input always yields the identical output object.
 
-Integer matrices (plain nested lists/tuples of int) get the diagonal of
-their Smith normal form, from one Bareiss elimination and, unless its
-modulus is 1, one diagonalisation modulo a minor; no unimodular transform
-is built.  On top of that sit finitely presented abelian groups with exact
-kernel and cokernel orders for maps between them, read off elementary
-divisors alone.  Orders are returned as ``int`` when finite and ``None``
-when the group has positive rank.
+On integer matrices (plain nested lists of int) sit finitely presented
+abelian groups, with exact kernel and cokernel orders for maps between
+them.  Each order is the index of a full-rank integer lattice: one
+Bareiss elimination gives its rank and a modulus that the lattice
+contains times Z^rank, and the product of the diagonal of a Hermite basis
+taken modulo it is the index.  No elementary divisor is computed on its
+own, and no unimodular transform is built.  Orders are returned as ``int``
+when finite and ``None`` when the group has positive rank.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ __all__ = [
     "solve",
     "quotient_projection",
     "residues",
-    "SmithForm",
-    "smith_normal_form",
     "FPAbelianGroup",
     "AbGroupMap",
     "kernel_cokernel_orders",
@@ -567,8 +566,6 @@ def residues(vectors: Mat, modulo: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 # Integer matrices and finitely presented abelian groups.
 
-IntMatrix = list[list[int]]
-
 
 def _as_int_matrix(m, rows: int | None = None, cols: int | None = None) -> list[list[int]]:
     """The rows of ``m`` as lists; an entry that is not an int (a bool, a
@@ -586,27 +583,6 @@ def _as_int_matrix(m, rows: int | None = None, cols: int | None = None) -> list[
 
 
 IntRows = tuple[tuple[int, ...], ...]
-
-
-class SmithForm(_Record):
-    """d = u @ a @ v with u, v unimodular and d diagonal, d_1 | d_2 | ...
-
-    ``smith_normal_form`` computes d alone; its u and v are the empty tuple.
-    """
-
-    __slots__ = _fields = ("u", "d", "v")
-
-    def __init__(self, u: IntRows, d: IntRows, v: IntRows):
-        self._assign(u, d, v)
-
-    @property
-    def diag(self) -> tuple[int, ...]:
-        n = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return tuple(self.d[i][i] for i in range(n))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diag if x != 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -629,8 +605,9 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, list[int], list[int]]:
     pivot columns and column j.  Returns (modulus, pivot rows, pivot
     columns); the rank r is the number of pivots.  The modulus is the gcd of
     the last pivot row, whose entries are r-minors (the last pivot among
-    them), so it is nonzero and d_1 * ... * d_r of the Smith form divides
-    it.  It is 1 when r = 0.
+    them), so it is nonzero and the gcd of all r-minors divides it.  It is 1
+    when r = 0.  When r is the row count, the column lattice contains
+    modulus * Z^r, by the adjugates of the r x r minors.
     """
     rows = [(i, row) for i, row in enumerate(m) if any(row)]
     prev = modulus = 1
@@ -662,106 +639,6 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, list[int], list[int]]:
         prows.append(i0)
         pcols.append(c)
     return modulus, prows, pcols
-
-
-def _diagonal_mod(m: list[list[int]], mod: int) -> list[int]:
-    """gcd(e, mod) for the entries e of a diagonal form of m over Z/mod,
-    leaving out those that are 0 mod ``mod``.
-
-    Every entry is kept reduced mod ``mod``.  A column's pivot is its entry
-    sharing the least factor with mod; a unit pivot is scaled to 1 and
-    clears its column by row subtractions alone.  Otherwise extended-gcd
-    steps on two rows, or on two columns, replace the pivot by a proper
-    divisor until it divides its row and its column.
-    """
-    out = []
-    rows = [r for r in ([x % mod for x in row] for row in m) if any(r)]
-    while rows:
-        # each remaining row holds the columns from the current one on
-        hits = [i for i, row in enumerate(rows) if row[0]]
-        if not hits:
-            rows = [row[1:] for row in rows]
-            continue
-        top = rows.pop(min(hits, key=lambda i: gcd(rows[i][0], mod)))
-        if gcd(top[0], mod) == 1:
-            inv = pow(top[0], -1, mod)
-            top = [x * inv % mod for x in top]
-        while True:
-            p = top[0]
-            for i, row in enumerate(rows):
-                x = row[0]
-                if not x:
-                    continue
-                if x % p == 0:
-                    f = x // p
-                    rows[i] = [(y - f * z) % mod for y, z in zip(row, top)]
-                else:
-                    g, s, t = _xgcd(p, x)
-                    pg, xg = p // g, x // g
-                    rows[i] = [(pg * y - xg * z) % mod for y, z in zip(row, top)]
-                    top = [(s * z + t * y) % mod for y, z in zip(row, top)]
-                    p = g
-            j = next((j for j, x in enumerate(top) if x % p), None)
-            if j is None:
-                break
-            # columns 0 and j: put gcd(p, top[j]) at the pivot, 0 at top[j]
-            x = top[j]
-            g, s, t = _xgcd(p, x)
-            pg, xg = p // g, x // g
-            for row in (top, *rows):
-                y, z = row[0], row[j]
-                row[0], row[j] = (s * y + t * z) % mod, (pg * z - xg * y) % mod
-        out.append(gcd(p, mod))
-        rows = [row[1:] for row in rows if any(row)]
-    return out
-
-
-def _divisor_chain(xs: list[int]) -> list[int]:
-    """The diagonal d_1 | d_2 | ... of the Smith form of diag(xs), xs > 0."""
-    ones = [x for x in xs if x == 1]
-    rest = [x for x in xs if x != 1]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return ones + rest
-
-
-def smith_normal_form(a) -> SmithForm:
-    """Smith normal form of an integer matrix, without the transforms.
-
-    One Bareiss elimination gives the rank r and a nonzero modulus D that
-    d_1 * ... * d_r divides.  When D = 1 every d_i is 1.  Otherwise the
-    matrix is diagonalised over Z/D; there the invariant factors are
-    gcd(d_i, D), which is d_i for i <= r because d_i | d_r | D, so the
-    divisor chain of the diagonal's gcds with D gives d_1, ..., d_r
-    (Domich, Kannan and Trotter, "Hermite normal form computation using
-    modulo determinant arithmetic", 1987).
-    """
-    m = _as_int_matrix(a)
-    nr, nc = len(m), len(m[0]) if m else 0
-    modulus, prows, _ = _bareiss(m, nc)
-    r = len(prows)
-    if modulus == 1:
-        divisors = [1] * r
-    else:
-        found = _diagonal_mod(m, modulus)
-        divisors = _divisor_chain(found + [modulus] * (r - len(found)))[:r]
-    d = [[0] * nc for _ in range(nr)]
-    for i, x in enumerate(divisors):
-        d[i][i] = x
-    return SmithForm((), tuple(map(tuple, d)), ())
-
-
-def _rank_and_index(m) -> tuple[int, int]:
-    """Rank of an integer matrix and the product of its nonzero elementary
-    divisors, which is the index of its column lattice in the saturation."""
-    diag = smith_normal_form(m).diag
-    index = 1
-    for x in diag:
-        if x:
-            index *= x
-    return sum(1 for x in diag if x), index
 
 
 def _hermite_mod(gens: list[list[int]], e: int, mod: int) -> list[list[int]]:
@@ -801,6 +678,27 @@ def _hermite_mod(gens: list[list[int]], e: int, mod: int) -> list[list[int]]:
         mod //= g
         work = [c for c in ([x % mod for x in col] for col in rest) if any(c)]
     return basis
+
+
+def _rank_and_index(m: list[list[int]], cols: int) -> tuple[int, int | None]:
+    """Rank of the lattice spanned by the ``cols`` columns of ``m``, and its
+    index in Z^rows when that rank is the row count, else None.
+
+    The index is the product of the diagonal of the lattice's Hermite basis,
+    taken modulo the ``_bareiss`` modulus.  When the columns are independent
+    too, the matrix is square, its last pivot row is the one entry +-det and
+    the modulus is the index; a modulus of 1 is an index of 1.
+    """
+    modulus, prows, _ = _bareiss(m, cols)
+    r = len(prows)
+    if r < len(m):
+        return r, None
+    if r == cols or modulus == 1:
+        return r, modulus
+    index = 1
+    for i, h in enumerate(_hermite_mod([list(c) for c in zip(*m)], r, modulus)):
+        index *= h[i]
+    return r, index
 
 
 def _int_rows(m: Mat) -> list[list[int]]:
@@ -883,53 +781,52 @@ class AbGroupMap(_Record):
         return f
 
     @property
-    def relation_coords(self) -> tuple[list[list[int]], Mat]:
+    def relation_coords(self) -> tuple[list[list[int]], list[list[int]], Mat]:
         """``_relation_coords`` of this map, taken once."""
         if self._coords is None:
             _set(self, "_coords", _relation_coords(self))
         return self._coords
 
 
-def _relation_coords(f: AbGroupMap) -> tuple[list[list[int]], Mat]:
-    """(R_t', N): a Z-basis R_t' of the lattice the target relations span,
-    as columns, and the integer N with R_t' N = M R_s.
+def _relation_coords(f: AbGroupMap) -> tuple[list[list[int]], list[list[int]], Mat]:
+    """(R_s', R_t', N): Z-bases R_s', R_t' of the lattices the source and
+    the target relations span, as columns, and the integer N with
+    R_t' N = M R_s'.
 
     R_t' has independent columns, so N is unique when it exists, and it is
     integral exactly when the lattice contains the image M R_s of the
     source relations; otherwise ValueError.
     """
     src, tgt = f.source, f.target
+    rs = _relation_basis([list(r) for r in src.relations], src.relation_count)
     rt = _relation_basis([list(r) for r in tgt.relations], tgt.relation_count)
-    cols = list(zip(*src.relations))
+    cols = list(zip(*rs))
     image = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in f.matrix]
     n = solve(Mat.from_rows(rt, cols=len(rt[0]) if rt else 0), Mat.from_rows(image, cols=len(cols)))
     if n is None or n._den != 1:
         raise ValueError("matrix does not send source relations into target relations")
-    return rt, n
+    return rs, rt, n
 
 
 def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
     """Exact orders of ker(f) and of coker(f) = target / (image + target
-    relations), each None when that group has positive rank, from the
-    mapping cone of f.
+    relations), each None when that group has positive rank, as indices of
+    full-rank lattices.
 
-    Let R_s, R_t be the relation matrices, R_t' a Z-basis of the lattice
-    R_t spans (e columns), and N the integer solution of R_t' N = M R_s
-    (``f.relation_coords``).  The cone of the presentations,
-    a = [R_s; -N] followed by b = [M | R_t'], has b a = 0 and first
-    homology ker_Z(b) / im(a) = ker f.
-    ker_Z(b) is saturated of rank ga + e - rank b, so ker f is finite iff
-    rank a equals that, and then its order is the product of the nonzero
-    elementary divisors of a.  The columns of b span im f plus the target
-    relations, which gives the cokernel from b's divisors as well.
+    With R_s', R_t' and N from ``f.relation_coords`` (s' and e columns),
+    the columns of b = [M | R_t'] span im f plus the target relations, so
+    the cokernel is finite iff b has full row rank, and its order is then
+    the index of b's column lattice.  The mapping cone a = [R_s'; -N]
+    followed by b has b a = 0 and first homology ker_Z(b) / im(a) = ker f.
+    ker_Z(b) is saturated of rank g_s + e - rank b and a has s' independent
+    columns, so ker f is finite iff s' equals that rank, and its order is
+    then the product of a's elementary divisors: the index of a's row
+    lattice in Z^s'.
     """
-    src = f.source
-    rt, n = f.relation_coords
-    e = len(rt[0]) if rt else 0
-    rank_b, index_b = _rank_and_index([list(m) + r for m, r in zip(f.matrix, rt)])
-    coker = index_b if rank_b == f.target.generators else None
-    if src.generators == 0:
-        return 1, coker
-    a = [list(r) for r in src.relations] + _int_rows(-n)
-    rank_a, index_a = _rank_and_index(a)
-    return (index_a if rank_a == src.generators + e - rank_b else None), coker
+    rs, rt, n = f.relation_coords
+    width = f.source.generators + (len(rt[0]) if rt else 0)
+    rank_b, coker = _rank_and_index([list(m) + r for m, r in zip(f.matrix, rt)], width)
+    s = len(rs[0]) if rs else 0
+    if s != width - rank_b:
+        return None, coker
+    return _rank_and_index([list(c) for c in zip(*rs, *_int_rows(-n))], width)[1], coker

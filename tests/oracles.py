@@ -24,7 +24,7 @@ from degen.qlinalg import (
     FPAbelianGroup,
     Mat,
     Row,
-    SmithForm,
+    _Record,
     _cancel,
     _primitive,
     _reduced,
@@ -293,6 +293,24 @@ def column(values) -> Mat:
 def apply(m: Mat, vec) -> tuple[Fraction, ...]:
     """m times a plain vector, as a plain tuple of Fractions."""
     return tuple(row[0] for row in (m * column(vec)).entries)
+
+
+class SmithForm(_Record):
+    """d = u @ a @ v with u, v unimodular and d diagonal, d_1 | d_2 | ..."""
+
+    __slots__ = _fields = ("u", "d", "v")
+
+    def __init__(self, u, d, v):
+        self._assign(u, d, v)
+
+    @property
+    def diag(self) -> tuple[int, ...]:
+        n = min(len(self.d), len(self.d[0]) if self.d else 0)
+        return tuple(self.d[i][i] for i in range(n))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diag if x != 0)
 
 
 def smith_with_transforms(a) -> SmithForm:

@@ -356,8 +356,8 @@ def test_integral_orders_agree_with_enumeration():
 
 
 def test_integral_orders_at_scale():
-    # Z/12 + Z^200 -> Z^200 over 96 places: elementary divisors alone, in a
-    # child process that a slow Smith form cannot outlast
+    # Z/12 + Z^200 -> Z^200 over 96 places: lattice indices alone, in a
+    # child process that a slow elimination cannot outlast
     code = (
         "from fixtures import multi_place_bundle\n"
         "from degen.deligne import integral_orders\n"

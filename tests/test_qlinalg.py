@@ -11,14 +11,13 @@ from degen.qlinalg import (
     AbGroupMap,
     FPAbelianGroup,
     Mat,
-    SmithForm,
+    _rank_and_index,
     kernel_basis,
     kernel_cokernel_orders,
     quotient_projection,
     rank,
     residues,
     rref,
-    smith_normal_form,
     solve,
 )
 from oracles import (
@@ -207,25 +206,40 @@ class TestRankKernel:
         assert rank(residues(Mat.identity(n), m)) == n - rank(m)
 
 
+def oracle_rank_and_index(rows):
+    """The oracle's rank and, at full row rank, the product of its diagonal."""
+    sf = smith_with_transforms(rows)
+    index = 1
+    for x in sf.diag[: sf.rank]:
+        index *= x
+    return sf.rank, index if sf.rank == len(rows) else None
+
+
 class TestSmith:
+    """``_rank_and_index`` against the oracle's Smith forms with transforms."""
+
     def test_diag_2_3(self):
-        sf = smith_normal_form([[2, 0], [0, 3]])
-        assert sf.diag == (1, 6)
+        assert smith_with_transforms([[2, 0], [0, 3]]).diag == (1, 6)
+        assert _rank_and_index([[2, 0], [0, 3]], 2) == (2, 6)
+        # a dependent column leaves the lattice, and so the index, alone
+        assert _rank_and_index([[2, 0, 2], [0, 3, 3]], 3) == (2, 6)
 
     def test_zero_matrix(self):
-        sf = smith_normal_form([[0, 0], [0, 0]])
-        assert sf.diag == (0, 0)
+        assert _rank_and_index([[0, 0], [0, 0]], 2) == (0, None)
 
     def test_empty(self):
-        sf = smith_normal_form([])
-        assert sf.diag == ()
+        assert _rank_and_index([], 0) == (0, 1)
+        assert _rank_and_index([], 3) == (0, 1)
+        assert _rank_and_index([[], []], 0) == (0, None)
 
     @pytest.mark.parametrize("build, where, entry", [
         (lambda: FPAbelianGroup.make(1, [[Fraction(3, 2)]]), "(0, 0)", "Fraction(3, 2)"),
         (lambda: FPAbelianGroup.make(1, [[2.9]]), "(0, 0)", "2.9"),
-        (lambda: smith_normal_form([[Fraction(1, 2), 0], [0, 2.5]]), "(0, 0)", "Fraction(1, 2)"),
-        (lambda: smith_normal_form([[2, 0], [0, 2.5]]), "(1, 1)", "2.5"),
-        (lambda: smith_normal_form([[1, True]]), "(0, 1)", "True"),
+        (lambda: FPAbelianGroup.make(2, [[Fraction(1, 2), 0], [0, 2.5]]), "(0, 0)", "Fraction(1, 2)"),
+        (lambda: AbGroupMap.make(
+            FPAbelianGroup.make(2, [[], []]), FPAbelianGroup.make(2, [[], []]), [[2, 0], [0, 2.5]]
+        ), "(1, 1)", "2.5"),
+        (lambda: FPAbelianGroup.make(1, [[1, True]]), "(0, 1)", "True"),
         (lambda: AbGroupMap.make(
             FPAbelianGroup.make(1, [[]]), FPAbelianGroup.make(1, [[]]), [[1.0]]
         ), "(0, 0)", "1.0"),
@@ -244,7 +258,7 @@ class TestSmith:
     )
     def test_reconstruction_and_chain(self, rows):
         # the oracle's transforms rebuild its diagonal, which is a divisor
-        # chain, and the transform-free form has the same diagonal
+        # chain, and its rank and index are those of the lattice
         sf = smith_with_transforms(rows)
         u = [list(r) for r in sf.u]
         v = [list(r) for r in sf.v]
@@ -265,12 +279,16 @@ class TestSmith:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
-        assert smith_normal_form(rows) == SmithForm((), sf.d, ())
+        assert _rank_and_index(rows, len(rows[0])) == oracle_rank_and_index(rows)
 
     @settings(max_examples=150, deadline=None)
     @given(integer_matrices())
     def test_diagonal_matches_oracle(self, rows):
-        assert smith_normal_form(rows).d == smith_with_transforms(rows).d
+        # square, wide, tall and rank-deficient inputs; the transpose turns
+        # a tall input of full column rank into a wide one with an index
+        cols = len(rows[0]) if rows else 0
+        for m, width in ((rows, cols), ([list(c) for c in zip(*rows)], len(rows))):
+            assert _rank_and_index(m, width) == oracle_rank_and_index(m)
 
     @settings(max_examples=60, deadline=None)
     @given(integer_matrices())
@@ -279,12 +297,18 @@ class TestSmith:
         from sympy import ZZ, Matrix
 
         nc = len(rows[0]) if rows else 0
-        want = normalforms.invariant_factors(Matrix(len(rows), nc, [x for r in rows for x in r]), domain=ZZ)
-        assert smith_normal_form(rows).diag == tuple(abs(int(x)) for x in want)
+        want = [abs(int(x)) for x in normalforms.invariant_factors(
+            Matrix(len(rows), nc, [x for r in rows for x in r]), domain=ZZ
+        ) if x]
+        index = 1
+        for x in want:
+            index *= x
+        assert _rank_and_index(rows, nc) == (len(want), index if len(want) == len(rows) else None)
 
     def test_modulus_pass_on_a_large_block(self):
-        # a 12x12 matrix of determinant 432, which is its Bareiss modulus:
-        # the pass over Z/432 must find the divisor chain 1, ..., 1, 2, 6, 36
+        # a 12x12 matrix of determinant 432, which is its Bareiss modulus and
+        # its index; beside three more columns from its own span, the index
+        # comes from the Hermite basis modulo 432 instead
         rng = random.Random(7)
         n = 12
         left, right = (
@@ -295,7 +319,10 @@ class TestSmith:
         for i, x in enumerate([1] * 9 + [2, 6, 36]):
             diag[i][i] = x
         rows = _mm(_mm(left, diag), right)
-        assert smith_normal_form(rows).diag == (1,) * 9 + (2, 6, 36) == smith_with_transforms(rows).diag
+        assert smith_with_transforms(rows).diag == (1,) * 9 + (2, 6, 36)
+        assert _rank_and_index(rows, n) == (n, 432)
+        extra = _mm(rows, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)])
+        assert _rank_and_index([r + x for r, x in zip(rows, extra)], n + 3) == (n, 432)
 
 
 class TestGroupOrders:
@@ -344,6 +371,26 @@ class TestGroupOrders:
         else:
             with pytest.raises(ValueError):
                 AbGroupMap.make(f.source, f.target, m)
+
+    def test_square_nonsingular_map_takes_no_hermite_basis(self, monkeypatch):
+        # the last Bareiss pivot of [M] is +-det M, which is the index
+        from degen import qlinalg
+
+        calls = []
+        real = qlinalg._hermite_mod
+        monkeypatch.setattr(qlinalg, "_hermite_mod", lambda *a: calls.append(a) or real(*a))
+        rng = random.Random(22)
+        seen = 0
+        while seen < 30:
+            k = rng.randint(1, 8)
+            m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+            if not det_int(m):
+                continue
+            seen += 1
+            free = FPAbelianGroup.make(k, [[] for _ in range(k)])
+            f = AbGroupMap.make(free, free, m)
+            assert kernel_cokernel_orders(f) == transform_orders(f) == (1, abs(det_int(m)))
+        assert calls == []
 
     def test_mod4_to_mod2(self):
         a = FPAbelianGroup.make(1, [[4]])

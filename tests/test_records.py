@@ -21,9 +21,10 @@ from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, Place, Regulator
 from degen.deligne import ConjectureAResult, CycleDatum, DeligneGroup
 from degen.lfun import FunctionalEquation, LeadingValue, RatFunc
 from degen.monodromy import CochainComplex, QuasiIsoResult, TwistRow
-from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat, SmithForm
+from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat
 from degen.strata import GradedSpace, ValidationReport, generator_smooth
 from degen.workbench import CheckReport, ReportLine
+from oracles import SmithForm
 
 F = Fraction
 
