@@ -29,16 +29,17 @@ exceed MAX_GENERATORS, and the rows and cols of each matrix, each
 higher_chow dim and the sum of each fibre's chow dims may not exceed
 MAX_DIMENSION; both are checked before any row is built.  So is the
 shape the fibre's Chow table asks of each pushforward and pullback block
-and of each explicit i^*i_* matrix.  No chow or higher_chow dim may be
-negative, and no entry of chow, higher_chow, the blocks or ii_matrices
-may repeat the key of an earlier one (for higher_chow, its (codim, j)).
-A file nested past Python's
-recursion limit is rejected as too deeply nested, and ``load`` rejects
-a file longer than MAX_BUNDLE_BYTES after reading one byte past it,
-before any parsing.  At the boundary twist (q_coh - 2a = 1) the
-regulator matrix, xi and tau of each place are checked against CH^a of
-the first level as they are read, so a bad height is named before any
-command builds a map on it.
+and of each explicit i^*i_* matrix.  The five keyed tables of a fibre
+(chow, pushforward, pullback, ii_matrices, higher_chow) share one rule,
+read by ``_table`` and written by ``_table_json``: an entry's fields are
+its key, ending in (codim, j), and then its value; no key repeats; no
+codim, j or dim is negative; and entries are written in sorted key
+order.  A file nested past Python's recursion limit is rejected as too
+deeply nested, and ``load`` rejects a file longer than MAX_BUNDLE_BYTES
+after reading one byte past it, before any parsing.  At the boundary
+twist (q_coh - 2a = 1) the regulator matrix, xi and tau of each place
+are checked against CH^a of the first level as they are read, so a bad
+height is named before any command builds a map on it.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -518,77 +519,67 @@ class Bundle(_Record):
 # Parsing.
 
 
+def _table(entries: list, spec: _Spec, list_at, strict: bool, value) -> dict:
+    """The keyed table of a fibre held by the JSON list ``entries``, read
+    by ``spec``: each entry's last field is its value and the others its
+    key, which ends in (codim, j) and may start with a stratum.  No key
+    repeats and no codim, j or dim is negative; ``value(key, v, at)``
+    checks the value ``v`` of the entry at ``at`` and returns it."""
+    table = {}
+    stratum = spec.required[0][0] == "stratum"
+    for i, entry in enumerate(entries):
+        at = (list_at, i)
+        *key, v = _record(entry, spec, at, strict)
+        if stratum:
+            key[0] = _stratum(key[0], (at, ".stratum"))
+        if key[-2] < 0 or key[-1] < 0:
+            raise _error((at, ".codim" if key[-2] < 0 else ".j"), "negative")
+        key = tuple(key)
+        if key in table:
+            raise _error(at, f"duplicate entry for {key}")
+        if type(v) is int and v < 0:
+            raise _error((at, ".dim"), "negative")
+        try:
+            table[key] = value(key, v, at)
+        except DescriptorError as exc:
+            raise _error(at, exc) from exc
+    return table
+
+
 def _parse_fibre(obj, where: str, strict: bool, built: dict) -> Fibre:
     (
         components, dim_y, q_v, strata_list, chow_list, push_list, pull_list, ii_list, higher_list
     ) = _record(obj, _FIBRE, where, strict)
     at = (where, ".strata")
     strata = [_stratum(s, (at, i)) for i, s in enumerate(strata_list)]
-
-    chow = {}
     total = 0
-    list_at = (where, ".chow")
-    for i, entry in enumerate(chow_list):
-        at = (list_at, i)
-        stratum, codim, j, dim = _record(entry, _CHOW, at, strict)
-        key = (_stratum(stratum, (at, ".stratum")), codim, j)
-        if key in chow:
-            raise _error(at, f"duplicate entry for {key}")
-        if dim < 0:
-            raise _error((at, ".dim"), "negative")
-        chow[key] = dim
+
+    def chow_dim(key, dim, at):
+        nonlocal total
         total += dim
         if total > MAX_DIMENSION:
             raise _error((at, ".dim"), f"the chow dims of the fibre sum past {MAX_DIMENSION}")
+        return dim
 
-    def parse_blocks(name: str, entries: list) -> dict:
-        blocks = {}
-        list_at = (where, "." + name)
-        for i, entry in enumerate(entries):
-            at = (list_at, i)
-            stratum, position, codim, j, matrix = _record(entry, _BLOCK, at, strict)
-            key = (_stratum(stratum, (at, ".stratum")), position, codim, j)
-            if key in blocks:
-                raise _error(at, f"duplicate entry for {key}")
-            try:
-                shape = block_shape(chow, name, key)
-            except DescriptorError as exc:
-                raise _error(at, exc) from exc
-            blocks[key] = _mat_from_json(matrix, (at, ".matrix"), strict, built, shape)
-        return blocks
+    def higher_dim(key, dim, at):
+        if dim > MAX_DIMENSION:
+            raise _error((at, ".dim"), f"exceeds {MAX_DIMENSION}")
+        return dim
 
-    pushforward = parse_blocks("pushforward", push_list)
-    pullback = parse_blocks("pullback", pull_list)
+    def matrix(shape):
+        # a matrix value is held to the shape the Chow table asks of its key
+        return lambda key, obj, at: _mat_from_json(obj, (at, ".matrix"), strict, built, shape(key))
 
-    ii_matrices = {}
-    if ii_list is not None:
-        level_one = level_one_dims(chow)
-        list_at = (where, ".ii_matrices")
-        for i, entry in enumerate(ii_list):
-            at = (list_at, i)
-            codim, j, matrix = _record(entry, _II, at, strict)
-            key = (codim, j)
-            if key in ii_matrices:
-                raise _error(at, f"duplicate entry for {key}")
-            ii_matrices[key] = _mat_from_json(
-                matrix, (at, ".matrix"), strict, built, ii_shape(level_one, *key)
-            )
-
-    higher_chow = {}
-    if higher_list is not None:
-        list_at = (where, ".higher_chow")
-        for i, entry in enumerate(higher_list):
-            at = (list_at, i)
-            codim, j, dim = _record(entry, _HIGHER_CHOW, at, strict)
-            key = (codim, j)
-            if key in higher_chow:
-                raise _error(at, f"duplicate entry for {key}")
-            if dim < 0:
-                raise _error((at, ".dim"), "negative")
-            if dim > MAX_DIMENSION:
-                raise _error((at, ".dim"), f"exceeds {MAX_DIMENSION}")
-            higher_chow[key] = dim
-
+    chow = _table(chow_list, _CHOW, (where, ".chow"), strict, chow_dim)
+    pushforward = _table(push_list, _BLOCK, (where, ".pushforward"), strict,
+                         matrix(lambda key: block_shape(chow, "pushforward", key)))
+    pullback = _table(pull_list, _BLOCK, (where, ".pullback"), strict,
+                      matrix(lambda key: block_shape(chow, "pullback", key)))
+    level_one = level_one_dims(chow)
+    ii_matrices = _table(ii_list or [], _II, (where, ".ii_matrices"), strict,
+                         matrix(lambda key: ii_shape(level_one, *key)))
+    higher_chow = _table(higher_list or [], _HIGHER_CHOW, (where, ".higher_chow"), strict,
+                         higher_dim)
     try:
         fibre = Fibre(
             components, dim_y, q_v, tuple(strata), chow, pushforward={}, pullback={},
@@ -871,47 +862,35 @@ def _write(node, newline: str, out: list[str]) -> None:
         raise TypeError(f"cannot write {kind.__name__} to a bundle")
 
 
+def _table_json(table: dict, spec: _Spec) -> list:
+    """The JSON list ``_table`` reads ``table`` back from, in sorted key
+    order: a stratum as a list, a matrix value by ``_mat_to_json``."""
+    names = [name for name, _ in spec.required]
+    matrix = spec.types[-1] is dict
+    out = [
+        dict(zip(names, (*key, _mat_to_json(v) if matrix else v)))
+        for key, v in sorted(table.items())
+    ]
+    if names[0] == "stratum":
+        for entry in out:
+            entry["stratum"] = list(entry["stratum"])
+    return out
+
+
 def _fibre_to_json(f: Fibre) -> dict:
     out = {
         "components": f.components,
         "dim_y": f.dim_y,
         "q_v": f.q_v,
         "strata": [list(s) for s in sorted(f.strata, key=lambda s: (len(s), s))],
-        "chow": [
-            {"stratum": list(k[0]), "codim": k[1], "j": k[2], "dim": v}
-            for k, v in sorted(f.chow.items())
-        ],
-        "pushforward": [
-            {
-                "stratum": list(k[0]),
-                "position": k[1],
-                "codim": k[2],
-                "j": k[3],
-                "matrix": _mat_to_json(v),
-            }
-            for k, v in sorted(f.pushforward.items())
-        ],
-        "pullback": [
-            {
-                "stratum": list(k[0]),
-                "position": k[1],
-                "codim": k[2],
-                "j": k[3],
-                "matrix": _mat_to_json(v),
-            }
-            for k, v in sorted(f.pullback.items())
-        ],
+        "chow": _table_json(f.chow, _CHOW),
+        "pushforward": _table_json(f.pushforward, _BLOCK),
+        "pullback": _table_json(f.pullback, _BLOCK),
     }
     if f.ii_matrices:
-        out["ii_matrices"] = [
-            {"codim": k[0], "j": k[1], "matrix": _mat_to_json(v)}
-            for k, v in sorted(f.ii_matrices.items())
-        ]
+        out["ii_matrices"] = _table_json(f.ii_matrices, _II)
     if f.higher_chow:
-        out["higher_chow"] = [
-            {"codim": k[0], "j": k[1], "dim": v}
-            for k, v in sorted(f.higher_chow.items())
-        ]
+        out["higher_chow"] = _table_json(f.higher_chow, _HIGHER_CHOW)
     return out
 
 

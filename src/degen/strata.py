@@ -242,6 +242,10 @@ class Fibre(_Record):
                     raise DescriptorError(
                         f"{kind} block {key} has shape {m.rows}x{m.cols}, expected {rows}x{cols}"
                     )
+        if self.ii_matrices:
+            level_one = level_one_dims(self.chow)
+            for (p, j), m in self.ii_matrices.items():
+                _require_ii_shape(level_one, p, j, m)
 
     def chow_dim(self, stratum: Stratum, p: int, j: int = 0) -> int:
         return self.chow.get((tuple(stratum), p, j), 0)
@@ -311,6 +315,14 @@ def ii_shape(level_one: Mapping, p: int, j: int) -> tuple[int, int]:
     CH^p(Y^{(1)}, j) to CH^{p+1}(Y^{(1)}, j), given ``level_one`` =
     level_one_dims(chow)."""
     return level_one.get((p + 1, j), 0), level_one.get((p, j), 0)
+
+
+def _require_ii_shape(level_one: Mapping, p: int, j: int, m: Mat) -> None:
+    rows, cols = ii_shape(level_one, p, j)
+    if (m.rows, m.cols) != (rows, cols):
+        raise DescriptorError(
+            f"ii matrix at codim {p}, j {j} has shape {m.rows}x{m.cols}, expected {rows}x{cols}"
+        )
 
 
 def build_level(f: Fibre, r: int, p: int, j: int = 0) -> GradedSpace:
@@ -402,12 +414,8 @@ def ii_map(f: Fibre, p: int, j: int = 0) -> Mat:
     if key not in maps:
         explicit = f.ii_matrices.get((p, j))
         if explicit is not None:
-            rows, cols = ii_shape(level_one_dims(f.chow), p, j)
-            if (explicit.rows, explicit.cols) != (rows, cols):
-                raise DescriptorError(
-                    f"ii matrix at codim {p}, j {j} has shape "
-                    f"{explicit.rows}x{explicit.cols}, expected {rows}x{cols}"
-                )
+            # checked again here: a fibre's ii_matrices may change after it is built
+            _require_ii_shape(level_one_dims(f.chow), p, j, explicit)
             maps[key] = explicit
         else:
             maps[key] = compose_ii(f, p, j)

@@ -26,7 +26,7 @@ from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, Place, Regulator
 from degen.deligne import CycleDatum
 from degen.lfun import RatFunc
 from degen.qlinalg import AbGroupMap, FPAbelianGroup, Mat, solve
-from degen.strata import Fibre, generator_ngon, generator_smooth
+from degen.strata import Fibre, generator_ngon, generator_smooth, ii_map
 from oracles import random_invertible
 
 F = Fraction
@@ -183,6 +183,27 @@ def fixture_fibres() -> list[Fibre]:
         generator_smooth({(0, 0): 1, (1, 0): 1}, dim_y=1, q_v=3),
         generator_smooth({(0, 0): 1, (1, 0): 2, (2, 0): 1}, dim_y=2, q_v=4),
     ]
+
+
+def with_explicit_ii(f: Fibre, rng: random.Random) -> Fibre:
+    """``f`` with explicit i^*i_* matrices T * (composed i^*i_*) at every
+    level-one codim, T random and often singular, so each kernel contains
+    the composed one and im(gamma) still lies in it."""
+    codims = sorted({(p, j) for (s, p, j) in f.chow if len(s) == 1})
+    ii = {}
+    for p, j in codims:
+        composed = ii_map(f, p, j)
+        t = Mat.from_rows(
+            [[rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(composed.rows)]
+             for _ in range(composed.rows)],
+            cols=composed.rows,
+        )
+        ii[p, j] = t * composed
+    return Fibre(
+        components=f.components, dim_y=f.dim_y, q_v=f.q_v, strata=f.strata,
+        chow=dict(f.chow), pushforward=dict(f.pushforward), pullback=dict(f.pullback),
+        ii_matrices=ii, higher_chow=dict(f.higher_chow),
+    )
 
 
 def with_flipped_sign(f: Fibre, key, kind: str = "push") -> Fibre:

@@ -4,8 +4,7 @@ that tests/test_bundle.py compares ``degen.bundle.loads`` against.
 A field-by-field reader: ``_expect`` builds a dict of each record's fields
 and formats the path of every field it reads; every matrix entry goes
 through ``_rational``.  It accepts what the current reader accepts and
-words every rejection the same, except that it lets a ``higher_chow``
-entry have a negative dim or repeat the (codim, j) of an earlier one.
+words every rejection the same.
 
 Kept in a module of its own that nothing else imports: the benchmark's
 workload set-up imports ``fixtures`` and, through it, ``oracles``, and so
@@ -223,6 +222,13 @@ def _poly_from_json(value, where: str) -> tuple[Fraction, ...]:
     return tuple(_fraction(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
+def _check_index(e: dict, where: str) -> None:
+    """The codim and j of a fibre's table entry are not negative."""
+    for key in ("codim", "j"):
+        if e[key] < 0:
+            raise BundleError(f"{where}.{key}: negative")
+
+
 def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
     got = _expect(
         obj,
@@ -252,6 +258,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
             strict,
         )
         key = (_stratum(e["stratum"], f"{where}.chow[{i}].stratum"), e["codim"], e["j"])
+        _check_index(e, f"{where}.chow[{i}]")
         if key in chow:
             raise BundleError(f"{where}.chow[{i}]: duplicate entry for {key}")
         if e["dim"] < 0:
@@ -281,6 +288,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
             )
             stratum = _stratum(e["stratum"], f"{where}.{name}[{i}].stratum")
             key = (stratum, e["position"], e["codim"], e["j"])
+            _check_index(e, f"{where}.{name}[{i}]")
             if key in blocks:
                 raise BundleError(f"{where}.{name}[{i}]: duplicate entry for {key}")
             try:
@@ -305,6 +313,7 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
                 strict,
             )
             key = (e["codim"], e["j"])
+            _check_index(e, f"{where}.ii_matrices[{i}]")
             if key in ii_matrices:
                 raise BundleError(f"{where}.ii_matrices[{i}]: duplicate entry for {key}")
             ii_matrices[key] = _mat_from_json(
@@ -321,9 +330,15 @@ def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
                 f"{where}.higher_chow[{i}]",
                 strict,
             )
+            key = (e["codim"], e["j"])
+            _check_index(e, f"{where}.higher_chow[{i}]")
+            if key in higher_chow:
+                raise BundleError(f"{where}.higher_chow[{i}]: duplicate entry for {key}")
+            if e["dim"] < 0:
+                raise BundleError(f"{where}.higher_chow[{i}].dim: negative")
             if e["dim"] > MAX_DIMENSION:
                 raise BundleError(f"{where}.higher_chow[{i}].dim: exceeds {MAX_DIMENSION}")
-            higher_chow[(e["codim"], e["j"])] = e["dim"]
+            higher_chow[key] = e["dim"]
 
     try:
         return Fibre(

@@ -32,14 +32,13 @@ from degen.qlinalg import (
 )
 from degen.strata import (
     DescriptorError,
-    Fibre,
     gamma,
     generator_ngon,
     generator_smooth,
     ii_map,
 )
 
-from fixtures import fixture_fibres, simplex_surface
+from fixtures import fixture_fibres, simplex_surface, with_explicit_ii
 from oracles import (
     brute_cokernel_order,
     brute_kernel_order,
@@ -169,27 +168,6 @@ def test_group_residues_need_the_boundary_presentation():
         g.residues(Mat.zero(2, 1))
     with pytest.raises(ValueError, match="boundary presentation"):
         deligne_group(generator_ngon(3, 2), 4, 1).residues(Mat.zero(0, 1))
-
-
-def with_explicit_ii(f: Fibre, rng: random.Random) -> Fibre:
-    """``f`` with explicit i^*i_* matrices T * (composed i^*i_*) at every
-    level-one codim, T random and often singular, so each kernel contains
-    the composed one and im(gamma) still lies in it."""
-    codims = sorted({(p, j) for (s, p, j) in f.chow if len(s) == 1})
-    ii = {}
-    for p, j in codims:
-        composed = ii_map(f, p, j)
-        t = Mat.from_rows(
-            [[rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(composed.rows)]
-             for _ in range(composed.rows)],
-            cols=composed.rows,
-        )
-        ii[p, j] = t * composed
-    return Fibre(
-        components=f.components, dim_y=f.dim_y, q_v=f.q_v, strata=f.strata,
-        chow=dict(f.chow), pushforward=dict(f.pushforward), pullback=dict(f.pullback),
-        ii_matrices=ii, higher_chow=dict(f.higher_chow),
-    )
 
 
 def test_contains_agrees_with_the_kernel_solve():

@@ -19,9 +19,8 @@ from degen.monodromy import build_C, total_rows
 from degen.qlinalg import Mat
 from degen.strata import DescriptorError, Fibre, gamma, ii_map, rho
 
-from fixtures import fixture_fibres, with_flipped_sign
+from fixtures import fixture_fibres, with_explicit_ii, with_flipped_sign
 from oracles import cone_pieces, is_chain_map, row_complex, squares_to_zero
-from test_deligne import with_explicit_ii
 
 
 def five_level_fibre() -> Fibre:

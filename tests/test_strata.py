@@ -192,6 +192,14 @@ class TestDescriptorErrors:
         with pytest.raises(DescriptorError, match="ii matrix"):
             ii_map(f, 0)
 
+    def test_explicit_ii_shape_checked_when_built(self):
+        f = generator_ngon(4, 2)
+        with pytest.raises(DescriptorError, match="has shape 3x3, expected 4x4"):
+            Fibre(
+                f.components, f.dim_y, f.q_v, f.strata, f.chow, f.pushforward, f.pullback,
+                ii_matrices={(0, 0): Mat.identity(3)},
+            )
+
 
 class TestIntegerAssembly:
     """gamma, rho and i^*i_* against the Fraction-dict block assembly."""
