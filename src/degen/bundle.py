@@ -25,21 +25,22 @@ is read, because Z is reduced at load time; and field sizes
 JSON integer literal may not have more digits than Python converts to an
 int (4300 by default); such a literal is named by its path in the file.
 The generator count of each group of the integral regulator may not
-exceed MAX_GENERATORS, and the rows and cols of each matrix, each
-higher_chow dim and the sum of each fibre's chow dims may not exceed
-MAX_DIMENSION; both are checked before any row is built.  So is the
-shape the fibre's Chow table asks of each pushforward and pullback block
-and of each explicit i^*i_* matrix.  The five keyed tables of a fibre
-(chow, pushforward, pullback, ii_matrices, higher_chow) share one rule,
-read by ``_table`` and written by ``_table_json``: an entry's fields are
-its key, ending in (codim, j), and then its value; no key repeats; no
-codim, j or dim is negative; and entries are written in sorted key
-order.  A file nested past Python's recursion limit is rejected as too
-deeply nested, and ``load`` rejects a file longer than MAX_BUNDLE_BYTES
-after reading one byte past it, before any parsing.  At the boundary
-twist (q_coh - 2a = 1) the regulator matrix, xi and tau of each place
-are checked against CH^a of the first level as they are read, so a bad
-height is named before any command builds a map on it.
+exceed MAX_GENERATORS, and each fibre's dim_y, the rows and cols of each
+matrix, each higher_chow dim and the sum of each fibre's chow dims may
+not exceed MAX_DIMENSION; both are checked before any row is built.  So
+is the shape the fibre's Chow table asks of each pushforward and
+pullback block and of each explicit i^*i_* matrix.  The five keyed
+tables of a fibre (chow, pushforward, pullback, ii_matrices,
+higher_chow) share one rule, read by ``_table`` and written by
+``_table_json``: an entry's fields are its key, ending in (codim, j),
+and then its value; no key repeats; no codim, j or dim is negative; and
+entries are written in sorted key order.  A file nested past Python's
+recursion limit is rejected as too deeply nested, and ``load`` rejects a
+file longer than MAX_BUNDLE_BYTES after reading one byte past it, before
+any parsing.  At the boundary twist (q_coh - 2a = 1) the regulator
+matrix, xi and tau of each place are checked against CH^a of the first
+level as they are read, so a bad height is named before any command
+builds a map on it.
 
 Only "params" and "fibres" are mandatory; check commands that need a
 missing section report it rather than crash.  In strict mode (default)
@@ -61,6 +62,7 @@ from _json import make_scanner
 from .deligne import CycleDatum
 from .lfun import RatFunc
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _entry_strings, _from_scalars, _Record
+from .qlinalg import _int_rows as _dense_rows
 from .strata import (
     MAX_PRIME_POWER,
     DescriptorError,
@@ -111,10 +113,11 @@ MAX_COEFFICIENTS = 56
 # relations the parser builds one row per generator.
 MAX_GENERATORS = 10_000
 
-# Largest matrix height or width, higher Chow dimension and total Chow
-# dimension of a fibre: a matrix with no columns needs no entries in the
-# file whatever its height, and every space a command builds on a fibre
-# has at most the fibre's total Chow dimension.
+# Largest fibre dimension dim_y, matrix height or width, higher Chow
+# dimension and total Chow dimension of a fibre: a matrix with no columns
+# needs no entries in the file whatever its height, every space a command
+# builds on a fibre has at most the fibre's total Chow dimension, and
+# validate and quasi-iso sweep every codim or star up to dim_y.
 MAX_DIMENSION = 100_000
 
 # Largest bundle file read, in bytes: about twice the 66 MB a 1920-gon
@@ -550,6 +553,8 @@ def _parse_fibre(obj, where: str, strict: bool, built: dict) -> Fibre:
     (
         components, dim_y, q_v, strata_list, chow_list, push_list, pull_list, ii_list, higher_list
     ) = _record(obj, _FIBRE, where, strict)
+    if dim_y > MAX_DIMENSION:
+        raise _error((where, ".dim_y"), f"exceeds {MAX_DIMENSION}")
     at = (where, ".strata")
     strata = [_stratum(s, (at, i)) for i, s in enumerate(strata_list)]
     total = 0
@@ -901,7 +906,7 @@ def _square_rows(flat: list[str], n: int) -> list[list[str]]:
 def _group_to_json(g: FPAbelianGroup) -> dict:
     return {
         "generators": g.generators,
-        "relations": [list(row) for row in g.relations],
+        "relations": _dense_rows(g.relations),
     }
 
 
@@ -952,7 +957,7 @@ def _bundle_to_json(b: Bundle) -> dict:
         data["integral"] = {
             "source": _group_to_json(b.integral.source),
             "target": _group_to_json(b.integral.target),
-            "matrix": [list(row) for row in b.integral.matrix],
+            "matrix": _dense_rows(b.integral.matrix),
         }
     return data
 

@@ -32,14 +32,16 @@ reduced row echelon form of a matrix and the residue of a vector are
 unique, so every basis and every coordinate system read off them is
 canonical: the same input always yields the identical output object.
 
-On integer matrices (plain nested lists of int) sit finitely presented
-abelian groups, with exact kernel and cokernel orders for maps between
-them.  Each order is the index of a full-rank integer lattice: one
-Bareiss elimination gives its rank and a modulus that the lattice
-contains times Z^rank, and the product of the diagonal of a Hermite basis
-taken modulo it is the index.  No elementary divisor is computed on its
-own, and no unimodular transform is built.  Orders are returned as ``int``
-when finite and ``None`` when the group has positive rank.
+On integer Mats (denominator 1) sit finitely presented abelian groups,
+with exact kernel and cokernel orders for maps between them.  Each order
+is the index of a full-rank integer lattice: one Bareiss elimination
+gives its rank and a modulus that the lattice contains times Z^rank, and
+the product of the diagonal of a Hermite basis taken modulo it is the
+index.  Those two routines read a Mat's dense rows (``_int_rows``);
+nothing else of this layer leaves ``Mat``.  No elementary divisor is
+computed on its own, and no unimodular transform is built.  Orders are
+returned as ``int`` when finite and ``None`` when the group has positive
+rank.
 """
 
 from __future__ import annotations
@@ -276,8 +278,9 @@ class Mat(_Record):
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense view: a tuple of row tuples of Fractions, built on each
-        call.  Nothing in the package reads it; it is the ``Fraction``
-        edge of the API, and imports ``fractions`` on first use."""
+        call.  In the package only ``__iter__`` reads it; it is the
+        ``Fraction`` edge of the API, and imports ``fractions`` on first
+        use."""
         from fractions import Fraction
 
         zero = Fraction(0)
@@ -344,6 +347,13 @@ class Mat(_Record):
                 data[i] = ((0, x),)
             out.append(_reduced(self.rows, 1, self._den, tuple(data)))
         return out
+
+    def __iter__(self):
+        """The rows of ``entries``, each ``cols`` long.  No code in the
+        package iterates a Mat; ``perfbench/tracejob.py`` counts the cells of
+        the integral map by its rows, so this stays until it reads
+        ``rows * cols``.  It makes ``Mat.from_rows(m)`` a copy of ``m``."""
+        return iter(self.entries)
 
     def is_zero(self) -> bool:
         return not any(self._data)
@@ -567,22 +577,26 @@ def residues(vectors: Mat, modulo: Mat) -> Mat:
 # Integer matrices and finitely presented abelian groups.
 
 
-def _as_int_matrix(m, rows: int | None = None, cols: int | None = None) -> list[list[int]]:
-    """The rows of ``m`` as lists; an entry that is not an int (a bool, a
-    float, a Fraction) is a ValueError naming its row and column."""
+def _int_mat(m, rows: int, cols: int | None = None) -> Mat:
+    """The integer Mat whose rows are ``m``: ``rows`` of them, each of
+    ``cols`` entries when that is given, else all of one length.  An entry
+    that is not an int (a bool, a float, a Fraction) is a ValueError naming
+    its row and column."""
     out = [list(row) for row in m]
     for i, row in enumerate(out):
         if not {*map(type, row)} <= {int}:
             j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
             raise ValueError(f"integer matrix entry ({i}, {j}) is {x!r}, not an int")
-    if rows is not None and len(out) != rows:
+    if len(out) != rows:
         raise ValueError("integer matrix has wrong number of rows")
-    if out and cols is not None and any(len(r) != cols for r in out):
+    widths = {*map(len, out)}
+    if cols is None:  # relations: one column per relation, however many
+        if len(widths) > 1:
+            raise ValueError("ragged relations matrix")
+        cols = widths.pop() if widths else 0
+    elif widths - {cols}:
         raise ValueError("integer matrix has ragged or wrong-width rows")
-    return out
-
-
-IntRows = tuple[tuple[int, ...], ...]
+    return Mat(rows, cols, 1, tuple([tuple([(j, x) for j, x in enumerate(r) if x]) for r in out]))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -596,24 +610,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _bareiss(m: list[list[int]], cols: int) -> tuple[int, list[int], list[int]]:
+def _bareiss(m: Mat) -> tuple[int, list[int]]:
     """Fraction-free (Bareiss) elimination of an integer matrix.
 
     Columns are taken left to right, and a column's pivot is its entry of
     least magnitude among the remaining rows.  After k pivots, remaining
     entry (i, j) is the (k+1)-minor on the pivot rows and row i and on the
-    pivot columns and column j.  Returns (modulus, pivot rows, pivot
-    columns); the rank r is the number of pivots.  The modulus is the gcd of
-    the last pivot row, whose entries are r-minors (the last pivot among
-    them), so it is nonzero and the gcd of all r-minors divides it.  It is 1
-    when r = 0.  When r is the row count, the column lattice contains
+    pivot columns and column j.  Returns (modulus, pivot rows); the rank r
+    is the number of pivots.  The modulus is the gcd of the last pivot row,
+    whose entries are r-minors (the last pivot among them), so it is
+    nonzero and the gcd of all r-minors divides it.  It is 1 when r = 0.  When r is the row count, the column lattice contains
     modulus * Z^r, by the adjugates of the r x r minors.
     """
-    rows = [(i, row) for i, row in enumerate(m) if any(row)]
+    rows = [(i, row) for i, row in enumerate(_int_rows(m)) if any(row)]
     prev = modulus = 1
     prows: list[int] = []
-    pcols: list[int] = []
-    for c in range(cols):
+    for c in range(m.cols):
         # each remaining row holds its columns from c on; earlier ones are zero
         if not rows:
             break
@@ -637,8 +649,7 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, list[int], list[int]]:
                 step.append((i, new))
         rows, prev = step, p
         prows.append(i0)
-        pcols.append(c)
-    return modulus, prows, pcols
+    return modulus, prows
 
 
 def _hermite_mod(gens: list[list[int]], e: int, mod: int) -> list[list[int]]:
@@ -680,23 +691,23 @@ def _hermite_mod(gens: list[list[int]], e: int, mod: int) -> list[list[int]]:
     return basis
 
 
-def _rank_and_index(m: list[list[int]], cols: int) -> tuple[int, int | None]:
-    """Rank of the lattice spanned by the ``cols`` columns of ``m``, and its
-    index in Z^rows when that rank is the row count, else None.
+def _rank_and_index(m: Mat) -> tuple[int, int | None]:
+    """Rank of the lattice spanned by the columns of ``m``, and its index
+    in Z^rows when that rank is the row count, else None.
 
     The index is the product of the diagonal of the lattice's Hermite basis,
     taken modulo the ``_bareiss`` modulus.  When the columns are independent
     too, the matrix is square, its last pivot row is the one entry +-det and
     the modulus is the index; a modulus of 1 is an index of 1.
     """
-    modulus, prows, _ = _bareiss(m, cols)
+    modulus, prows = _bareiss(m)
     r = len(prows)
-    if r < len(m):
+    if r < m.rows:
         return r, None
-    if r == cols or modulus == 1:
+    if r == m.cols or modulus == 1:
         return r, modulus
     index = 1
-    for i, h in enumerate(_hermite_mod([list(c) for c in zip(*m)], r, modulus)):
+    for i, h in enumerate(_hermite_mod(_int_rows(m.transpose()), r, modulus)):
         index *= h[i]
     return r, index
 
@@ -712,49 +723,42 @@ def _int_rows(m: Mat) -> list[list[int]]:
     return out
 
 
-def _relation_basis(rel: list[list[int]], cols: int) -> list[list[int]]:
+def _relation_basis(rel: Mat) -> Mat:
     """A matrix whose columns are a Z-basis of the lattice spanned by the
-    ``cols`` columns of ``rel``: ``rel`` itself when they are independent.
+    columns of ``rel``: ``rel`` itself when they are independent.
 
-    Otherwise take the Hermite basis, modulo the ``_bareiss`` modulus, of
+    Otherwise take the Hermite basis H, modulo the ``_bareiss`` modulus, of
     the lattice on the pivot rows I, where the projection is injective, and
-    lift it back through rel[:, P] rel[I, P]^-1 (P the pivot columns).
+    lift it back as rel X for a solution X of rel[I, :] X = H.
     """
-    modulus, prows, pcols = _bareiss(rel, cols)
-    e = len(pcols)
-    if e == cols:
+    modulus, prows = _bareiss(rel)
+    e = len(prows)
+    if e == rel.cols:
         return rel
-    prows.sort()
-    h = _hermite_mod([list(c) for c in zip(*(rel[i] for i in prows))], e, modulus)
-    hrows = [list(r) for r in zip(*h)]
-    if e == len(rel):
-        return hrows
-    square = Mat.from_rows([[rel[i][j] for j in pcols] for i in prows], cols=e)
-    coords = solve(square, Mat.from_rows(hrows, cols=e))
-    return _int_rows(Mat.from_rows([[row[j] for j in pcols] for row in rel], cols=e) * coords)
+    on_pivots = Mat(e, rel.cols, 1, tuple(rel._data[i] for i in sorted(prows)))
+    h = _hermite_mod(_int_rows(on_pivots.transpose()), e, modulus)
+    h = Mat.from_rows(h, cols=e).transpose()
+    if e == rel.rows:
+        return h
+    return rel * solve(on_pivots, h)
 
 
 class FPAbelianGroup(_Record):
-    """Z^generators modulo the column span of ``relations``
-    (generators x number of relations)."""
+    """Z^generators modulo the column span of the integer matrix
+    ``relations``, one row per generator and one column per relation."""
 
-    __slots__ = _fields = ("generators", "relations")
+    __slots__ = _fields = ("relations",)
 
-    def __init__(self, generators: int, relations: IntRows):
-        self._assign(generators, relations)
+    def __init__(self, relations: Mat):
+        self._assign(relations)
 
     @staticmethod
     def make(generators: int, relations) -> "FPAbelianGroup":
-        rel = _as_int_matrix(relations, rows=generators)
-        width = len(rel[0]) if rel else 0
-        for r in rel:
-            if len(r) != width:
-                raise ValueError("ragged relations matrix")
-        return FPAbelianGroup(generators, tuple(tuple(r) for r in rel))
+        return FPAbelianGroup(_int_mat(relations, generators))
 
     @property
-    def relation_count(self) -> int:
-        return len(self.relations[0]) if self.relations else 0
+    def generators(self) -> int:
+        return self.relations.rows
 
 
 class AbGroupMap(_Record):
@@ -768,27 +772,26 @@ class AbGroupMap(_Record):
     __slots__ = ("source", "target", "matrix", "_coords")
     _fields = ("source", "target", "matrix")
 
-    def __init__(self, source: FPAbelianGroup, target: FPAbelianGroup, matrix: IntRows):
+    def __init__(self, source: FPAbelianGroup, target: FPAbelianGroup, matrix: Mat):
         self._assign(source, target, matrix)
         _set(self, "_coords", None)
 
     @staticmethod
     def make(source: FPAbelianGroup, target: FPAbelianGroup, matrix) -> "AbGroupMap":
         """The map, checked to send source relations into target relations."""
-        m = _as_int_matrix(matrix, rows=target.generators, cols=source.generators)
-        f = AbGroupMap(source, target, tuple(tuple(r) for r in m))
+        f = AbGroupMap(source, target, _int_mat(matrix, target.generators, source.generators))
         _set(f, "_coords", _relation_coords(f))
         return f
 
     @property
-    def relation_coords(self) -> tuple[list[list[int]], list[list[int]], Mat]:
+    def relation_coords(self) -> tuple[Mat, Mat, Mat]:
         """``_relation_coords`` of this map, taken once."""
         if self._coords is None:
             _set(self, "_coords", _relation_coords(self))
         return self._coords
 
 
-def _relation_coords(f: AbGroupMap) -> tuple[list[list[int]], list[list[int]], Mat]:
+def _relation_coords(f: AbGroupMap) -> tuple[Mat, Mat, Mat]:
     """(R_s', R_t', N): Z-bases R_s', R_t' of the lattices the source and
     the target relations span, as columns, and the integer N with
     R_t' N = M R_s'.
@@ -797,12 +800,9 @@ def _relation_coords(f: AbGroupMap) -> tuple[list[list[int]], list[list[int]], M
     integral exactly when the lattice contains the image M R_s of the
     source relations; otherwise ValueError.
     """
-    src, tgt = f.source, f.target
-    rs = _relation_basis([list(r) for r in src.relations], src.relation_count)
-    rt = _relation_basis([list(r) for r in tgt.relations], tgt.relation_count)
-    cols = list(zip(*rs))
-    image = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in f.matrix]
-    n = solve(Mat.from_rows(rt, cols=len(rt[0]) if rt else 0), Mat.from_rows(image, cols=len(cols)))
+    rs = _relation_basis(f.source.relations)
+    rt = _relation_basis(f.target.relations)
+    n = solve(rt, f.matrix * rs)
     if n is None or n._den != 1:
         raise ValueError("matrix does not send source relations into target relations")
     return rs, rt, n
@@ -824,9 +824,8 @@ def kernel_cokernel_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
     lattice in Z^s'.
     """
     rs, rt, n = f.relation_coords
-    width = f.source.generators + (len(rt[0]) if rt else 0)
-    rank_b, coker = _rank_and_index([list(m) + r for m, r in zip(f.matrix, rt)], width)
-    s = len(rs[0]) if rs else 0
-    if s != width - rank_b:
+    b = Mat.hstack([f.matrix, rt])
+    rank_b, coker = _rank_and_index(b)
+    if rs.cols != b.cols - rank_b:
         return None, coker
-    return _rank_and_index([list(c) for c in zip(*rs, *_int_rows(-n))], width)[1], coker
+    return _rank_and_index(Mat.hstack([rs.transpose(), -n.transpose()]))[1], coker

@@ -230,11 +230,18 @@ class Fibre(_Record):
                         f"strata not downward closed: {t} present but {sub} missing"
                     )
         self.strata = tuple(sorted(cleaned))
-        for (s, p, j), d in self.chow.items():
+        for s, _, _ in self.chow:
             if s not in seen:
                 raise DescriptorError(f"chow entry references unknown stratum {s}")
-            if p < 0 or d < 0:
-                raise DescriptorError(f"bad chow entry at {(s, p, j)}")
+        tables = {
+            "chow": self.chow, "pushforward": self.pushforward, "pullback": self.pullback,
+            "ii_matrices": self.ii_matrices, "higher_chow": self.higher_chow,
+        }
+        for name, table in tables.items():
+            for key, value in table.items():
+                # every key ends in (codim, j); chow and higher_chow hold dims
+                if key[-2] < 0 or key[-1] < 0 or (name in ("chow", "higher_chow") and value < 0):
+                    raise DescriptorError(f"bad {name} entry at {key}")
         for kind, blocks in (("pushforward", self.pushforward), ("pullback", self.pullback)):
             for key, m in blocks.items():
                 rows, cols = block_shape(self.chow, kind, key)

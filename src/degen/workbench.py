@@ -195,11 +195,6 @@ def _map_value(res: ConjectureAResult) -> str:
 
 
 def _run_A(b: Bundle, which: str) -> CheckReport:
-    boundary = _gap(b) == 1
-    if which == "A1" and boundary:
-        return _inconclusive("A1", "boundary twist, statement is A2")
-    if which == "A2" and not boundary:
-        return _inconclusive("A2", "non-boundary twist, statement is A1")
     lines = []
     for name, g in _groups(b):
         if name not in b.motivic:
@@ -208,7 +203,7 @@ def _run_A(b: Bundle, which: str) -> CheckReport:
             )
             continue
         g, reg, cycles = _local(b, name, g)
-        if not boundary and reg is not None and reg.rows != g.dim:
+        if which == "A1" and reg is not None and reg.rows != g.dim:
             raise DescriptorError(f"regulator matrix has {reg.rows} rows, expected {g.dim}")
         res = conjecture_A_check([(g, reg, cycles)])
         if not res.in_kernel:
@@ -288,11 +283,6 @@ def _global(b: Bundle, which: str) -> CheckReport | tuple[RatFunc, int]:
     """The start of B1FF, B2FF and CFF: a one-line INCONCLUSIVE report when
     the bundle cannot decide ``which``, else lam, Z with the Euler factors
     at the marked places removed, and its order at s = params.a."""
-    boundary = _gap(b) == 1
-    if which == "B1FF" and boundary:
-        return _inconclusive(which, "boundary twist, statement is B2FF")
-    if which == "B2FF" and not boundary:
-        return _inconclusive(which, "non-boundary twist, statement is B1FF")
     missing = []
     if b.global_l is None:
         missing.append("global L-function")
@@ -385,11 +375,20 @@ def _run_C(b: Bundle, lam: RatFunc, order: int) -> list[ReportLine]:
 _GLOBAL_RUNNERS = {"B1FF": _run_B1, "B2FF": _run_B2, "CFF": _run_C}
 
 
+# The statements of one twist, each with its partner at the others; A2
+# and B2FF are those of the boundary twist q - 2a = 1.
+_PARTNER = {"A1": "A2", "A2": "A1", "B1FF": "B2FF", "B2FF": "B1FF"}
+
+
 def run_conjecture(b: Bundle, which: str) -> CheckReport:
+    if which not in _PARTNER and which not in _GLOBAL_RUNNERS:
+        raise ValueError(f"unknown conjecture {which!r}")
+    boundary = _gap(b) == 1
+    if which in _PARTNER and (which in ("A2", "B2FF")) != boundary:
+        twist = "boundary" if boundary else "non-boundary"
+        return _inconclusive(which, f"{twist} twist, statement is {_PARTNER[which]}")
     if which == "A1" or which == "A2":
         return _run_A(b, which)
-    if which not in _GLOBAL_RUNNERS:
-        raise ValueError(f"unknown conjecture {which!r}")
     start = _global(b, which)
     if isinstance(start, CheckReport):
         return start

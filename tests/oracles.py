@@ -389,6 +389,13 @@ def smith_with_transforms(a) -> SmithForm:
     )
 
 
+def int_rows(m: Mat) -> list[list[int]]:
+    """The dense rows of an integer Mat as lists of int, read off ``entries``."""
+    entries = m.entries
+    assert all(x.denominator == 1 for row in entries for x in row)
+    return [[int(x) for x in row] for row in entries]
+
+
 def _int_inverse(u: tuple[tuple[int, ...], ...]) -> Mat:
     n = len(u)
     inv = solve(Mat.from_rows(u, cols=n), Mat.identity(n))
@@ -401,7 +408,7 @@ def group_elements(g: FPAbelianGroup) -> list[tuple[int, ...]]:
     """Coset representatives of a finite group with square nonsingular relations."""
     if g.generators == 0:
         return [()]
-    sf = smith_with_transforms(g.relations)
+    sf = smith_with_transforms(int_rows(g.relations))
     diag = sf.diag
     assert len(diag) == g.generators and all(d != 0 for d in diag)
     uinv = _int_inverse(sf.u)
@@ -414,7 +421,7 @@ def group_elements(g: FPAbelianGroup) -> list[tuple[int, ...]]:
 def in_relation_lattice(g: FPAbelianGroup, vec) -> bool:
     """vec lies in the column lattice of g's relations: u vec is divisible
     by the Smith diagonal, and zero where the diagonal is."""
-    sf = smith_with_transforms(g.relations)
+    sf = smith_with_transforms(int_rows(g.relations))
     diag = sf.diag
     uv = apply(Mat.from_rows(sf.u, cols=g.generators), vec)
     return all(
@@ -425,7 +432,7 @@ def in_relation_lattice(g: FPAbelianGroup, vec) -> bool:
 
 def transform_group_order(g: FPAbelianGroup) -> int | None:
     """Order of g from its Smith form with transforms, None when infinite."""
-    sf = smith_with_transforms(g.relations)
+    sf = smith_with_transforms(int_rows(g.relations))
     if sf.rank < g.generators:
         return None
     out = 1
@@ -436,9 +443,8 @@ def transform_group_order(g: FPAbelianGroup) -> int | None:
 
 def brute_kernel_order(f: AbGroupMap) -> int:
     count = 0
-    m = Mat.from_rows(f.matrix, cols=f.source.generators)
     for x in group_elements(f.source):
-        fx = tuple(int(v) for v in apply(m, x))
+        fx = tuple(int(v) for v in apply(f.matrix, x))
         if in_relation_lattice(f.target, fx):
             count += 1
     return count
@@ -448,15 +454,14 @@ def brute_cokernel_order(f: AbGroupMap) -> int:
     tgt = f.target
     if tgt.generators == 0:
         return 1
-    sf = smith_with_transforms(tgt.relations)
+    sf = smith_with_transforms(int_rows(tgt.relations))
     diag = sf.diag
     u = Mat.from_rows(sf.u, cols=tgt.generators)
 
     def canon(vec):
         return tuple(int(v) % d for v, d in zip(apply(u, vec), diag))
 
-    m = Mat.from_rows(f.matrix, cols=f.source.generators)
-    image = {canon(tuple(int(v) for v in apply(m, x))) for x in group_elements(f.source)}
+    image = {canon(tuple(int(v) for v in apply(f.matrix, x))) for x in group_elements(f.source)}
     order = 1
     for d in diag:
         order *= d
@@ -476,7 +481,9 @@ def transform_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
     if gb == 0:
         coker, kgens = 1, [[int(i == j) for j in range(ga)] for i in range(ga)]
     else:
-        sf = smith_with_transforms([list(m) + list(t) for m, t in zip(f.matrix, f.target.relations)])
+        sf = smith_with_transforms(
+            [m + t for m, t in zip(int_rows(f.matrix), int_rows(f.target.relations))]
+        )
         diag = sf.diag
         coker = None
         if sf.rank == gb:
@@ -494,9 +501,9 @@ def transform_orders(f: AbGroupMap) -> tuple[int | None, int | None]:
     basis = [c for c in vk.columns() if not c.is_zero()]
     if not basis:
         return 1, coker
-    coords = solve(Mat.hstack(basis), Mat.from_rows(f.source.relations, cols=f.source.relation_count))
-    assert coords is not None and all(x.denominator == 1 for row in coords.entries for x in row)
-    sf = smith_with_transforms([[int(x) for x in row] for row in coords.entries])
+    coords = solve(Mat.hstack(basis), f.source.relations)
+    assert coords is not None
+    sf = smith_with_transforms(int_rows(coords))
     if sf.rank < len(basis):
         return None, coker
     out = 1
@@ -517,8 +524,8 @@ def random_finite_group(rng: random.Random, max_order: int = 64) -> FPAbelianGro
 
 def random_group_map(rng: random.Random, a: FPAbelianGroup, b: FPAbelianGroup) -> AbGroupMap:
     """A random homomorphism built in Smith coordinates, then pulled back."""
-    sfa = smith_with_transforms(a.relations)
-    sfb = smith_with_transforms(b.relations)
+    sfa = smith_with_transforms(int_rows(a.relations))
+    sfb = smith_with_transforms(int_rows(b.relations))
     da, db = sfa.diag, sfb.diag
     h = [
         [rng.randint(-2, 2) * (db[j] // gcd(db[j], da[i])) for i in range(a.generators)]
@@ -527,8 +534,7 @@ def random_group_map(rng: random.Random, a: FPAbelianGroup, b: FPAbelianGroup) -
     ub_inv = _int_inverse(sfb.u)
     ua = Mat.from_rows(sfa.u, cols=a.generators)
     m = ub_inv * Mat.from_rows(h, cols=a.generators) * ua
-    entries = [[int(x) for x in row] for row in m.entries]
-    return AbGroupMap.make(a, b, entries)
+    return AbGroupMap.make(a, b, int_rows(m))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from degen.bundle import BundleError, Bundle, Params, dumps, load, loads
 from degen.workbench import build_example
 
 from fixtures import multi_place_bundle, simplex_surface
+from oracles import transform_orders
 
 
 def roundtrip(b):
@@ -243,6 +244,51 @@ def test_integral_load_takes_no_smith_form(monkeypatch):
     assert calls == []
     assert qlinalg.kernel_cokernel_orders(b.integral) == (12, 1)
     assert calls
+
+
+# (source generators, source relations, target generators, target
+# relations, matrix): shapes with no rows or no columns somewhere
+EDGE_INTEGRALS = {
+    "no-source-generators": (0, [], 2, [[3], [0]], [[], []]),
+    "no-target-generators": (2, [[2], [0]], 0, [], []),
+    "no-relations": (2, [[], []], 2, [[], []], [[1, 2], [0, 3]]),
+    "no-columns-anywhere": (0, [], 0, [], []),
+    "torsion-target-of-nothing": (0, [], 2, [[4, 0], [0, 6]], [[], []]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INTEGRALS))
+def test_integral_edge_shapes_round_trip(name):
+    gs, rs, gt, rt, m = EDGE_INTEGRALS[name]
+    f = qlinalg.AbGroupMap.make(
+        qlinalg.FPAbelianGroup.make(gs, rs), qlinalg.FPAbelianGroup.make(gt, rt), m
+    )
+    assert (f.source.relations.rows, f.target.relations.rows) == (gs, gt)
+    assert (f.matrix.rows, f.matrix.cols) == (gt, gs)
+    b = build_example("zeta-fqt")
+    b = Bundle(b.params, b.fibres, b.places, b.motivic, b.global_l, f)
+    text = dumps(b)
+    assert loads(text) == b
+    assert json.loads(text)["integral"] == {
+        "source": {"generators": gs, "relations": rs},
+        "target": {"generators": gt, "relations": rt},
+        "matrix": m,
+    }
+    assert qlinalg.kernel_cokernel_orders(f) == transform_orders(f)
+
+
+def test_empty_relations_shorthand_reads_one_empty_row_per_generator():
+    data = as_data("zeta-fqt")
+    data["integral"]["target"] = {"generators": 1, "relations": []}
+    data["integral"]["source"] = {"generators": 2, "relations": []}
+    data["integral"]["matrix"] = [[5, 0]]
+    b = loads(json.dumps(data))
+    assert (b.integral.source.relations.rows, b.integral.source.relations.cols) == (2, 0)
+    assert loads(dumps(b)) == b
+    written = json.loads(dumps(b))["integral"]
+    assert written["source"]["relations"] == [[], []]
+    assert written["target"]["relations"] == [[]]
+    assert qlinalg.kernel_cokernel_orders(b.integral) == transform_orders(b.integral) == (None, 5)
 
 
 def test_not_json():

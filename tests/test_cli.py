@@ -137,6 +137,15 @@ def test_huge_twist_is_rejected(tmp_path, capsys):
     assert "exceeds 1000" in capsys.readouterr().err
 
 
+def test_huge_fibre_dimension_is_rejected(tmp_path, capsys):
+    # validate sweeps every codim and quasi-iso every star up to dim_y
+    data = json.loads(write_example(tmp_path, "ngon").read_text())
+    data["fibres"]["v0"]["dim_y"] = 10**9
+    for argv in (["validate"], ["quasi-iso"]):
+        _bounded_rejection(tmp_path, data, argv, "fibres.v0.dim_y")
+        assert "fibres.v0.dim_y: exceeds 100000" in capsys.readouterr().err
+
+
 def test_oversized_leading_value_is_rejected(tmp_path, capsys):
     # within the twist bound, a = -200 on 24 places makes the leading
     # coefficient at s = a too large to print

@@ -41,6 +41,7 @@ from oracles import (
     flagged_rref,
     flagged_solve,
     in_relation_lattice,
+    int_rows,
     random_finite_group,
     random_group_map,
     residue_reduction,
@@ -206,6 +207,11 @@ class TestRankKernel:
         assert rank(residues(Mat.identity(n), m)) == n - rank(m)
 
 
+def rank_and_index(rows, cols):
+    """``_rank_and_index`` of the integer matrix with these rows and ``cols`` columns."""
+    return _rank_and_index(Mat.from_rows(rows, cols=cols))
+
+
 def oracle_rank_and_index(rows):
     """The oracle's rank and, at full row rank, the product of its diagonal."""
     sf = smith_with_transforms(rows)
@@ -220,17 +226,17 @@ class TestSmith:
 
     def test_diag_2_3(self):
         assert smith_with_transforms([[2, 0], [0, 3]]).diag == (1, 6)
-        assert _rank_and_index([[2, 0], [0, 3]], 2) == (2, 6)
+        assert rank_and_index([[2, 0], [0, 3]], 2) == (2, 6)
         # a dependent column leaves the lattice, and so the index, alone
-        assert _rank_and_index([[2, 0, 2], [0, 3, 3]], 3) == (2, 6)
+        assert rank_and_index([[2, 0, 2], [0, 3, 3]], 3) == (2, 6)
 
     def test_zero_matrix(self):
-        assert _rank_and_index([[0, 0], [0, 0]], 2) == (0, None)
+        assert rank_and_index([[0, 0], [0, 0]], 2) == (0, None)
 
     def test_empty(self):
-        assert _rank_and_index([], 0) == (0, 1)
-        assert _rank_and_index([], 3) == (0, 1)
-        assert _rank_and_index([[], []], 0) == (0, None)
+        assert rank_and_index([], 0) == (0, 1)
+        assert rank_and_index([], 3) == (0, 1)
+        assert rank_and_index([[], []], 0) == (0, None)
 
     @pytest.mark.parametrize("build, where, entry", [
         (lambda: FPAbelianGroup.make(1, [[Fraction(3, 2)]]), "(0, 0)", "Fraction(3, 2)"),
@@ -279,7 +285,7 @@ class TestSmith:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
-        assert _rank_and_index(rows, len(rows[0])) == oracle_rank_and_index(rows)
+        assert rank_and_index(rows, len(rows[0])) == oracle_rank_and_index(rows)
 
     @settings(max_examples=150, deadline=None)
     @given(integer_matrices())
@@ -288,7 +294,7 @@ class TestSmith:
         # a tall input of full column rank into a wide one with an index
         cols = len(rows[0]) if rows else 0
         for m, width in ((rows, cols), ([list(c) for c in zip(*rows)], len(rows))):
-            assert _rank_and_index(m, width) == oracle_rank_and_index(m)
+            assert rank_and_index(m, width) == oracle_rank_and_index(m)
 
     @settings(max_examples=60, deadline=None)
     @given(integer_matrices())
@@ -303,7 +309,7 @@ class TestSmith:
         index = 1
         for x in want:
             index *= x
-        assert _rank_and_index(rows, nc) == (len(want), index if len(want) == len(rows) else None)
+        assert rank_and_index(rows, nc) == (len(want), index if len(want) == len(rows) else None)
 
     def test_modulus_pass_on_a_large_block(self):
         # a 12x12 matrix of determinant 432, which is its Bareiss modulus and
@@ -320,9 +326,9 @@ class TestSmith:
             diag[i][i] = x
         rows = _mm(_mm(left, diag), right)
         assert smith_with_transforms(rows).diag == (1,) * 9 + (2, 6, 36)
-        assert _rank_and_index(rows, n) == (n, 432)
+        assert rank_and_index(rows, n) == (n, 432)
         extra = _mm(rows, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)])
-        assert _rank_and_index([r + x for r, x in zip(rows, extra)], n + 3) == (n, 432)
+        assert rank_and_index([r + x for r, x in zip(rows, extra)], n + 3) == (n, 432)
 
 
 class TestGroupOrders:
@@ -358,13 +364,13 @@ class TestGroupOrders:
     def test_compatibility_matches_lattice_membership(self, f, data):
         # move one entry of the matrix; it stays a map iff every column of
         # M R_s still lies in the target relation lattice
-        if not f.matrix or not f.matrix[0]:
+        if not f.matrix.rows or not f.matrix.cols:
             return
-        i = data.draw(st.integers(0, len(f.matrix) - 1))
-        j = data.draw(st.integers(0, len(f.matrix[0]) - 1))
-        m = [list(r) for r in f.matrix]
+        i = data.draw(st.integers(0, f.matrix.rows - 1))
+        j = data.draw(st.integers(0, f.matrix.cols - 1))
+        m = int_rows(f.matrix)
         m[i][j] += data.draw(st.integers(1, 3))
-        image = _mm(m, [list(r) for r in f.source.relations])
+        image = _mm(m, int_rows(f.source.relations))
         ok = all(in_relation_lattice(f.target, col) for col in zip(*image))
         if ok:
             AbGroupMap.make(f.source, f.target, m)

@@ -96,10 +96,10 @@ REPRS = {
         "QuasiIsoResult(star=1, cone_cohomology={0: 1}, small_cohomology={0: 1})"
     ),
     "SmithForm": "SmithForm(u=(), d=((2,),), v=((1,),))",
-    "FPAbelianGroup": "FPAbelianGroup(generators=1, relations=((2,),))",
+    "FPAbelianGroup": "FPAbelianGroup(relations=Mat[2])",
     "AbGroupMap": (
-        "AbGroupMap(source=FPAbelianGroup(generators=1, relations=((2,),)), "
-        "target=FPAbelianGroup(generators=1, relations=((2,),)), matrix=((1,),))"
+        "AbGroupMap(source=FPAbelianGroup(relations=Mat[2]), "
+        "target=FPAbelianGroup(relations=Mat[2]), matrix=Mat[1])"
     ),
     "GradedSpace": "GradedSpace(level=1, codim=0, j=0, pieces=(((1,), 1),))",
     "Fibre": FIBRE_REPR,

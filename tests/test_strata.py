@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,30 @@ class TestDescriptorErrors:
                 f.components, f.dim_y, f.q_v, f.strata, f.chow, f.pushforward, f.pullback,
                 ii_matrices={(0, 0): Mat.identity(3)},
             )
+
+    @pytest.mark.parametrize("table, key, value", [
+        ("chow", ((1,), -1, 0), 1),
+        ("chow", ((1,), 0, -1), 1),
+        ("chow", ((1,), 0, 0), -1),
+        ("chow", ((1,), 0, 0), Fraction(-1)),
+        ("pushforward", ((1, 2), 1, -1, 0), Mat.zero(0, 0)),
+        ("pullback", ((1, 2), 1, 0, -1), Mat.zero(0, 0)),
+        ("ii_matrices", (0, -1), Mat.zero(0, 0)),
+        ("higher_chow", (-1, 1), 5),
+        ("higher_chow", (1, -1), 5),
+        ("higher_chow", (1, 1), -5),
+        ("higher_chow", (1, 1), -5.0),
+    ])
+    def test_negative_codim_j_or_dim_is_named(self, table, key, value):
+        # the loader's negative-index rule holds for fibres built directly
+        f = generator_ngon(4, 2)
+        tables = {
+            "chow": dict(f.chow), "pushforward": dict(f.pushforward),
+            "pullback": dict(f.pullback), "ii_matrices": {}, "higher_chow": {},
+        }
+        tables[table][key] = value
+        with pytest.raises(DescriptorError, match=rf"^bad {table} entry at {re.escape(str(key))}$"):
+            Fibre(f.components, f.dim_y, f.q_v, f.strata, **tables)
 
 
 class TestIntegerAssembly:
