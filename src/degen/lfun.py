@@ -64,8 +64,8 @@ def _primitive(p) -> tuple[int, IPoly]:
 
 def _split(p) -> tuple[int, int, IPoly]:
     """Rational coefficients as (c, m, n) with p = (c / m) * n, m > 0 and n
-    primitive.  A coefficient is an int, a Fraction, the text of a
-    rational or a reduced pair (numerator, denominator > 0)."""
+    primitive.  A coefficient is an int, a Fraction or a reduced pair
+    (numerator, denominator > 0)."""
     if {*map(type, p)} <= _INT:
         c, n = _primitive(p)
         return c, 1, n
@@ -212,8 +212,8 @@ class RatFunc(_Record):
     @staticmethod
     def make(num, den) -> "RatFunc":
         """num/den reduced: one gcd, cofactors by exact division.  The
-        coefficients are ints, Fractions, the text of rationals or reduced
-        (numerator, denominator > 0) pairs."""
+        coefficients are ints, Fractions or reduced (numerator,
+        denominator > 0) pairs."""
         cn, mn, n = _split(num)
         cd, md, d = _split(den)
         if not d:

@@ -9,9 +9,9 @@ the denominator shares no factor with all numerators together, and it is
 ``==`` and ``hash`` compare them directly.  Products, sums, scaling,
 transposes, stacking and zero tests cost time in proportion to the
 nonzero entries and use integer arithmetic only.  A scalar goes in as
-anything with ``numerator`` and ``denominator`` (an int or a Fraction) or
-as the text of a rational; ``entries`` is a dense ``Fraction`` view, built
-on demand, and the only place this module builds a Fraction.
+anything with ``numerator`` and ``denominator`` (an int or a Fraction);
+``entries`` is a dense ``Fraction`` view, built on demand, and the only
+place this module builds a Fraction.
 
 One assembler, ``_placed``, builds every matrix made of other matrices:
 ``hstack``, ``block`` and ``+`` work out where their operands go and
@@ -115,12 +115,8 @@ class _Record:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """An exact scalar as its reduced (numerator, denominator): an int or a
-    Fraction read as it is, the text of a rational through Fraction."""
-    if isinstance(x, str):
-        from fractions import Fraction
-
-        x = Fraction(x.strip())
+    """An exact scalar, an int or a Fraction, as its reduced (numerator,
+    denominator)."""
     try:
         return x.numerator, x.denominator
     except AttributeError:
@@ -763,32 +759,24 @@ class FPAbelianGroup(_Record):
 
 class AbGroupMap(_Record):
     """Map between finitely presented abelian groups, given on generators
-    (``matrix`` is target.generators x source.generators).
+    (``matrix`` is target.generators x source.generators), checked when
+    built to send source relations into target relations.
 
-    ``relation_coords`` is kept once taken; it takes no part in ``==``,
-    ``hash``, ``repr`` or pickling.
+    ``relation_coords`` is the ``_relation_coords`` of that check; it takes
+    no part in ``==``, ``hash`` or ``repr``, and unpickling takes it again.
     """
 
-    __slots__ = ("source", "target", "matrix", "_coords")
+    __slots__ = ("source", "target", "matrix", "relation_coords")
     _fields = ("source", "target", "matrix")
 
     def __init__(self, source: FPAbelianGroup, target: FPAbelianGroup, matrix: Mat):
         self._assign(source, target, matrix)
-        _set(self, "_coords", None)
+        _set(self, "relation_coords", _relation_coords(self))
 
     @staticmethod
     def make(source: FPAbelianGroup, target: FPAbelianGroup, matrix) -> "AbGroupMap":
-        """The map, checked to send source relations into target relations."""
-        f = AbGroupMap(source, target, _int_mat(matrix, target.generators, source.generators))
-        _set(f, "_coords", _relation_coords(f))
-        return f
-
-    @property
-    def relation_coords(self) -> tuple[Mat, Mat, Mat]:
-        """``_relation_coords`` of this map, taken once."""
-        if self._coords is None:
-            _set(self, "_coords", _relation_coords(self))
-        return self._coords
+        """The map of the nested int lists ``matrix``."""
+        return AbGroupMap(source, target, _int_mat(matrix, target.generators, source.generators))
 
 
 def _relation_coords(f: AbGroupMap) -> tuple[Mat, Mat, Mat]:

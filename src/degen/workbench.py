@@ -34,7 +34,7 @@ from .lfun import (
 )
 from .monodromy import build_C, check_quasi_iso, cohomology_dims
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _ratio_text, _Record
-from .strata import DescriptorError, Fibre, generator_ngon, generator_smooth, validate
+from .strata import DescriptorError, Fibre, _iroot, generator_ngon, generator_smooth, validate
 
 __all__ = [
     "ReportLine",
@@ -253,17 +253,23 @@ def _b_ranks(b: Bundle) -> list[int]:
 
 def _leading_line(check: str, b: Bundle, f: RatFunc, verdict, note: str = "") -> ReportLine:
     """The ``check`` line: the leading value at s = params.a of f times the
-    conductor monomial, judged by ``verdict(lead)``.  A fractional alpha
-    leaves the rationals and makes the line INCONCLUSIVE; a value too
-    large to print ends the run with the TooLarge error naming ``check``."""
+    conductor monomial, judged by ``verdict(lead)``.  For alpha = n/d in
+    lowest terms, q^alpha is rational exactly when q = r^d for an integer
+    r, and then q^alpha = r^n: the value is taken over r at the twist a d,
+    which has the same t0 = q^-a and log(r) (s' - a d) = log(q) (s - a).
+    Where no such r exists the line is INCONCLUSIVE; a value too large to
+    print ends the run with the TooLarge error naming ``check``."""
     assert b.global_l is not None
     alpha, beta = b.global_l.conductor or (0, 0)
-    if alpha.denominator != 1:
+    d, q = alpha.denominator, b.params.field_q
+    # q >= 2, so a d-th root of it needs d < q.bit_length()
+    r = _iroot(q, d) if d < q.bit_length() else 0
+    if r**d != q:
         return ReportLine(check, "-", INCONCLUSIVE, "conductor q-power is irrational")
     lower = "|params.a|" if alpha == 0 else "|params.a| or |global.conductor[0]|"
     a = b.params.a
     try:
-        lead = leading_laurent(f, b.params.field_q, a, alpha.numerator - a * beta)
+        lead = leading_laurent(f, r, a * d, alpha.numerator - a * beta * d)
     except TooLarge as exc:
         raise TooLarge(exc.bits, check, lower, exc.bound) from None
     return ReportLine(check, "-", verdict(lead), lead.render(check, lower) + note)

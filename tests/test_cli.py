@@ -82,6 +82,8 @@ def test_exit_three_on_input_errors(tmp_path, capsys):
     assert main(["example", "no-such-example"]) == 3
     assert main(["example", "ngon", "n=big"]) == 3
     assert main(["example", "ngon", "sides=4"]) == 3
+    assert main(["example", "ngon", "n3"]) == 3
+    assert "expected key=value, got 'n3'" in capsys.readouterr().err
     assert main(["check", "D9", str(junk)]) == 3
     capsys.readouterr()
 
@@ -180,6 +182,29 @@ def test_global_q_exponents_past_the_twist_bound_are_rejected(tmp_path, capsys, 
     for argv in (["check", "B2FF"], ["check", "CFF"]):
         _bounded_rejection(tmp_path, data, argv, field)
     assert "exceeds 1000 in magnitude" in capsys.readouterr().err
+
+
+def _set_path(data, path, value):
+    for step in path[:-1]:
+        data = data[step]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("places", "infty", "deg_v"), 0, "places.infty.deg_v: must be positive"),
+    (("motivic", "infty", "regulator", "motivic_rank"), 2,
+     "motivic.infty.regulator: matrix has 0 columns, declared rank 2"),
+    (("motivic", "infty", "cycle_class", "b_rank"), 2,
+     "motivic.infty.cycle_class: xi has 1 columns, declared rank 2"),
+    (("global", "conductor"), ["0", "1"], "global.conductor[1]: expected an integer"),
+    (("global", "z_num", 0), "1e" + "1" * 5000,
+     "global.z_num[0]: decimal exponent in '1e1111"),
+], ids=["deg_v", "regulator-rank", "b_rank", "conductor-beta", "exponent-digits"])
+def test_load_checks_name_the_field(tmp_path, capsys, path, value, message):
+    data = json.loads(write_example(tmp_path, "zeta-fqt").read_text())
+    _set_path(data, path, value)
+    _bounded_rejection(tmp_path, data, ["validate"], message.partition(":")[0])
+    assert message in capsys.readouterr().err
 
 
 def test_global_q_exponents_at_the_twist_bound_are_read(tmp_path, capsys):

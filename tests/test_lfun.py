@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -461,7 +462,22 @@ def test_leading_value_is_held_as_integers():
 
 def test_make_reads_reduced_integer_pairs():
     # the bundle reader hands make each "p/q" coefficient as its reduced pair
-    mixed = ([1, (-1, 2), "3/4"], [(1, 3), 2])
+    mixed = ([1, (-1, 2), F(3, 4)], [(1, 3), 2])
     want = RatFunc.make([1, F(-1, 2), F(3, 4)], [F(1, 3), 2])
     assert RatFunc.make(*mixed) == want
     assert RatFunc.make([(2, 3)], [(4, 9)]) == RatFunc.make([3], [2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Mat.from_rows([["1e9999999"]]),
+    lambda: Mat.identity(1).scale("2"),
+    lambda: RatFunc.make(["1/2"], [1]),
+    lambda: LeadingValue(0, "1/2", 0),
+], ids=["from_rows", "scale", "make", "LeadingValue"])
+def test_rational_text_is_not_an_exact_scalar(build):
+    # the bundle loader is the one reader of rational text, with its cap on
+    # decimal exponents; the library refuses text at once
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        build()
+    assert time.perf_counter() - start < 0.1

@@ -431,8 +431,13 @@ class TestGroupOrders:
     def test_incompatible_matrix_rejected(self):
         a = FPAbelianGroup.make(1, [[2]])
         b = FPAbelianGroup.make(1, [[4]])
-        with pytest.raises(ValueError):
+        message = "matrix does not send source relations into target relations"
+        with pytest.raises(ValueError, match=message):
             AbGroupMap.make(a, b, [[1]])
+        # a map built directly is checked as it is built, not when its
+        # orders are first asked for
+        with pytest.raises(ValueError, match=message):
+            AbGroupMap(a, b, Mat.from_rows([[1]]))
 
     def test_group_order(self):
         assert group_order(FPAbelianGroup.make(2, [[2, 0], [0, 5]])) == 10

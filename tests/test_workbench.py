@@ -3,14 +3,16 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degen.bundle import Bundle, GlobalL, MotivicDatum, Params, RegulatorDatum, dumps, loads
+from degen.bundle import Bundle, CycleDatum, GlobalL, MotivicDatum, Params, RegulatorDatum, dumps, loads
 from degen.lfun import RatFunc, TooLarge
 from degen.qlinalg import Mat
 from degen.strata import Fibre, build_level
 from degen.workbench import (
+    ReportLine,
     build_example,
     render_text,
     render_tsv,
@@ -70,6 +72,27 @@ def test_fractional_conductor_is_inconclusive_not_wrong():
     assert line(rep, "Z.leading").verdict == "INCONCLUSIVE"
     # order statements stay decidable
     assert line(rep, "CFF.order").verdict == "PASS"
+
+
+def _leading_coeff(report, check):
+    """The rational before "*log(q)" on a decided leading-value line."""
+    found = line(report, check)
+    assert found.verdict != "INCONCLUSIVE", found
+    return Fraction(found.value.split("*")[0])
+
+
+@pytest.mark.parametrize("q, r, d", [(4, 2, 2), (8, 2, 3), (9, 3, 2)])
+@pytest.mark.parametrize("a, beta", [(0, 0), (1, -1), (-2, 3)])
+def test_rational_q_power_scales_the_leading_value(q, r, d, a, beta):
+    # q = r^d, so q^(n/d) = r^n is rational and both leading lines are decided
+    b = build_example("zeta-fqt", {"q": q})
+    motivic = {"infty": MotivicDatum(regulator=RegulatorDatum(0, Mat.zero(0, 0)))}
+    b = Bundle(Params(2 * a + 2, a, q), b.fibres, b.places, motivic, b.global_l, b.integral)
+    base = run_conjecture(with_conductor(b, 0, beta), "CFF")
+    for n in (1, -1, d + 1, 2 * d - 1):
+        rep = run_conjecture(with_conductor(b, Fraction(n, d), beta), "CFF")
+        for check in ("CFF.leading", "Z.leading"):
+            assert _leading_coeff(rep, check) == _leading_coeff(base, check) * Fraction(r) ** n
 
 
 def _outcome(b, which):
@@ -153,6 +176,40 @@ def test_missing_motivic_entry_is_inconclusive():
     rep = run_conjecture(stripped, "A2")
     assert rep.exit_code == 2
     assert "no motivic data" in rep.lines[0].value
+
+
+def _without_integral():
+    b = build_example("zeta-fqt", {"q": 4})
+    return Bundle(b.params, b.fibres, b.places, b.motivic, b.global_l, None)
+
+
+def _cycles_off_the_kernel():
+    # at a = 0, i^*i_* on CH^0 of the 3-gon's components is the cycle
+    # Laplacian, which does not kill the first component's class
+    b = build_example("ngon")
+    cyc = CycleDatum(1, Mat.from_rows([[1], [0], [0]]), None)
+    params = Params(1, 0, b.params.field_q)
+    return Bundle(params, b.fibres, b.places, {"v0": MotivicDatum(cycle_class=cyc)}, b.global_l)
+
+
+def _reversal_off_the_q_powers():
+    # 1/(1 + 2t) passes the reversal test at weight 1 on q = 4, but the
+    # ratio of its end coefficients, 1/2, is no power of 4
+    b = build_example("zeta-fqt", {"q": 4})
+    g = GlobalL(RatFunc.make([1], [1, 2]), 1)
+    return Bundle(b.params, b.fibres, b.places, b.motivic, g, b.integral)
+
+
+@pytest.mark.parametrize("build, which, want", [
+    (_without_integral, "CFF", ("CFF", "-", "INCONCLUSIVE", "missing integral regulator")),
+    (_cycles_off_the_kernel, "A2",
+     ("A2", "v0", "FAIL", "cycle classes do not land in ker(i^*i_*)")),
+    (_reversal_off_the_q_powers, "B2FF",
+     ("B2FF.fe", "-", "FAIL", "Z is not self-dual for this weight")),
+], ids=["no-integral", "cycles-off-kernel", "not-self-dual"])
+def test_report_lines_of_unusable_data(build, which, want):
+    rep = run_conjecture(build(), which)
+    assert line(rep, want[0]) == ReportLine(*want)
 
 
 def test_validate_failure_names_the_identity():
