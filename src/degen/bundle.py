@@ -60,7 +60,7 @@ from _json import encode_basestring_ascii as _quote
 from _json import make_scanner
 
 from .deligne import CycleDatum
-from .lfun import RatFunc
+from .lfun import RatFunc, _log
 from .qlinalg import AbGroupMap, FPAbelianGroup, Mat, _entry_strings, _from_scalars, _Record
 from .qlinalg import _int_rows as _dense_rows
 from .strata import (
@@ -336,16 +336,6 @@ def _long_literal_error(text: str) -> BundleError:
         elif isinstance(node, list):
             stack += reversed([(f"{where}[{i}]", v) for i, v in enumerate(node)])
     return BundleError("not valid JSON: an integer literal could not be converted")
-
-
-def _is_power(value: int, base: int, exponent: int) -> bool:
-    """value == base**exponent for base >= 2, without building the power:
-    divide by base while it divides, at most log2(value) times."""
-    k = 0
-    while value > 1 and value % base == 0:
-        value //= base
-        k += 1
-    return value == 1 and k == exponent
 
 
 def _scalar_row(row: list, where, offset: int = 0) -> list:
@@ -716,7 +706,7 @@ def _read(text: str, strict: bool) -> Bundle:
                 f"(fibres: {sorted(fibres)}, places: {sorted(places)})"
             )
         for name, place in places.items():
-            if not _is_power(fibres[name].q_v, params.field_q, place.deg_v):
+            if _log(fibres[name].q_v, 1, params.field_q) != place.deg_v:
                 raise BundleError(
                     f"fibres.{name}.q_v: {fibres[name].q_v} != field_q^deg_v = "
                     f"{params.field_q}^{place.deg_v} (places.{name}.deg_v)"

@@ -22,13 +22,14 @@ of the grid they sit in.
 Rank, reduced row echelon form, kernels, solving, quotient projections
 and residues modulo a span all go through one fraction-free sparse
 forward elimination (``_eliminate``), which takes no options.  Columns
-are taken left to right.  The pivot is the sparsest remaining row with a
-nonzero in the column, only rows with a nonzero there are updated, and
-every updated row is divided by its content (the gcd of its entries), so
-coefficients stay as small as the row space allows.  Rank counts the
-pivot rows, and residues clear pivot columns with them as they are;
-rref, kernels and solving back-substitute them (``_reduced_rows``).  The
-reduced row echelon form of a matrix and the residue of a vector are
+are taken left to right, each remaining row filed under its leading
+column: the rows filed under a column are those with a nonzero there,
+the sparsest is the pivot, and the others are updated, divided by their
+content (the gcd of their entries), so coefficients stay as small as the
+row space allows, and filed again.  Rank counts the pivot rows, and
+residues clear pivot columns with them as they are; rref, kernels and
+solving back-substitute them in one bottom-up pass (``_reduced_rows``).
+The reduced row echelon form of a matrix and the residue of a vector are
 unique, so every basis and every coordinate system read off them is
 canonical: the same input always yields the identical output object.
 
@@ -317,15 +318,11 @@ class Mat(_Record):
         brows = other._data
         data = []
         for row in self._data:
-            if len(row) == 1:
-                k, a = row[0]
-                data.append(brows[k] if a == 1 else tuple((j, a * b) for j, b in brows[k]))
-                continue
             acc: dict[int, int] = {}
             for k, a in row:
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + a * b
-            data.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+            data.append(tuple(sorted([(j, x) for j, x in acc.items() if x])))
         return _reduced(self.rows, other.cols, self._den * other._den, tuple(data))
 
     def transpose(self) -> "Mat":
@@ -417,35 +414,35 @@ def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> int:
 def _eliminate(m: Mat) -> tuple[list[int], list[dict[int, int]]]:
     """Fraction-free sparse forward elimination on the integer rows of ``m``.
 
-    Columns are taken left to right.  The pivot of a column is the
-    sparsest remaining row with a nonzero there, earliest on ties; every
-    other remaining row with a nonzero there is combined with it to clear
-    the column and divided by its content.  Returns the pivot columns and
-    the pivot rows: primitive integer rows as column -> value dicts, each
-    zero before its pivot column, so an echelon basis of the row space.
-    Rank counts them, ``_residues`` clears columns with them as they are,
-    and ``_reduced_rows`` back-substitutes them for rref, kernels and
-    solving.
+    Each remaining row is filed under its leading column, and columns are
+    taken left to right, so the rows filed under a column are those with
+    a nonzero there.  The sparsest of them, the earliest row of ``m`` on
+    ties, is the pivot; every other one is combined with it to clear the
+    column, divided by its content and filed again.  Returns the pivot columns
+    and the pivot rows: primitive integer rows as column -> value dicts,
+    each zero before its pivot column, so an echelon basis of the row
+    space.  Rank counts them, ``_residues`` clears columns with them as
+    they are, and ``_reduced_rows`` back-substitutes them.
     """
-    active = [_primitive(dict(row)) for row in m._data if row]
+    filed: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for i, row in enumerate(m._data):
+        if row:
+            filed.setdefault(row[0][0], []).append((i, _primitive(dict(row))))
     pivots: list[int] = []
     done: list[dict[int, int]] = []
     for c in range(m.cols):
-        if not active:
+        if not filed:
             break
-        hits = [i for i, row in enumerate(active) if c in row]
-        if not hits:
+        hits = filed.pop(c, None)
+        if hits is None:
             continue
-        k = min(hits, key=lambda i: len(active[i]))
-        prow = active[k]
+        _, prow = min(hits, key=lambda hit: (len(hit[1]), hit[0]))
         p = prow[c]
-        for i in hits:
-            row = active[i]
+        for i, row in hits:
             if row is not prow:
                 _cancel(row, prow, c, p)
                 if row:
-                    _primitive(row)
-        active = [row for i, row in enumerate(active) if i != k and row]
+                    filed.setdefault(min(_primitive(row)), []).append((i, row))
         pivots.append(c)
         done.append(prow)
     return pivots, done
@@ -456,18 +453,18 @@ def _reduced_rows(m: Mat) -> tuple[list[int], int, list[dict[int, int]]]:
     denominator, and the numerator rows over it, each holding the
     denominator at its pivot.
 
-    ``_eliminate``'s pivot rows are back-substituted bottom up: each one,
-    already zero at every later pivot column, clears its own column from
-    the rows above it, which are divided by their content again.
+    ``_eliminate``'s pivot rows are back-substituted in one bottom-up
+    pass: each clears the later pivot columns it holds with the rows below
+    it, which are already reduced and so zero at every other pivot column,
+    and is divided by its content again.
     """
     pivots, done = _eliminate(m)
-    for k in range(len(done) - 1, 0, -1):
-        c, prow = pivots[k], done[k]
-        p = prow[c]
-        for row in done[:k]:
-            if c in row:
-                _cancel(row, prow, c, p)
-                _primitive(row)
+    below: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
+    for c, row in zip(reversed(pivots), reversed(done)):
+        for j in row.keys() & below.keys():
+            _cancel(row, below[j], j, below[j][j])
+            _primitive(row)
+        below[c] = row
     den = 1
     for row, p in zip(done, pivots):
         den = lcm(den, row[p])

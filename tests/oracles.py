@@ -269,6 +269,57 @@ def flagged_residues(vectors: Mat, modulo: Mat) -> Mat:
     return _reduced(vectors.cols, vectors.rows, vectors._den * den, data).transpose()
 
 
+# ---------------------------------------------------------------------------
+# The scanning elimination: ``_eliminate`` and ``_reduced_rows`` of
+# ``degen.qlinalg`` as they were before rows were filed by leading column.
+# The forward pass scans every remaining row at every column and rebuilds
+# the remaining list; back-substitution clears each pivot column from all
+# the rows above it.  The library must return the identical pivot
+# columns, pivot rows and reduced rows.
+
+
+def scanning_eliminate(m: Mat) -> tuple[list[int], list[dict[int, int]]]:
+    active = [_primitive(dict(row)) for row in m._data if row]
+    pivots: list[int] = []
+    done: list[dict[int, int]] = []
+    for c in range(m.cols):
+        if not active:
+            break
+        hits = [i for i, row in enumerate(active) if c in row]
+        if not hits:
+            continue
+        k = min(hits, key=lambda i: len(active[i]))
+        prow = active[k]
+        p = prow[c]
+        for i in hits:
+            row = active[i]
+            if row is not prow:
+                _cancel(row, prow, c, p)
+                if row:
+                    _primitive(row)
+        active = [row for i, row in enumerate(active) if i != k and row]
+        pivots.append(c)
+        done.append(prow)
+    return pivots, done
+
+
+def scanning_reduced_rows(m: Mat) -> tuple[list[int], int, list[dict[int, int]]]:
+    pivots, done = scanning_eliminate(m)
+    for k in range(len(done) - 1, 0, -1):
+        c, prow = pivots[k], done[k]
+        p = prow[c]
+        for row in done[:k]:
+            if c in row:
+                _cancel(row, prow, c, p)
+                _primitive(row)
+    den = 1
+    for row, p in zip(done, pivots):
+        den = lcm(den, row[p])
+    return pivots, den, [
+        {j: x * (den // row[p]) for j, x in row.items()} for row, p in zip(done, pivots)
+    ]
+
+
 def det_int(m: list[list[int]]) -> int:
     """Cofactor-expansion determinant for the small matrices used in tests."""
     n = len(m)

@@ -11,7 +11,9 @@ from degen.qlinalg import (
     AbGroupMap,
     FPAbelianGroup,
     Mat,
+    _eliminate,
     _rank_and_index,
+    _reduced_rows,
     kernel_basis,
     kernel_cokernel_orders,
     quotient_projection,
@@ -44,7 +46,10 @@ from oracles import (
     int_rows,
     random_finite_group,
     random_group_map,
+    random_invertible,
     residue_reduction,
+    scanning_eliminate,
+    scanning_reduced_rows,
     smith_with_transforms,
     transform_group_order,
     transform_orders,
@@ -470,6 +475,24 @@ def incidence(draw, r, c):
     return Mat.from_rows(grid, cols=c)
 
 
+def cycle_grid(n):
+    """The signed incidence of an n-gon: edge j runs from vertex j to j + 1."""
+    grid = [[0] * n for _ in range(n)]
+    for j in range(n):
+        grid[j][j] -= 1
+        grid[(j + 1) % n][j] += 1
+    return grid
+
+
+def star_grid(n):
+    """The signed incidence of a star with n leaves: edge j joins the hub,
+    vertex 0, to leaf j + 1."""
+    grid = [[0] * n for _ in range(n + 1)]
+    for j in range(n):
+        grid[0][j], grid[j + 1][j] = 1, -1
+    return grid
+
+
 @st.composite
 def unit_triangular_product(draw, n):
     """A dense invertible rational matrix: unit lower times unit upper."""
@@ -574,11 +597,7 @@ class TestAgainstDenseOracle:
 
     def test_ngon_incidence_matches(self):
         # the Gysin matrix of a 9-gon and its Laplacian-like square
-        n = 9
-        grid = [[0] * n for _ in range(n)]
-        for i in range(n):
-            grid[i][i], grid[(i + 1) % n][i] = -1, 1
-        g = Mat.from_rows(grid)
+        g = Mat.from_rows(cycle_grid(9))
         assert_matches_dense_oracle(g, g.transpose(), g.transpose(), F(5, 7))
 
 
@@ -694,3 +713,70 @@ class TestAgainstFlaggedElimination:
         b = column([1, 2, 3])
         assert solve(a, b) == flagged_solve(a, b) and a * solve(a, b) == b
         assert solve(mat([[1, 1], [0, 0]]), column([1, 1])) is None
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Sparse incidence, sparse integer and dense rational matrices, and
+    cycles and stars either way round; half of them seen through random
+    integer changes of basis on both sides, with zero rows and zero columns
+    slipped in and, half the time, every row scaled by a rational.  0 x n
+    and n x 0 shapes are among them."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("incidence", "sparse", "dense", "cycle", "star")))
+    if kind in ("cycle", "star"):
+        n = draw(st.integers(0, 12))
+        grid, c = (cycle_grid if kind == "cycle" else star_grid)(n), n
+        if draw(st.booleans()):
+            grid, c = [list(col) for col in zip(*grid)], len(grid)
+    else:
+        r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        if kind == "incidence":
+            grid = draw(incidence(r, c)).entries
+        elif kind == "sparse":
+            grid = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(c)] for _ in range(r)]
+        else:
+            grid = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(c)] for _ in range(r)]
+    r = len(grid)
+    if draw(st.booleans()):
+        left, right = random_invertible(rng, r).entries, random_invertible(rng, c).entries
+        grid = dense_mul(dense_mul(left, grid, r, c), right, c, c)
+    grid = [list(row) for row in grid]
+    for _ in range(draw(st.integers(0, 2))):
+        grid.insert(rng.randint(0, len(grid)), [0] * c)
+    for _ in range(draw(st.integers(0, 2))):
+        j = rng.randint(0, c)
+        grid = [row[:j] + [0] + row[j:] for row in grid]
+        c += 1
+    if draw(st.booleans()):
+        for row in grid:
+            s = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            row[:] = [x * s for x in row]
+    return Mat.from_rows(grid, cols=c)
+
+
+class TestAgainstScanningElimination:
+    """Rows filed by leading column and the one-pass back-substitution give
+    the pivot columns, pivot rows and reduced rows that the elimination
+    scanning every row at every column gave (``oracles.scanning_eliminate``
+    and ``scanning_reduced_rows``)."""
+
+    @staticmethod
+    def assert_agree(m: Mat) -> None:
+        assert _eliminate(m) == scanning_eliminate(m)
+        assert _reduced_rows(m) == scanning_reduced_rows(m)
+
+    @settings(max_examples=500, deadline=None)
+    @given(elimination_inputs())
+    def test_pivots_pivot_rows_and_reduced_rows(self, m):
+        self.assert_agree(m)
+
+    @pytest.mark.parametrize("r,c", [(0, 0), (0, 4), (4, 0), (3, 3)])
+    def test_empty_and_zero_shapes(self, r, c):
+        self.assert_agree(Mat.zero(r, c))
+
+    @pytest.mark.parametrize("grid", [cycle_grid(60), star_grid(40)], ids=["60-gon", "40-leaf star"])
+    def test_large_cycles_and_stars(self, grid):
+        m = Mat.from_rows(grid)
+        self.assert_agree(m)
+        self.assert_agree(m.transpose())
