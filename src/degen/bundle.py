@@ -11,7 +11,10 @@ Z's integer polynomials from those; only a rarer form (whitespace, a
 sign, a decimal point, an exponent, "_") goes through ``Fraction``,
 imported on that path.  The text is parsed by the scanner ``json.loads``
 runs, called directly; ``json`` itself is imported only to raise the
-error ``json.loads`` raises on malformed text.
+error ``json.loads`` raises on malformed text.  Each record's keys are
+read in the order its ``_Spec`` lists them, so the first one missing or
+of the wrong JSON type is the one named, and each matrix is built from
+its own entries.
 
 A decimal exponent in a rational string ("1e5") may not exceed
 MAX_DECIMAL_EXPONENT in magnitude: "1e99999999" would otherwise make the
@@ -54,7 +57,6 @@ import gc
 import os
 import sys
 from math import gcd
-from operator import itemgetter
 
 from _json import encode_basestring_ascii as _quote
 from _json import make_scanner
@@ -151,7 +153,6 @@ def _error(where, message) -> BundleError:
 _KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
 _INT = frozenset({int})
 _LIST = frozenset({list})
-_STR = frozenset({str})
 
 
 class _Spec:
@@ -159,17 +160,12 @@ class _Spec:
     its value must have, each optional key likewise (absent or null reads
     as None), and the keys strict mode allows."""
 
-    __slots__ = ("required", "optional", "get", "types", "known")
+    __slots__ = ("required", "optional", "known")
 
     def __init__(self, required: dict, optional: dict | None = None):
         optional = optional or {}
         self.required = tuple(required.items())
         self.optional = tuple(optional.items())
-        # itemgetter gives a tuple for two keys or more
-        self.get = itemgetter(*required) if len(required) > 1 else (
-            lambda obj: tuple(obj[key] for key in required)
-        )
-        self.types = list(required.values())
         self.known = frozenset(required).union(optional)
 
 
@@ -197,30 +193,25 @@ _INTEGRAL = _Spec({"source": dict, "target": dict, "matrix": list})
 _GROUP = _Spec({"generators": int, "relations": list})
 
 
-def _record(obj, spec: _Spec, where, strict: bool) -> tuple:
+def _record(obj, spec: _Spec, where, strict: bool) -> list:
     """The values of ``spec``'s keys in the JSON object ``obj``, required
-    keys then optional ones, in the order ``spec`` lists them."""
+    keys then optional ones, in the order ``spec`` lists them; the first
+    key in that order that is missing or of the wrong type is named."""
     if type(obj) is not dict:
         raise _error(where, "expected an object")
-    try:
-        values = spec.get(obj)
-    except KeyError:
-        values = None
-    if values is None or [*map(type, values)] != spec.types:
-        # name the first key that is missing or of the wrong type
-        for key, kind in spec.required:
-            if key not in obj:
-                raise _error(where, f"missing required key {key!r}")
-            if type(obj[key]) is not kind:
-                raise _error((where, "." + key), f"expected {_KIND_NAMES[kind]}")
-    if spec.optional:
-        extra = []
-        for key, kind in spec.optional:
-            value = obj.get(key)
-            if value is not None and type(value) is not kind:
-                raise _error((where, "." + key), f"expected {_KIND_NAMES[kind]}")
-            extra.append(value)
-        values += tuple(extra)
+    values = []
+    for key, kind in spec.required:
+        if key not in obj:
+            raise _error(where, f"missing required key {key!r}")
+        value = obj[key]
+        if type(value) is not kind:
+            raise _error((where, "." + key), f"expected {_KIND_NAMES[kind]}")
+        values.append(value)
+    for key, kind in spec.optional:
+        value = obj.get(key)
+        if value is not None and type(value) is not kind:
+            raise _error((where, "." + key), f"expected {_KIND_NAMES[kind]}")
+        values.append(value)
     if strict and not obj.keys() <= spec.known:
         raise _error(where, f"unknown keys {sorted(set(obj) - spec.known)}")
     return values
@@ -360,12 +351,10 @@ def _scalar_row(row: list, where, offset: int = 0) -> list:
     return out
 
 
-def _mat_from_json(obj, where, strict: bool, built: dict, shape=None) -> Mat:
-    """The matrix ``obj`` describes; when ``shape`` is given, its declared
-    rows and cols must be that, and no row is built otherwise.  ``built``
-    holds the Mat of each shape and entry text the load has read: a Mat is
-    immutable, so a matrix read again shares it (the blocks of an n-gon
-    fibre take a few values over and over)."""
+def _mat_from_json(obj, where, strict: bool, shape=None) -> Mat:
+    """The matrix ``obj`` describes, built from its own entries; when
+    ``shape`` is given, its declared rows and cols must be that, and no row
+    is built otherwise."""
     rows, cols, entries = _record(obj, _MATRIX, where, strict)
     if rows < 0 or cols < 0:
         raise _error(where, "negative shape")
@@ -379,18 +368,11 @@ def _mat_from_json(obj, where, strict: bool, built: dict, shape=None) -> Mat:
         raise _error(where, f"{len(entries)} entries for a {rows}x{cols} matrix")
     if not cols:
         return Mat.zero(rows, 0)
-    # only strings: 1 == 1.0 == True, and a float or bool entry is an error
-    text = (rows, cols, *entries) if {*map(type, entries)} <= _STR else None
-    if text in built:
-        return built[text]
     at = (where, ".entries")
     items = []
     for base in range(0, rows * cols, cols):
         items.append(_scalar_row(entries[base : base + cols], at, base))
-    m = _from_scalars(rows, cols, items)
-    if text is not None:
-        built[text] = m
-    return m
+    return _from_scalars(rows, cols, items)
 
 
 def _mat_to_json(m: Mat) -> dict:
@@ -539,7 +521,7 @@ def _table(entries: list, spec: _Spec, list_at, strict: bool, value) -> dict:
     return table
 
 
-def _parse_fibre(obj, where: str, strict: bool, built: dict) -> Fibre:
+def _parse_fibre(obj, where: str, strict: bool) -> Fibre:
     (
         components, dim_y, q_v, strata_list, chow_list, push_list, pull_list, ii_list, higher_list
     ) = _record(obj, _FIBRE, where, strict)
@@ -563,7 +545,7 @@ def _parse_fibre(obj, where: str, strict: bool, built: dict) -> Fibre:
 
     def matrix(shape):
         # a matrix value is held to the shape the Chow table asks of its key
-        return lambda key, obj, at: _mat_from_json(obj, (at, ".matrix"), strict, built, shape(key))
+        return lambda key, obj, at: _mat_from_json(obj, (at, ".matrix"), strict, shape(key))
 
     chow = _table(chow_list, _CHOW, (where, ".chow"), strict, chow_dim)
     pushforward = _table(push_list, _BLOCK, (where, ".pushforward"), strict,
@@ -576,16 +558,12 @@ def _parse_fibre(obj, where: str, strict: bool, built: dict) -> Fibre:
     higher_chow = _table(higher_list or [], _HIGHER_CHOW, (where, ".higher_chow"), strict,
                          higher_dim)
     try:
-        fibre = Fibre(
-            components, dim_y, q_v, tuple(strata), chow, pushforward={}, pullback={},
-            ii_matrices=ii_matrices, higher_chow=higher_chow,
+        return Fibre(
+            components, dim_y, q_v, tuple(strata), chow, pushforward, pullback,
+            ii_matrices, higher_chow,
         )
     except DescriptorError as exc:
         raise _error(where, exc) from exc
-    # each block was held to the shape chow asks of it before its rows were
-    # built, which is the one check Fibre would make of the blocks
-    fibre.pushforward, fibre.pullback = pushforward, pullback
-    return fibre
 
 
 def _parse_group(obj, where: str, strict: bool) -> FPAbelianGroup:
@@ -678,10 +656,9 @@ def _read(text: str, strict: bool) -> Bundle:
         raise BundleError(f"params.field_q: {field_q} is not a prime power")
     params = Params(q_coh=q_coh, a=a, field_q=field_q)
 
-    built = {}
     fibres = {}
     for name in sorted(fibres_obj):
-        fibres[name] = _parse_fibre(fibres_obj[name], f"fibres.{name}", strict, built)
+        fibres[name] = _parse_fibre(fibres_obj[name], f"fibres.{name}", strict)
     if not fibres:
         raise BundleError("fibres: at least one marked place is required")
 
@@ -728,7 +705,7 @@ def _read(text: str, strict: bool) -> Bundle:
             if regulator_obj is not None:
                 at = f"{where}.regulator"
                 rank, matrix = _record(regulator_obj, _REGULATOR, at, strict)
-                matrix = _mat_from_json(matrix, f"{at}.matrix", strict, built)
+                matrix = _mat_from_json(matrix, f"{at}.matrix", strict)
                 if matrix.cols != rank:
                     raise BundleError(
                         f"{at}: matrix has {matrix.cols} columns, declared rank {rank}"
@@ -739,12 +716,12 @@ def _read(text: str, strict: bool) -> Bundle:
             if cycle_obj is not None:
                 at = f"{where}.cycle_class"
                 b_rank, xi, tau = _record(cycle_obj, _CYCLE_CLASS, at, strict)
-                xi = _mat_from_json(xi, f"{at}.xi", strict, built)
+                xi = _mat_from_json(xi, f"{at}.xi", strict)
                 if xi.cols != b_rank:
                     raise BundleError(f"{at}: xi has {xi.cols} columns, declared rank {b_rank}")
                 _boundary_shape(xi, ambient, xi.cols, f"{at}.xi")
                 if tau is not None:
-                    tau = _mat_from_json(tau, f"{at}.tau", strict, built)
+                    tau = _mat_from_json(tau, f"{at}.tau", strict)
                     _boundary_shape(tau, ambient, ambient, f"{at}.tau")
                 cycle_class = CycleDatum(b_rank=b_rank, xi=xi, tau=tau)
             motivic[name] = MotivicDatum(regulator=regulator, cycle_class=cycle_class)
@@ -861,7 +838,7 @@ def _table_json(table: dict, spec: _Spec) -> list:
     """The JSON list ``_table`` reads ``table`` back from, in sorted key
     order: a stratum as a list, a matrix value by ``_mat_to_json``."""
     names = [name for name, _ in spec.required]
-    matrix = spec.types[-1] is dict
+    matrix = spec.required[-1][1] is dict
     out = [
         dict(zip(names, (*key, _mat_to_json(v) if matrix else v)))
         for key, v in sorted(table.items())

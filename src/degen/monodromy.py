@@ -39,7 +39,7 @@ only where a space or a differential of it is not C's up to sign.
 from __future__ import annotations
 
 from .qlinalg import Mat, _placed, _Record, rank
-from .strata import Fibre, _index, build_level, composite, gamma, ii_map, require_identity, rho
+from .strata import Fibre, build_level, composite, gamma, ii_map, require_identity, rho
 
 __all__ = [
     "CochainComplex",
@@ -112,16 +112,8 @@ class TwistRow(_Record):
 
 
 def total_rows(f: Fibre, star: int) -> TwistRow:
-    """The star-th row's summands once per fibre and star, once the sign
-    identities its d.d = 0 rests on hold."""
-    rows: dict[int, TwistRow] = _index(f).twist_rows
-    row = rows.get(star)
-    if row is None:
-        row = rows[star] = _build_row(f, star)
-    return row
-
-
-def _build_row(f: Fibre, star: int) -> TwistRow:
+    """The star-th row's summands, once the sign identities its d.d = 0
+    rests on hold."""
     # the window |i|, |j|, |k| <= n + 2 around K cuts only through j = q - n,
     # as |i|, k < r <= n + 1 and q >= 0; the cut q <= 2n + 2 drops nothing
     # but Chow codims past the dimension of their stratum

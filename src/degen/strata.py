@@ -23,10 +23,10 @@ index set); its Chow space then just has higher dimension, which is how
 the 2-gon carries two nodes on the single stratum (1, 2).
 
 Everything derived from a fibre (strata by level, the graded spaces with
-their offsets, gamma, rho, i^*i_*, products of its maps, the verdicts of
-its sign identities and the twist rows of the monodromy complex) is
-computed once, on first use, and kept in a private index on the fibre.
-A fibre is therefore not edited once any of its maps has been built.
+their offsets, gamma, rho, i^*i_*, products of its maps and the verdicts
+of its sign identities) is computed once, on first use, and kept in a
+private index on the fibre.  A fibre is therefore not edited once any of
+its maps has been built.
 """
 
 from __future__ import annotations
@@ -269,17 +269,18 @@ class Fibre(_Record):
 
 
 class _FibreIndex:
-    """What a fibre's maps are built from, filled in on first use."""
+    """A fibre's strata by level, and what is derived from them, each
+    filled in on first use: graded spaces, signed maps, identity verdicts
+    and products of two maps."""
 
     def __init__(self, f: Fibre):
         levels: dict[int, list[Stratum]] = {}
         for s in f.strata:
             levels.setdefault(len(s), []).append(s)
         self.levels = {r: tuple(ss) for r, ss in levels.items()}
-        self.spaces: dict[tuple[int, int, int], GradedSpace] = {}
-        self.maps: dict[tuple[str, int, int, int], Mat] = {}
-        self.verdicts: dict[tuple[str, int, int, int], bool] = {}
-        self.twist_rows: dict = {}  # star -> monodromy.TwistRow, kept by total_rows
+        self.spaces: dict[tuple[int, int, int], GradedSpace] = {}  # (r, p, j)
+        self.maps: dict[tuple[str, int, int, int], Mat] = {}  # (name, r, p, j)
+        self.verdicts: dict[tuple[str, int, int, int], bool] = {}  # (kind, r, p, j)
         self.products: dict = {}  # (id, id) -> (outer, inner, outer * inner)
 
 

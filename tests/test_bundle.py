@@ -684,18 +684,17 @@ def test_reader_matches_the_reference_reader(data):
         assert got == want, (got, want)
 
 
-def test_a_matrix_read_again_is_shared_only_at_the_same_shape_and_text():
+def test_a_matrix_read_again_is_equal_only_at_the_same_shape_and_text():
     from degen.bundle import _mat_from_json
 
-    built = {}
-    row = _mat_from_json({"rows": 1, "cols": 2, "entries": ["1", "2"]}, "a", True, built)
-    col = _mat_from_json({"rows": 2, "cols": 1, "entries": ["1", "2"]}, "b", True, built)
+    row = _mat_from_json({"rows": 1, "cols": 2, "entries": ["1", "2"]}, "a", True)
+    col = _mat_from_json({"rows": 2, "cols": 1, "entries": ["1", "2"]}, "b", True)
     assert (row.rows, row.cols, col.rows, col.cols) == (1, 2, 2, 1)
-    assert _mat_from_json({"rows": 1, "cols": 2, "entries": ["1", "2"]}, "c", True, built) is row
+    assert _mat_from_json({"rows": 1, "cols": 2, "entries": ["1", "2"]}, "c", True) == row != col
     # a JSON number is not the text of the same value: 1.5 is still refused
-    _mat_from_json({"rows": 1, "cols": 1, "entries": ["1.5"]}, "d", True, built)
+    _mat_from_json({"rows": 1, "cols": 1, "entries": ["1.5"]}, "d", True)
     with pytest.raises(BundleError, match=r"e\.entries\[0\]: expected a rational"):
-        _mat_from_json({"rows": 1, "cols": 1, "entries": [1.5]}, "e", True, built)
+        _mat_from_json({"rows": 1, "cols": 1, "entries": [1.5]}, "e", True)
 
 
 # ---------------------------------------------------------------------------

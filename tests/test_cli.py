@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 from degen.bundle import MAX_DIMENSION, Bundle, Params, dumps
 from degen import cli
 from degen.cli import main
+from degen.workbench import CONJECTURES, EXAMPLES, build_example
 
-from fixtures import multi_place_bundle, simplex_surface
+from fixtures import multi_place_bundle, simplex_surface, with_explicit_ii
+from test_bundle import _mutate, _text  # not in fixtures: hypothesis loads unittest
 
 
 def run_cli(*argv):
@@ -482,6 +484,45 @@ def test_motivic_shapes_are_checked_at_load(tmp_path, capsys):
     del cycle["tau"]
     _bounded_rejection(tmp_path, data, ["check", "B2FF"], "motivic.infty.regulator.matrix")
     assert "has shape 1x0, expected 2x0" in capsys.readouterr().err
+
+
+@functools.cache
+def _mutation_bases() -> tuple:
+    """The text of the three examples, a bundle with several places and an
+    integral regulator, and a surface with explicit i^*i_* matrices."""
+    import random
+
+    bundles = [build_example(name) for name in EXAMPLES]
+    bundles.append(multi_place_bundle(3, 4))
+    explicit = with_explicit_ii(simplex_surface(), random.Random(5))
+    bundles.append(Bundle(params=Params(q_coh=3, a=1, field_q=2), fibres={"v0": explicit}))
+    return tuple(map(dumps, bundles))
+
+
+# Every command that reads a bundle file.
+_FILE_COMMANDS = (
+    ["validate"], ["dim-theorem"], *(["check", c] for c in CONJECTURES), ["complex"], ["quasi-iso"]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_mutated_bundle_ends_in_an_exit_code_with_no_traceback(tmp_path_factory, data):
+    # the reader test's mutator, applied once to three times; each command
+    # runs in a child that a hang cannot outlast nor an allocation exhaust
+    tree = json.loads(data.draw(st.sampled_from(_mutation_bases())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(tree, data)
+    strict = data.draw(st.sampled_from([[], ["--no-strict"]]))
+    argv = [*strict, *data.draw(st.sampled_from(_FILE_COMMANDS))]
+    path = tmp_path_factory.mktemp("mutated") / "bundle.json"
+    path.write_text(_text(tree))
+    proc = subprocess.run(
+        [sys.executable, "-m", "degen", *argv, str(path)],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode in {0, 1, 2, 3}, (argv, proc.returncode, proc.stderr[-2000:])
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])
 
 
 def test_incompatible_integral_map_exits_three(tmp_path, capsys):
